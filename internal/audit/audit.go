@@ -135,35 +135,6 @@ func (p reqPhase) String() string {
 	return "unknown"
 }
 
-// replayOutOfScope declares, kind by kind, the trace events the auditor
-// deliberately does not replay, with the reason. The taichilint
-// traceschema rule requires every emitted kind to be either handled by
-// Run's switch or listed here, so adding a trace kind without deciding
-// its audit story is a build-breaking lint — this map is the decision
-// record, and Run flags any event in neither set as "unhandled-kind".
-var replayOutOfScope = map[trace.Kind]bool{
-	// Kernel-interior mechanics: cost-model detail below the invariants
-	// the auditor states (lend pairing, residency, lifecycle). Their
-	// pairing is checked structurally by obs span derivation instead.
-	trace.KindNonPreemptibleBegin: true,
-	trace.KindNonPreemptibleEnd:   true,
-	trace.KindSchedSwitch:         true,
-	trace.KindIPISend:             true,
-	trace.KindIPIDeliver:          true,
-	trace.KindSoftirqRaise:        true,
-	trace.KindSoftirqRun:          true,
-	// Packet lifecycle: excluded from default tracing for volume
-	// (platform.DefaultTraceKinds) and conserved by construction in the
-	// accelerator model; obs pairs them when TraceAll runs record them.
-	trace.KindPacketArrive:         true,
-	trace.KindPacketPreprocessDone: true,
-	trace.KindPacketDelivered:      true,
-	trace.KindPacketProcessed:      true,
-	// The probe IRQ opens the §4.3 reclaim window; the reclaim itself
-	// (yield/preempt pairing) is what the auditor checks.
-	trace.KindProbeIRQ: true,
-}
-
 // Run audits one node's event stream. Events must be in emission order
 // (exactly what trace.Tracer.Events returns).
 func Run(events []trace.Event, opts Options) *Report {
@@ -412,10 +383,10 @@ func Run(events []trace.Event, opts Options) *Report {
 			// was it resident on two members or on none.
 			vmNode[e.Arg] = e.CPU
 		default:
-			// Every kind must be replayed above or declared out of scope;
-			// an event in neither set means the schema grew past the
-			// auditor (the runtime mirror of the traceschema lint).
-			if !replayOutOfScope[e.Kind] {
+			// Every kind must be replayed above or declared out of scope
+			// in the trace schema; an event in neither means the schema
+			// grew past the auditor.
+			if e.Kind.Info().Audit != trace.AuditOutOfScope {
 				add(e, "unhandled-kind", "event kind %s is neither replayed nor declared out of scope", e.Kind)
 			}
 		}

@@ -7,11 +7,9 @@ import (
 )
 
 // TestUnknownKindFlagged pins the replayer's default arm: an event
-// whose kind is neither replayed by the switch nor declared in
-// replayOutOfScope must surface as an unhandled-kind violation instead
-// of sliding through silently. Before the out-of-scope set existed,
-// any unrecognized kind — including one added to the schema after the
-// auditor was written — fell through without a sound.
+// whose kind is neither replayed by the switch nor declared out of
+// audit scope in the trace schema must surface as an unhandled-kind
+// violation instead of sliding through silently.
 func TestUnknownKindFlagged(t *testing.T) {
 	rep := Run([]trace.Event{ev(10, trace.Kind(250), 0, 0, "")}, Options{})
 	found := false
@@ -26,10 +24,9 @@ func TestUnknownKindFlagged(t *testing.T) {
 }
 
 // TestReplayCoversSchema replays one event of every declared trace
-// kind: each must be either handled or explicitly out of scope. This
-// is the runtime mirror of the taichilint traceschema rule — a kind
-// added to the schema without an audit decision fails here even if the
-// lint never runs.
+// kind: each must be either handled or declared out of scope by its
+// schema row, so a kind added to the schema without an audit decision
+// fails here.
 func TestReplayCoversSchema(t *testing.T) {
 	for _, k := range trace.Kinds() {
 		rep := Run([]trace.Event{ev(10, k, 0, 0, "")}, Options{})

@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the interprocedural facts layer behind the whole-program
-// analyzers (lockorder, streamdraw, traceschema, atomicmix). The PR 3
-// analyzers are per-package and syntactic; the invariants added since —
-// consistent mutex acquisition order, deterministic reachability of
-// named-stream draws, agreement between the trace schema and its
-// consumers — span package boundaries, so they need a module-wide view:
-// every function declaration, a static call graph over them, and
-// deterministic iteration orders so diagnostics replay bit-for-bit.
+// analyzers (lockorder, streamdraw, atomicmix). The per-package
+// analyzers are syntactic; the invariants added since — consistent
+// mutex acquisition order, deterministic reachability of named-stream
+// draws, no mixed atomic and plain field access — span package
+// boundaries, so they need a module-wide view: every function
+// declaration, a static call graph over them, and deterministic
+// iteration orders so diagnostics replay bit-for-bit.
 //
 // The call graph is static and intentionally conservative: direct calls
 // and method calls that the type checker resolves to a concrete

@@ -11,7 +11,7 @@
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
-// only, because the module is intentionally dependency-free. Nine
+// only, because the module is intentionally dependency-free. Eight
 // analyzers ship with it — five per-package:
 //
 //	walltime   — forbid wall-clock reads (time.Now, time.Sleep, …)
@@ -20,15 +20,13 @@
 //	goroutine  — forbid concurrency primitives in the deterministic core
 //	seedflow   — exported constructors reaching randomness must take a seed
 //
-// and four whole-program, built on the interprocedural facts layer in
+// and three whole-program, built on the interprocedural facts layer in
 // facts.go (module-wide call graph over the same loader):
 //
 //	lockorder   — consistent mutex acquisition order; guarded fields
 //	              never written outside their mutex
 //	streamdraw  — named RNG streams unique module-wide, registered, and
 //	              drawn only through deterministic control flow
-//	traceschema — trace kinds wired through trace.Kinds(), the obs
-//	              pairing table, and the audit replayer in lockstep
 //	atomicmix   — no field accessed both via sync/atomic and plainly
 //
 // A site that is legitimately exempt (for example wall-clock progress
@@ -72,9 +70,9 @@ type Analyzer struct {
 	Run func(pass *Pass)
 
 	// RunProgram inspects the whole loaded program at once — the
-	// interprocedural analyzers (lockorder, streamdraw, traceschema,
-	// atomicmix) need cross-package facts a single-package pass cannot
-	// see. The same determinism bar applies.
+	// interprocedural analyzers (lockorder, streamdraw, atomicmix) need
+	// cross-package facts a single-package pass cannot see. The same
+	// determinism bar applies.
 	RunProgram func(pass *ProgramPass)
 }
 
@@ -259,7 +257,6 @@ func All() []*Analyzer {
 		SeedFlow,
 		LockOrder,
 		StreamDraw,
-		TraceSchema,
 		AtomicMix,
 	}
 }

@@ -58,30 +58,6 @@ func TestStreamDraw(t *testing.T) {
 		filepath.Join("testdata", "streamdraw", "sim"), "repro/internal/workload")
 }
 
-// TestTraceSchema runs the analyzer over a four-package program that
-// models the real topology: a schema package, the two consumer roles
-// (obs pairing, audit replay + out-of-scope set), and an emitter.
-func TestTraceSchema(t *testing.T) {
-	linttest.RunProgram(t, lint.TraceSchema,
-		linttest.Fixture{
-			Dir:        filepath.Join("testdata", "traceschema", "trace"),
-			ImportPath: "repro/internal/trace",
-		},
-		linttest.Fixture{
-			Dir:        filepath.Join("testdata", "traceschema", "obs"),
-			ImportPath: "repro/internal/obs",
-		},
-		linttest.Fixture{
-			Dir:        filepath.Join("testdata", "traceschema", "audit"),
-			ImportPath: "repro/internal/audit",
-		},
-		linttest.Fixture{
-			Dir:        filepath.Join("testdata", "traceschema", "emit"),
-			ImportPath: "repro/internal/kernel",
-		},
-	)
-}
-
 func TestAtomicMix(t *testing.T) {
 	linttest.Run(t, lint.AtomicMix,
 		filepath.Join("testdata", "atomicmix", "fleet"), "repro/internal/fleet")

@@ -18,12 +18,6 @@
 // (internal/kernel is "deterministic core", cmd/ is not), the caller
 // supplies the import path to type-check the fixture under; the
 // directory name is irrelevant.
-//
-// Whole-program analyzers cross-check several packages at once
-// (traceschema pairs a schema package with its consumers), so
-// RunProgram accepts a list of fixture packages that may import each
-// other by their fixture import paths; they are type-checked in the
-// order given and analyzed as one program.
 package linttest
 
 import (
@@ -52,44 +46,19 @@ var (
 	sharedImporter = importer.ForCompiler(sharedFset, "source", nil)
 )
 
-// Fixture names one package of a multi-package fixture: the directory
-// holding its files and the import path to type-check it under (which
-// is also the path sibling fixtures import it by).
-type Fixture struct {
-	Dir        string
-	ImportPath string
-}
-
 // Run loads the fixture package in dir, type-checks it as importPath,
 // applies the analyzer, and compares diagnostics to want comments.
 func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 	t.Helper()
-	RunProgram(t, a, Fixture{Dir: dir, ImportPath: importPath})
-}
-
-// RunProgram loads several fixture packages as one program — later
-// fixtures may import earlier ones by their fixture import paths —
-// applies the analyzer to the whole program, and compares diagnostics
-// to the want comments across all fixtures.
-func RunProgram(t *testing.T, a *lint.Analyzer, fixtures ...Fixture) {
-	t.Helper()
-	imp := &fixtureImporter{local: map[string]*types.Package{}}
-	var pkgs []*lint.Package
-	var wants []want
-	for _, fx := range fixtures {
-		pkg, err := loadFixture(fx.Dir, fx.ImportPath, imp)
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", fx.Dir, err)
-		}
-		imp.local[fx.ImportPath] = pkg.Types
-		w, err := collectWants(pkg)
-		if err != nil {
-			t.Fatalf("parsing want comments in %s: %v", fx.Dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-		wants = append(wants, w...)
+	pkg, err := loadFixture(dir, importPath)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags := lint.Run(pkgs, []*lint.Analyzer{a})
+	wants, err := collectWants(pkg)
+	if err != nil {
+		t.Fatalf("parsing want comments in %s: %v", dir, err)
+	}
+	diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
 
 	matched := make([]bool, len(wants))
 	for _, d := range diags {
@@ -115,27 +84,13 @@ func RunProgram(t *testing.T, a *lint.Analyzer, fixtures ...Fixture) {
 	}
 }
 
-// fixtureImporter resolves fixture-local import paths to the packages
-// type-checked so far and defers everything else (the standard
-// library) to the shared source importer.
-type fixtureImporter struct {
-	local map[string]*types.Package
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := fi.local[path]; ok {
-		return p, nil
-	}
-	return sharedImporter.Import(path)
-}
-
 type want struct {
 	file string
 	line int
 	re   *regexp.Regexp
 }
 
-func loadFixture(dir, importPath string, imp types.Importer) (*lint.Package, error) {
+func loadFixture(dir, importPath string) (*lint.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -163,7 +118,7 @@ func loadFixture(dir, importPath string, imp types.Importer) (*lint.Package, err
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: imp}
+	conf := types.Config{Importer: sharedImporter}
 	tpkg, err := conf.Check(importPath, sharedFset, files, info)
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 // spans identically.
 type Span struct {
 	ID    int
-	Class string // "np", "vm", "lend", "reclaim", "softirq", "ipi", "packet", "attempt", "request", "overload", "migrate"
+	Class string // trace.Class name: "np", "vm", "lend", "request", ...
 	CPU   int    // physical/logical CPU id; -1 for spans not tied to a core
 	Arg   int64  // pairing key where relevant (IPI id, packet id, VM id)
 	Start sim.Time
@@ -29,9 +29,10 @@ type Span struct {
 // Duration returns End-Start.
 func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 
-// Instant is a point event that does not open or close a span but is
-// still worth a timeline marker (context switches, watchdog escalation
-// rungs, retry detours, packet stage progress).
+// Instant is a timeline marker for an event whose kind the trace schema
+// flags as an instant (context switches, watchdog escalation rungs,
+// retry detours, packet stage progress). Some instants also open or
+// close a span.
 type Instant struct {
 	At   sim.Time
 	Name string
@@ -47,30 +48,6 @@ type Derivation struct {
 	Instants []Instant
 }
 
-// Span derivation rules — the begin/end pairings documented in
-// OBSERVABILITY.md. Per-CPU classes pair on the CPU field, per-entity
-// classes on Arg. Ends pop the most recent open begin (LIFO), so
-// nested or re-entered sections still pair deterministically.
-//
-//	np      np_begin        → np_end          per CPU
-//	vm      vm_entry        → vm_exit         per CPU (note: exit reason)
-//	lend    yield           → preempt         per CPU
-//	reclaim probe_irq       → preempt         per CPU (the §4.3 window)
-//	softirq softirq_raise   → softirq_run     per CPU
-//	ipi     ipi_send        → ipi_deliver     per Arg (IPI id)
-//	packet  pkt_arrive      → pkt_processed   per Arg (packet id)
-//	attempt  req_attempt    → req_retry | req_completed | req_deadletter  per Arg (VM id)
-//	request  req_issued     → req_completed | req_deadletter | req_shed   per Arg (VM id)
-//	overload overload_enter → overload_exit   per CPU (-1; LIFO nests rungs)
-//	migrate  vm_migrate_start → vm_migrate_done  per Arg (VM id; CPU moves source→target)
-//
-// A preempt closes both the open lend and the open reclaim window on
-// its CPU: the reclaim is the tail of the lend it interrupts.
-type openKey struct {
-	class string
-	key   int64 // CPU for per-CPU classes, Arg for per-entity classes
-}
-
 type openSpan struct {
 	start sim.Time
 	cpu   int
@@ -78,146 +55,81 @@ type openSpan struct {
 	note  string
 }
 
-// Derive pairs a trace's events into spans and instants. Events must be
-// in emission order (which is chronological: the tracer records at the
+// Derive pairs a trace's events into spans and instants by the trace
+// schema (trace.Kind.Info): each event closes the classes its kind
+// closes, opens the class it opens, and marks an instant if its kind is
+// one. OBSERVABILITY.md §2 renders the pairings. Events must be in
+// emission order (which is chronological: the tracer records at the
 // engine clock). Open spans at the end of the trace are emitted
 // truncated, clipped to the last event's instant.
 func Derive(events []trace.Event) Derivation {
-	open := map[openKey][]openSpan{}
+	// open[c][key] is class c's stack of open begins for one CPU or Arg.
+	var open [trace.NumClasses]map[int64][]openSpan
 	var spans []Span
 	var instants []Instant
 
-	push := func(class string, key int64, e trace.Event) {
-		k := openKey{class, key}
-		open[k] = append(open[k], openSpan{start: e.At, cpu: e.CPU, arg: e.Arg, note: e.Note})
-	}
-	// pop closes the most recent open span of the class, preferring the
-	// close event's note when the begin carried none.
-	pop := func(class string, key int64, e trace.Event) bool {
-		k := openKey{class, key}
-		stack := open[k]
-		if len(stack) == 0 {
-			return false
-		}
-		o := stack[len(stack)-1]
-		open[k] = stack[:len(stack)-1]
-		note := o.note
-		if note == "" {
-			note = e.Note
-		}
-		spans = append(spans, Span{
-			Class: class, CPU: o.cpu, Arg: o.arg,
-			Start: o.start, End: e.At, Note: note,
-		})
-		return true
-	}
-	mark := func(e trace.Event) {
-		instants = append(instants, Instant{
-			At: e.At, Name: e.Kind.String(), CPU: e.CPU, Arg: e.Arg, Note: e.Note,
-		})
-	}
-
 	for _, e := range events {
-		switch e.Kind {
-		case trace.KindNonPreemptibleBegin:
-			push("np", int64(e.CPU), e)
-		case trace.KindNonPreemptibleEnd:
-			pop("np", int64(e.CPU), e)
-		case trace.KindVMEntry:
-			push("vm", int64(e.CPU), e)
-		case trace.KindVMExit:
-			pop("vm", int64(e.CPU), e)
-		case trace.KindYield:
-			push("lend", int64(e.CPU), e)
-		case trace.KindProbeIRQ:
-			push("reclaim", int64(e.CPU), e)
-		case trace.KindPreempt:
-			pop("reclaim", int64(e.CPU), e)
-			pop("lend", int64(e.CPU), e)
-		case trace.KindSoftirqRaise:
-			push("softirq", int64(e.CPU), e)
-		case trace.KindSoftirqRun:
-			pop("softirq", int64(e.CPU), e)
-		case trace.KindIPISend:
-			push("ipi", e.Arg, e)
-		case trace.KindIPIDeliver:
-			pop("ipi", e.Arg, e)
-		case trace.KindPacketArrive:
-			push("packet", e.Arg, e)
-		case trace.KindPacketProcessed:
-			pop("packet", e.Arg, e)
-		case trace.KindPacketPreprocessDone, trace.KindPacketDelivered:
-			mark(e)
-		case trace.KindRequestIssued:
-			push("request", e.Arg, e)
-		case trace.KindRequestAttempt:
-			push("attempt", e.Arg, e)
-		case trace.KindRequestRetry:
-			pop("attempt", e.Arg, e)
-			mark(e)
-		case trace.KindRequestCompleted, trace.KindRequestDeadLetter:
-			pop("attempt", e.Arg, e)
-			pop("request", e.Arg, e)
-		case trace.KindRequestResurrected:
-			// A resurrected request re-opens its request span (the
-			// dead-letter closed it); the instant itself is also marked so
-			// timelines show the resurrection point.
-			push("request", e.Arg, e)
-			mark(e)
-		case trace.KindRequestShed:
-			// A shed closes the request span like the other terminals (no
-			// attempt span can be open: sheds happen before provisioning);
-			// the instant marks the shed point with its reason.
-			pop("request", e.Arg, e)
-			mark(e)
-		case trace.KindOverloadEnter:
-			// Each rung up opens an "overload" span; each rung down closes
-			// the most recent one (LIFO), so nested rungs render as nested
-			// intervals on the -1 track. Both edges also mark instants.
-			push("overload", int64(e.CPU), e)
-			mark(e)
-		case trace.KindOverloadExit:
-			pop("overload", int64(e.CPU), e)
-			mark(e)
-		case trace.KindVMMigrateStart:
-			// The migration span carries the source member as its CPU (the
-			// begin side); the done's Note records the source so timelines
-			// can render the hop even though the span keys on the VM id.
-			push("migrate", e.Arg, e)
-			mark(e)
-		case trace.KindVMMigrateDone:
-			pop("migrate", e.Arg, e)
-			mark(e)
-		case trace.KindVMPlace, trace.KindRebalanceScan:
-			mark(e)
-		case trace.KindSchedSwitch, trace.KindReclaimEscalate,
-			trace.KindDefenseRecover, trace.KindNodeRejoin:
-			mark(e)
+		info := e.Kind.Info()
+		for _, c := range info.Closes {
+			// Pop the most recent open begin (LIFO), preferring the close
+			// event's note when the begin carried none. An unpaired close
+			// (its begin fell outside the trace) is dropped.
+			key := c.KeyOf(e)
+			stack := open[c][key]
+			if len(stack) == 0 {
+				continue
+			}
+			o := stack[len(stack)-1]
+			open[c][key] = stack[:len(stack)-1]
+			note := o.note
+			if note == "" {
+				note = e.Note
+			}
+			spans = append(spans, Span{
+				Class: c.String(), CPU: o.cpu, Arg: o.arg,
+				Start: o.start, End: e.At, Note: note,
+			})
+		}
+		if c := info.Opens; c != trace.ClassNone {
+			if open[c] == nil {
+				open[c] = map[int64][]openSpan{}
+			}
+			key := c.KeyOf(e)
+			open[c][key] = append(open[c][key], openSpan{start: e.At, cpu: e.CPU, arg: e.Arg, note: e.Note})
+		}
+		if info.Instant {
+			instants = append(instants, Instant{
+				At: e.At, Name: info.Name, CPU: e.CPU, Arg: e.Arg, Note: e.Note,
+			})
 		}
 	}
 
-	// Clip still-open spans to the last traced instant. Key order does
-	// not matter for correctness of the individual spans, but the final
-	// sort below is what fixes IDs, so iterate sorted keys anyway to
-	// keep every intermediate deterministic.
+	// Clip still-open spans to the last traced instant. Order does not
+	// matter for correctness of the individual spans, but the final sort
+	// below is what fixes IDs, so iterate (class name, key) order anyway
+	// to keep every intermediate deterministic.
 	if len(events) > 0 {
 		end := events[len(events)-1].At
-		keys := make([]openKey, 0, len(open))
-		for k := range open {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].class != keys[j].class {
-				return keys[i].class < keys[j].class
+		byName := make([]trace.Class, 0, trace.NumClasses)
+		for c := range open {
+			if len(open[c]) > 0 {
+				byName = append(byName, trace.Class(c))
 			}
-			return keys[i].key < keys[j].key
-		})
-		for _, k := range keys {
-			for _, o := range open[k] {
-				spans = append(spans, Span{
-					Class: k.class, CPU: o.cpu, Arg: o.arg,
-					Start: o.start, End: end, Note: o.note, Truncated: true,
-				})
+		}
+		sort.Slice(byName, func(i, j int) bool { return byName[i].String() < byName[j].String() })
+		for _, c := range byName {
+			keys := make([]int64, 0, len(open[c]))
+			for k := range open[c] {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			for _, k := range keys {
+				for _, o := range open[c][k] {
+					spans = append(spans, Span{
+						Class: c.String(), CPU: o.cpu, Arg: o.arg,
+						Start: o.start, End: end, Note: o.note, Truncated: true,
+					})
+				}
 			}
 		}
 	}

@@ -96,19 +96,16 @@ func DefaultOptions() Options {
 // DefaultTraceKinds returns every trace kind except the per-packet
 // lifecycle events, whose volume would dwarf everything else.
 func DefaultTraceKinds() []trace.Kind {
-	return []trace.Kind{
-		trace.KindNonPreemptibleBegin, trace.KindNonPreemptibleEnd,
-		trace.KindSchedSwitch, trace.KindVMEntry, trace.KindVMExit,
-		trace.KindIPISend, trace.KindIPIDeliver,
-		trace.KindYield, trace.KindPreempt, trace.KindProbeIRQ,
-		trace.KindSoftirqRaise, trace.KindSoftirqRun,
-		trace.KindRequestIssued, trace.KindRequestAttempt,
-		trace.KindRequestRetry, trace.KindRequestCompleted,
-		trace.KindRequestDeadLetter, trace.KindReclaimEscalate,
-		trace.KindDefenseRecover, trace.KindNodeRejoin,
-		trace.KindRequestResurrected, trace.KindRequestShed,
-		trace.KindOverloadEnter, trace.KindOverloadExit,
+	var out []trace.Kind
+	for _, k := range trace.Kinds() {
+		switch k {
+		case trace.KindPacketArrive, trace.KindPacketPreprocessDone,
+			trace.KindPacketDelivered, trace.KindPacketProcessed:
+			continue
+		}
+		out = append(out, k)
 	}
+	return out
 }
 
 // Node is one assembled SmartNIC.

@@ -122,49 +122,160 @@ const (
 	KindRebalanceScan
 )
 
-var kindNames = map[Kind]string{
-	KindNonPreemptibleBegin:  "np_begin",
-	KindNonPreemptibleEnd:    "np_end",
-	KindSchedSwitch:          "sched_switch",
-	KindVMEntry:              "vm_entry",
-	KindVMExit:               "vm_exit",
-	KindIPISend:              "ipi_send",
-	KindIPIDeliver:           "ipi_deliver",
-	KindPacketArrive:         "pkt_arrive",
-	KindPacketPreprocessDone: "pkt_preprocessed",
-	KindPacketDelivered:      "pkt_delivered",
-	KindPacketProcessed:      "pkt_processed",
-	KindYield:                "yield",
-	KindPreempt:              "preempt",
-	KindProbeIRQ:             "probe_irq",
-	KindSoftirqRaise:         "softirq_raise",
-	KindSoftirqRun:           "softirq_run",
-	KindRequestIssued:        "req_issued",
-	KindRequestAttempt:       "req_attempt",
-	KindRequestRetry:         "req_retry",
-	KindRequestCompleted:     "req_completed",
-	KindRequestDeadLetter:    "req_deadletter",
-	KindReclaimEscalate:      "reclaim_escalate",
-	KindDefenseRecover:       "defense_recover",
-	KindNodeRejoin:           "node_rejoin",
-	KindRequestResurrected:   "req_resurrected",
-	KindRequestShed:          "req_shed",
-	KindOverloadEnter:        "overload_enter",
-	KindOverloadExit:         "overload_exit",
-	KindVMPlace:              "vm_place",
-	KindVMMigrateStart:       "vm_migrate_start",
-	KindVMMigrateDone:        "vm_migrate_done",
-	KindRebalanceScan:        "rebalance_scan",
+// Class is a span class: a begin/end pairing that obs.Derive folds
+// into an interval (OBSERVABILITY.md §2).
+type Class uint8
+
+// Span classes. ClassNone is the zero value a kind that opens nothing
+// carries.
+const (
+	ClassNone Class = iota
+	ClassNP
+	ClassVM
+	ClassLend
+	ClassReclaim
+	ClassSoftirq
+	ClassIPI
+	ClassPacket
+	ClassAttempt
+	ClassRequest
+	ClassOverload
+	ClassMigrate
+	// NumClasses bounds the class values, for arrays indexed by Class.
+	NumClasses = int(iota)
+)
+
+// pairKey names the event field that pairs a class's begins with its
+// ends. An end pops the most recent open begin (LIFO) with the same
+// class and key, so nested or re-entered sections pair deterministically.
+type pairKey uint8
+
+const (
+	byCPU pairKey = iota // per-core classes pair on Event.CPU
+	byArg                // per-entity classes pair on Event.Arg
+)
+
+// classInfo declares one span class.
+type classInfo struct {
+	name string
+	key  pairKey
+	// keyDoc says what the key identifies, for OBSERVABILITY.md §2.
+	keyDoc string
+}
+
+var classes = [NumClasses]classInfo{
+	ClassNP:       {name: "np", key: byCPU},
+	ClassVM:       {name: "vm", key: byCPU},
+	ClassLend:     {name: "lend", key: byCPU},
+	ClassReclaim:  {name: "reclaim", key: byCPU},
+	ClassSoftirq:  {name: "softirq", key: byCPU},
+	ClassIPI:      {name: "ipi", key: byArg, keyDoc: "IPI id"},
+	ClassPacket:   {name: "packet", key: byArg, keyDoc: "packet id"},
+	ClassAttempt:  {name: "attempt", key: byArg, keyDoc: "VM id"},
+	ClassRequest:  {name: "request", key: byArg, keyDoc: "VM id"},
+	ClassOverload: {name: "overload", key: byCPU, keyDoc: "−1; LIFO nests rungs"},
+	ClassMigrate:  {name: "migrate", key: byArg, keyDoc: "cluster VM id; CPU moves source → destination"},
+}
+
+// String returns the class name spans carry.
+func (c Class) String() string { return classes[c].name }
+
+// KeyOf returns the pairing key of event e under class c.
+func (c Class) KeyOf(e Event) int64 {
+	if classes[c].key == byArg {
+		return e.Arg
+	}
+	return int64(e.CPU)
+}
+
+// AuditScope records whether the audit replayer checks a kind.
+type AuditScope uint8
+
+const (
+	// AuditReplayed kinds are handled by audit.Run's replay switch. It
+	// is the zero value, so a kind without an audit decision (or an
+	// unknown kind) surfaces as an "unhandled-kind" violation.
+	AuditReplayed AuditScope = iota
+	// AuditOutOfScope kinds are deliberately not replayed:
+	//   - kernel-interior mechanics (np, sched_switch, ipi, softirq) are
+	//     cost-model detail below the invariants the auditor states, and
+	//     obs span derivation pairs them structurally;
+	//   - the packet lifecycle is left out of default tracing for volume
+	//     and is conserved by construction in the accelerator model;
+	//   - probe_irq opens the §4.3 reclaim window, and the reclaim itself
+	//     (yield/preempt pairing) is what the auditor checks.
+	AuditOutOfScope
+)
+
+// KindInfo is one row of the trace schema: everything the consumers of
+// a kind (String, obs.Derive, the auditor, the exporter) need to know.
+type KindInfo struct {
+	Name string
+	// Opens is the span class the kind begins, or ClassNone.
+	Opens Class
+	// Closes lists the span classes the kind ends, in pop order.
+	Closes []Class
+	// Instant marks kinds that also become timeline point markers.
+	Instant bool
+	Audit   AuditScope
+}
+
+// kinds is the trace schema, indexed by Kind. A kind added to the
+// const block above needs exactly one row here.
+var kinds = [...]KindInfo{
+	KindNone:                 {},
+	KindNonPreemptibleBegin:  {Name: "np_begin", Opens: ClassNP, Audit: AuditOutOfScope},
+	KindNonPreemptibleEnd:    {Name: "np_end", Closes: []Class{ClassNP}, Audit: AuditOutOfScope},
+	KindSchedSwitch:          {Name: "sched_switch", Instant: true, Audit: AuditOutOfScope},
+	KindVMEntry:              {Name: "vm_entry", Opens: ClassVM},
+	KindVMExit:               {Name: "vm_exit", Closes: []Class{ClassVM}},
+	KindIPISend:              {Name: "ipi_send", Opens: ClassIPI, Audit: AuditOutOfScope},
+	KindIPIDeliver:           {Name: "ipi_deliver", Closes: []Class{ClassIPI}, Audit: AuditOutOfScope},
+	KindPacketArrive:         {Name: "pkt_arrive", Opens: ClassPacket, Audit: AuditOutOfScope},
+	KindPacketPreprocessDone: {Name: "pkt_preprocessed", Instant: true, Audit: AuditOutOfScope},
+	KindPacketDelivered:      {Name: "pkt_delivered", Instant: true, Audit: AuditOutOfScope},
+	KindPacketProcessed:      {Name: "pkt_processed", Closes: []Class{ClassPacket}, Audit: AuditOutOfScope},
+	KindYield:                {Name: "yield", Opens: ClassLend},
+	// A preempt ends the open reclaim window and the lend it interrupts.
+	KindPreempt:            {Name: "preempt", Closes: []Class{ClassReclaim, ClassLend}},
+	KindProbeIRQ:           {Name: "probe_irq", Opens: ClassReclaim, Audit: AuditOutOfScope},
+	KindSoftirqRaise:       {Name: "softirq_raise", Opens: ClassSoftirq, Audit: AuditOutOfScope},
+	KindSoftirqRun:         {Name: "softirq_run", Closes: []Class{ClassSoftirq}, Audit: AuditOutOfScope},
+	KindRequestIssued:      {Name: "req_issued", Opens: ClassRequest},
+	KindRequestAttempt:     {Name: "req_attempt", Opens: ClassAttempt},
+	KindRequestRetry:       {Name: "req_retry", Closes: []Class{ClassAttempt}, Instant: true},
+	KindRequestCompleted:   {Name: "req_completed", Closes: []Class{ClassAttempt, ClassRequest}},
+	KindRequestDeadLetter:  {Name: "req_deadletter", Closes: []Class{ClassAttempt, ClassRequest}},
+	KindReclaimEscalate:    {Name: "reclaim_escalate", Instant: true},
+	KindDefenseRecover:     {Name: "defense_recover", Instant: true},
+	KindNodeRejoin:         {Name: "node_rejoin", Instant: true},
+	KindRequestResurrected: {Name: "req_resurrected", Opens: ClassRequest, Instant: true},
+	// Sheds happen before provisioning, so no attempt span can be open.
+	KindRequestShed:    {Name: "req_shed", Closes: []Class{ClassRequest}, Instant: true},
+	KindOverloadEnter:  {Name: "overload_enter", Opens: ClassOverload, Instant: true},
+	KindOverloadExit:   {Name: "overload_exit", Closes: []Class{ClassOverload}, Instant: true},
+	KindVMPlace:        {Name: "vm_place", Instant: true},
+	KindVMMigrateStart: {Name: "vm_migrate_start", Opens: ClassMigrate, Instant: true},
+	KindVMMigrateDone:  {Name: "vm_migrate_done", Closes: []Class{ClassMigrate}, Instant: true},
+	KindRebalanceScan:  {Name: "rebalance_scan", Instant: true},
+}
+
+// Info returns the kind's schema row; unknown kinds get the zero row.
+func (k Kind) Info() KindInfo {
+	if int(k) < len(kinds) {
+		return kinds[k]
+	}
+	return KindInfo{}
 }
 
 // Kinds returns every named kind in declaration order — the exporter's
 // iteration surface, so a kind added here is automatically part of the
 // export schema (OBSERVABILITY.md documents the mapping).
 func Kinds() []Kind {
-	out := make([]Kind, 0, len(kindNames))
-	for k := KindNone + 1; int(k) <= len(kindNames); k++ {
-		if _, ok := kindNames[k]; ok {
-			out = append(out, k)
+	out := make([]Kind, 0, len(kinds)-1)
+	for k := range kinds {
+		if kinds[k].Name != "" {
+			out = append(out, Kind(k))
 		}
 	}
 	return out
@@ -172,7 +283,7 @@ func Kinds() []Kind {
 
 // String returns the canonical short name of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
+	if s := k.Info().Name; s != "" {
 		return s
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
@@ -192,7 +303,7 @@ type Event struct {
 type Tracer struct {
 	events   []Event
 	filtered bool
-	enabled  [32]bool // indexed by Kind when filtered
+	enabled  [len(kinds)]bool // indexed by Kind when filtered
 	dropped  uint64
 	limit    int
 }
@@ -204,12 +315,15 @@ func New(limit int) *Tracer {
 }
 
 // EnableOnly restricts recording to the given kinds. Passing no kinds
-// disables recording entirely.
-func (t *Tracer) EnableOnly(kinds ...Kind) {
+// disables recording entirely. A filtered tracer drops kinds outside
+// the schema.
+func (t *Tracer) EnableOnly(enable ...Kind) {
 	t.filtered = true
-	t.enabled = [32]bool{}
-	for _, k := range kinds {
-		t.enabled[k] = true
+	t.enabled = [len(kinds)]bool{}
+	for _, k := range enable {
+		if int(k) < len(t.enabled) {
+			t.enabled[k] = true
+		}
 	}
 }
 
@@ -220,7 +334,7 @@ func (t *Tracer) Emit(at sim.Time, kind Kind, cpu int, arg int64, note string) {
 	if t == nil {
 		return
 	}
-	if t.filtered && !t.enabled[kind] {
+	if t.filtered && (int(kind) >= len(t.enabled) || !t.enabled[kind]) {
 		return
 	}
 	if t.limit > 0 && len(t.events) >= t.limit {
