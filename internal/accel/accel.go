@@ -72,12 +72,9 @@ type Probe struct {
 	// Misses counts arrival checks swallowed by MissCheck.
 	Misses uint64
 
-	states map[int]CoreState
-	// pending marks cores with a preemption request already in flight;
-	// the request is level-triggered, so further packet arrivals for the
-	// same V-state episode do not fire duplicate IRQs. Cleared when the
-	// scheduler flips the core back to P-state.
-	pending map[int]bool
+	// cores is the per-core state table, indexed by core id and grown on
+	// first write; a core past its end is in P-state with nothing pending.
+	cores []probeCore
 	// IRQs counts probe interrupts fired, for overhead accounting.
 	IRQs uint64
 
@@ -90,9 +87,36 @@ type Probe struct {
 	tracer   *trace.Tracer
 }
 
+// probeCore is one core's row in the probe's state table.
+type probeCore struct {
+	state CoreState
+	// pending marks a preemption request already in flight; the request
+	// is level-triggered, so further packet arrivals for the same V-state
+	// episode do not fire duplicate IRQs. Cleared when the scheduler flips
+	// the core back to P-state.
+	pending bool
+}
+
 // NewProbe returns an enabled probe with every core in P-state.
 func NewProbe(irqLatency sim.Duration) *Probe {
-	return &Probe{Enabled: true, IRQLatency: irqLatency, states: map[int]CoreState{}, pending: map[int]bool{}}
+	return &Probe{Enabled: true, IRQLatency: irqLatency}
+}
+
+// core returns the core's row, growing the table to hold it.
+func (p *Probe) core(core int) *probeCore {
+	p.cores = grow(p.cores, core)
+	return &p.cores[core]
+}
+
+// grow extends a per-core table so that index core is valid.
+func grow[T any](s []T, core int) []T {
+	if core < 0 {
+		panic(fmt.Sprintf("accel: negative core id %d", core))
+	}
+	if core >= len(s) {
+		s = append(s, make([]T, core+1-len(s))...)
+	}
+	return s
 }
 
 // SetState updates a core's V/P state (called by the vCPU scheduler,
@@ -100,9 +124,10 @@ func NewProbe(irqLatency sim.Duration) *Probe {
 // for it are still inside the preprocessing pipeline fires the IRQ
 // immediately — those packets passed the arrival check before the flip.
 func (p *Probe) SetState(core int, s CoreState) {
-	p.states[core] = s
+	c := p.core(core)
+	c.state = s
 	if s == PState {
-		delete(p.pending, core)
+		c.pending = false
 		return
 	}
 	if p.Enabled && p.inFlight != nil && p.inFlight(core) > 0 {
@@ -115,14 +140,22 @@ func (p *Probe) SetState(core int, s CoreState) {
 }
 
 // State returns the core's current state (default P-state).
-func (p *Probe) State(core int) CoreState { return p.states[core] }
+func (p *Probe) State(core int) CoreState { return p.row(core).state }
+
+// row returns the core's row, or the zero row for a core never written.
+func (p *Probe) row(core int) probeCore {
+	if core < 0 || core >= len(p.cores) {
+		return probeCore{}
+	}
+	return p.cores[core]
+}
 
 // inspect runs the probe's arrival check: in V-state it fires the IRQ.
 // The state is NOT flipped here — the vCPU scheduler transitions it to
 // P-state once the DP context is restored, which also makes repeated
 // arrivals during the switch harmless (the scheduler ignores duplicates).
 func (p *Probe) inspect(core int) {
-	if !p.Enabled || p.states[core] != VState {
+	if !p.Enabled || p.row(core).state != VState {
 		return
 	}
 	if p.MissCheck != nil && p.MissCheck(core) {
@@ -138,7 +171,7 @@ func (p *Probe) inspect(core int) {
 // cores, and a spurious request while the DP owns the core would poison
 // the level-triggered pending latch). Reports whether the IRQ fired.
 func (p *Probe) InjectSpurious(core int) bool {
-	if !p.Enabled || p.states[core] != VState || p.pending[core] {
+	if c := p.row(core); !p.Enabled || c.state != VState || c.pending {
 		return false
 	}
 	p.fire(core, "spurious")
@@ -148,10 +181,11 @@ func (p *Probe) InjectSpurious(core int) bool {
 // fire emits the early preemption IRQ after the delivery latency. The
 // request is level-triggered: one IRQ per V-state episode.
 func (p *Probe) fire(core int, why string) {
-	if p.pending[core] {
+	c := p.core(core)
+	if c.pending {
 		return
 	}
-	p.pending[core] = true
+	c.pending = true
 	p.IRQs++
 	p.tracer.Emit(p.engine.Now(), trace.KindProbeIRQ, core, 0, why)
 	p.engine.ScheduleNamed(p.IRQLatency, "accel.probe-irq", func() {
@@ -181,6 +215,10 @@ func DefaultConfig() Config {
 // Pipeline is the programmable accelerator datapath. Packets proceed
 // through preprocess and transfer stages in parallel (the hardware is
 // deeply pipelined), then land in the destination core's DP queue.
+//
+// Every packet spends the same Preprocess+Transfer inside, so packets
+// leave in arrival order: the in-flight packets form a FIFO, and each
+// packet's completion event delivers the oldest one.
 type Pipeline struct {
 	engine  *sim.Engine
 	cfg     Config
@@ -192,7 +230,16 @@ type Pipeline struct {
 	// Injected counts packets accepted into the pipeline.
 	Injected uint64
 
-	inFlight map[int]int
+	// inFlight counts packets inside the pipeline per destination core.
+	inFlight []int
+	// ring holds the in-flight packets oldest first, from head; its
+	// length is zero or a power of two.
+	ring  []*Packet
+	head  int
+	count int
+	// complete is pl.completeOldest, bound once so scheduling it
+	// allocates nothing.
+	complete func()
 }
 
 // NewPipeline builds the accelerator datapath. deliver lands finished
@@ -202,7 +249,8 @@ func NewPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tra
 	if deliver == nil {
 		panic("accel: pipeline needs a delivery sink")
 	}
-	pl := &Pipeline{engine: engine, cfg: cfg, tracer: tracer, probe: probe, deliver: deliver, inFlight: map[int]int{}}
+	pl := &Pipeline{engine: engine, cfg: cfg, tracer: tracer, probe: probe, deliver: deliver}
+	pl.complete = pl.completeOldest
 	if probe != nil {
 		probe.inFlight = pl.InFlight
 		probe.engine = engine
@@ -213,7 +261,12 @@ func NewPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tra
 
 // InFlight returns the number of packets currently in the pipeline for a
 // destination core.
-func (pl *Pipeline) InFlight(core int) int { return pl.inFlight[core] }
+func (pl *Pipeline) InFlight(core int) int {
+	if core < 0 || core >= len(pl.inFlight) {
+		return 0
+	}
+	return pl.inFlight[core]
+}
 
 // Probe returns the attached hardware workload probe (possibly nil).
 func (pl *Pipeline) Probe() *Probe { return pl.probe }
@@ -229,7 +282,9 @@ func (pl *Pipeline) Inject(p *Packet) {
 		p.ID = pl.nextID
 	}
 	pl.Injected++
+	pl.inFlight = grow(pl.inFlight, p.Core)
 	pl.inFlight[p.Core]++
+	pl.enqueue(p)
 	pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID, "")
 
 	if pl.probe != nil {
@@ -239,12 +294,34 @@ func (pl *Pipeline) Inject(p *Packet) {
 	// The preprocess and transfer stages complete back-to-back with no
 	// intervening decision point, so one simulation event covers both;
 	// the stage-boundary trace record carries its true timestamp.
-	pl.engine.ScheduleNamed(pl.cfg.Preprocess+pl.cfg.Transfer, "accel.pipeline", func() {
-		pl.tracer.Emit(now.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
-		pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
-		pl.inFlight[p.Core]--
-		pl.deliver(p.Core, p)
-	})
+	pl.engine.ScheduleNamed(pl.cfg.Preprocess+pl.cfg.Transfer, "accel.pipeline", pl.complete)
+}
+
+// completeOldest delivers the packet that has been in the pipeline
+// longest. Completion events fire in the order they were scheduled (same
+// delay, non-decreasing arrival, sequence tiebreak), so that packet is the
+// one this event was scheduled for.
+func (pl *Pipeline) completeOldest() {
+	p := pl.ring[pl.head]
+	pl.ring[pl.head] = nil
+	pl.head = (pl.head + 1) & (len(pl.ring) - 1)
+	pl.count--
+	pl.tracer.Emit(p.Arrival.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
+	pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
+	pl.inFlight[p.Core]--
+	pl.deliver(p.Core, p)
+}
+
+// enqueue appends p to the in-flight FIFO, doubling the ring when full.
+func (pl *Pipeline) enqueue(p *Packet) {
+	if pl.count == len(pl.ring) {
+		grown := make([]*Packet, max(16, 2*len(pl.ring)))
+		n := copy(grown, pl.ring[pl.head:])
+		copy(grown[n:], pl.ring[:pl.head])
+		pl.ring, pl.head = grown, 0
+	}
+	pl.ring[(pl.head+pl.count)&(len(pl.ring)-1)] = p
+	pl.count++
 }
 
 // Window returns the total preprocessing window (stages ②+③).

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -136,4 +137,103 @@ func TestNilSinkPanics(t *testing.T) {
 		}
 	}()
 	NewPipeline(sim.NewEngine(), DefaultConfig(), nil, nil, nil)
+}
+
+// closureInject is Inject as it was before the in-flight FIFO: one
+// closure per packet carrying the packet and its arrival instant. It is
+// the reference for TestPipelineDeliversInArrivalOrder.
+func closureInject(e *sim.Engine, cfg Config, tr *trace.Tracer, nextID *int64, deliver func(int, *Packet), p *Packet) {
+	now := e.Now()
+	p.Arrival = now
+	*nextID++
+	if p.ID == 0 {
+		p.ID = *nextID
+	}
+	tr.Emit(now, trace.KindPacketArrive, p.Core, p.ID, "")
+	e.ScheduleNamed(cfg.Preprocess+cfg.Transfer, "accel.pipeline", func() {
+		tr.Emit(now.Add(cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
+		tr.Emit(e.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
+		deliver(p.Core, p)
+	})
+}
+
+// Packets injected at several instants (some landing on a delivery
+// instant) and for several cores leave in arrival order, at arrival plus
+// the window, with the trace records the per-packet closures produced.
+func TestPipelineDeliversInArrivalOrder(t *testing.T) {
+	type delivery struct {
+		id   int64
+		core int
+		at   sim.Time
+	}
+	arrivals := []struct {
+		at    sim.Time
+		cores []int
+	}{
+		{0, []int{2, 0, 1}},
+		{1000, []int{1}},
+		{1000, []int{0, 2}},
+		{3200, []int{3, 1}}, // lands with the first deliveries
+		{4200, []int{0}},
+		{9000, []int{2, 2, 2}},
+	}
+	run := func(inject func(e *sim.Engine, tr *trace.Tracer, deliver func(int, *Packet)) func(*Packet)) ([]delivery, []trace.Event) {
+		e := sim.NewEngine()
+		tr := trace.New(0)
+		var got []delivery
+		in := inject(e, tr, func(core int, p *Packet) {
+			got = append(got, delivery{p.ID, core, e.Now()})
+		})
+		for _, a := range arrivals {
+			cores := a.cores
+			e.At(a.at, func() {
+				for _, c := range cores {
+					in(&Packet{Core: c})
+				}
+			})
+		}
+		e.RunUntilIdle()
+		return got, tr.Events()
+	}
+	got, gotTrace := run(func(e *sim.Engine, tr *trace.Tracer, deliver func(int, *Packet)) func(*Packet) {
+		return NewPipeline(e, DefaultConfig(), nil, tr, deliver).Inject
+	})
+	want, wantTrace := run(func(e *sim.Engine, tr *trace.Tracer, deliver func(int, *Packet)) func(*Packet) {
+		var nextID int64
+		return func(p *Packet) { closureInject(e, DefaultConfig(), tr, &nextID, deliver, p) }
+	})
+	if len(got) != 12 {
+		t.Fatalf("delivered %d packets, want 12", len(got))
+	}
+	for i, d := range got {
+		if d.id != int64(i+1) {
+			t.Fatalf("delivery %d is packet %d, want arrival order", i, d.id)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("deliveries %v, reference %v", got, want)
+	}
+	if !reflect.DeepEqual(gotTrace, wantTrace) {
+		t.Fatalf("trace differs from the reference:\n got %v\nwant %v", gotTrace, wantTrace)
+	}
+}
+
+// Once the in-flight ring has grown, injecting a caller-owned packet and
+// completing it allocates nothing.
+func TestPipelineInjectAllocFree(t *testing.T) {
+	e := sim.NewEngine()
+	probe := NewProbe(500 * sim.Nanosecond)
+	pl := NewPipeline(e, DefaultConfig(), probe, nil, func(int, *Packet) {})
+	pkts := make([]Packet, 4)
+	cycle := func() {
+		for i := range pkts {
+			pkts[i] = Packet{Core: i}
+			pl.Inject(&pkts[i])
+		}
+		e.RunUntilIdle()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("inject+complete of %d packets allocates %v, want 0", len(pkts), allocs)
+	}
 }

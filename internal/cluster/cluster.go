@@ -267,7 +267,7 @@ func (m *Manager) scheduleNext() {
 	}
 	rate := m.cfg.BaseArrivalRate * m.cfg.Density
 	gap := sim.Duration(float64(sim.Second) / rate)
-	m.host.Engine().Schedule(sim.Exponential(m.r, gap), func() {
+	m.host.Engine().ScheduleNamed(sim.Exponential(m.r, gap), "cluster.arrival", func() {
 		m.createVM()
 		m.scheduleNext()
 	})
@@ -370,7 +370,7 @@ func (m *Manager) beginAttempt(req *Request) {
 	m.host.SpawnCP(name, prog)
 
 	if m.cfg.Retry.Enabled {
-		req.deadline = m.host.Engine().Schedule(m.cfg.Retry.AttemptTimeout, func() {
+		req.deadline = m.host.Engine().ScheduleNamed(m.cfg.Retry.AttemptTimeout, "cluster.deadline", func() {
 			m.attemptFailed(req, attempt, "timeout")
 		})
 	}
@@ -401,15 +401,15 @@ func (m *Manager) attemptDevicesDone(req *Request, attempt int) {
 	if attempt != req.Attempts || req.state != ReqProvisioning {
 		return
 	}
-	if req.deadline != nil {
+	if req.deadline != (sim.Handle{}) {
 		req.deadline.Cancel()
-		req.deadline = nil
+		req.deadline = sim.Handle{}
 	}
 	devDone := m.host.Engine().Now()
 	m.CPExecTime.Record(devDone.Sub(req.IssuedAt))
 	// Devices ready: notify QEMU (step 5) and wait out the host
 	// instantiation.
-	m.host.Engine().Schedule(m.cfg.QEMUTime, func() {
+	m.host.Engine().ScheduleNamed(m.cfg.QEMUTime, "cluster.qemu", func() {
 		m.Completed++
 		req.state = ReqCompleted
 		req.CompletedAt = m.host.Engine().Now()
@@ -417,7 +417,7 @@ func (m *Manager) attemptDevicesDone(req *Request, attempt int) {
 		m.emit(trace.KindRequestCompleted, req.ID, "")
 		m.StartupTime.Record(req.CompletedAt.Sub(req.IssuedAt))
 		if m.cfg.VMLifetime > 0 {
-			m.host.Engine().Schedule(sim.Exponential(m.r, m.cfg.VMLifetime), func() {
+			m.host.Engine().ScheduleNamed(sim.Exponential(m.r, m.cfg.VMLifetime), "cluster.vm-expire", func() {
 				m.destroyVM(req.ID, req.records)
 			})
 		}
@@ -431,9 +431,9 @@ func (m *Manager) attemptFailed(req *Request, attempt int, reason string) {
 	if attempt != req.Attempts || req.Terminal() || req.state == ReqRetrying {
 		return
 	}
-	if req.deadline != nil {
+	if req.deadline != (sim.Handle{}) {
 		req.deadline.Cancel()
-		req.deadline = nil
+		req.deadline = sim.Handle{}
 	}
 	switch reason {
 	case "timeout":
@@ -449,7 +449,7 @@ func (m *Manager) attemptFailed(req *Request, attempt int, reason string) {
 	m.cRetried.Inc()
 	m.emit(trace.KindRequestRetry, req.ID, reason)
 	delay := sim.Jitter(m.retryR, m.cfg.Retry.backoff(attempt), m.cfg.Retry.JitterFrac)
-	m.host.Engine().Schedule(delay, func() {
+	m.host.Engine().ScheduleNamed(delay, "cluster.retry", func() {
 		if req.state != ReqRetrying {
 			return
 		}
@@ -497,7 +497,7 @@ func (m *Manager) maybeRequeue(req *Request) {
 // MaxHealthChecks times, after which the request stays dead-lettered.
 func (m *Manager) scheduleRequeueCheck(req *Request, check int) {
 	delay := sim.Jitter(m.requeueR, m.cfg.Requeue.RequeueDelay, m.cfg.Requeue.JitterFrac)
-	m.host.Engine().Schedule(delay, func() {
+	m.host.Engine().ScheduleNamed(delay, "cluster.requeue", func() {
 		if req.state != ReqDeadLettered {
 			m.pendingRequeues--
 			return

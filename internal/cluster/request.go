@@ -87,7 +87,7 @@ type Request struct {
 	// same amount per resurrection (Attempts itself stays monotonic so
 	// per-attempt RNG stream names never repeat).
 	attemptBudget int
-	deadline      *sim.Event
+	deadline      sim.Handle
 	// enqueuedAt is when the admission gate queued the request (zero when
 	// it was dispatched immediately); the sojourn the shedder measures.
 	enqueuedAt sim.Time

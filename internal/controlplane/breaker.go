@@ -127,7 +127,7 @@ func (b *Breaker) TryConfigureDevice(flow int, done func(ok bool)) {
 		probe = true
 	}
 	answered := false
-	var deadline *sim.Event
+	var deadline sim.Handle
 	deadline = b.engine.Schedule(b.cfg.AckTimeout, func() {
 		if answered {
 			return

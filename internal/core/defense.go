@@ -143,11 +143,11 @@ func (s *Scheduler) DefenseMode() DefenseMode {
 // armReclaimWatchdog starts the timeout clock for an outstanding
 // preemption request (called when the probe IRQ sets preemptReq).
 func (s *Scheduler) armReclaimWatchdog(slot *dpSlot) {
-	if s.defense == nil || slot.wdEv != nil {
+	if s.defense == nil || slot.wdEv != (sim.Handle{}) {
 		return
 	}
-	slot.wdEv = s.engine.Schedule(s.defense.cfg.ReclaimTimeout, func() {
-		slot.wdEv = nil
+	slot.wdEv = s.engine.ScheduleNamed(s.defense.cfg.ReclaimTimeout, "core.watchdog", func() {
+		slot.wdEv = sim.Handle{}
 		s.reclaimWatchdog(slot)
 	})
 }
@@ -181,8 +181,8 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		for i := 0; i < slot.wdRetries; i++ {
 			timeout = sim.Duration(float64(timeout) * d.cfg.RetryBackoff)
 		}
-		slot.wdEv = s.engine.Schedule(timeout, func() {
-			slot.wdEv = nil
+		slot.wdEv = s.engine.ScheduleNamed(timeout, "core.watchdog", func() {
+			slot.wdEv = sim.Handle{}
 			s.reclaimWatchdog(slot)
 		})
 		return

@@ -98,7 +98,7 @@ func (o *Orchestrator) route(src, dst kernel.CPUID, vec kernel.Vector, arg int64
 		if sendDelay == 0 {
 			return false // fall through to the kernel's direct path
 		}
-		o.engine.Schedule(sendDelay, func() {
+		o.engine.ScheduleNamed(sendDelay, "core.ipi-send", func() {
 			o.kern.DeliverIPIDirect(dst, vec, arg, 0)
 		})
 		return true
@@ -115,7 +115,7 @@ func (o *Orchestrator) route(src, dst kernel.CPUID, vec kernel.Vector, arg int64
 		v.InjectInterrupt(deliver)
 	}
 	if sendDelay > 0 {
-		o.engine.Schedule(sendDelay, inject)
+		o.engine.ScheduleNamed(sendDelay, "core.ipi-send", inject)
 	} else {
 		inject()
 	}

@@ -23,7 +23,7 @@ func TestBrownoutDuringArmedReclaimWatchdog(t *testing.T) {
 	// onProbeIRQ path without the exit having landed).
 	slot.preemptReq = tc.Node.Engine.Now()
 	tc.Sched.armReclaimWatchdog(slot)
-	if slot.wdEv == nil {
+	if slot.wdEv == (sim.Handle{}) {
 		t.Fatal("watchdog did not arm")
 	}
 

@@ -89,7 +89,7 @@ type recoveryState struct {
 	// cooldown is the dwell the *next* static entry will wait before its
 	// exit attempt; grows by CooldownFactor per entry, capped.
 	cooldown   sim.Duration
-	cooldownEv *sim.Event
+	cooldownEv sim.Handle
 	// cleanTimes holds clean-reclaim instants inside the probation window
 	// while in ModeSWProbe.
 	cleanTimes []sim.Time
@@ -180,12 +180,12 @@ func (s *Scheduler) recoveryOnStatic() {
 		// The node recovered before and fell back again: flapping.
 		s.Reescalations.Inc()
 	}
-	if rc.cooldownEv != nil {
+	if rc.cooldownEv != (sim.Handle{}) {
 		rc.cooldownEv.Cancel()
 	}
 	dwell := sim.Jitter(rc.r, rc.cooldown, rc.pol.JitterFrac)
 	rc.cooldownEv = s.engine.ScheduleNamed(dwell, "core.recovery", func() {
-		rc.cooldownEv = nil
+		rc.cooldownEv = sim.Handle{}
 		s.tryExitStatic()
 	})
 	// Next static episode dwells longer — a flapping node settles static.

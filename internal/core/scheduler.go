@@ -90,7 +90,7 @@ type dpSlot struct {
 	pendingEnter *vcpu.VCPU
 	// wdEv / wdRetries drive the reclaim watchdog (defense.go); unused —
 	// and event-free — unless EnableDefense armed the machinery.
-	wdEv      *sim.Event
+	wdEv      sim.Handle
 	wdRetries int
 }
 
@@ -327,7 +327,7 @@ func (s *Scheduler) naivePreempt(slot *dpSlot) {
 		return
 	}
 	if v.InNonPreemptibleSection() {
-		s.engine.Schedule(2*sim.Microsecond, func() {
+		s.engine.ScheduleNamed(2*sim.Microsecond, "core.naive-retry", func() {
 			if slot.occupant == v && slot.preemptReq != 0 {
 				s.naivePreempt(slot)
 			}
@@ -625,9 +625,9 @@ func (s *Scheduler) resumeDP(slot *dpSlot) {
 	if s.node.Probe != nil {
 		s.node.Probe.SetState(slot.dp.ID, accel.PState)
 	}
-	if slot.wdEv != nil {
+	if slot.wdEv != (sim.Handle{}) {
 		slot.wdEv.Cancel()
-		slot.wdEv = nil
+		slot.wdEv = sim.Handle{}
 	}
 	clean := slot.wdRetries == 0
 	if !clean {

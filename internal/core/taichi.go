@@ -260,9 +260,9 @@ func (c *RPCCoordinator) ConfigureDevice(flow int, done func()) {
 	if hops <= 0 {
 		hops = 2
 	}
-	c.Engine.Schedule(c.PerHop, func() {
+	c.Engine.ScheduleNamed(c.PerHop, "core.rpc-hop", func() {
 		c.Inner.ConfigureDevice(flow, func() {
-			c.Engine.Schedule(sim.Duration(hops-1)*c.PerHop, done)
+			c.Engine.ScheduleNamed(sim.Duration(hops-1)*c.PerHop, "core.rpc-hop", done)
 		})
 	})
 }

@@ -96,7 +96,8 @@ type Core struct {
 	state        CoreState
 	down         bool // hardware offline (fault injection); queue accrues
 	queue        []*accel.Packet
-	idleEv       *sim.Event
+	idleEv       sim.Handle
+	idleFire     func() // c.idleExpired, bound once so armIdle allocates nothing
 	pollutedWork sim.Duration
 	// conns is the optional per-core connection table (EnableConnTrack).
 	conns *connTable
@@ -203,26 +204,30 @@ func (c *Core) processNext() {
 // armIdle starts the consecutive-empty-poll countdown; when it expires
 // the core reports idle CPU cycles upward.
 func (c *Core) armIdle() {
-	if c.OnIdle == nil || c.YieldThreshold == nil || c.idleEv != nil || c.down {
+	if c.OnIdle == nil || c.YieldThreshold == nil || c.idleEv != (sim.Handle{}) || c.down {
 		return
 	}
 	n := c.YieldThreshold()
 	if n <= 0 {
 		n = 1
 	}
-	c.idleEv = c.engine.ScheduleNamed(sim.Duration(n)*c.cfg.EmptyPollCost, "dp.idle-poll", func() {
-		c.idleEv = nil
-		if c.state == Polling && len(c.queue) == 0 {
-			c.tracer.Emit(c.engine.Now(), trace.KindYield, c.ID, 0, "idle-detected")
-			c.OnIdle(c)
-		}
-	})
+	c.idleEv = c.engine.ScheduleNamed(sim.Duration(n)*c.cfg.EmptyPollCost, "dp.idle-poll", c.idleFire)
+}
+
+// idleExpired ends the empty-poll countdown: a core still polling an
+// empty queue reports itself idle.
+func (c *Core) idleExpired() {
+	c.idleEv = sim.Handle{}
+	if c.state == Polling && len(c.queue) == 0 {
+		c.tracer.Emit(c.engine.Now(), trace.KindYield, c.ID, 0, "idle-detected")
+		c.OnIdle(c)
+	}
 }
 
 func (c *Core) cancelIdle() {
-	if c.idleEv != nil {
+	if c.idleEv != (sim.Handle{}) {
 		c.idleEv.Cancel()
-		c.idleEv = nil
+		c.idleEv = sim.Handle{}
 	}
 }
 
@@ -315,6 +320,7 @@ func NewService(engine *sim.Engine, name string, coreIDs []int, cfg Config, trac
 			state:   Polling,
 			Gauge:   metrics.NewBusyGauge(fmt.Sprintf("%s.core%d", name, id), engine.Now()),
 		}
+		c.idleFire = c.idleExpired
 		s.cores = append(s.cores, c)
 		s.byID[id] = c
 	}

@@ -30,8 +30,9 @@ func TestRunAggregates(t *testing.T) {
 
 func TestSeedsDistinctAndDeterministic(t *testing.T) {
 	collect := func() []int64 {
-		var seeds []int64
-		Run(4, 7, func(_ int, seed int64, _ *Aggregates) { seeds = append(seeds, seed) })
+		// Members run concurrently: each writes only its own slot.
+		seeds := make([]int64, 4)
+		Run(4, 7, func(idx int, seed int64, _ *Aggregates) { seeds[idx] = seed })
 		return seeds
 	}
 	a, b := collect(), collect()

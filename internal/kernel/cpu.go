@@ -30,10 +30,11 @@ type CPU struct {
 	kicked bool
 
 	// In-flight timed work (context switch overhead or a thread segment).
-	runEv      *sim.Event
+	runEv      sim.Handle
 	runStart   sim.Time
 	runDone    func()
-	inSwitch   bool // current run is context-switch overhead
+	runFire    func() // c.finishRun, bound once so startRun allocates nothing
+	inSwitch   bool   // current run is context-switch overhead
 	spinStart  sim.Time
 	tickTicker *sim.Ticker
 
@@ -85,30 +86,33 @@ func (c *CPU) InNonPreemptibleSection() bool {
 // startRun begins a timed busy interval; remaining time is tracked by the
 // caller via accrueRun on suspension.
 func (c *CPU) startRun(d sim.Duration, done func()) {
-	if c.runEv != nil {
+	if c.runEv != (sim.Handle{}) {
 		panic(fmt.Sprintf("kernel: cpu%d starting run with run in flight", c.ID))
 	}
 	c.runStart = c.kern.engine.Now()
 	c.runDone = done
-	c.runEv = c.kern.engine.ScheduleNamed(d, "kernel.run", func() {
-		c.runEv = nil
-		fn := c.runDone
-		c.runDone = nil
-		fn()
-	})
+	c.runEv = c.kern.engine.ScheduleNamed(d, "kernel.run", c.runFire)
 	c.Gauge.SetBusy(c.kern.engine.Now(), true)
+}
+
+// finishRun completes the in-flight timed run.
+func (c *CPU) finishRun() {
+	c.runEv = sim.Handle{}
+	fn := c.runDone
+	c.runDone = nil
+	fn()
 }
 
 // suspendRun cancels the in-flight run and returns the elapsed busy time.
 // Returns elapsed = 0, ok = false when no run was in flight.
 func (c *CPU) suspendRun() (elapsed sim.Duration, ok bool) {
-	if c.runEv == nil {
+	if c.runEv == (sim.Handle{}) {
 		return 0, false
 	}
 	now := c.kern.engine.Now()
 	elapsed = now.Sub(c.runStart)
 	c.runEv.Cancel()
-	c.runEv = nil
+	c.runEv = sim.Handle{}
 	c.runDone = nil
 	return elapsed, true
 }

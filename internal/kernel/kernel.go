@@ -182,6 +182,7 @@ func (k *Kernel) AddCPU(id CPUID, virtual bool) *CPU {
 		powered: !virtual,
 		Gauge:   metrics.NewBusyGauge(fmt.Sprintf("cpu%d", id), k.engine.Now()),
 	}
+	c.runFire = c.finishRun
 	k.cpus = append(k.cpus, c)
 	k.cpuByID[id] = c
 	return c
@@ -618,7 +619,7 @@ func (k *Kernel) tick(c *CPU) {
 	// Account in-flight run time so quantum checks see fresh numbers.
 	if t.spinningOn != nil {
 		c.accrueSpin(now)
-	} else if c.runEv != nil && !c.inSwitch {
+	} else if c.runEv != (sim.Handle{}) && !c.inSwitch {
 		elapsed := now.Sub(c.runStart)
 		if elapsed > 0 {
 			k.accrue(t, elapsed)

@@ -136,7 +136,8 @@ func NewNode(opts Options) *Node {
 	return n
 }
 
-// validateTopology checks the core layout: at least one DP core, and no
+// validateTopology checks the core layout: at least one DP core, no
+// negative core id (per-core tables are slices indexed by id), and no
 // physical core id claimed twice (within or across the net, storage, and
 // CP sets).
 func validateTopology(t Topology) error {
@@ -146,6 +147,9 @@ func validateTopology(t Topology) error {
 	seen := map[int]string{}
 	claim := func(set string, ids []int) error {
 		for _, id := range ids {
+			if id < 0 {
+				return fmt.Errorf("platform: %s core id %d is negative", set, id)
+			}
 			if prev, dup := seen[id]; dup {
 				return fmt.Errorf("platform: core %d claimed by both %s and %s", id, prev, set)
 			}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -91,6 +92,28 @@ func TestEmptyTopologyPanics(t *testing.T) {
 		}
 	}()
 	NewNode(opts)
+}
+
+// Negative core ids cannot index the per-core tables, so New rejects
+// them in every core set instead of accepting the topology.
+func TestNegativeCoreIDRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Topology)
+	}{
+		{"net", func(t *Topology) { t.NetCores = append(t.NetCores, -1) }},
+		{"stor", func(t *Topology) { t.StorCores = append(t.StorCores, -2) }},
+		{"cp", func(t *Topology) { t.CPCores = append(t.CPCores, -3) }},
+	} {
+		opts := DefaultOptions()
+		tc.mut(&opts.Topology)
+		n, err := New(opts)
+		if err == nil || n != nil {
+			t.Errorf("%s: New accepted a negative core id", tc.name)
+		} else if !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: error %q does not name the negative id", tc.name, err)
+		}
+	}
 }
 
 func TestUnknownCorePanics(t *testing.T) {

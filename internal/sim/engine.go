@@ -1,71 +1,65 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Event is a scheduled callback in simulated time. Events are created via
-// Engine.Schedule / Engine.At and may be cancelled before they fire.
-type Event struct {
-	when     Time
-	seq      uint64 // FIFO tiebreak among events at the same instant
-	index    int    // heap index, -1 when not queued
+// event is a scheduled callback in simulated time. Its ordering key lives
+// in the queue slot that holds it, not here, so the heap sifts without
+// dereferencing events. An event is recycled once it has fired; gen counts
+// its lives, and a Handle only acts on the life it was issued for.
+type event struct {
 	fn       func()
-	canceled bool
 	name     string // optional label for debugging/tracing
+	gen      uint64
+	canceled bool
 }
 
-// When returns the instant the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
+// Handle refers to one scheduled event. The zero Handle refers to none;
+// Cancel on it is a no-op. A Handle outlives its event: once the event has
+// fired the engine may reuse it for a later Schedule, and the handle goes
+// stale (its generation no longer matches), so Cancel on it is a no-op
+// that can never touch the newer event.
+type Handle struct {
+	ev  *event
+	gen uint64
+}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel is O(log n).
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Name returns the optional debug label attached to the event.
-func (e *Event) Name() string { return e.name }
-
-// eventQueue is a binary min-heap ordered by (when, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// already-cancelled event is a no-op.
+func (h Handle) Cancel() {
+	if h.ev != nil && h.ev.gen == h.gen {
+		h.ev.canceled = true
 	}
-	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// Canceled reports whether Cancel stopped the event from firing.
+func (h Handle) Canceled() bool {
+	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+
+// slot is one queue entry: the (when, seq) ordering key inline, plus the
+// event it orders.
+type slot struct {
+	when Time
+	seq  uint64 // FIFO tiebreak among events at the same instant
+	ev   *event
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+func (s *slot) before(o *slot) bool {
+	return s.when < o.when || (s.when == o.when && s.seq < o.seq)
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
 // concurrent use; all simulated components run on the goroutine that calls
 // Run.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   eventQueue
+	now Time
+	seq uint64
+	// queue is a 4-ary min-heap ordered by (when, seq). The key is a
+	// total order, so any correct heap pops the same sequence.
+	queue []slot
+	// free holds fired events for reuse. Cancelled events are never put
+	// here: they stay cancelled, so their handles keep reporting it.
+	free    []*event
 	fired   uint64
 	stopped bool
 	// Limit guards against runaway simulations: Run panics after this many
@@ -95,35 +89,91 @@ func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule queues fn to run after delay. A negative delay panics: the past
 // is immutable in a discrete-event simulation.
-func (e *Engine) Schedule(delay Duration, fn func()) *Event {
+func (e *Engine) Schedule(delay Duration, fn func()) Handle {
 	return e.schedule(e.now.Add(delay), "", fn)
 }
 
 // ScheduleNamed is Schedule with a debug label attached to the event.
-func (e *Engine) ScheduleNamed(delay Duration, name string, fn func()) *Event {
+func (e *Engine) ScheduleNamed(delay Duration, name string, fn func()) Handle {
 	return e.schedule(e.now.Add(delay), name, fn)
 }
 
 // At queues fn to run at the absolute instant t, which must not precede the
 // current time.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) Handle {
 	return e.schedule(t, "", fn)
 }
 
-func (e *Engine) schedule(t Time, name string, fn func()) *Event {
+func (e *Engine) schedule(t Time, name string, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := &Event{when: t, seq: e.seq, fn: fn, name: name}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.fn, ev.name = fn, name
+	e.push(slot{when: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	if e.prof != nil {
 		e.prof.noteSchedule(len(e.queue))
 	}
-	return ev
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// push sifts s up from the end of the heap.
+func (e *Engine) push(s slot) {
+	q := append(e.queue, s)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = s
+	e.queue = q
+}
+
+// pop removes and returns the earliest slot; the queue must be non-empty.
+func (e *Engine) pop() slot {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j, end := c+1, min(c+4, n); j < end; j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(&last) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -135,28 +185,35 @@ func (e *Engine) Stop() { e.stopped = true }
 // without executing and without counting as a step.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		s := e.pop()
+		ev := s.ev
 		if ev.canceled {
 			continue
 		}
-		if ev.when < e.now {
+		if s.when < e.now {
 			panic("sim: time went backwards")
 		}
-		e.now = ev.when
+		e.now = s.when
 		e.fired++
+		// Recycle before the callback runs: a callback that reschedules
+		// itself reuses this very event, and any handle to it is stale.
+		fn, name := ev.fn, ev.name
+		ev.fn, ev.name = nil, ""
+		ev.gen++
+		e.free = append(e.free, ev)
 		if p := e.prof; p != nil {
 			var wall int64
 			if p.Clock != nil {
 				start := p.Clock()
-				ev.fn()
+				fn()
 				wall = p.Clock() - start
 			} else {
-				ev.fn()
+				fn()
 			}
-			p.noteDispatch(ev.name, wall)
+			p.noteDispatch(name, wall)
 			return true
 		}
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
@@ -203,15 +260,16 @@ func (e *Engine) RunUntilIdle() uint64 {
 	return e.fired - start
 }
 
-// peek returns the earliest non-cancelled event without executing it,
-// discarding cancelled events as it goes.
-func (e *Engine) peek() *Event {
+// peek returns the earliest non-cancelled slot without executing it,
+// discarding cancelled events as it goes. The pointer is valid until the
+// queue next changes.
+func (e *Engine) peek() *slot {
 	for len(e.queue) > 0 {
-		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
+		if e.queue[0].ev.canceled {
+			e.pop()
 			continue
 		}
-		return e.queue[0]
+		return &e.queue[0]
 	}
 	return nil
 }
@@ -222,7 +280,8 @@ type Ticker struct {
 	engine *Engine
 	period Duration
 	fn     func()
-	ev     *Event
+	tick   func() // t.fire, bound once so re-arming allocates nothing
+	h      Handle
 	done   bool
 }
 
@@ -233,26 +292,25 @@ func (e *Engine) NewTicker(period Duration, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
+	t.tick = t.fire
 	t.arm()
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.engine.Schedule(t.period, func() {
-		if t.done {
-			return
-		}
-		t.fn()
-		if !t.done {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.h = t.engine.Schedule(t.period, t.tick) }
+
+func (t *Ticker) fire() {
+	if t.done {
+		return
+	}
+	t.fn()
+	if !t.done {
+		t.arm()
+	}
 }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
 	t.done = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.h.Cancel()
 }

@@ -187,7 +187,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 			fired bool
 		}
 		recs := make([]rec, len(delays))
-		events := make([]*Event, len(delays))
+		events := make([]Handle, len(delays))
 		var order []Time
 		for i, d := range delays {
 			i := i
@@ -222,6 +222,53 @@ func TestPropertyEventOrdering(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A fires and B reuses A's event; A's handle is then stale, so
+// cancelling it must leave B alone.
+func TestStaleHandleCancelIsNoop(t *testing.T) {
+	e := NewEngine()
+	a := e.Schedule(1, func() {})
+	e.RunUntilIdle()
+	bFired := false
+	b := e.Schedule(1, func() { bFired = true })
+	if a.ev != b.ev {
+		t.Fatal("B did not reuse A's fired event")
+	}
+	a.Cancel()
+	if a.Canceled() || b.Canceled() {
+		t.Fatalf("Canceled: stale A %v, B %v; want false, false", a.Canceled(), b.Canceled())
+	}
+	e.RunUntilIdle()
+	if !bFired {
+		t.Fatal("cancelling A's stale handle cancelled B")
+	}
+}
+
+type counter struct{ n int }
+
+func (c *counter) inc() { c.n++ }
+
+// Once the heap and free list have grown, scheduling and dispatching a
+// method-value callback allocates nothing, and neither does a ticker.
+func TestScheduleDispatchAllocFree(t *testing.T) {
+	e := NewEngine()
+	var c counter
+	fn := c.inc
+	e.Schedule(1, fn)
+	e.Step()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(1, fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("schedule+dispatch allocates %v per event, want 0", allocs)
+	}
+	tk := e.NewTicker(1, c.inc)
+	e.Step()
+	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
+		t.Fatalf("ticker allocates %v per tick, want 0", allocs)
+	}
+	tk.Stop()
 }
 
 // Property: identical seeds yield identical streams; distinct names yield

@@ -17,6 +17,14 @@
 // Parallelism lives one level up: independent engines (one per fleet
 // member) run concurrently on the internal/fleet worker pool, each one
 // still single-threaded inside.
+//
+// The event queue is a typed 4-ary min-heap keyed inline by (when, seq),
+// a total order, so dispatch order is fully determined by the schedule
+// calls. The engine allocates nothing per event in steady state: a fired
+// event is recycled for the next Schedule, and callers hold a Handle
+// whose generation check makes Cancel on a fired (and possibly reused)
+// event a no-op. Cancelled events are never recycled, which keeps
+// Handle.Canceled exact.
 package sim
 
 import "fmt"

@@ -121,9 +121,10 @@ type VCPU struct {
 
 	state      State
 	core       int // physical core backing the vCPU, -1 when none
-	sliceTimer *sim.Event
+	sliceTimer sim.Handle
+	sliceFire  func() // v.sliceExpired, bound once so Enter's timer allocates nothing
 	exitCb     func(v *VCPU, reason ExitReason)
-	exitEv     *sim.Event // in-flight VM-exit completion
+	exitEv     sim.Handle // in-flight VM-exit completion
 	exitReason ExitReason // reason of the in-flight exit
 
 	// OnWake fires when an interrupt wakes a halted vCPU; the scheduler
@@ -157,6 +158,7 @@ func New(k *kernel.Kernel, cpu *kernel.CPU, costs Costs, tracer *trace.Tracer) *
 		state:  StateHalted,
 		core:   -1,
 	}
+	v.sliceFire = v.sliceExpired
 	// Guest idle → HLT → exit and free the core.
 	cpu.OnIdle = func(*kernel.CPU) {
 		if v.state == StateRunning {
@@ -209,15 +211,18 @@ func (v *VCPU) Enter(core int, slice sim.Duration, onExit func(v *VCPU, reason E
 		}
 		v.state = StateRunning
 		if slice > 0 {
-			v.sliceTimer = v.engine.ScheduleNamed(slice, "vcpu.slice", func() {
-				v.sliceTimer = nil
-				if v.state == StateRunning {
-					v.beginExit(ExitTimer)
-				}
-			})
+			v.sliceTimer = v.engine.ScheduleNamed(slice, "vcpu.slice", v.sliceFire)
 		}
 		v.cpu.PowerOn()
 	})
+}
+
+// sliceExpired is the preemption timer: a vCPU still running exits.
+func (v *VCPU) sliceExpired() {
+	v.sliceTimer = sim.Handle{}
+	if v.state == StateRunning {
+		v.beginExit(ExitTimer)
+	}
 }
 
 // ForceExit demands an immediate VM-exit with the given reason. It is
@@ -249,9 +254,9 @@ func (v *VCPU) beginExit(reason ExitReason) {
 		return
 	}
 	v.state = StateExiting
-	if v.sliceTimer != nil {
+	if v.sliceTimer != (sim.Handle{}) {
 		v.sliceTimer.Cancel()
-		v.sliceTimer = nil
+		v.sliceTimer = sim.Handle{}
 	}
 	v.cpu.PowerOff()
 	v.Exits++
@@ -268,7 +273,7 @@ func (v *VCPU) beginExit(reason ExitReason) {
 // completeExit finishes the VM-exit transition: the core is free and the
 // scheduler callback fires.
 func (v *VCPU) completeExit(reason ExitReason) {
-	v.exitEv = nil
+	v.exitEv = sim.Handle{}
 	v.core = -1
 	if reason == ExitHalt {
 		v.state = StateHalted
@@ -296,7 +301,7 @@ func (v *VCPU) Teardown() bool {
 		return false
 	}
 	v.Teardowns++
-	if v.exitEv != nil {
+	if v.exitEv != (sim.Handle{}) {
 		v.exitEv.Cancel()
 	}
 	v.completeExit(v.exitReason)

@@ -108,22 +108,26 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		CalmHold:          b.cfg.CalmHold,
 		BurstHold:         b.cfg.BurstHold,
 	}
-	var next func()
+	// Both callbacks are built once per arrival process, so a train
+	// costs one allocation: its packets' shared backing array.
+	var next, arrive func()
 	next = func() {
 		if b.stopped {
 			return
 		}
-		gap := mmpp.Next(r, b.node.Now())
-		b.node.Engine.Schedule(gap, func() {
-			if b.stopped {
-				return
-			}
-			for k := 0; k < train; k++ {
-				b.Packets.Inc()
-				b.node.Pipe.Inject(&accel.Packet{Core: core, Work: work})
-			}
-			next()
-		})
+		b.node.Engine.ScheduleNamed(mmpp.Next(r, b.node.Now()), "accel.ingress", arrive)
+	}
+	arrive = func() {
+		if b.stopped {
+			return
+		}
+		pkts := make([]accel.Packet, train)
+		for k := range pkts {
+			pkts[k] = accel.Packet{Core: core, Work: work}
+			b.Packets.Inc()
+			b.node.Pipe.Inject(&pkts[k])
+		}
+		next()
 	}
 	next()
 }
