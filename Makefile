@@ -89,7 +89,9 @@ overload-smoke:
 
 # Cluster-placement gate: a placed fleet under the pressure policy must
 # end with zero audit violations (taichi-sim exits non-zero otherwise),
-# the placement acceptance sweep must hold — pressure beating blind
+# both fault-free and with every member faulted and recovery armed (the
+# placer re-placing dead-lettered startups), the placement acceptance
+# sweep must hold — pressure beating blind
 # round-robin on p99 startup latency and hotspot dwell, migrations
 # inside the per-scan budget, byte-identical output across worker
 # counts — and a populated-but-disabled placement policy must stay
@@ -97,6 +99,7 @@ overload-smoke:
 # fails pre-commit.
 placement-smoke:
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -util 0.3 -audit > /dev/null
+	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -util 0.3 -faults default -recover -audit > /dev/null
 	$(GO) test -count=1 -run 'TestPlacementAcceptance|TestPlacementParallelDeterminism|TestFacadeZeroPlacementIdentity' .
 
 # One go-test benchmark per paper artifact plus the fleet speedup pair.

@@ -317,7 +317,7 @@ func outcomeLine(values map[string]float64) string {
 		len(drained), len(levels), strings.Join(drained, ", "))
 }
 
-// retryLine labels the retry/failover work when the result carries
+// retryLine labels the retry work when the result carries
 // req_retried_* values: how many attempts were re-issued after faults
 // and how many requests exhausted the policy into the dead-letter
 // queue. It returns "" for results without those keys.
@@ -342,7 +342,7 @@ func retryLine(values map[string]float64) string {
 	if !found || issued == 0 {
 		return ""
 	}
-	return fmt.Sprintf("retry/failover: %g of %g issued requests needed at least one retry; %g dead-lettered after exhausting the policy",
+	return fmt.Sprintf("retry: %g of %g issued requests needed at least one retry; %g dead-lettered after exhausting the policy",
 		retried, issued, dead)
 }
 

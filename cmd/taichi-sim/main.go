@@ -13,10 +13,9 @@
 //	taichi-sim -workload vmstartup -retry -cp 4 -faults default
 //	taichi-sim -faults default -recover           # self-healing ladder armed
 //	taichi-sim -faults default -recover -audit    # + invariant audit after the run
-//	taichi-sim -workload vmstartup -retry -cp 4 -nodes 8 -failover \
-//	           -faults exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1
 //	taichi-sim -nodes 8 -place pressure           # signal-driven cluster placer
-//	taichi-sim -nodes 8 -place rr -rebalance=false
+//	taichi-sim -nodes 8 -place rr -rebalance=false -recover -audit \
+//	           -faults exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1
 //
 // Modes: taichi, static, type1, type2, naive.
 // Workloads: none, ping, crr, stream, rr, fio, mysql, nginx, vmstartup.
@@ -28,24 +27,19 @@
 //
 // The vmstartup workload drives the cluster VM-creation pipeline;
 // -retry arms per-request deadlines, exponential-backoff retries and
-// dead-lettering, and -failover (fleet mode) re-dispatches requests
-// stranded on unhealthy nodes — static-fallback defense mode or an open
-// CP→DP breaker — to the healthy members.
+// dead-lettering.
 //
 // -recover arms the self-healing layer: the scheduler's de-escalation
 // ladder (static → sw-probe → normal under the default
 // core.RecoveryPolicy) and, with -retry -workload vmstartup, the bounded
 // dead-letter requeue (cluster.DefaultRequeuePolicy, health-gated on the
-// node's defense mode and breaker). In fleet failover mode a member that
-// degraded and climbed back is reported as rejoined rather than failed.
+// node's defense mode and breaker).
 //
 // -overload arms the overload-control layer: the scheduler's brownout
 // ladder (normal → throttle → shed → brownout under the default
 // core.OverloadPolicy) and, with -workload vmstartup, the deterministic
 // admission gate with priority-aware load shedding
-// (cluster.DefaultAdmissionPolicy + DefaultClassify). In fleet failover
-// mode a member that ends its run browned-out is excluded from the
-// re-dispatch ring even when healthy.
+// (cluster.DefaultAdmissionPolicy + DefaultClassify).
 //
 // -place <policy> switches the fleet under the cluster placer
 // (internal/placement): instead of each node running its own arrival
@@ -54,7 +48,12 @@
 // overload ladder's live signals; -rebalance (on by default) also runs
 // the hotspot scan + budgeted live-migration loop. Requires -nodes > 1;
 // -util sets every member's background, -overload arms the admission
-// gates, -audit replays the placer trace too.
+// gates, -faults and -recover arm every member's injector and recovery
+// ladder, -audit replays the placer trace too. The placer is the fleet's
+// only re-dispatch path: it never places on a breaker-open or browned-out
+// member, and re-places dead-lettered startups under a bounce budget.
+// Placed mode reads only the flags in placedFlags; setting any other
+// flag is an error.
 //
 // -audit replays every node's trace through the runtime invariant
 // auditor (internal/audit) after the run and exits non-zero on any
@@ -314,7 +313,7 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 }
 
 // collectVMs folds the VM-startup request outcomes into fleet
-// aggregates (also the per-member collector of failover mode).
+// aggregates.
 func collectVMs(a *fleet.Aggregates, m *cluster.Manager) {
 	a.Merge("vm.startup", m.StartupTime)
 	a.Add("vm.issued", float64(m.Issued))
@@ -323,22 +322,10 @@ func collectVMs(a *fleet.Aggregates, m *cluster.Manager) {
 	a.Add("vm.dead_lettered", float64(m.DeadLettered()))
 }
 
-// stranded counts the member's non-terminal requests at the horizon —
-// the queued work a failed node hands to its healthy peers.
-func stranded(m *cluster.Manager) int {
-	n := 0
-	for _, r := range m.Requests() {
-		if !r.Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-// healthyNode reports whether the node ended its run able to absorb
-// re-dispatched requests: defense ladder above static fallback and the
-// CP→DP breaker not stuck open. Nodes without Tai Chi internals (the
-// static baseline) have neither signal and count as healthy.
+// healthyNode reports whether the node can take back its own dead
+// letters: defense ladder above static fallback and the CP→DP breaker
+// not stuck open. Nodes without Tai Chi internals (the static baseline)
+// have neither signal and count as healthy.
 func healthyNode(sc *scenario) bool {
 	if sc.tc == nil {
 		return true
@@ -350,27 +337,6 @@ func healthyNode(sc *scenario) bool {
 		return false
 	}
 	return true
-}
-
-// rejoinedNode reports a member that degraded mid-run and climbed all
-// the way back to health by the horizon — fleet.RunFailover keeps such
-// nodes in the dispatch ring and tallies them as failover.nodes_rejoined.
-func rejoinedNode(sc *scenario) bool {
-	if sc.tc == nil {
-		return false
-	}
-	return sc.tc.Sched.RecoveryStats().Rejoined && healthyNode(sc)
-}
-
-// brownedOutNode reports a member that ended its run on the brownout
-// rung — fleet.RunFailover excludes it from the re-dispatch ring even
-// when its defenses held (re-dispatching onto a node that is shedding
-// its own load would defeat the brownout).
-func brownedOutNode(sc *scenario) bool {
-	if sc.tc == nil {
-		return false
-	}
-	return sc.tc.Sched.OverloadState() == core.OverloadBrownout
 }
 
 // auditNode replays the node's trace through the runtime invariant
@@ -385,39 +351,6 @@ func auditNode(sc *scenario) *audit.Report {
 		Breaker:       bc,
 		DroppedEvents: sc.node.Tracer.Dropped(),
 	})
-}
-
-// redispatchVMs replays count stranded VM creations on a fresh,
-// fault-free node of the same mode — the healthy peer absorbing a
-// failed node's queue. The re-run startup latency merges into the same
-// vm.startup histogram, so failover traffic counts against the SLO
-// exactly like first-try traffic.
-func redispatchVMs(mode string, retry bool, seed int64, count int, a *fleet.Aggregates) {
-	node, _, h, err := newHost(mode, seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	ch, ok := h.(cluster.Host)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mode %q cannot host re-dispatched vmstartup work\n", mode)
-		os.Exit(2)
-	}
-	cfg := cluster.DefaultConfig(1)
-	cfg.VMs = count
-	cfg.VMLifetime = 0
-	if retry {
-		cfg.Retry = cluster.DefaultRetryPolicy()
-	}
-	m := cluster.NewManager(ch, cfg)
-	m.Start()
-	for step := 0; step < 120; step++ {
-		node.Run(node.Now().Add(500 * sim.Millisecond))
-		if int(m.Issued) >= count && m.Terminal() {
-			break
-		}
-	}
-	collectVMs(a, m)
 }
 
 // cpSummary folds the scenario's synth-task outcomes into a histogram.
@@ -446,7 +379,6 @@ func main() {
 	recov := flag.Bool("recover", false, "arm the self-healing layer: scheduler de-escalation ladder, and (with -retry -workload vmstartup) the health-gated dead-letter requeue")
 	overload := flag.Bool("overload", false, "arm the overload-control layer: the core brownout ladder, and (with -workload vmstartup) the priority-aware admission gate and shedder")
 	auditFlag := flag.Bool("audit", false, "replay every node's trace through the runtime invariant auditor after the run; exit 1 on any violation")
-	failover := flag.Bool("failover", false, "fleet mode: re-dispatch requests stranded on unhealthy nodes to healthy ones (-workload vmstartup, -nodes > 1)")
 	place := flag.String("place", "", "cluster placement policy: rr | spread | binpack | pressure (placed fleet mode, -nodes > 1)")
 	rebalance := flag.Bool("rebalance", true, "with -place: run the hotspot scan + budgeted live-migration loop")
 	metricsOut := flag.String("metrics", "", "write a metrics snapshot to this file (.prom = Prometheus text, anything else = JSON)")
@@ -460,10 +392,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *failover && (*wl != "vmstartup" || *nodes <= 1) {
-		fmt.Fprintln(os.Stderr, "-failover needs -workload vmstartup and -nodes > 1")
-		os.Exit(2)
-	}
 	if *place != "" {
 		pol := placement.Policy(*place)
 		if !pol.Valid() {
@@ -474,11 +402,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-place needs -nodes > 1")
 			os.Exit(2)
 		}
-		if *failover {
-			fmt.Fprintln(os.Stderr, "-place and -failover are different fleet dispatchers; pick one")
+		if err := checkPlacedFlags(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		runPlaced(pol, *rebalance, *overload, *auditFlag, *seed, *util, *nodes, *parallel)
+		runPlaced(pol, spec, *rebalance, *recov, *overload, *auditFlag, *seed, *util, *nodes, *parallel)
 		return
 	}
 
@@ -487,7 +415,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-simprof profiles one engine; use it with -nodes 1")
 			os.Exit(2)
 		}
-		runFleet(*mode, *wl, *cp, *util, spec, *retry, *recov, *overload, *auditFlag, *failover, *seed, horizon, *nodes, *parallel, *metricsOut)
+		runFleet(*mode, *wl, *cp, *util, spec, *retry, *recov, *overload, *auditFlag, *seed, horizon, *nodes, *parallel, *metricsOut)
 		return
 	}
 
@@ -645,23 +573,53 @@ func writeMetrics(path string, snap *obs.Snapshot) {
 	fmt.Printf("metrics snapshot written to %s\n", path)
 }
 
+// placedFlags is every flag placed mode (-place) reads; the rest shape
+// the per-node scenario that placed mode does not build.
+var placedFlags = map[string]bool{
+	"nodes": true, "parallel": true, "seed": true, "util": true, "place": true,
+	"rebalance": true, "overload": true, "audit": true, "faults": true, "recover": true,
+}
+
+// checkPlacedFlags rejects explicitly set flags that placed mode would
+// otherwise silently ignore, naming them in lexical order.
+func checkPlacedFlags(fs *flag.FlagSet) error {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !placedFlags[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fmt.Errorf("-place does not read %s", strings.Join(ignored, ", "))
+	}
+	return nil
+}
+
 // runPlaced executes the placed fleet: n Tai Chi nodes under the cluster
 // placer, VM startups arriving at cluster level and routed by the chosen
 // policy, with the rebalance loop optionally live-migrating residents
 // off hotspots. The run drains when every startup settles; output is
 // seed-deterministic for any -parallel value.
-func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64, util float64, n, workers int) {
+func runPlaced(pol placement.Policy, spec faults.Spec, rebalance, recov, ovl, auditFlag bool, seed int64, util float64, n, workers int) {
 	start := time.Now() //taichi:allow walltime — operator-facing wall-clock cost of the run; never enters simulated state
 	members := make([]*placement.ClusterNode, n)
 	ifaces := make([]placement.Member, n)
 	for i := 0; i < n; i++ {
 		tc := core.NewDefault(fleet.MemberSeed(seed, i))
+		ccfg := cluster.DefaultConfig(1)
+		if !spec.Zero() {
+			inj := faults.NewInjector(spec)
+			inj.Attach(tc)
+			ccfg.WrapCP = inj.WrapCP
+		}
+		if recov {
+			tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+		}
 		tc.Sched.EnableOverload(core.DefaultOverloadPolicy())
 		if util > 0 {
 			bg := workload.NewBackground(tc.Node, workload.DefaultBackground(util))
 			bg.Start()
 		}
-		ccfg := cluster.DefaultConfig(1)
 		ccfg.VMLifetime = 0
 		ccfg.Retry = cluster.DefaultRetryPolicy()
 		if ovl {
@@ -722,17 +680,13 @@ func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64,
 }
 
 // runFleet executes the scenario on n independently-seeded nodes via the
-// bounded worker pool and prints the merged fleet-wide statistics. With
-// -failover, members additionally report their health and stranded
-// request count, and the stranded work of unhealthy nodes is re-run on
-// the healthy ones (fleet.RunFailover) with its startup latency merged
-// into the same SLO-facing histogram.
-func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl, auditFlag, failover bool, seed int64, horizon sim.Duration, n, workers int, metricsOut string) {
+// bounded worker pool and prints the merged fleet-wide statistics.
+func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl, auditFlag bool, seed int64, horizon sim.Duration, n, workers int, metricsOut string) {
 	start := time.Now() //taichi:allow walltime — fleet throughput report (nodes/s); results themselves are seed-deterministic
 	// Per-member audit reports, filled by index on the worker pool and
 	// printed in member order afterwards.
 	audits := make([]*audit.Report, n)
-	member := func(idx int, memberSeed int64, a *fleet.Aggregates) *scenario {
+	agg := fleet.RunWorkers(n, seed, workers, func(idx int, memberSeed int64, a *fleet.Aggregates) {
 		sc, err := build(mode, wl, cp, util, spec, retry, recov, ovl, memberSeed, horizon)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -757,29 +711,7 @@ func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, re
 		if sc.node.Stor != nil {
 			a.Add("dp.stor_util", sc.node.Stor.MeanUtilization())
 		}
-		return sc
-	}
-
-	var agg *fleet.Aggregates
-	if failover {
-		agg = fleet.RunFailover(n, seed, workers,
-			func(idx int, memberSeed int64, a *fleet.Aggregates) fleet.NodeReport {
-				sc := member(idx, memberSeed, a)
-				return fleet.NodeReport{
-					Healthy:    healthyNode(sc),
-					Stranded:   stranded(sc.mgr),
-					Rejoined:   rejoinedNode(sc),
-					BrownedOut: brownedOutNode(sc),
-				}
-			},
-			func(idx int, redisSeed int64, count int, a *fleet.Aggregates) {
-				redispatchVMs(mode, retry, redisSeed, count, a)
-			})
-	} else {
-		agg = fleet.RunWorkers(n, seed, workers, func(idx int, memberSeed int64, a *fleet.Aggregates) {
-			member(idx, memberSeed, a)
-		})
-	}
+	})
 	wall := time.Since(start) //taichi:allow walltime — wall-clock half of the speedup table, not simulation input
 	fmt.Printf("mode=%s workload=%s nodes=%d simulated=%v wall=%.2fs events=%.0f\n",
 		mode, wl, agg.Members, horizon, wall.Seconds(), agg.Scalar("events"))

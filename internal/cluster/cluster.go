@@ -24,7 +24,7 @@ import (
 // event tracer. Hosts that implement it get request-lifecycle events
 // (req_issued, req_attempt, req_retry, req_completed, req_deadletter)
 // recorded into their trace, which is what lets taichi-trace -export
-// label retry and failover activity on the timeline.
+// label retry and dead-letter activity on the timeline.
 type TracerHost interface {
 	Tracer() *trace.Tracer
 }

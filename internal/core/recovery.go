@@ -96,21 +96,18 @@ type recoveryState struct {
 	// generation counts static exits — the recovery "incarnation" carried
 	// by defense_recover / node_rejoin trace events.
 	generation int
-	// everDegraded latches on the first departure from ModeNormal;
-	// rejoined latches on each return to it. fleet failover reporting
-	// distinguishes "never degraded" from "degraded and rejoined".
-	everDegraded bool
-	rejoined     bool
+	// rejoined latches on each return to ModeNormal and clears on the
+	// next departure from it.
+	rejoined bool
 }
 
-// RecoveryStats is the read-only view fleet reporting consumes.
+// RecoveryStats is the ladder's read-only view, printed by Describe and
+// by taichi-sim's recovery line.
 type RecoveryStats struct {
 	// Enabled reports whether EnableRecovery armed the ladder.
 	Enabled bool
 	// Generation is the number of static-mode exits performed.
 	Generation int
-	// EverDegraded reports whether the scheduler ever left ModeNormal.
-	EverDegraded bool
 	// Rejoined reports whether the most recent degradation episode ended
 	// with a return to ModeNormal.
 	Rejoined bool
@@ -149,20 +146,19 @@ func (s *Scheduler) RecoveryStats() RecoveryStats {
 	return RecoveryStats{
 		Enabled:      true,
 		Generation:   rc.generation,
-		EverDegraded: rc.everDegraded,
 		Rejoined:     rc.rejoined,
 		NextCooldown: rc.cooldown,
 	}
 }
 
-// recoveryOnDegrade latches the degradation episode (any departure from
-// ModeNormal) and voids any probation progress.
+// recoveryOnDegrade opens a degradation episode (any departure from
+// ModeNormal): it clears the rejoined latch and voids any probation
+// progress.
 func (s *Scheduler) recoveryOnDegrade() {
 	rc := s.recovery
 	if rc == nil {
 		return
 	}
-	rc.everDegraded = true
 	rc.rejoined = false
 	rc.cleanTimes = nil
 }

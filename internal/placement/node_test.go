@@ -1,13 +1,17 @@
 package placement
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // buildNode assembles one placed-mode fleet member: a Tai Chi node with
@@ -110,5 +114,74 @@ func TestClusterNodeDeterminism(t *testing.T) {
 	}
 	if t1 != t8 {
 		t.Fatalf("cluster trace length differs: %d vs %d", t1, t8)
+	}
+}
+
+// buildFaultedNode assembles a placed-mode member the way taichi-sim
+// -place does under -faults -recover -overload: fault injector attached
+// to the scheduler and the provisioning tasks, recovery and overload
+// ladders armed, background data-plane load, and startup retries.
+func buildFaultedNode(seed int64, spec faults.Spec) *ClusterNode {
+	tc := core.NewDefault(seed)
+	cfg := cluster.DefaultConfig(1)
+	inj := faults.NewInjector(spec)
+	inj.Attach(tc)
+	cfg.WrapCP = inj.WrapCP
+	tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+	tc.Sched.EnableOverload(core.DefaultOverloadPolicy())
+	workload.NewBackground(tc.Node, workload.DefaultBackground(0.3)).Start()
+	cfg.VMLifetime = 0
+	cfg.Retry = cluster.DefaultRetryPolicy()
+	cfg.Admission = cluster.DefaultAdmissionPolicy()
+	cfg.Classify = cluster.DefaultClassify
+	cfg.OverloadLevel = func() int { return int(tc.Sched.OverloadState()) }
+	cfg.Placement = cluster.DefaultPlacementPolicy()
+	mgr := cluster.NewManager(tc, cfg)
+	mgr.Start()
+	return NewClusterNode(tc, mgr)
+}
+
+// TestPlacedFleetUnderFaults runs a faulted fleet under the placer, the
+// fleet's only re-dispatch path: startups that dead-letter on a
+// degraded member must be re-placed through the policy on the members'
+// own timelines, every trace must audit clean, and the run must be
+// identical for any worker count.
+func TestPlacedFleetUnderFaults(t *testing.T) {
+	spec, err := faults.ParseSpec("exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (Stats, string) {
+		nodes := make([]*ClusterNode, 3)
+		ms := make([]Member, len(nodes))
+		for i := range nodes {
+			nodes[i] = buildFaultedNode(fleet.MemberSeed(1, i), spec)
+			ms[i] = nodes[i]
+		}
+		cfg := DefaultConfig()
+		cfg.Policy = PolicyPressure
+		cfg.VMs = 12
+		cfg.Workers = workers
+		e := NewEngine(1, cfg, ms)
+		st := e.Run()
+		if rep := audit.Run(e.Tracer().Events(), audit.Options{}); !rep.Ok() {
+			t.Fatalf("workers=%d placer audit violations:\n%s", workers, rep.String())
+		}
+		var b strings.Builder
+		for i, n := range nodes {
+			if rep := audit.Run(n.TC.Node.Tracer.Events(), audit.Options{}); !rep.Ok() {
+				t.Fatalf("workers=%d node %d audit violations:\n%s", workers, i, rep.String())
+			}
+			fmt.Fprintf(&b, "node%d %s\n", i, n.Mgr.Outcomes.String())
+		}
+		return st, b.String()
+	}
+	st1, out1 := run(1)
+	if st1.Replaced == 0 {
+		t.Fatalf("no dead-lettered startup was re-placed under faults: %+v", st1)
+	}
+	st4, out4 := run(4)
+	if st1 != st4 || out1 != out4 {
+		t.Fatalf("placed faulted fleet differs between 1 and 4 workers:\n%+v\n%s\n%+v\n%s", st1, out1, st4, out4)
 	}
 }

@@ -237,6 +237,40 @@ func TestReplacementViaPlacer(t *testing.T) {
 	auditTrace(t, e)
 }
 
+// TestExcludedMemberRejoins opens a member's breaker: it must receive
+// nothing while excluded, and once the breaker closes it is an ordinary
+// placement target again — exclusion is a per-scan verdict, not a
+// permanent eviction from the fleet.
+func TestExcludedMemberRejoins(t *testing.T) {
+	sick, well := newFake(), newFake()
+	sick.sig.BreakerOpen = true
+	cfg := testConfig(PolicyRR, 8)
+	cfg.ArrivalRate = 4 // about one arrival per scan
+	cfg.Rebalance = false
+	e := NewEngine(1, cfg, members(sick, well))
+	for e.stats.Placed < 4 && e.scanNo < cfg.MaxScans {
+		e.step()
+	}
+	if len(sick.places) != 0 {
+		t.Fatalf("breaker-open member received placements %v", sick.places)
+	}
+	excludedPlaced := e.stats.Placed
+	sick.sig.BreakerOpen = false
+	st := e.Run()
+	if st.Placed != 8 {
+		t.Fatalf("placed %d of 8", st.Placed)
+	}
+	if len(sick.places) == 0 {
+		t.Fatal("member never received placements after its breaker closed")
+	}
+	for _, vm := range sick.places {
+		if vm <= excludedPlaced {
+			t.Fatalf("vm %d placed on the member while it was excluded", vm)
+		}
+	}
+	auditTrace(t, e)
+}
+
 func TestMigrationBudgetRespected(t *testing.T) {
 	// Twelve VMs spread over six members, then four members turn hot with
 	// budget 2: no scan may start more than 2 migrations.
