@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke chaos-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pins chaos-smoke audit-smoke overload-smoke placement-smoke
 
-check: fmt vet lint build test-race bench-smoke audit-smoke overload-smoke placement-smoke
+check: fmt vet lint build test-race bench-smoke bench-pins audit-smoke overload-smoke placement-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
 # core concurrency, and seedless constructors. Zero diagnostics is the
@@ -64,6 +64,15 @@ bench-smoke:
 	$(GO) run ./cmd/taichi-bench -benchout bench_smoke.json -scenarios chaos -iters 1
 	$(GO) run ./cmd/taichi-bench -validate bench_smoke.json
 	@rm -f bench_smoke.json
+
+# Replay gate on the simulator benchmark (bench/): three reps of every
+# workload, each seed's simulation digest checked against the pins in
+# bench/testdata/pins.json; the run exits 1 when any digest drifts. It
+# is the only local check of the packet-overload (overload ladder) and
+# trace-export (faults + recovery ladder) pins. About 50 s on a 2-vCPU
+# host, build included.
+bench-pins:
+	bash bench/run.sh -seconds 0
 
 # Invariant-auditor gate: a faulted, recovery-armed run must finish with
 # zero audit violations (taichi-sim exits non-zero otherwise), and the

@@ -385,6 +385,10 @@ func main() {
 	simprof := flag.Bool("simprof", false, "engine self-profiling: per-event-class dispatch counts, heap high-water mark, wall-clock attribution (single-node only)")
 	flag.Parse()
 
+	if err := checkNumericFlags(*durFlag, *util, *cp, *nodes, *parallel); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	horizon := sim.Duration(durFlag.Nanoseconds())
 
 	spec, err := faults.ParseSpec(*faultsFlag)
@@ -571,6 +575,24 @@ func writeMetrics(path string, snap *obs.Snapshot) {
 		os.Exit(1)
 	}
 	fmt.Printf("metrics snapshot written to %s\n", path)
+}
+
+// checkNumericFlags rejects flag values the scenario would otherwise
+// silently clamp or run empty, naming the offending flag.
+func checkNumericFlags(dur time.Duration, util float64, cp, nodes, parallel int) error {
+	switch {
+	case dur <= 0:
+		return fmt.Errorf("-dur must be > 0 (got %v)", dur)
+	case !(util >= 0):
+		return fmt.Errorf("-util must be >= 0 (got %g)", util)
+	case cp < 0:
+		return fmt.Errorf("-cp must be >= 0 (got %d)", cp)
+	case nodes < 1:
+		return fmt.Errorf("-nodes must be >= 1 (got %d)", nodes)
+	case parallel < 0:
+		return fmt.Errorf("-parallel must be >= 0 (got %d)", parallel)
+	}
+	return nil
 }
 
 // placedFlags is every flag placed mode (-place) reads; the rest shape

@@ -3,8 +3,10 @@ package main
 import (
 	"flag"
 	"io"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // placedFlagSet parses args over a flag set holding every placed-mode
@@ -41,5 +43,42 @@ func TestCheckPlacedFlags(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "-dur, -mode") {
 		t.Fatalf("error %q does not name the ignored flags", err)
+	}
+}
+
+func TestCheckNumericFlags(t *testing.T) {
+	type args struct {
+		dur             time.Duration
+		util            float64
+		cp, nodes, para int
+	}
+	ok := args{dur: 2 * time.Second, util: 0.3, cp: 16, nodes: 1}
+	for _, tc := range []struct {
+		name string
+		mut  func(*args)
+		flag string // "" = accepted
+	}{
+		{"defaults", func(*args) {}, ""},
+		{"zero util, cp and parallel", func(a *args) { a.util, a.cp, a.para = 0, 0, 0 }, ""},
+		{"fleet", func(a *args) { a.nodes, a.para = 8, 4 }, ""},
+		{"zero dur", func(a *args) { a.dur = 0 }, "-dur"},
+		{"negative dur", func(a *args) { a.dur = -time.Second }, "-dur"},
+		{"negative util", func(a *args) { a.util = -0.2 }, "-util"},
+		{"NaN util", func(a *args) { a.util = math.NaN() }, "-util"},
+		{"negative cp", func(a *args) { a.cp = -3 }, "-cp"},
+		{"zero nodes", func(a *args) { a.nodes = 0 }, "-nodes"},
+		{"negative parallel", func(a *args) { a.para = -3 }, "-parallel"},
+	} {
+		a := ok
+		tc.mut(&a)
+		err := checkNumericFlags(a.dur, a.util, a.cp, a.nodes, a.para)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
+		}
 	}
 }

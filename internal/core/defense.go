@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -102,15 +103,46 @@ func (c *DefenseConfig) applyDefaults() {
 	}
 }
 
-// defenseState is the per-scheduler degradation state. It exists only
-// when EnableDefense was called; the nil case is the fault-free fast path
-// and must stay completely passive (no events, no RNG, no timers) so
-// zero-fault runs remain byte-identical.
+// defenseState is the per-scheduler degradation ladder: the escalation
+// rungs down and, once EnableRecovery armed it, the self-healing climb
+// back up (recovery.go). It exists only when EnableDefense was called;
+// the nil case is the fault-free fast path and must stay completely
+// passive (no events, no RNG, no timers) so zero-fault runs remain
+// byte-identical.
 type defenseState struct {
 	cfg       DefenseConfig
-	mode      DefenseMode
-	missTimes []sim.Time // probe-miss detections inside the sliding window
+	mode      DefenseMode // assigned only by setMode
+	misses    window      // probe-miss detections (ProbeMissWindow)
 	teardowns int
+
+	// Recovery state. r is nil until EnableRecovery arms the ladder, and
+	// every recovery path stays inert without it — no events, no RNG
+	// stream, no timers — so runs without recovery remain byte-identical
+	// to the pre-recovery code.
+	pol RecoveryPolicy
+	r   *rand.Rand // "core.recovery" stream
+	// cooldown is the dwell the *next* static entry will wait before its
+	// exit attempt; grows by CooldownFactor per entry, capped.
+	cooldown sim.Duration
+	// clean holds clean-reclaim instants (ProbationWindow) while in
+	// ModeSWProbe.
+	clean window
+	// generation counts static exits — the recovery "incarnation" carried
+	// by defense_recover / node_rejoin trace events.
+	generation int
+	// rejoined latches on each return to ModeNormal and clears on the
+	// next departure from it.
+	rejoined bool
+}
+
+// setMode moves the ladder to mode m; every rung change goes through
+// here. Evidence gathered on the old rung — probe misses, clean
+// reclaims — says nothing about the new one, so both windows restart.
+func (d *defenseState) setMode(m DefenseMode) {
+	d.mode = m
+	d.misses.reset()
+	d.clean.reset()
+	d.rejoined = m == ModeNormal
 }
 
 // EnableDefense arms the graceful-degradation machinery: the per-slot
@@ -123,7 +155,7 @@ func (s *Scheduler) EnableDefense(cfg DefenseConfig) {
 		return
 	}
 	cfg.applyDefaults()
-	s.defense = &defenseState{cfg: cfg}
+	s.defense = &defenseState{cfg: cfg, misses: window{span: cfg.ProbeMissWindow}}
 	if cfg.SchedWatchdogPeriod > 0 {
 		s.kern.StartSchedWatchdog(cfg.SchedWatchdogPeriod)
 	}
@@ -164,9 +196,11 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 	}
 	d := s.defense
 	s.FaultsDetected.Inc()
-	// Any watchdog escalation voids recovery probation progress and
-	// counts into the overload ladder's pressure window.
-	s.recoveryOnEscalation()
+	// Any watchdog escalation voids recovery probation progress (the
+	// reclaim envelope is still violated, so clean reclaims start
+	// accumulating from scratch) and counts into the overload ladder's
+	// pressure window.
+	d.clean.reset()
 	s.overloadNoteEscalation()
 	if slot.wdRetries < d.cfg.ReclaimRetries {
 		// Escalate: a forced IPI this time, not a probe request.
@@ -177,7 +211,7 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		if slot.occupant != nil {
 			slot.occupant.ForceExit(vcpu.ExitForced)
 		}
-		timeout := s.defense.cfg.ReclaimTimeout
+		timeout := d.cfg.ReclaimTimeout
 		for i := 0; i < slot.wdRetries; i++ {
 			timeout = sim.Duration(float64(timeout) * d.cfg.RetryBackoff)
 		}
@@ -229,21 +263,13 @@ func (s *Scheduler) noteProbeMiss(slot *dpSlot) {
 		// incrementing here too would double-count the incident.
 		s.FaultsRecovered.Inc()
 	}
-	d.missTimes = append(d.missTimes, now)
-	cutoff := now.Add(-d.cfg.ProbeMissWindow)
-	for len(d.missTimes) > 0 && d.missTimes[0] < cutoff {
-		d.missTimes = d.missTimes[1:]
-	}
-	if len(d.missTimes) >= d.cfg.ProbeMissThreshold && d.mode == ModeNormal {
+	if n := d.misses.add(now); n >= d.cfg.ProbeMissThreshold && d.mode == ModeNormal {
 		s.ProbeFallbacks.Inc()
-		d.mode = ModeSWProbe
+		d.setMode(ModeSWProbe)
 		s.node.Probe.Enabled = false
 		// CPU -1: like the static fallback, a scheduler-wide transition.
 		// The mode-lattice audit pairs this against defense_recover rungs.
-		s.node.Tracer.Emit(now, trace.KindReclaimEscalate, -1,
-			int64(len(d.missTimes)), "sw-probe")
-		d.missTimes = nil
-		s.recoveryOnDegrade()
+		s.node.Tracer.Emit(now, trace.KindReclaimEscalate, -1, int64(n), "sw-probe")
 	}
 }
 
@@ -252,10 +278,11 @@ func (s *Scheduler) noteProbeMiss(slot *dpSlot) {
 // enterStatic suspends lending entirely: occupants are evicted, pending
 // entries aborted, and reconcile stops handing cores out. The node
 // degrades to the production static-partitioning deployment — reduced CP
-// throughput, but DP SLOs no longer depend on reclaim working.
+// throughput, but DP SLOs no longer depend on reclaim working. With the
+// recovery ladder armed it also schedules the cooldown-driven exit.
 func (s *Scheduler) enterStatic() {
 	d := s.defense
-	d.mode = ModeStatic
+	d.setMode(ModeStatic)
 	s.StaticFallbacks.Inc()
 	// CPU -1: the fallback is a scheduler-wide decision, not tied to one core.
 	s.node.Tracer.Emit(s.engine.Now(), trace.KindReclaimEscalate, -1,
@@ -273,12 +300,23 @@ func (s *Scheduler) enterStatic() {
 			slot.occupant.ForceExit(vcpu.ExitForced)
 		}
 	}
-	if s.OnStaticFallback != nil {
-		s.OnStaticFallback()
+	if s.OnSuspend != nil {
+		s.OnSuspend()
 	}
-	// Arm the cooldown-driven exit attempt (no-op unless EnableRecovery
-	// armed the self-healing ladder).
-	s.recoveryOnStatic()
+	if d.r == nil {
+		return // without the recovery ladder static is one-way
+	}
+	if d.generation > 0 {
+		// The node recovered before and fell back again: flapping.
+		s.Reescalations.Inc()
+	}
+	// Static is left only through this callback, so at most one is ever
+	// pending. The dwell is the current cooldown, jittered so fleet
+	// members degraded by one incident do not exit in lockstep; the next
+	// static episode dwells longer, so a flapping node settles static.
+	dwell := sim.Jitter(d.r, d.cooldown, d.pol.JitterFrac)
+	s.engine.ScheduleNamed(dwell, "core.recovery", s.tryExitStatic)
+	d.cooldown = stretch(d.cooldown, d.pol.CooldownFactor, d.pol.MaxCooldown)
 }
 
 // SetCoreDown marks a DP core hardware-offline (or back online) on behalf

@@ -11,12 +11,12 @@ package core
 // one rung at a time. The cluster admission gate reads the rung through
 // Config.OverloadLevel and tightens its token bucket / shrinks its
 // sojourn thresholds accordingly; brownout additionally suspends
-// optional work on the node itself — audit vCPU pinning (OnBrownout
+// optional work on the node itself — audit vCPU pinning (OnSuspend
 // hook) and sw-probe re-qualification (probation evidence stops
-// accumulating). De-escalation is hysteretic and cooldown-gated,
-// reusing the recovery-ladder pattern: each escalation stretches the
-// dwell before the next de-escalation, so a flapping node settles high
-// on the ladder instead of oscillating.
+// accumulating). De-escalation is hysteretic and cooldown-gated, on the
+// window and cooldown rule the recovery ladder uses (ladder.go): each
+// escalation stretches the dwell before the next de-escalation, so a
+// flapping node settles high on the ladder instead of oscillating.
 
 import (
 	"fmt"
@@ -81,9 +81,11 @@ type OverloadPolicy struct {
 	// ExitHysteresis: de-escalating off a rung requires pressure below
 	// that rung's entry threshold minus this margin.
 	ExitHysteresis float64
-	// Cooldown is the minimum dwell on a rung before de-escalation;
-	// CooldownFactor stretches it after every escalation (capped at
+	// Cooldown is the base dwell on a rung before de-escalation;
+	// CooldownFactor stretches it on every escalation (capped at
 	// MaxCooldown) so a flapping node settles rather than oscillates.
+	// The stretch comes first, so even the first de-escalation waits
+	// Cooldown×CooldownFactor (4 ms with the defaults).
 	Cooldown       sim.Duration
 	CooldownFactor float64
 	MaxCooldown    sim.Duration
@@ -150,20 +152,22 @@ func (p *OverloadPolicy) applyDefaults() {
 	}
 }
 
-// overloadState is the per-scheduler ladder state. Like defenseState and
-// recoveryState it exists only when EnableOverload was called; the nil
-// case is the default and must stay completely passive — no events, no
-// RNG stream, no timers — so runs without overload control remain
-// byte-identical to the pre-overload code.
+// overloadState is the per-scheduler ladder state. Like defenseState it
+// exists only when EnableOverload was called; the nil case is the
+// default and must stay completely passive — no events, no RNG stream,
+// no timers — so runs without overload control remain byte-identical to
+// the pre-overload code.
 type overloadState struct {
 	pol OverloadPolicy
 	r   *rand.Rand // "core.overload" stream, created only when armed
 
 	state    OverloadState
 	smoothed float64
-	// escTimes holds watchdog-escalation instants inside the sliding
-	// window.
-	escTimes []sim.Time
+	// enter is each rung's smoothed-pressure entry threshold;
+	// OverloadNormal has none.
+	enter [OverloadBrownout + 1]float64
+	// esc holds watchdog-escalation instants (Window).
+	esc window
 	// lastChange is when the ladder last moved; de-escalation waits out
 	// cooldown from here.
 	lastChange sim.Time
@@ -197,8 +201,11 @@ func (s *Scheduler) EnableOverload(pol OverloadPolicy) {
 	}
 	pol.applyDefaults()
 	s.overload = &overloadState{
-		pol:      pol,
-		r:        s.node.Stream("core.overload"),
+		pol: pol,
+		r:   s.node.Stream("core.overload"),
+		enter: [...]float64{OverloadThrottle: pol.EnterThrottle, OverloadShed: pol.EnterShed,
+			OverloadBrownout: pol.EnterBrownout},
+		esc:      window{span: pol.Window},
 		cooldown: pol.Cooldown,
 	}
 	s.armOverloadSample()
@@ -232,7 +239,7 @@ func (s *Scheduler) OverloadStats() OverloadStats {
 // the pressure window (no-op unless the ladder is armed).
 func (s *Scheduler) overloadNoteEscalation() {
 	if ov := s.overload; ov != nil {
-		ov.escTimes = append(ov.escTimes, s.engine.Now())
+		ov.esc.add(s.engine.Now())
 	}
 }
 
@@ -273,21 +280,17 @@ func (s *Scheduler) sampleOverload() {
 	if len(s.order) > 0 {
 		sample = float64(busy) / float64(len(s.order))
 	}
-	cutoff := now.Add(-ov.pol.Window)
-	for len(ov.escTimes) > 0 && ov.escTimes[0] < cutoff {
-		ov.escTimes = ov.escTimes[1:]
-	}
-	sample += ov.pol.EscalationWeight * float64(len(ov.escTimes))
+	sample += ov.pol.EscalationWeight * float64(ov.esc.count(now))
 	ov.smoothed = ov.pol.SmoothAlpha*sample + (1-ov.pol.SmoothAlpha)*ov.smoothed
 
+	// The target is the highest rung whose entry threshold the pressure
+	// reaches, whatever order the thresholds come in.
 	target := OverloadNormal
-	switch {
-	case ov.smoothed >= ov.pol.EnterBrownout:
-		target = OverloadBrownout
-	case ov.smoothed >= ov.pol.EnterShed:
-		target = OverloadShed
-	case ov.smoothed >= ov.pol.EnterThrottle:
-		target = OverloadThrottle
+	for st := OverloadBrownout; st > OverloadNormal; st-- {
+		if ov.smoothed >= ov.enter[st] {
+			target = st
+			break
+		}
 	}
 
 	switch {
@@ -297,29 +300,16 @@ func (s *Scheduler) sampleOverload() {
 		// Hysteresis: pressure must clear the current rung's entry
 		// threshold by the margin, and the rung's cooldown must have
 		// elapsed, before stepping down one rung.
-		if ov.smoothed < s.overloadEnterThreshold(ov.state)-ov.pol.ExitHysteresis &&
+		if ov.smoothed < ov.enter[ov.state]-ov.pol.ExitHysteresis &&
 			now.Sub(ov.lastChange) >= ov.cooldown {
 			s.overloadDeescalate()
 		}
 	}
 }
 
-// overloadEnterThreshold returns the entry threshold of a rung.
-func (s *Scheduler) overloadEnterThreshold(st OverloadState) float64 {
-	pol := s.overload.pol
-	switch st {
-	case OverloadBrownout:
-		return pol.EnterBrownout
-	case OverloadShed:
-		return pol.EnterShed
-	default:
-		return pol.EnterThrottle
-	}
-}
-
 // overloadEscalate moves one rung up, stretches the de-escalation
 // cooldown, and on the brownout rung suspends optional work via the
-// OnBrownout hook.
+// OnSuspend hook.
 func (s *Scheduler) overloadEscalate() {
 	ov := s.overload
 	ov.state++
@@ -331,12 +321,9 @@ func (s *Scheduler) overloadEscalate() {
 	// CPU -1: like the defense ladder, a scheduler-wide transition.
 	s.node.Tracer.Emit(ov.lastChange, trace.KindOverloadEnter, -1,
 		int64(ov.state), ov.state.String())
-	ov.cooldown = sim.Duration(float64(ov.cooldown) * ov.pol.CooldownFactor)
-	if ov.cooldown > ov.pol.MaxCooldown {
-		ov.cooldown = ov.pol.MaxCooldown
-	}
-	if ov.state == OverloadBrownout && s.OnBrownout != nil {
-		s.OnBrownout()
+	ov.cooldown = stretch(ov.cooldown, ov.pol.CooldownFactor, ov.pol.MaxCooldown)
+	if ov.state == OverloadBrownout && s.OnSuspend != nil {
+		s.OnSuspend()
 	}
 }
 

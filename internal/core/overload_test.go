@@ -34,7 +34,7 @@ func TestBrownoutDuringArmedReclaimWatchdog(t *testing.T) {
 	if !tc.Sched.overloadBrownedOut() {
 		t.Fatal("brownout rung reached but optional work not suspended")
 	}
-	escBefore := len(tc.Sched.overload.escTimes)
+	escBefore := len(tc.Sched.overload.esc.times)
 
 	// The watchdog timeout (10 µs default) elapses well inside 30 µs:
 	// it must still fire under brownout and escalate via forced IPI.
@@ -42,7 +42,7 @@ func TestBrownoutDuringArmedReclaimWatchdog(t *testing.T) {
 	if got := tc.Sched.WatchdogRetries.Value(); got == 0 {
 		t.Fatal("armed watchdog never escalated under brownout")
 	}
-	if got := len(tc.Sched.overload.escTimes); got <= escBefore {
+	if got := len(tc.Sched.overload.esc.times); got <= escBefore {
 		t.Fatalf("escalation window has %d entries, want more than %d — watchdog pressure must keep feeding the ladder",
 			got, escBefore)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -77,30 +75,6 @@ func (p *RecoveryPolicy) applyDefaults() {
 	}
 }
 
-// recoveryState is the per-scheduler self-healing state. Like
-// defenseState it exists only when EnableRecovery was called; the nil
-// case is the default and must stay completely passive — no events, no
-// RNG stream, no timers — so runs without recovery remain byte-identical
-// to the pre-recovery code.
-type recoveryState struct {
-	pol RecoveryPolicy
-	r   *rand.Rand // "core.recovery" stream, created only when armed
-
-	// cooldown is the dwell the *next* static entry will wait before its
-	// exit attempt; grows by CooldownFactor per entry, capped.
-	cooldown   sim.Duration
-	cooldownEv sim.Handle
-	// cleanTimes holds clean-reclaim instants inside the probation window
-	// while in ModeSWProbe.
-	cleanTimes []sim.Time
-	// generation counts static exits — the recovery "incarnation" carried
-	// by defense_recover / node_rejoin trace events.
-	generation int
-	// rejoined latches on each return to ModeNormal and clears on the
-	// next departure from it.
-	rejoined bool
-}
-
 // RecoveryStats is the ladder's read-only view, printed by Describe and
 // by taichi-sim's recovery line.
 type RecoveryStats struct {
@@ -122,81 +96,30 @@ type RecoveryStats struct {
 // from). Idempotent; runs that never call it keep their event streams
 // untouched.
 func (s *Scheduler) EnableRecovery(pol RecoveryPolicy) {
-	if s.recovery != nil {
+	s.EnableDefense(DefenseConfig{})
+	d := s.defense
+	if d.r != nil {
 		return
 	}
-	if s.defense == nil {
-		s.EnableDefense(DefenseConfig{})
-	}
 	pol.applyDefaults()
-	s.recovery = &recoveryState{
-		pol:      pol,
-		r:        s.node.Stream("core.recovery"),
-		cooldown: pol.Cooldown,
-	}
+	d.pol = pol
+	d.r = s.node.Stream("core.recovery")
+	d.cooldown = pol.Cooldown
+	d.clean.span = pol.ProbationWindow
 }
 
 // RecoveryStats returns the ladder's current state (zero value when the
 // ladder is not armed).
 func (s *Scheduler) RecoveryStats() RecoveryStats {
-	rc := s.recovery
-	if rc == nil {
+	d := s.defense
+	if d == nil || d.r == nil {
 		return RecoveryStats{}
 	}
 	return RecoveryStats{
 		Enabled:      true,
-		Generation:   rc.generation,
-		Rejoined:     rc.rejoined,
-		NextCooldown: rc.cooldown,
-	}
-}
-
-// recoveryOnDegrade opens a degradation episode (any departure from
-// ModeNormal): it clears the rejoined latch and voids any probation
-// progress.
-func (s *Scheduler) recoveryOnDegrade() {
-	rc := s.recovery
-	if rc == nil {
-		return
-	}
-	rc.rejoined = false
-	rc.cleanTimes = nil
-}
-
-// recoveryOnStatic schedules the (jittered, exponentially growing)
-// cooldown that will attempt the static exit. Called at every static
-// entry.
-func (s *Scheduler) recoveryOnStatic() {
-	rc := s.recovery
-	if rc == nil {
-		return
-	}
-	s.recoveryOnDegrade()
-	if rc.generation > 0 {
-		// The node recovered before and fell back again: flapping.
-		s.Reescalations.Inc()
-	}
-	if rc.cooldownEv != (sim.Handle{}) {
-		rc.cooldownEv.Cancel()
-	}
-	dwell := sim.Jitter(rc.r, rc.cooldown, rc.pol.JitterFrac)
-	rc.cooldownEv = s.engine.ScheduleNamed(dwell, "core.recovery", func() {
-		rc.cooldownEv = sim.Handle{}
-		s.tryExitStatic()
-	})
-	// Next static episode dwells longer — a flapping node settles static.
-	rc.cooldown = sim.Duration(float64(rc.cooldown) * rc.pol.CooldownFactor)
-	if rc.cooldown > rc.pol.MaxCooldown {
-		rc.cooldown = rc.pol.MaxCooldown
-	}
-}
-
-// recoveryOnEscalation voids probation progress: a watchdog firing means
-// the reclaim envelope is still violated, so clean reclaims must start
-// accumulating from scratch.
-func (s *Scheduler) recoveryOnEscalation() {
-	if rc := s.recovery; rc != nil {
-		rc.cleanTimes = nil
+		Generation:   d.generation,
+		Rejoined:     d.rejoined,
+		NextCooldown: d.cooldown,
 	}
 }
 
@@ -205,15 +128,13 @@ func (s *Scheduler) recoveryOnEscalation() {
 // only), and the teardown budget re-arms so a still-faulty node walks
 // straight back down the ladder — paying the now-longer cooldown.
 func (s *Scheduler) tryExitStatic() {
-	d, rc := s.defense, s.recovery
-	if d == nil || rc == nil || d.mode != ModeStatic {
+	d := s.defense
+	if d.mode != ModeStatic {
 		return
 	}
-	rc.generation++
-	d.mode = ModeSWProbe
+	d.generation++
+	d.setMode(ModeSWProbe)
 	d.teardowns = 0
-	d.missTimes = nil
-	rc.cleanTimes = nil
 	if s.node.Probe != nil {
 		// The hardware probe stays disqualified on the probation rung;
 		// only the full ModeNormal promotion re-trusts it.
@@ -222,7 +143,7 @@ func (s *Scheduler) tryExitStatic() {
 	s.DefenseRecoveries.Inc()
 	// CPU -1: like the static fallback, a scheduler-wide transition.
 	s.node.Tracer.Emit(s.engine.Now(), trace.KindDefenseRecover, -1,
-		int64(rc.generation), "sw-probe")
+		int64(d.generation), "sw-probe")
 	s.reconcile()
 }
 
@@ -230,8 +151,8 @@ func (s *Scheduler) tryExitStatic() {
 // help while on the probation rung. Enough of them inside the probation
 // window promote the scheduler back to ModeNormal.
 func (s *Scheduler) noteCleanReclaim(slot *dpSlot) {
-	d, rc := s.defense, s.recovery
-	if d == nil || rc == nil || d.mode != ModeSWProbe || slot.dp.Down() {
+	d := s.defense
+	if d == nil || d.r == nil || d.mode != ModeSWProbe || slot.dp.Down() {
 		return
 	}
 	if s.overloadBrownedOut() {
@@ -241,13 +162,7 @@ func (s *Scheduler) noteCleanReclaim(slot *dpSlot) {
 		// accumulate (ARCHITECTURE.md §6.6).
 		return
 	}
-	now := s.engine.Now()
-	rc.cleanTimes = append(rc.cleanTimes, now)
-	cutoff := now.Add(-rc.pol.ProbationWindow)
-	for len(rc.cleanTimes) > 0 && rc.cleanTimes[0] < cutoff {
-		rc.cleanTimes = rc.cleanTimes[1:]
-	}
-	if len(rc.cleanTimes) >= rc.pol.ProbationReclaims {
+	if d.clean.add(s.engine.Now()) >= d.pol.ProbationReclaims {
 		s.recoverToNormal()
 	}
 }
@@ -255,20 +170,14 @@ func (s *Scheduler) noteCleanReclaim(slot *dpSlot) {
 // recoverToNormal is the top rung: probation passed, the hardware probe
 // is re-trusted, and the node is fully back in the lending ring.
 func (s *Scheduler) recoverToNormal() {
-	d, rc := s.defense, s.recovery
-	if d == nil || rc == nil || d.mode != ModeSWProbe {
-		return
-	}
-	d.mode = ModeNormal
-	d.missTimes = nil
-	rc.cleanTimes = nil
+	d := s.defense
+	d.setMode(ModeNormal)
 	if s.node.Probe != nil {
 		s.node.Probe.Enabled = true
 	}
-	rc.rejoined = true
 	s.DefenseRecoveries.Inc()
 	now := s.engine.Now()
-	s.node.Tracer.Emit(now, trace.KindDefenseRecover, -1, int64(rc.generation), "normal")
-	s.node.Tracer.Emit(now, trace.KindNodeRejoin, -1, int64(rc.generation), "")
+	s.node.Tracer.Emit(now, trace.KindDefenseRecover, -1, int64(d.generation), "normal")
+	s.node.Tracer.Emit(now, trace.KindNodeRejoin, -1, int64(d.generation), "")
 	s.reconcile()
 }

@@ -101,11 +101,21 @@ func flapLine(tc *TaiChi) string {
 		tc.Sched.FaultsDetected.Value(), tc.Sched.FaultsRecovered.Value())
 }
 
+// flapPinned is the rendered outcome of four flapping members (seeds
+// MemberSeed(81, 0..3)). Every rung change, window reset, cooldown draw
+// and stretch shows in these counters, so any drift in the ladder's
+// order of operations breaks the pin.
+const flapPinned = `mode=normal static_fb=5 recoveries=10 reescalations=4 gen=5 next_cooldown=40ms rejoined=true detected=126 recovered=42
+mode=normal static_fb=6 recoveries=12 reescalations=5 gen=6 next_cooldown=40ms rejoined=true detected=145 recovered=49
+mode=normal static_fb=6 recoveries=12 reescalations=5 gen=6 next_cooldown=40ms rejoined=true detected=145 recovered=49
+mode=normal static_fb=6 recoveries=12 reescalations=5 gen=6 next_cooldown=40ms rejoined=true detected=192 recovered=70`
+
 // TestRecoveryLadderFlapping is the flapping acceptance test: under the
 // pulsed schedule the node must oscillate (multiple static fallbacks,
 // multiple recoveries, at least one re-escalation) and the exponential
-// cooldown must have grown — the settling mechanism — while staying
-// byte-identical across 1 and 8 fleet workers.
+// cooldown must have grown — the settling mechanism — while rendering
+// exactly flapPinned and staying byte-identical across 1 and 8 fleet
+// workers.
 func TestRecoveryLadderFlapping(t *testing.T) {
 	t.Parallel()
 	tc := runFlap(fleet.MemberSeed(81, 0))
@@ -135,6 +145,9 @@ func TestRecoveryLadderFlapping(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	sequential := render(1)
+	if sequential != flapPinned {
+		t.Fatalf("flapping runs drifted from the pin:\n--- got\n%s\n--- want\n%s", sequential, flapPinned)
+	}
 	if parallel := render(8); parallel != sequential {
 		t.Fatalf("flapping runs differ between 1 and 8 workers:\n--- 1\n%s\n--- 8\n%s", sequential, parallel)
 	}
@@ -163,16 +176,16 @@ func TestRecoveryUnarmedIsPassive(t *testing.T) {
 func TestEnableRecoveryIdempotent(t *testing.T) {
 	tc := newTaiChi(75, nil)
 	tc.Sched.EnableRecovery(flapPolicy())
-	first := tc.Sched.recovery
-	tc.Sched.EnableRecovery(DefaultRecoveryPolicy())
-	if tc.Sched.recovery != first {
-		t.Fatal("EnableRecovery replaced the armed state")
-	}
-	if tc.Sched.recovery.pol.Cooldown != flapPolicy().Cooldown {
-		t.Fatal("second EnableRecovery overwrote the policy")
-	}
 	if tc.Sched.defense == nil {
 		t.Fatal("EnableRecovery must arm the defense state")
+	}
+	first := tc.Sched.defense.r
+	tc.Sched.EnableRecovery(DefaultRecoveryPolicy())
+	if tc.Sched.defense.r != first {
+		t.Fatal("EnableRecovery replaced the armed stream")
+	}
+	if tc.Sched.defense.pol.Cooldown != flapPolicy().Cooldown {
+		t.Fatal("second EnableRecovery overwrote the policy")
 	}
 }
 

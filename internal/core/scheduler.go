@@ -127,24 +127,19 @@ type Scheduler struct {
 	cpCores []*kernel.CPU
 	rrCP    int
 
-	// defense holds the graceful-degradation state; nil (the fault-free
-	// default) keeps every defense path completely inert.
+	// defense holds the degradation ladder, recovery included
+	// (defense.go, recovery.go); nil (the fault-free default) keeps every
+	// defense and recovery path completely inert.
 	defense *defenseState
-	// recovery holds the self-healing de-escalation state (recovery.go);
-	// nil keeps every recovery path completely inert.
-	recovery *recoveryState
 	// overload holds the brownout-ladder state (overload.go); nil keeps
 	// every overload path completely inert.
 	overload *overloadState
-	// OnStaticFallback, when non-nil, fires once per entry into static
-	// partitioning, after lending is suspended — the hook TaiChi uses to
-	// detach subsystems (like an active audit) that depend on vCPUs
-	// being hosted.
-	OnStaticFallback func()
-	// OnBrownout, when non-nil, fires once per entry into the overload
-	// ladder's brownout rung — the hook TaiChi uses to suspend optional
-	// work (an active audit's vCPU pinning).
-	OnBrownout func()
+	// OnSuspend, when non-nil, fires once per entry into static
+	// partitioning (after lending is suspended) and once per entry into
+	// the overload ladder's brownout rung — the hook TaiChi uses to
+	// detach optional work that depends on vCPUs being hosted (an active
+	// audit's vCPU pinning).
+	OnSuspend func()
 
 	// Metrics.
 	Yields         *metrics.Counter

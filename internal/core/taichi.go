@@ -46,18 +46,11 @@ func New(node *platform.Node, cfg Config) *TaiChi {
 		DriverLock: kernel.NewSpinLock("driver"),
 	}
 	// Static fallback suspends lending, so vCPUs — including a dedicated
-	// audit vCPU — stop being hosted. An active audit must be detached
-	// gracefully (affinity restored to the CP pCPUs) or its pinned thread
-	// would starve forever.
-	t.Sched.OnStaticFallback = func() {
-		if t.audit != nil && t.audit.Active() {
-			t.audit.Stop()
-		}
-	}
-	// Brownout suspends optional work: an audit holding a pinned vCPU is
-	// load the node can no longer afford, so it is detached exactly like
-	// the static-fallback case.
-	t.Sched.OnBrownout = func() {
+	// audit vCPU — stop being hosted; brownout suspends optional work, and
+	// an audit holding a pinned vCPU is load the node can no longer
+	// afford. Either way an active audit is detached gracefully (affinity
+	// restored to the CP pCPUs) or its pinned thread would starve.
+	t.Sched.OnSuspend = func() {
 		if t.audit != nil && t.audit.Active() {
 			t.audit.Stop()
 		}
