@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pins chaos-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
 
 check: fmt vet lint build test-race bench-smoke bench-pins audit-smoke overload-smoke placement-smoke
 
@@ -114,6 +114,19 @@ placement-smoke:
 # One go-test benchmark per paper artifact plus the fleet speedup pair.
 bench-go:
 	$(GO) test -bench=. -benchmem
+
+# Fuzz gate: run each differential fuzzer against its reference model
+# for FUZZTIME — the event engine against the container/heap engine, the
+# span deriver against the kind-by-kind deriver, the Chrome writer
+# against the fmt/json.Marshal exporter. `go test` replays only their
+# seed corpora; this searches beyond them. A failing input is written
+# under the package's testdata/fuzz/ and fails `go test` from then on.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzDerive$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzChrome$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # Request-lifecycle acceptance gate: under the chaos fault sweep, every
 # issued VM creation must reach a terminal state (zero lost requests)

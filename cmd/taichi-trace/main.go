@@ -21,8 +21,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -99,13 +101,45 @@ func main() {
 	}
 
 	if *export != "" {
-		data := obs.ChromeJSON(traces)
-		if err := os.WriteFile(*export, data, 0o644); err != nil {
+		n, err := exportChrome(*export, traces)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "export: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("exported %d bytes to %s\n", len(data), *export)
+		fmt.Printf("exported %d bytes to %s\n", n, *export)
 	}
+}
+
+// exportChrome streams the Chrome trace-event JSON of traces into the
+// file at path, so the whole export is never held in memory, and
+// returns the number of bytes written.
+func exportChrome(path string, traces []obs.NodeTrace) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close() // for the error paths; the success path checks Close
+	cw := &countingWriter{w: f}
+	bw := bufio.NewWriter(cw)
+	if err := obs.WriteChrome(bw, traces); err != nil {
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	return cw.n, f.Close()
+}
+
+// countingWriter counts the bytes it passes on to w.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // runNode builds one node, applies the workload, and runs it to the

@@ -11,7 +11,13 @@ import (
 
 // FuzzDerive is a differential test: the table-driven Derive must
 // produce exactly what the kind-by-kind reference deriver below does,
-// on arbitrary event scripts.
+// on arbitrary event scripts, nil slices included. The seed corpus is
+// testdata/fuzz/FuzzDerive. Its equal-sort-keys and
+// closed-and-truncated-tie entries hold spans equal on every sort key,
+// closed and truncated ones mixed, among spans the sort must reverse,
+// so an unstable sort without the final index comparison misorders
+// them; no-spans and opens-no-closes leave one output slice empty,
+// which must stay nil.
 func FuzzDerive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := decodeScript(data)

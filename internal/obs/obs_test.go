@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/metrics"
@@ -238,6 +240,59 @@ func TestChromeJSONDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestChromeEmitAllocFree pins the exporter's per-line cost: once the
+// writer exists, writing a span or an instant, escaped note included,
+// allocates nothing.
+func TestChromeEmitAllocFree(t *testing.T) {
+	var events []trace.Event
+	for i := 0; i < 2000; i++ {
+		at := sim.Time(i) * 1500
+		events = append(events,
+			ev(at, trace.KindVMEntry, i%4, int64(i), `exit "hlt" <&>`),
+			ev(at+700, trace.KindSchedSwitch, -1, int64(i), "switch\n"),
+			ev(at+900, trace.KindVMExit, i%4, int64(i), ""))
+	}
+	d := Derive(events)
+	cw := newChromeWriter(io.Discard)
+	if n := testing.AllocsPerRun(5, func() {
+		for i := range d.Spans {
+			cw.span(0, &d.Spans[i])
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations writing %d spans, want 0", n, len(d.Spans))
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		for i := range d.Instants {
+			cw.instant(0, &d.Instants[i])
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations writing %d instants, want 0", n, len(d.Instants))
+	}
+}
+
+type failingWriter struct{ writes int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return 0, errors.New("disk full")
+}
+
+// TestWriteChromeReportsWriteError requires WriteChrome to return the
+// writer's error and to stop writing after it.
+func TestWriteChromeReportsWriteError(t *testing.T) {
+	var events []trace.Event
+	for i := 0; i < 5000; i++ {
+		events = append(events, ev(sim.Time(i), trace.KindSchedSwitch, 0, int64(i), "x"))
+	}
+	w := &failingWriter{}
+	if err := WriteChrome(w, []NodeTrace{{Label: "n0", Events: events}}); err == nil || err.Error() != "disk full" {
+		t.Errorf("WriteChrome error = %v, want disk full", err)
+	}
+	if w.writes != 1 {
+		t.Errorf("%d writes, want 1: the writer must not be called again after an error", w.writes)
+	}
+}
+
 func TestUsec(t *testing.T) {
 	cases := map[int64]string{
 		0:        "0.000",
@@ -249,8 +304,8 @@ func TestUsec(t *testing.T) {
 		10000000: "10000.000",
 	}
 	for ns, want := range cases {
-		if got := usec(ns); got != want {
-			t.Errorf("usec(%d) = %q, want %q", ns, got, want)
+		if got := string(appendUsec(nil, ns)); got != want {
+			t.Errorf("appendUsec(%d) = %q, want %q", ns, got, want)
 		}
 	}
 }

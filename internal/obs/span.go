@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -63,11 +66,29 @@ type openSpan struct {
 // engine clock). Open spans at the end of the trace are emitted
 // truncated, clipped to the last event's instant.
 func Derive(events []trace.Event) Derivation {
-	// open[c][key] is class c's stack of open begins for one CPU or Arg.
-	var open [trace.NumClasses]map[int64][]openSpan
+	// Every open becomes exactly one span, closed or truncated, so one
+	// counting pass sizes both outputs. An empty output stays nil.
+	var nOpen, nInstant int
+	for _, e := range events {
+		info := e.Kind.Info()
+		if info.Opens != trace.ClassNone {
+			nOpen++
+		}
+		if info.Instant {
+			nInstant++
+		}
+	}
 	var spans []Span
 	var instants []Instant
+	if nOpen > 0 {
+		spans = make([]Span, 0, nOpen)
+	}
+	if nInstant > 0 {
+		instants = make([]Instant, 0, nInstant)
+	}
 
+	// open[c][key] is class c's stack of open begins for one CPU or Arg.
+	var open [trace.NumClasses]map[int64][]openSpan
 	for _, e := range events {
 		info := e.Kind.Info()
 		for _, c := range info.Closes {
@@ -133,28 +154,55 @@ func Derive(events []trace.Event) Derivation {
 			}
 		}
 	}
+	return Derivation{Spans: sortSpans(spans), Instants: instants}
+}
 
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.CPU != b.CPU {
-			return a.CPU < b.CPU
-		}
-		if a.Arg != b.Arg {
-			return a.Arg < b.Arg
-		}
-		return a.Note < b.Note
-	})
-	for i := range spans {
-		spans[i].ID = i
+// spanOrder is one span's sort key, (Start, End) inline and the rest
+// reached through the span's index: sorting these 24-byte records moves
+// far less memory than sorting the Spans themselves.
+type spanOrder struct {
+	start, end sim.Time
+	i          int
+}
+
+// sortSpans returns the spans in canonical order (Start, End, Class,
+// CPU, Arg, Note) with IDs assigned. Ties on every key keep their
+// derivation order — the final index comparison makes the order total,
+// so an unstable sort gives exactly what a stable one would.
+func sortSpans(spans []Span) []Span {
+	if spans == nil {
+		return nil
 	}
-	return Derivation{Spans: spans, Instants: instants}
+	order := make([]spanOrder, len(spans))
+	for i := range spans {
+		order[i] = spanOrder{spans[i].Start, spans[i].End, i}
+	}
+	slices.SortFunc(order, func(x, y spanOrder) int {
+		if c := cmp.Compare(x.start, y.start); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.end, y.end); c != 0 {
+			return c
+		}
+		a, b := &spans[x.i], &spans[y.i]
+		if c := strings.Compare(a.Class, b.Class); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.CPU, b.CPU); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Arg, b.Arg); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Note, b.Note); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	sorted := make([]Span, len(spans))
+	for id, o := range order {
+		sorted[id] = spans[o.i]
+		sorted[id].ID = id
+	}
+	return sorted
 }
