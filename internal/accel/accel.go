@@ -232,14 +232,14 @@ type Pipeline struct {
 
 	// inFlight counts packets inside the pipeline per destination core.
 	inFlight []int
-	// ring holds the in-flight packets oldest first, from head; its
-	// length is zero or a power of two.
-	ring  []*Packet
-	head  int
-	count int
+	// queue holds the in-flight packets oldest first.
+	queue sim.FIFO[*Packet]
 	// complete is pl.completeOldest, bound once so scheduling it
 	// allocates nothing.
 	complete func()
+	// lane carries the completion events: every packet spends the same
+	// Preprocess+Transfer window, so they fire in injection order.
+	lane *sim.Lane
 }
 
 // NewPipeline builds the accelerator datapath. deliver lands finished
@@ -251,6 +251,7 @@ func NewPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tra
 	}
 	pl := &Pipeline{engine: engine, cfg: cfg, tracer: tracer, probe: probe, deliver: deliver}
 	pl.complete = pl.completeOldest
+	pl.lane = engine.Lane(cfg.Preprocess+cfg.Transfer, "accel.pipeline")
 	if probe != nil {
 		probe.inFlight = pl.InFlight
 		probe.engine = engine
@@ -284,7 +285,7 @@ func (pl *Pipeline) Inject(p *Packet) {
 	pl.Injected++
 	pl.inFlight = grow(pl.inFlight, p.Core)
 	pl.inFlight[p.Core]++
-	pl.enqueue(p)
+	pl.queue.Push(p)
 	pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID, "")
 
 	if pl.probe != nil {
@@ -294,34 +295,18 @@ func (pl *Pipeline) Inject(p *Packet) {
 	// The preprocess and transfer stages complete back-to-back with no
 	// intervening decision point, so one simulation event covers both;
 	// the stage-boundary trace record carries its true timestamp.
-	pl.engine.ScheduleNamed(pl.cfg.Preprocess+pl.cfg.Transfer, "accel.pipeline", pl.complete)
+	pl.lane.Schedule(pl.complete)
 }
 
 // completeOldest delivers the packet that has been in the pipeline
-// longest. Completion events fire in the order they were scheduled (same
-// delay, non-decreasing arrival, sequence tiebreak), so that packet is the
-// one this event was scheduled for.
+// longest. Completion events ride one lane, so they fire in the order they
+// were scheduled, and that packet is the one this event was scheduled for.
 func (pl *Pipeline) completeOldest() {
-	p := pl.ring[pl.head]
-	pl.ring[pl.head] = nil
-	pl.head = (pl.head + 1) & (len(pl.ring) - 1)
-	pl.count--
+	p := pl.queue.Pop()
 	pl.tracer.Emit(p.Arrival.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
 	pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
 	pl.inFlight[p.Core]--
 	pl.deliver(p.Core, p)
-}
-
-// enqueue appends p to the in-flight FIFO, doubling the ring when full.
-func (pl *Pipeline) enqueue(p *Packet) {
-	if pl.count == len(pl.ring) {
-		grown := make([]*Packet, max(16, 2*len(pl.ring)))
-		n := copy(grown, pl.ring[pl.head:])
-		copy(grown[n:], pl.ring[:pl.head])
-		pl.ring, pl.head = grown, 0
-	}
-	pl.ring[(pl.head+pl.count)&(len(pl.ring)-1)] = p
-	pl.count++
 }
 
 // Window returns the total preprocessing window (stages ②+③).

@@ -380,3 +380,31 @@ func TestHaltedVCPUsDontChurn(t *testing.T) {
 	}
 	_ = vcpu.StateHalted
 }
+
+// Once warm, lending idle DP cores to vCPUs and reclaiming them allocates
+// nothing: the scheduler's exit callback, the vCPU's entry and exit
+// events, the kernel's run, tick and softirq events and the segment a
+// thread resumes are all bound or buffered once.
+func TestLendCycleAllocFree(t *testing.T) {
+	tc := newTaiChi(2, nil)
+	for i := 0; i < 12; i++ {
+		tc.SpawnCP("hog", &kernel.LoopProgram{Total: 10 * sim.Second, Gen: func(sim.Duration) kernel.Segment {
+			return kernel.Segment{Kind: kernel.SegCompute, Dur: 200 * sim.Microsecond}
+		}})
+	}
+	tc.Run(sim.Time(50 * sim.Millisecond))
+	entries := func() (n uint64) {
+		for _, v := range tc.Sched.VCPUs() {
+			n += v.Entries
+		}
+		return n
+	}
+	before := entries()
+	allocs := testing.AllocsPerRun(20, func() { tc.Run(tc.Engine().Now().Add(sim.Millisecond)) })
+	if lends := entries() - before; lends < 21*10 {
+		t.Fatalf("%d lends in 21 ms, want a steady lend/reclaim cycle", lends)
+	}
+	if allocs != 0 {
+		t.Fatalf("lend/reclaim cycles allocate %v per simulated ms, want 0", allocs)
+	}
+}

@@ -127,6 +127,9 @@ type Scheduler struct {
 	cpCores []*kernel.CPU
 	rrCP    int
 
+	// exitFn is s.onExit, bound once so each Enter allocates nothing.
+	exitFn func(v *vcpu.VCPU, reason vcpu.ExitReason)
+
 	// defense holds the degradation ladder, recovery included
 	// (defense.go, recovery.go); nil (the fault-free default) keeps every
 	// defense and recovery path completely inert.
@@ -205,6 +208,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 		OverloadEnters: metrics.NewCounter("taichi.overload_enters"),
 		OverloadExits:  metrics.NewCounter("taichi.overload_exits"),
 	}
+	s.exitFn = s.onExit
 	s.orch = NewOrchestrator(node.Kernel)
 
 	// vCPU pool: offline native CPUs booted via the orchestrator.
@@ -391,7 +395,8 @@ func (s *Scheduler) acquireVCPU() *vcpu.VCPU {
 	}
 	for len(s.ready) > 0 {
 		v := s.ready[0]
-		s.ready = s.ready[1:]
+		// Shift down rather than reslice, so appends reuse the array.
+		s.ready = s.ready[:copy(s.ready, s.ready[1:])]
 		if !s.claimed[v] && v.State() == vcpu.StateReady && s.hasWork(v) {
 			return v
 		}
@@ -497,7 +502,7 @@ func (s *Scheduler) softirqSwitch(cpu kernel.CPUID) {
 		// the DP demands it (and then only at a preemption point).
 		slice = 0
 	}
-	v.Enter(slot.dp.ID, slice, s.onExit)
+	v.Enter(slot.dp.ID, slice, s.exitFn)
 }
 
 // --- VM-exit handling -------------------------------------------------------

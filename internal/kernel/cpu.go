@@ -30,13 +30,20 @@ type CPU struct {
 	kicked bool
 
 	// In-flight timed work (context switch overhead or a thread segment).
-	runEv      sim.Handle
-	runStart   sim.Time
-	runDone    func()
-	runFire    func() // c.finishRun, bound once so startRun allocates nothing
-	inSwitch   bool   // current run is context-switch overhead
+	runEv    sim.Handle
+	runStart sim.Time
+	runDone  func()
+	runFire  func() // c.finishRun, bound once so startRun allocates nothing
+	// segFire, switchFire and tickFire are c.segmentFinished,
+	// c.switchFinished and c.tick, bound once for the same reason.
+	segFire    func()
+	switchFire func()
+	tickFire   func()
+	inSwitch   bool // current run is context-switch overhead
 	spinStart  sim.Time
-	tickTicker *sim.Ticker
+	// tickEv is the pending scheduler tick while the CPU runs a thread,
+	// zero when disarmed.
+	tickEv sim.Handle
 
 	// pendingIPIs queues interrupts that arrived while powered off; they
 	// are delivered on power-on (mirrors posted-interrupt semantics).
@@ -101,6 +108,26 @@ func (c *CPU) finishRun() {
 	fn := c.runDone
 	c.runDone = nil
 	fn()
+}
+
+// segmentFinished ends the current segment's timed run.
+func (c *CPU) segmentFinished() { c.kern.segmentDone(c) }
+
+// switchFinished ends the context-switch overhead and starts the new
+// thread's segment.
+func (c *CPU) switchFinished() {
+	c.inSwitch = false
+	c.kern.startSegment(c)
+}
+
+// tick is the CPU's periodic scheduler tick. It re-arms after the tick
+// body, unless the body disarmed it (and perhaps armed a fresh one).
+func (c *CPU) tick() {
+	h := c.tickEv
+	c.kern.tick(c)
+	if c.tickEv == h {
+		c.tickEv = c.kern.engine.Schedule(c.kern.cfg.TickPeriod, c.tickFire)
+	}
 }
 
 // suspendRun cancels the in-flight run and returns the elapsed busy time.
@@ -222,7 +249,7 @@ func (c *CPU) resumeTimedSegment(rem sim.Duration) {
 		c.kern.segmentDone(c)
 		return
 	}
-	c.startRun(rem, func() { c.kern.segmentDone(c) })
+	c.startRun(rem, c.segFire)
 }
 
 // accrueSpin charges spin time to the current thread.
@@ -240,16 +267,15 @@ func (c *CPU) accrueSpin(now sim.Time) {
 // --- scheduler tick ------------------------------------------------------
 
 func (c *CPU) armTick() {
-	if c.tickTicker != nil {
-		return
+	if c.tickEv == (sim.Handle{}) {
+		c.tickEv = c.kern.engine.Schedule(c.kern.cfg.TickPeriod, c.tickFire)
 	}
-	c.tickTicker = c.kern.engine.NewTicker(c.kern.cfg.TickPeriod, func() { c.kern.tick(c) })
 }
 
 func (c *CPU) disarmTick() {
-	if c.tickTicker != nil {
-		c.tickTicker.Stop()
-		c.tickTicker = nil
+	if c.tickEv != (sim.Handle{}) {
+		c.tickEv.Cancel()
+		c.tickEv = sim.Handle{}
 	}
 }
 

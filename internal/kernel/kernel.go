@@ -96,6 +96,13 @@ type Kernel struct {
 	softirqHandlers map[Vector]func(cpu CPUID)
 	ipiSeq          int64
 
+	// softirqs holds the raised softirqs oldest first. Every raise waits
+	// the same SoftirqLatency on softirqLane, so each lane event runs the
+	// oldest.
+	softirqs    sim.FIFO[raisedSoftirq]
+	softirqLane *sim.Lane
+	softirqRun  func() // k.runOldestSoftirq, bound once
+
 	// OnEnqueue fires whenever a thread enters the runqueue; Tai Chi uses
 	// it to wake halted vCPUs when CP work appears.
 	OnEnqueue func(t *Thread)
@@ -147,6 +154,8 @@ func New(engine *sim.Engine, cfg Config, tracer *trace.Tracer) *Kernel {
 		Preemptions:     metrics.NewCounter("kernel.preemptions"),
 		WatchdogKicks:   metrics.NewCounter("kernel.watchdog_kicks"),
 	}
+	k.softirqLane = engine.Lane(k.cfg.SoftirqLatency, "kernel.softirq")
+	k.softirqRun = k.runOldestSoftirq
 	k.ipiHandlers[VecResched] = func(cpu CPUID, _ int64) {
 		if c := k.CPU(cpu); c != nil && c.powered && c.cur == nil {
 			k.schedule(c)
@@ -183,6 +192,9 @@ func (k *Kernel) AddCPU(id CPUID, virtual bool) *CPU {
 		Gauge:   metrics.NewBusyGauge(fmt.Sprintf("cpu%d", id), k.engine.Now()),
 	}
 	c.runFire = c.finishRun
+	c.segFire = c.segmentFinished
+	c.switchFire = c.switchFinished
+	c.tickFire = c.tick
 	k.cpus = append(k.cpus, c)
 	k.cpuByID[id] = c
 	return c
@@ -335,10 +347,7 @@ func (k *Kernel) dispatch(c *CPU, t *Thread) {
 	c.traceEmit(trace.KindSchedSwitch, int64(t.ID), t.Name)
 	c.armTick()
 	c.inSwitch = true
-	c.startRun(k.cfg.CtxSwitchCost, func() {
-		c.inSwitch = false
-		k.startSegment(c)
-	})
+	c.startRun(k.cfg.CtxSwitchCost, c.switchFire)
 }
 
 // startSegment begins (or continues) the current thread's next segment.
@@ -354,7 +363,8 @@ func (k *Kernel) startSegment(c *CPU) {
 			k.exitThread(c)
 			return
 		}
-		t.seg = &seg
+		t.segBuf = seg
+		t.seg = &t.segBuf
 		t.segRemaining = seg.Dur
 		if k.SegStretch != nil {
 			t.segRemaining = k.SegStretch(t, seg.Kind, seg.Dur)
@@ -389,7 +399,7 @@ func (k *Kernel) startSegment(c *CPU) {
 		}
 		if t.segStarted {
 			// Resuming a preempted or frozen mutex-hold.
-			c.startRun(t.segRemaining, func() { k.segmentDone(c) })
+			c.startRun(t.segRemaining, c.segFire)
 			return
 		}
 		if seg.Mutex.tryAcquire(t) {
@@ -400,7 +410,7 @@ func (k *Kernel) startSegment(c *CPU) {
 			if seg.OnStart != nil {
 				seg.OnStart()
 			}
-			c.startRun(t.segRemaining, func() { k.segmentDone(c) })
+			c.startRun(t.segRemaining, c.segFire)
 			return
 		}
 		// Contended: sleep in the wait queue, keeping the segment so the
@@ -413,7 +423,7 @@ func (k *Kernel) startSegment(c *CPU) {
 	case SegLock:
 		if t.segStarted {
 			// Resuming a frozen lock-hold.
-			c.startRun(t.segRemaining, func() { k.segmentDone(c) })
+			c.startRun(t.segRemaining, c.segFire)
 			return
 		}
 		if seg.Lock == nil {
@@ -442,7 +452,7 @@ func (k *Kernel) startSegment(c *CPU) {
 				seg.OnStart()
 			}
 		}
-		c.startRun(t.segRemaining, func() { k.segmentDone(c) })
+		c.startRun(t.segRemaining, c.segFire)
 	}
 }
 
@@ -458,7 +468,7 @@ func (k *Kernel) beginLockHold(c *CPU, t *Thread) {
 	if seg.OnStart != nil {
 		seg.OnStart()
 	}
-	c.startRun(t.segRemaining, func() { k.segmentDone(c) })
+	c.startRun(t.segRemaining, c.segFire)
 }
 
 // retryLock re-attempts a lock acquisition after a frozen spinner thaws.
@@ -482,7 +492,9 @@ func (k *Kernel) segmentDone(c *CPU) {
 	k.execCPU = c
 	defer func() { k.execCPU = prev }()
 	t := c.cur
-	seg := t.seg
+	// A copy: the hooks below may let t fetch its next segment into
+	// segBuf.
+	seg := *t.seg
 	k.accrue(t, t.segRemaining)
 	t.segRemaining = 0
 	t.seg = nil
@@ -720,16 +732,27 @@ func (k *Kernel) RegisterSoftirq(vec Vector, fn func(cpu CPUID)) {
 	k.softirqHandlers[vec] = fn
 }
 
+// raisedSoftirq is one softirq waiting out the dispatch latency.
+type raisedSoftirq struct {
+	cpu CPUID
+	vec Vector
+}
+
 // RaiseSoftirq schedules the vector's handler to run on cpu after the
 // softirq dispatch latency.
 func (k *Kernel) RaiseSoftirq(cpu CPUID, vec Vector) {
 	k.tracer.Emit(k.engine.Now(), trace.KindSoftirqRaise, int(cpu), int64(vec), "")
-	k.engine.ScheduleNamed(k.cfg.SoftirqLatency, "kernel.softirq", func() {
-		k.tracer.Emit(k.engine.Now(), trace.KindSoftirqRun, int(cpu), int64(vec), "")
-		if h := k.softirqHandlers[vec]; h != nil {
-			h(cpu)
-		}
-	})
+	k.softirqs.Push(raisedSoftirq{cpu, vec})
+	k.softirqLane.Schedule(k.softirqRun)
+}
+
+// runOldestSoftirq runs the handler of the softirq raised longest ago.
+func (k *Kernel) runOldestSoftirq() {
+	r := k.softirqs.Pop()
+	k.tracer.Emit(k.engine.Now(), trace.KindSoftirqRun, int(r.cpu), int64(r.vec), "")
+	if h := k.softirqHandlers[r.vec]; h != nil {
+		h(r.cpu)
+	}
 }
 
 // --- diagnostics -----------------------------------------------------------

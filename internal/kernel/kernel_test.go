@@ -367,6 +367,62 @@ func TestSoftirq(t *testing.T) {
 	}
 }
 
+// Softirqs run one SoftirqLatency after they are raised, in raise order,
+// each on its own CPU with its own vector, also when the pending ring
+// wraps and grows.
+func TestSoftirqsRunInRaiseOrder(t *testing.T) {
+	e, k := newTestKernel(2, 0)
+	type run struct {
+		cpu CPUID
+		vec Vector
+		at  sim.Time
+	}
+	var got []run
+	for _, vec := range []Vector{VecUser, VecUser + 1} {
+		vec := vec
+		k.RegisterSoftirq(vec, func(cpu CPUID) { got = append(got, run{cpu, vec, e.Now()}) })
+	}
+	var want []run
+	lat := k.Config().SoftirqLatency
+	for i := 0; i < 40; i++ {
+		cpu, vec := CPUID(i%2), VecUser+Vector(i/3%2)
+		k.RaiseSoftirq(cpu, vec)
+		want = append(want, run{cpu, vec, e.Now().Add(lat)})
+		if i%7 == 6 {
+			e.Run(e.Now().Add(lat / 2)) // let some raises overlap, not all
+		}
+	}
+	e.Run(e.Now().Add(sim.Millisecond))
+	if len(got) != len(want) {
+		t.Fatalf("ran %d softirqs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("softirq %d ran as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// Once the pending ring has grown, raising and running a softirq
+// allocates nothing.
+func TestRaiseSoftirqAllocFree(t *testing.T) {
+	e, k := newTestKernel(1, 0)
+	ran := 0
+	k.RegisterSoftirq(VecUser, func(CPUID) { ran++ })
+	cycle := func() {
+		k.RaiseSoftirq(0, VecUser)
+		k.RaiseSoftirq(0, VecUser)
+		e.Run(e.Now().Add(sim.Microsecond))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("raise+run of two softirqs allocates %v, want 0", allocs)
+	}
+	if ran != 2*102 {
+		t.Fatalf("ran %d softirqs, want %d", ran, 2*102)
+	}
+}
+
 func TestLoopProgramBudget(t *testing.T) {
 	e, k := newTestKernel(1, 0)
 	p := &LoopProgram{

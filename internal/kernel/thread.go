@@ -67,8 +67,10 @@ type Thread struct {
 	// peer (the CFS nice-level analogue).
 	weight int
 
-	// In-flight segment bookkeeping.
+	// In-flight segment bookkeeping. seg points at segBuf while a segment
+	// is in flight, so fetching one allocates nothing.
 	seg          *Segment
+	segBuf       Segment
 	segRemaining sim.Duration
 	segStarted   bool // OnStart fired
 	spinningOn   *SpinLock

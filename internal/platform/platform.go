@@ -122,7 +122,9 @@ type Node struct {
 
 	Metrics *metrics.Registry
 
-	byCore map[int]*dataplane.Core
+	// byCore indexes the data-plane cores by physical id; nil where an id
+	// is not a DP core.
+	byCore []*dataplane.Core
 }
 
 // NewNode assembles a SmartNIC from options. It panics on an invalid
@@ -191,28 +193,23 @@ func New(opts Options) (*Node, error) {
 		Tracer:  tracer,
 		Kernel:  kernel.New(engine, opts.Kernel, tracer),
 		Metrics: metrics.NewRegistry(),
-		byCore:  map[int]*dataplane.Core{},
 	}
 	for _, id := range opts.Topology.CPCores {
 		n.Kernel.AddCPU(kernel.CPUID(id), false)
 	}
 	if len(opts.Topology.NetCores) > 0 {
 		n.Net = dataplane.NewService(engine, "net", opts.Topology.NetCores, opts.Net, tracer)
-		for _, c := range n.Net.Cores() {
-			n.byCore[c.ID] = c
-		}
+		n.addDPCores(n.Net.Cores())
 	}
 	if len(opts.Topology.StorCores) > 0 {
 		n.Stor = dataplane.NewService(engine, "stor", opts.Topology.StorCores, opts.Stor, tracer)
-		for _, c := range n.Stor.Cores() {
-			n.byCore[c.ID] = c
-		}
+		n.addDPCores(n.Stor.Cores())
 	}
 	if opts.HWProbe {
 		n.Probe = accel.NewProbe(opts.ProbeIRQLatency)
 	}
 	n.Pipe = accel.NewPipeline(engine, opts.Accel, n.Probe, tracer, func(core int, p *accel.Packet) {
-		c := n.byCore[core]
+		c := n.DPCore(core)
 		if c == nil {
 			// Genuine internal invariant: the pipeline only routes to cores
 			// registered above, so this is a mis-wired experiment.
@@ -223,8 +220,24 @@ func New(opts Options) (*Node, error) {
 	return n, nil
 }
 
+// addDPCores files cores in byCore under their ids, which
+// validateTopology has checked are non-negative and distinct.
+func (n *Node) addDPCores(cores []*dataplane.Core) {
+	for _, c := range cores {
+		if c.ID >= len(n.byCore) {
+			n.byCore = append(n.byCore, make([]*dataplane.Core, c.ID+1-len(n.byCore))...)
+		}
+		n.byCore[c.ID] = c
+	}
+}
+
 // DPCore returns the data-plane core with the given physical id, or nil.
-func (n *Node) DPCore(id int) *dataplane.Core { return n.byCore[id] }
+func (n *Node) DPCore(id int) *dataplane.Core {
+	if id < 0 || id >= len(n.byCore) {
+		return nil
+	}
+	return n.byCore[id]
+}
 
 // DPCores returns every data-plane core (net then storage order).
 func (n *Node) DPCores() []*dataplane.Core {

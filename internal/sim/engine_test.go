@@ -49,8 +49,27 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if e.Pending() != 0 || e.Fired() != 0 {
+		t.Fatalf("pending %d, fired %d after discarding the cancelled event; want 0, 0", e.Pending(), e.Fired())
+	}
+}
+
+// A cancelled event is recycled once it is discarded, and its handle goes
+// stale: cancelling it again must leave the event's next life alone.
+func TestCancelledEventRecycled(t *testing.T) {
+	e := NewEngine()
+	a := e.Schedule(1, func() { t.Fatal("cancelled event fired") })
+	a.Cancel()
+	e.RunUntilIdle()
+	bFired := false
+	b := e.Schedule(1, func() { bFired = true })
+	if a.ev != b.ev {
+		t.Fatal("B did not reuse A's discarded event")
+	}
+	a.Cancel()
+	e.RunUntilIdle()
+	if !bFired {
+		t.Fatal("cancelling A's stale handle cancelled B")
 	}
 }
 
@@ -158,7 +177,7 @@ func TestTicker(t *testing.T) {
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
 	}
-	if e.Pending() != 0 && e.peek() != nil {
+	if s, _ := e.next(); s != nil {
 		t.Fatalf("ticker left live events queued")
 	}
 }
@@ -236,9 +255,6 @@ func TestStaleHandleCancelIsNoop(t *testing.T) {
 		t.Fatal("B did not reuse A's fired event")
 	}
 	a.Cancel()
-	if a.Canceled() || b.Canceled() {
-		t.Fatalf("Canceled: stale A %v, B %v; want false, false", a.Canceled(), b.Canceled())
-	}
 	e.RunUntilIdle()
 	if !bFired {
 		t.Fatal("cancelling A's stale handle cancelled B")
@@ -269,6 +285,26 @@ func TestScheduleDispatchAllocFree(t *testing.T) {
 		t.Fatalf("ticker allocates %v per tick, want 0", allocs)
 	}
 	tk.Stop()
+}
+
+// A cancelled event is recycled once it is discarded, so a cycle that
+// cancels as often as it fires allocates nothing either.
+func TestCancelDiscardAllocFree(t *testing.T) {
+	e := NewEngine()
+	var c counter
+	fn := c.inc
+	cycle := func() {
+		e.Schedule(1, fn).Cancel()
+		e.Schedule(2, fn)
+		e.RunUntilIdle()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("schedule+cancel+discard allocates %v per cycle, want 0", allocs)
+	}
+	if c.n != 1002 { // warm-up, AllocsPerRun's own warm-up, 1000 runs
+		t.Fatalf("%d events fired, want 1002", c.n)
+	}
 }
 
 // Property: identical seeds yield identical streams; distinct names yield

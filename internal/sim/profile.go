@@ -52,7 +52,8 @@ func className(name string) string {
 	return name
 }
 
-// noteSchedule records heap growth at schedule time.
+// noteSchedule records queue growth at schedule time; depth counts heap
+// and lane slots alike.
 func (p *Profile) noteSchedule(depth int) {
 	if depth > p.heapHWM {
 		p.heapHWM = depth
@@ -69,8 +70,8 @@ func (p *Profile) noteDispatch(name string, wall int64) {
 	}
 }
 
-// HeapHighWater returns the deepest the event heap has been since
-// profiling started.
+// HeapHighWater returns the most events queued at once, on the heap and
+// in lanes, since profiling started.
 func (p *Profile) HeapHighWater() int { return p.heapHWM }
 
 // DispatchClass is one row of the per-class dispatch breakdown.

@@ -20,11 +20,13 @@
 //
 // The event queue is a typed 4-ary min-heap keyed inline by (when, seq),
 // a total order, so dispatch order is fully determined by the schedule
-// calls. The engine allocates nothing per event in steady state: a fired
-// event is recycled for the next Schedule, and callers hold a Handle
-// whose generation check makes Cancel on a fired (and possibly reused)
-// event a no-op. Cancelled events are never recycled, which keeps
-// Handle.Canceled exact.
+// calls. A source whose events all wait the same fixed delay can use a
+// Lane instead, a FIFO that is already in (when, seq) order and competes
+// with the heap only at its head; the dispatch order is unchanged. The
+// engine allocates nothing per event in steady state: a fired or
+// discarded event is recycled for the next Schedule, and callers hold a
+// Handle whose generation check makes Cancel on a fired (and possibly
+// reused) event a no-op.
 package sim
 
 import "fmt"

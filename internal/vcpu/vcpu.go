@@ -126,6 +126,14 @@ type VCPU struct {
 	exitCb     func(v *VCPU, reason ExitReason)
 	exitEv     sim.Handle // in-flight VM-exit completion
 	exitReason ExitReason // reason of the in-flight exit
+	exitFire   func()     // v.exitDone, bound once
+	// entrySlices holds the slice of every VM-entry event still queued,
+	// oldest first. Every entry costs the same Costs.Entry, so entry
+	// events fire in Enter order and each takes the oldest slice: an
+	// event left over from a revoked entry arms its own Enter's slice,
+	// never the next one's.
+	entrySlices sim.FIFO[sim.Duration]
+	entryFire   func() // v.entryDone, bound once
 
 	// OnWake fires when an interrupt wakes a halted vCPU; the scheduler
 	// uses it to move the vCPU into its runnable queue.
@@ -159,6 +167,8 @@ func New(k *kernel.Kernel, cpu *kernel.CPU, costs Costs, tracer *trace.Tracer) *
 		core:   -1,
 	}
 	v.sliceFire = v.sliceExpired
+	v.exitFire = v.exitDone
+	v.entryFire = v.entryDone
 	// Guest idle → HLT → exit and free the core.
 	cpu.OnIdle = func(*kernel.CPU) {
 		if v.state == StateRunning {
@@ -205,16 +215,22 @@ func (v *VCPU) Enter(core int, slice sim.Duration, onExit func(v *VCPU, reason E
 	v.exitCb = onExit
 	v.Entries++
 	v.tracer.Emit(v.engine.Now(), trace.KindVMEntry, core, int64(v.cpu.ID), "")
-	v.engine.ScheduleNamed(v.costs.Entry, "vcpu.entry", func() {
-		if v.state != StateEntering {
-			return // revoked mid-entry
-		}
-		v.state = StateRunning
-		if slice > 0 {
-			v.sliceTimer = v.engine.ScheduleNamed(slice, "vcpu.slice", v.sliceFire)
-		}
-		v.cpu.PowerOn()
-	})
+	v.entrySlices.Push(slice)
+	v.engine.ScheduleNamed(v.costs.Entry, "vcpu.entry", v.entryFire)
+}
+
+// entryDone completes the oldest queued VM-entry: the guest resumes and
+// that entry's preemption timer is armed.
+func (v *VCPU) entryDone() {
+	slice := v.entrySlices.Pop()
+	if v.state != StateEntering {
+		return // revoked mid-entry
+	}
+	v.state = StateRunning
+	if slice > 0 {
+		v.sliceTimer = v.engine.ScheduleNamed(slice, "vcpu.slice", v.sliceFire)
+	}
+	v.cpu.PowerOn()
 }
 
 // sliceExpired is the preemption timer: a vCPU still running exits.
@@ -267,8 +283,11 @@ func (v *VCPU) beginExit(reason ExitReason) {
 		cost += v.ExitStall(v)
 	}
 	v.exitReason = reason
-	v.exitEv = v.engine.ScheduleNamed(cost, "vcpu.exit", func() { v.completeExit(reason) })
+	v.exitEv = v.engine.ScheduleNamed(cost, "vcpu.exit", v.exitFire)
 }
+
+// exitDone is the in-flight VM-exit's completion event.
+func (v *VCPU) exitDone() { v.completeExit(v.exitReason) }
 
 // completeExit finishes the VM-exit transition: the core is free and the
 // scheduler callback fires.

@@ -303,3 +303,48 @@ func TestPropertyChaoticScheduling(t *testing.T) {
 		}
 	}
 }
+
+// Once warm, a VM-entry/VM-exit cycle allocates nothing: the entry and
+// exit events are bound once per vCPU, and the exit callback is the
+// caller's. The guest has no work, so it halts as soon as it resumes.
+func TestEnterExitAllocFree(t *testing.T) {
+	e, _, v := newFixture()
+	exits := 0
+	onExit := func(*VCPU, ExitReason) { exits++ }
+	cycle := func() {
+		v.MarkReady()
+		v.Enter(0, 10*sim.Microsecond, onExit)
+		e.Run(e.Now().Add(20 * sim.Microsecond))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("enter+halt+exit allocates %v per cycle, want 0", allocs)
+	}
+	if exits != 102 || v.ExitsByWhy[ExitHalt] != 102 { // warm-up, AllocsPerRun's own warm-up, 100 runs
+		t.Fatalf("%d exits, %d by halt; want 102, 102", exits, v.ExitsByWhy[ExitHalt])
+	}
+}
+
+// An entry revoked and re-issued inside the entry window leaves two entry
+// events queued. They fire in Enter order and each takes its own Enter's
+// slice: the revoked entry's event resumes the guest, early, under the
+// revoked entry's 50 µs slice, and the later event finds the vCPU already
+// running and does nothing. Pinned because seeded runs depend on it.
+func TestRevokedEntryArmsItsOwnSlice(t *testing.T) {
+	e, k, v := newFixture()
+	guestWork(k, 10*sim.Millisecond)
+	v.MarkReady()
+	v.Enter(0, 50*sim.Microsecond, func(*VCPU, ExitReason) {})
+	e.Run(sim.Time(500 * sim.Nanosecond))
+	v.ForceExit(ExitForced)
+	var reason ExitReason = 255
+	var exitAt sim.Time
+	v.Enter(1, 200*sim.Microsecond, func(_ *VCPU, r ExitReason) {
+		reason, exitAt = r, e.Now()
+	})
+	e.Run(sim.Time(sim.Millisecond))
+	// First entry event at 1 µs, slice to 51 µs, 2 µs exit.
+	if reason != ExitTimer || exitAt != sim.Time(53*sim.Microsecond) {
+		t.Fatalf("exit %v at %v, want timer at 53µs", reason, exitAt)
+	}
+}
