@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build test test-race race bench-go bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
 
-check: fmt vet lint build test-race bench-smoke bench-pins audit-smoke overload-smoke placement-smoke
+check: fmt vet lint build test-race bench-pins audit-smoke overload-smoke placement-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
 # core concurrency, and seedless constructors. Zero diagnostics is the
@@ -47,23 +47,6 @@ test-race:
 # the pre-commit `check` target — it backs the dedicated CI race job.
 race:
 	$(GO) test -race -count=2 -shuffle=on -timeout 60m ./...
-
-# Perf-regression harness: run the pinned scenarios (fig2, fig17,
-# chaos, vmstartup, overload, placement) and emit BENCH_taichi.json — ns/op, events/sec,
-# allocs/op per scenario. The simulation-side fields in the artifact
-# (events/op, simulated ns/op) are seed-pinned and double as a replay
-# check; see OBSERVABILITY.md for how to read and diff the file.
-bench:
-	$(GO) run ./cmd/taichi-bench -benchout BENCH_taichi.json
-	$(GO) run ./cmd/taichi-bench -validate BENCH_taichi.json
-
-# Smoke slice of the perf harness: one pinned scenario, one iteration,
-# schema-validated and discarded. Part of `make check` so a broken
-# harness (or a bench artifact that stops validating) fails pre-commit.
-bench-smoke:
-	$(GO) run ./cmd/taichi-bench -benchout bench_smoke.json -scenarios chaos -iters 1
-	$(GO) run ./cmd/taichi-bench -validate bench_smoke.json
-	@rm -f bench_smoke.json
 
 # Replay gate on the simulator benchmark (bench/): three reps of every
 # workload, each seed's simulation digest checked against the pins in

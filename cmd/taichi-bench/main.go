@@ -8,13 +8,6 @@
 //	taichi-bench -parallel 8     # worker-pool size (default GOMAXPROCS)
 //	taichi-bench -list
 //
-// Perf-regression harness (see OBSERVABILITY.md):
-//
-//	taichi-bench -benchout BENCH_taichi.json            # all pinned scenarios
-//	taichi-bench -benchout BENCH_taichi.json -scenarios fig2,chaos -iters 3
-//	taichi-bench -benchout BENCH_taichi.json -metrics-dir out/metrics
-//	taichi-bench -validate BENCH_taichi.json            # schema-check an artifact
-//
 // Output is plain text: one section per experiment with the same rows
 // and series the paper reports, printed in registry order regardless of
 // the pool size. Experiments are independent deterministic simulations,
@@ -49,21 +42,7 @@ func main() {
 	jsonDir := flag.String("json", "", "also write per-experiment JSON results into this directory")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size for experiments and fleet members (1 = sequential; output is identical either way)")
-	benchout := flag.String("benchout", "", "run the pinned perf scenarios and write BENCH_taichi.json here (skips the experiments)")
-	scenarios := flag.String("scenarios", "", "comma-separated perf scenarios for -benchout (default: all; see OBSERVABILITY.md)")
-	iters := flag.Int("iters", 3, "iterations per perf scenario for -benchout")
-	validate := flag.String("validate", "", "schema-check an existing BENCH_taichi.json and exit")
-	metricsDir := flag.String("metrics-dir", "", "with -benchout: write per-scenario metrics snapshots (.prom + .json) into this directory")
 	flag.Parse()
-
-	if *validate != "" {
-		validateBenchFile(*validate)
-		return
-	}
-	if *benchout != "" {
-		runPerfHarness(*benchout, *scenarios, *iters, *metricsDir)
-		return
-	}
 
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {

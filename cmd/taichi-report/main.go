@@ -1,18 +1,17 @@
 // Command taichi-report renders the JSON artifacts written by the
 // other tools into a single markdown report — a regenerable
-// EXPERIMENTS.md-style summary. It understands three file shapes and
-// dispatches on content, so one directory can mix all of them:
+// EXPERIMENTS.md-style summary. It understands two file shapes and
+// dispatches on content, so one directory can mix both:
 //
 //   - experiment results from `taichi-bench -json <dir>`
-//   - the perf-harness artifact from `taichi-bench -benchout` (schema
-//     "taichi-bench/v1")
-//   - metrics snapshots from `taichi-sim -metrics out.json` or
-//     `taichi-bench -benchout ... -metrics-dir <dir>`
+//   - metrics snapshots from `taichi-sim -metrics out.json`
+//
+// Any other .json file in the directory is an error that names it.
 //
 // Usage:
 //
 //	taichi-bench -json results/
-//	taichi-bench -benchout results/BENCH_taichi.json -metrics-dir results/
+//	taichi-sim -metrics results/sim.json
 //	taichi-report results/ > report.md
 package main
 
@@ -66,21 +65,31 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if bench, err := obs.ValidateBench(data); err == nil {
-			renderBench(f, bench)
-			continue
-		}
 		if snap, ok := parseSnapshot(data); ok {
 			renderSnapshot(f, snap)
 			continue
 		}
-		var r result
-		if err := json.Unmarshal(data, &r); err != nil {
+		r, err := parseResult(data)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", f, err)
 			os.Exit(1)
 		}
 		renderResult(r)
 	}
+}
+
+// parseResult decodes an experiment result. A JSON document without an
+// "id" is some other tool's artifact, not a result, and is rejected
+// rather than rendered as an empty section.
+func parseResult(data []byte) (result, error) {
+	var r result
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, err
+	}
+	if r.ID == "" {
+		return r, fmt.Errorf("neither an experiment result (no \"id\") nor a metrics snapshot")
+	}
+	return r, nil
 }
 
 // renderResult prints one experiment result section.
@@ -123,24 +132,6 @@ func renderResult(r result) {
 	for _, n := range r.Notes {
 		fmt.Printf("> %s\n\n", n)
 	}
-}
-
-// renderBench prints a perf-harness artifact as a markdown table. The
-// simulation-side columns (events/op, simulated ns/op) are seed-pinned
-// and comparable across hosts; the wall-clock columns are not.
-func renderBench(name string, f *obs.BenchFile) {
-	fmt.Printf("## %s — perf harness (%s, %s)\n\n", name, f.Schema, f.GoVersion)
-	fmt.Println("| scenario | iters | ms/op | events/op | Mevents/s | allocs/op | KiB/op | simulated ms/op |")
-	fmt.Println("|---|---|---|---|---|---|---|---|")
-	for _, s := range f.Scenarios {
-		fmt.Printf("| %s | %d | %.1f | %d | %.2f | %d | %.0f | %.0f |\n",
-			s.Scenario, s.Iters, float64(s.NsPerOp)/1e6, s.EventsPerOp,
-			s.EventsPerSec/1e6, s.AllocsPerOp, float64(s.BytesPerOp)/1024,
-			float64(s.SimulatedNsPerOp)/1e6)
-	}
-	fmt.Println()
-	fmt.Println("> events/op and simulated ms/op are deterministic (seed-pinned) and double as replay checks; the wall-clock columns vary by host.")
-	fmt.Println()
 }
 
 // parseSnapshot tries to decode a metrics snapshot. A snapshot is

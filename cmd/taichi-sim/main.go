@@ -16,9 +16,14 @@
 //	taichi-sim -nodes 8 -place pressure           # signal-driven cluster placer
 //	taichi-sim -nodes 8 -place rr -rebalance=false -recover -audit \
 //	           -faults exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1
+//	taichi-sim -mode static -workload monitors -dur 5s -export trace.json
+//	taichi-sim -workload monitors -timeline 10ms
+//	taichi-sim -workload vmstartup -retry -faults default -export trace.json
+//	taichi-sim -nodes 4 -parallel 8 -export fleet.json
 //
 // Modes: taichi, static, type1, type2, naive.
-// Workloads: none, ping, crr, stream, rr, fio, mysql, nginx, vmstartup.
+// Workloads: none, ping, crr, stream, rr, fio, mysql, nginx, vmstartup,
+// monitors.
 //
 // With -nodes N > 1, N independently-seeded copies of the scenario run
 // on a bounded worker pool (internal/fleet) and the merged fleet-wide
@@ -58,12 +63,26 @@
 // -audit replays every node's trace through the runtime invariant
 // auditor (internal/audit) after the run and exits non-zero on any
 // violation.
+//
+// The monitors workload is the paper's §3.2 production CP mix: 12
+// periodic controlplane.Monitor threads beside the -cp churn. -export
+// analyzes node 0's trace the way §3.2 does — the non-preemptible
+// routine census (Figure 5), IPI delivery latency and VM-exit reasons
+// — prints every node's derived-span summary (internal/obs), and
+// streams every node's trace into a Chrome trace-event JSON file
+// loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// The file is byte-identical across repeated runs and -parallel worker
+// counts: nodes are serialized in member-index order. -timeline prints
+// node 0's raw event timeline for the first DUR of simulated time.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -80,6 +99,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -98,6 +118,17 @@ type scenario struct {
 	report func()
 	// collect folds the workload's metrics into fleet aggregates.
 	collect func(agg *fleet.Aggregates)
+}
+
+// params are the per-node scenario flags, shared by single-node and
+// fleet mode.
+type params struct {
+	mode, wl          string
+	cp                int
+	util              float64
+	spec              faults.Spec
+	retry, recov, ovl bool
+	horizon           sim.Duration
 }
 
 // newHost assembles the node flavour for one seed.
@@ -126,11 +157,11 @@ func newHost(mode string, seed int64) (node *platform.Node, tc *core.TaiChi, h h
 
 // build assembles the scenario for one seed; it is run once in
 // single-node mode and once per member in fleet mode.
-func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl bool, seed int64, horizon sim.Duration) (*scenario, error) {
+func build(p params, seed int64) (*scenario, error) {
 	sc := &scenario{}
 	var h host
 	var err error
-	sc.node, sc.tc, h, err = newHost(mode, seed)
+	sc.node, sc.tc, h, err = newHost(p.mode, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -139,53 +170,53 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 	// Fault injection rides the Tai Chi scheduler's defense hooks, so it
 	// needs a mode built around core.TaiChi.
 	wrapCP := func(p kernel.Program) kernel.Program { return p }
-	if !spec.Zero() {
+	if !p.spec.Zero() {
 		if sc.tc == nil {
-			return nil, fmt.Errorf("-faults requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
+			return nil, fmt.Errorf("-faults requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", p.mode)
 		}
-		sc.inj = faults.NewInjector(spec)
+		sc.inj = faults.NewInjector(p.spec)
 		sc.inj.Attach(sc.tc)
 		wrapCP = sc.inj.WrapCP
 	}
-	if recov {
+	if p.recov {
 		if sc.tc == nil {
-			return nil, fmt.Errorf("-recover requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
+			return nil, fmt.Errorf("-recover requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", p.mode)
 		}
 		sc.tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
 	}
-	if ovl {
+	if p.ovl {
 		if sc.tc == nil {
-			return nil, fmt.Errorf("-overload requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
+			return nil, fmt.Errorf("-overload requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", p.mode)
 		}
 		sc.tc.Sched.EnableOverload(core.DefaultOverloadPolicy())
 	}
 
 	// Background DP load.
-	if util > 0 {
-		bg := workload.NewBackground(node, workload.DefaultBackground(util))
+	if p.util > 0 {
+		bg := workload.NewBackground(node, workload.DefaultBackground(p.util))
 		bg.Start()
 	}
 
 	// CP churn: keep ~cp synth tasks alive.
-	if cp > 0 {
+	if p.cp > 0 {
 		cfg := controlplane.DefaultSynthCP()
 		r := node.Stream("sim.cp")
 		var churn func(i int)
 		churn = func(i int) {
 			sc.tasks = append(sc.tasks, h.SpawnCP(fmt.Sprintf("synth%d", i), wrapCP(controlplane.SynthCP(cfg, r))))
-			node.Engine.Schedule(sim.Exponential(r, sim.Duration(float64(50*sim.Millisecond)/float64(cp))), func() { churn(i + 1) })
+			node.Engine.Schedule(sim.Exponential(r, sim.Duration(float64(50*sim.Millisecond)/float64(p.cp))), func() { churn(i + 1) })
 		}
 		churn(0)
 	}
 
 	// Foreground benchmark.
-	switch wl {
+	switch p.wl {
 	case "none":
 		sc.report = func() {}
 		sc.collect = func(*fleet.Aggregates) {}
 	case "ping":
 		cfg := workload.DefaultPing()
-		cfg.Count = int(horizon / cfg.Interval)
+		cfg.Count = int(p.horizon / cfg.Interval)
 		p := workload.NewPing(node, cfg)
 		p.Start(nil)
 		sc.report = func() { fmt.Println(p.RTT.Summarize()) }
@@ -249,6 +280,13 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 			a.Add("mysql.avg_qps", m.AvgQPS(node.Now()))
 			a.Add("mysql.avg_tps", m.AvgTPS(node.Now()))
 		}
+	case "monitors":
+		for i := 0; i < 12; i++ {
+			h.SpawnCP(fmt.Sprintf("monitor%d", i), wrapCP(controlplane.Monitor(
+				controlplane.DefaultMonitor(), node.Stream(fmt.Sprintf("sim.mon%d", i)))))
+		}
+		sc.report = func() {}
+		sc.collect = func(*fleet.Aggregates) {}
 	case "nginx":
 		n := workload.NewNginx(node, workload.DefaultNginx(false, true))
 		n.Start()
@@ -257,14 +295,14 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 	case "vmstartup":
 		ch, ok := h.(cluster.Host)
 		if !ok {
-			return nil, fmt.Errorf("mode %q cannot host the vmstartup workload", mode)
+			return nil, fmt.Errorf("mode %q cannot host the vmstartup workload", p.mode)
 		}
 		ccfg := cluster.DefaultConfig(1)
 		ccfg.VMLifetime = 0
-		if retry {
+		if p.retry {
 			ccfg.Retry = cluster.DefaultRetryPolicy()
 		}
-		if retry && recov {
+		if p.retry && p.recov {
 			// The dead-letter requeue only makes sense with the retry
 			// pipeline; gate resurrections on the node's live health so a
 			// statically-degraded or breaker-open node does not re-ingest
@@ -272,7 +310,7 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 			ccfg.Requeue = cluster.DefaultRequeuePolicy()
 			ccfg.Healthy = func() bool { return healthyNode(sc) }
 		}
-		if ovl {
+		if p.ovl {
 			// The overload layer: the admission gate + priority shedder on
 			// the manager, fed by the node's live brownout-ladder rung.
 			ccfg.Admission = cluster.DefaultAdmissionPolicy()
@@ -289,7 +327,7 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 			fmt.Printf("vmstartup: %s\n", m.Outcomes.String())
 			fmt.Printf("vmstartup: startup mean %v p99 %v (SLO %v)\n",
 				m.StartupTime.Mean(), m.StartupTime.Quantile(0.99), ccfg.StartupSLO)
-			if ovl {
+			if p.ovl {
 				sh := m.ShedByClass()
 				fmt.Printf("vmstartup: shed batch=%d normal=%d latency-critical=%d queued=%d\n",
 					sh[cluster.PriorityBatch], sh[cluster.PriorityNormal],
@@ -298,7 +336,7 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 		}
 		sc.collect = func(a *fleet.Aggregates) {
 			collectVMs(a, m)
-			if ovl {
+			if p.ovl {
 				sh := m.ShedByClass()
 				a.Add("vm.shed", float64(m.Shed()))
 				a.Add("vm.shed_batch", float64(sh[cluster.PriorityBatch]))
@@ -307,7 +345,7 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 			}
 		}
 	default:
-		return nil, fmt.Errorf("unknown workload %q", wl)
+		return nil, fmt.Errorf("unknown workload %q", p.wl)
 	}
 	return sc, nil
 }
@@ -367,7 +405,7 @@ func cpSummary(tasks []*kernel.Thread) (done int, h *metrics.Histogram) {
 
 func main() {
 	mode := flag.String("mode", "taichi", "taichi | static | type1 | type2 | naive")
-	wl := flag.String("workload", "crr", "none | ping | crr | stream | rr | fio | mysql | nginx | vmstartup")
+	wl := flag.String("workload", "crr", "none | ping | crr | stream | rr | fio | mysql | nginx | vmstartup | monitors (12 periodic CP monitors)")
 	cp := flag.Int("cp", 16, "concurrent synth_cp tasks (50ms each, continuous churn)")
 	util := flag.Float64("util", 0.30, "background DP utilization target")
 	durFlag := flag.Duration("dur", 2*time.Second, "simulated duration")
@@ -383,9 +421,12 @@ func main() {
 	rebalance := flag.Bool("rebalance", true, "with -place: run the hotspot scan + budgeted live-migration loop")
 	metricsOut := flag.String("metrics", "", "write a metrics snapshot to this file (.prom = Prometheus text, anything else = JSON)")
 	simprof := flag.Bool("simprof", false, "engine self-profiling: per-event-class dispatch counts, heap high-water mark, wall-clock attribution (single-node only)")
+	var tr traceOpts
+	flag.StringVar(&tr.export, "export", "", "analyze node 0's trace, summarize every node's spans, and write every node's trace as Chrome trace-event JSON (Perfetto-loadable) to this file")
+	flag.DurationVar(&tr.timeline, "timeline", 0, "print node 0's raw event timeline for the first DUR of simulated time")
 	flag.Parse()
 
-	if err := checkNumericFlags(*durFlag, *util, *cp, *nodes, *parallel); err != nil {
+	if err := checkNumericFlags(*durFlag, *util, *cp, *nodes, *parallel, tr.timeline); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -396,6 +437,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	p := params{mode: *mode, wl: *wl, cp: *cp, util: *util, spec: spec,
+		retry: *retry, recov: *recov, ovl: *overload, horizon: horizon}
 	if *place != "" {
 		pol := placement.Policy(*place)
 		if !pol.Valid() {
@@ -419,11 +462,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-simprof profiles one engine; use it with -nodes 1")
 			os.Exit(2)
 		}
-		runFleet(*mode, *wl, *cp, *util, spec, *retry, *recov, *overload, *auditFlag, *seed, horizon, *nodes, *parallel, *metricsOut)
+		runFleet(p, *auditFlag, *seed, *nodes, *parallel, *metricsOut, tr)
 		return
 	}
 
-	sc, err := build(*mode, *wl, *cp, *util, spec, *retry, *recov, *overload, *seed, horizon)
+	sc, err := build(p, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -504,6 +547,7 @@ func main() {
 	if *metricsOut != "" {
 		writeMetrics(*metricsOut, snapshotScenario(sc))
 	}
+	printTraces(tr, tr.report(node), []obs.NodeTrace{nodeTrace(*mode, 0, node)})
 	if *auditFlag {
 		rep := auditNode(sc)
 		fmt.Print(rep.String())
@@ -579,7 +623,7 @@ func writeMetrics(path string, snap *obs.Snapshot) {
 
 // checkNumericFlags rejects flag values the scenario would otherwise
 // silently clamp or run empty, naming the offending flag.
-func checkNumericFlags(dur time.Duration, util float64, cp, nodes, parallel int) error {
+func checkNumericFlags(dur time.Duration, util float64, cp, nodes, parallel int, timeline time.Duration) error {
 	switch {
 	case dur <= 0:
 		return fmt.Errorf("-dur must be > 0 (got %v)", dur)
@@ -591,6 +635,8 @@ func checkNumericFlags(dur time.Duration, util float64, cp, nodes, parallel int)
 		return fmt.Errorf("-nodes must be >= 1 (got %d)", nodes)
 	case parallel < 0:
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", parallel)
+	case timeline < 0:
+		return fmt.Errorf("-timeline must be >= 0 (got %v)", timeline)
 	}
 	return nil
 }
@@ -703,20 +749,33 @@ func runPlaced(pol placement.Policy, spec faults.Spec, rebalance, recov, ovl, au
 
 // runFleet executes the scenario on n independently-seeded nodes via the
 // bounded worker pool and prints the merged fleet-wide statistics.
-func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl, auditFlag bool, seed int64, horizon sim.Duration, n, workers int, metricsOut string) {
+func runFleet(p params, auditFlag bool, seed int64, n, workers int, metricsOut string, tr traceOpts) {
 	start := time.Now() //taichi:allow walltime — fleet throughput report (nodes/s); results themselves are seed-deterministic
-	// Per-member audit reports, filled by index on the worker pool and
-	// printed in member order afterwards.
+	// Per-member audit reports and traces, filled by index on the worker
+	// pool and printed in member order afterwards.
 	audits := make([]*audit.Report, n)
+	var traces []obs.NodeTrace
+	var node0 string
+	if tr.export != "" {
+		traces = make([]obs.NodeTrace, n)
+	}
 	agg := fleet.RunWorkers(n, seed, workers, func(idx int, memberSeed int64, a *fleet.Aggregates) {
-		sc, err := build(mode, wl, cp, util, spec, retry, recov, ovl, memberSeed, horizon)
+		sc, err := build(p, memberSeed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		sc.node.Run(sc.node.Now().Add(horizon))
+		sc.node.Run(sc.node.Now().Add(p.horizon))
 		if auditFlag {
 			audits[idx] = auditNode(sc)
+		}
+		if idx == 0 {
+			node0 = tr.report(sc.node)
+		}
+		if traces != nil {
+			nt := nodeTrace(p.mode, idx, sc.node)
+			nt.Events = append([]trace.Event(nil), nt.Events...) // a copy, so the finished node can be collected
+			traces[idx] = nt
 		}
 		sc.collect(a)
 		if sc.inj != nil {
@@ -736,7 +795,7 @@ func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, re
 	})
 	wall := time.Since(start) //taichi:allow walltime — wall-clock half of the speedup table, not simulation input
 	fmt.Printf("mode=%s workload=%s nodes=%d simulated=%v wall=%.2fs events=%.0f\n",
-		mode, wl, agg.Members, horizon, wall.Seconds(), agg.Scalar("events"))
+		p.mode, p.wl, agg.Members, p.horizon, wall.Seconds(), agg.Scalar("events"))
 	fmt.Print(agg.Describe())
 	members := float64(agg.Members)
 	fmt.Printf("per-node means: cp done %.1f/%.1f, net util %.1f%%, stor util %.1f%%\n",
@@ -745,6 +804,7 @@ func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, re
 	if metricsOut != "" {
 		writeMetrics(metricsOut, snapshotFleet(agg))
 	}
+	printTraces(tr, node0, traces)
 	if auditFlag {
 		violations := 0
 		for i, rep := range audits {
@@ -758,4 +818,103 @@ func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, re
 			os.Exit(1)
 		}
 	}
+}
+
+// traceOpts are the -export and -timeline flags.
+type traceOpts struct {
+	export   string
+	timeline time.Duration
+}
+
+// nodeTrace labels one finished node's trace for the Chrome export.
+func nodeTrace(mode string, idx int, node *platform.Node) obs.NodeTrace {
+	return obs.NodeTrace{Label: fmt.Sprintf("%s-node%d", mode, idx), Events: node.Tracer.Events()}
+}
+
+// report renders node 0's share of the trace output: with -export the
+// §3.2 analyses (non-preemptible census, IPI latency, VM-exit reasons),
+// with -timeline the raw event timeline.
+func (o traceOpts) report(node *platform.Node) string {
+	var b strings.Builder
+	if o.export != "" {
+		census := node.Tracer.NonPreemptibleCensus()
+		fmt.Fprintf(&b, "non-preemptible routines: %d total, max %v\n", census.Count(), census.Max())
+		for _, bk := range trace.CensusBuckets(census) {
+			fmt.Fprintf(&b, "  %8v - %8v : %d\n", bk.Lo, bk.Hi, bk.Count)
+		}
+		if ipi := node.Tracer.IPILatencies(); ipi.Count() > 0 {
+			fmt.Fprintf(&b, "ipi delivery: n=%d mean=%v p99=%v\n", ipi.Count(), ipi.Mean(), ipi.Quantile(0.99))
+		}
+		if reasons := node.Tracer.ExitReasonCounts(); len(reasons) > 0 {
+			keys := make([]string, 0, len(reasons))
+			for k := range reasons {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			b.WriteString("vm-exit reasons:\n")
+			for _, k := range keys {
+				fmt.Fprintf(&b, "  %-8s %d\n", k, reasons[k])
+			}
+		}
+	}
+	if o.timeline > 0 {
+		b.WriteString("timeline:\n")
+		b.WriteString(node.Tracer.Timeline(0, sim.Time(o.timeline.Nanoseconds())))
+	}
+	return b.String()
+}
+
+// printTraces prints node 0's report and, with -export, every node's
+// derived-span summary in member-index order, then writes the Chrome
+// export.
+func printTraces(o traceOpts, node0 string, traces []obs.NodeTrace) {
+	fmt.Print(node0)
+	if o.export == "" {
+		return
+	}
+	for i, nt := range traces {
+		d := obs.Derive(nt.Events)
+		fmt.Printf("node%d: %d events, %d spans, %d instants\n", i, len(nt.Events), len(d.Spans), len(d.Instants))
+		for _, s := range obs.Summarize(d) {
+			fmt.Printf("  span %-8s n=%-6d truncated=%-4d total=%v\n", s.Class, s.Count, s.Truncated, s.Total)
+		}
+	}
+	n, err := writeChrome(o.export, traces)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "export: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("exported %d bytes to %s\n", n, o.export)
+}
+
+// writeChrome streams the Chrome trace-event JSON of traces into the
+// file at path, so the whole export is never held in memory, and
+// returns the number of bytes written.
+func writeChrome(path string, traces []obs.NodeTrace) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close() // for the error paths; the success path checks Close
+	cw := &countingWriter{w: f}
+	bw := bufio.NewWriter(cw)
+	if err := obs.WriteChrome(bw, traces); err != nil {
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		return 0, err
+	}
+	return cw.n, f.Close()
+}
+
+// countingWriter counts the bytes it passes on to w.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }

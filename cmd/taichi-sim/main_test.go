@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
+	"repro/internal/sim"
 )
 
 // placedFlagSet parses args over a flag set holding every placed-mode
@@ -20,6 +27,7 @@ func placedFlagSet(t *testing.T, args ...string) *flag.FlagSet {
 	}
 	fs.String("mode", "taichi", "")
 	fs.Duration("dur", 0, "")
+	fs.String("export", "", "")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +52,15 @@ func TestCheckPlacedFlags(t *testing.T) {
 	if !strings.Contains(err.Error(), "-dur, -mode") {
 		t.Fatalf("error %q does not name the ignored flags", err)
 	}
+	err = checkPlacedFlags(placedFlagSet(t, "-place", "rr", "-export", "trace.json"))
+	if err == nil || !strings.Contains(err.Error(), "-export") {
+		t.Fatalf("-export in placed mode: got %v, want an error naming -export", err)
+	}
 }
 
 func TestCheckNumericFlags(t *testing.T) {
 	type args struct {
-		dur             time.Duration
+		dur, timeline   time.Duration
 		util            float64
 		cp, nodes, para int
 	}
@@ -68,10 +80,12 @@ func TestCheckNumericFlags(t *testing.T) {
 		{"negative cp", func(a *args) { a.cp = -3 }, "-cp"},
 		{"zero nodes", func(a *args) { a.nodes = 0 }, "-nodes"},
 		{"negative parallel", func(a *args) { a.para = -3 }, "-parallel"},
+		{"timeline", func(a *args) { a.timeline = 10 * time.Millisecond }, ""},
+		{"negative timeline", func(a *args) { a.timeline = -time.Millisecond }, "-timeline"},
 	} {
 		a := ok
 		tc.mut(&a)
-		err := checkNumericFlags(a.dur, a.util, a.cp, a.nodes, a.para)
+		err := checkNumericFlags(a.dur, a.util, a.cp, a.nodes, a.para, a.timeline)
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)
@@ -79,6 +93,35 @@ func TestCheckNumericFlags(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.flag)
+		}
+	}
+}
+
+// TestFleetExportDeterministic: a faulted 3-node fleet's Chrome export
+// is byte-identical across worker counts and repeated runs.
+func TestFleetExportDeterministic(t *testing.T) {
+	p := params{mode: "taichi", wl: "vmstartup", cp: 4, util: 0.3, spec: faults.DefaultSpec(),
+		retry: true, recov: true, horizon: 50 * sim.Millisecond}
+	dir := t.TempDir()
+	var want []byte
+	for i, workers := range []int{1, 3, 1, 3} {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+		runFleet(p, false, 1, 3, workers, "", traceOpts{export: path})
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+			for n := 0; n < 3; n++ {
+				if !bytes.Contains(got, []byte(fmt.Sprintf("taichi-node%d", n))) {
+					t.Fatalf("export has no taichi-node%d track", n)
+				}
+			}
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d (workers=%d): %d bytes differ from run 0's %d", i, workers, len(got), len(want))
 		}
 	}
 }

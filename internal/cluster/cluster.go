@@ -23,7 +23,7 @@ import (
 // TracerHost is the optional extension of Host that exposes the node's
 // event tracer. Hosts that implement it get request-lifecycle events
 // (req_issued, req_attempt, req_retry, req_completed, req_deadletter)
-// recorded into their trace, which is what lets taichi-trace -export
+// recorded into their trace, which is what lets taichi-sim -export
 // label retry and dead-letter activity on the timeline.
 type TracerHost interface {
 	Tracer() *trace.Tracer

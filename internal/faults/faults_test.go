@@ -33,15 +33,22 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("parsed %+v", s)
 	}
 	for _, bad := range []string{
-		"probe-miss",        // not key=value
-		"bogus-key=1",       // unknown key
-		"probe-miss=1.5",    // rate out of range
-		"probe-miss=x",      // not a number
-		"offline-mtbf=5",    // bare number is not a duration
-		"offline-mtbf=-5ms", // negative duration
+		"probe-miss",                    // not key=value
+		"bogus-key=1",                   // unknown key
+		"probe-miss=1.5",                // rate out of range
+		"probe-miss=x",                  // not a number
+		"offline-mtbf=5",                // bare number is not a duration
+		"offline-mtbf=-5ms",             // negative duration
+		"probe-miss=NaN",                // NaN is no rate
+		"probe-miss=0.1,probe-miss=0.9", // key given twice
 	} {
-		if _, err := faults.ParseSpec(bad); err == nil {
+		_, err := faults.ParseSpec(bad)
+		if err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+			continue
+		}
+		if key, _, ok := strings.Cut(bad, "="); ok && !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseSpec(%q) error %q does not name the key", bad, err)
 		}
 	}
 }

@@ -182,7 +182,8 @@ func (s *Spec) applyMeanDefaults() {
 //
 // Rates are probabilities in [0,1]; durations use Go syntax ("50us",
 // "2ms"). The words "off", "none", or an empty string give the zero
-// spec; "default" (or "chaos") gives DefaultSpec. Keys:
+// spec; "default" (or "chaos") gives DefaultSpec. A key may appear
+// at most once. Keys:
 //
 //	probe-miss      spurious-mtbf
 //	ipi-drop        ipi-delay       ipi-delay-mean
@@ -199,6 +200,7 @@ func ParseSpec(text string) (Spec, error) {
 	case "default", "chaos":
 		return DefaultSpec(), nil
 	}
+	seen := map[string]bool{}
 	for _, part := range strings.Split(text, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -210,6 +212,10 @@ func ParseSpec(text string) (Spec, error) {
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
+		if seen[key] {
+			return Spec{}, fmt.Errorf("faults: %s: key given twice", key)
+		}
+		seen[key] = true
 		var err error
 		switch key {
 		case "probe-miss":
@@ -261,7 +267,7 @@ func parseRate(val string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad rate %q", val)
 	}
-	if r < 0 || r > 1 {
+	if !(r >= 0 && r <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("rate %v outside [0,1]", r)
 	}
 	return r, nil

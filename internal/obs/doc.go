@@ -19,10 +19,6 @@
 //   - Metrics snapshots (snapshot.go): metrics.Registry / Group /
 //     Histogram state as Prometheus text exposition or JSON.
 //
-// bench.go defines the BENCH_taichi.json schema emitted by `make
-// bench` (cmd/taichi-bench) and the validator the CI smoke test runs
-// against it.
-//
 // Everything here is a pure function of already-recorded state: obs
 // never schedules events, draws randomness, or reads clocks, so
 // attaching it cannot perturb a simulation. OBSERVABILITY.md documents

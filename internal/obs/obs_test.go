@@ -370,47 +370,3 @@ func TestPromName(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchMarshalSortsScenarios(t *testing.T) {
-	f := BenchFile{Schema: BenchSchema, GoVersion: "go0", Scenarios: []BenchScenario{
-		{Scenario: "vmstartup", Iters: 1, NsPerOp: 1, EventsPerOp: 1, EventsPerSec: 1, SimulatedNsPerOp: 1},
-		{Scenario: "chaos", Iters: 1, NsPerOp: 1, EventsPerOp: 1, EventsPerSec: 1, SimulatedNsPerOp: 1},
-	}}
-	parsed, err := ValidateBench(f.Marshal())
-	if err != nil {
-		t.Fatalf("marshalled file invalid: %v", err)
-	}
-	if parsed.Scenarios[0].Scenario != "chaos" || parsed.Scenarios[1].Scenario != "vmstartup" {
-		t.Errorf("scenarios not name-sorted: %+v", parsed.Scenarios)
-	}
-	if f.Scenarios[0].Scenario != "vmstartup" {
-		t.Error("Marshal mutated its receiver")
-	}
-}
-
-func TestValidateBenchRejects(t *testing.T) {
-	ok := BenchScenario{Scenario: "s", Iters: 1, NsPerOp: 1, EventsPerOp: 1, EventsPerSec: 1, SimulatedNsPerOp: 1}
-	cases := []struct {
-		name string
-		file BenchFile
-	}{
-		{"wrong schema", BenchFile{Schema: "nope", Scenarios: []BenchScenario{ok}}},
-		{"no scenarios", BenchFile{Schema: BenchSchema}},
-		{"unnamed", BenchFile{Schema: BenchSchema, Scenarios: []BenchScenario{{Iters: 1, NsPerOp: 1, EventsPerOp: 1, EventsPerSec: 1, SimulatedNsPerOp: 1}}}},
-		{"duplicate", BenchFile{Schema: BenchSchema, Scenarios: []BenchScenario{ok, ok}}},
-		{"zero iters", BenchFile{Schema: BenchSchema, Scenarios: []BenchScenario{{Scenario: "s", NsPerOp: 1, EventsPerOp: 1, EventsPerSec: 1, SimulatedNsPerOp: 1}}}},
-		{"zero events", BenchFile{Schema: BenchSchema, Scenarios: []BenchScenario{{Scenario: "s", Iters: 1, NsPerOp: 1, EventsPerSec: 1, SimulatedNsPerOp: 1}}}},
-	}
-	for _, c := range cases {
-		data, err := json.Marshal(&c.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ValidateBench(data); err == nil {
-			t.Errorf("%s: ValidateBench accepted invalid file", c.name)
-		}
-	}
-	if _, err := ValidateBench([]byte("not json")); err == nil {
-		t.Error("ValidateBench accepted non-JSON input")
-	}
-}

@@ -62,12 +62,11 @@ var StreamNames = []string{
 	"rescue.phase",
 	"synth%d",
 	// Command-line tools and examples.
-	"churn",
-	"churn.mon%d",
 	"dyndp.job%d",
 	"job%d",
 	"probe",
 	"qs.job%d",
 	"sim.cp",
+	"sim.mon%d",
 	"task%d",
 }
