@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench-go bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build test test-race race bench-go bench-test bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
 
-check: fmt vet lint build test-race bench-pins audit-smoke overload-smoke placement-smoke
+check: fmt vet lint build test-race bench-test bench-pins audit-smoke overload-smoke placement-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
 # core concurrency, and seedless constructors. Zero diagnostics is the
@@ -47,6 +47,15 @@ test-race:
 # the pre-commit `check` target — it backs the dedicated CI race job.
 race:
 	$(GO) test -race -count=2 -shuffle=on -timeout 60m ./...
+
+# The benchmark module's own vet and tests (bench/ is a separate module,
+# so `go vet ./...` and `go test ./...` above never reach it). Its tests
+# include the dispatch-class layer map and the determinism lint over the
+# whole tree (TestLintClean), and it compiles against the simulator's
+# internal interfaces. About 15 s.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Replay gate on the simulator benchmark (bench/): three reps of every
 # workload, each seed's simulation digest checked against the pins in

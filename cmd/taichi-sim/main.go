@@ -32,7 +32,7 @@
 //
 // The vmstartup workload drives the cluster VM-creation pipeline;
 // -retry arms per-request deadlines, exponential-backoff retries and
-// dead-lettering.
+// dead-lettering; setting it with any other workload is an error.
 //
 // -recover arms the self-healing layer: the scheduler's de-escalation
 // ladder (static → sw-probe → normal under the default
@@ -58,7 +58,7 @@
 // only re-dispatch path: it never places on a breaker-open or browned-out
 // member, and re-places dead-lettered startups under a bounce budget.
 // Placed mode reads only the flags in placedFlags; setting any other
-// flag is an error.
+// flag is an error, and so is setting -rebalance without -place.
 //
 // -audit replays every node's trace through the runtime invariant
 // auditor (internal/audit) after the run and exits non-zero on any
@@ -103,10 +103,6 @@ import (
 	"repro/internal/workload"
 )
 
-type host interface {
-	SpawnCP(name string, prog kernel.Program) *kernel.Thread
-}
-
 // scenario is one fully-wired node plus its reporting hooks.
 type scenario struct {
 	node  *platform.Node
@@ -132,7 +128,7 @@ type params struct {
 }
 
 // newHost assembles the node flavour for one seed.
-func newHost(mode string, seed int64) (node *platform.Node, tc *core.TaiChi, h host, err error) {
+func newHost(mode string, seed int64) (node *platform.Node, tc *core.TaiChi, h cluster.Host, err error) {
 	switch mode {
 	case "taichi":
 		tc = core.NewDefault(seed)
@@ -159,7 +155,7 @@ func newHost(mode string, seed int64) (node *platform.Node, tc *core.TaiChi, h h
 // single-node mode and once per member in fleet mode.
 func build(p params, seed int64) (*scenario, error) {
 	sc := &scenario{}
-	var h host
+	var h cluster.Host
 	var err error
 	sc.node, sc.tc, h, err = newHost(p.mode, seed)
 	if err != nil {
@@ -293,10 +289,6 @@ func build(p params, seed int64) (*scenario, error) {
 		sc.report = func() { fmt.Printf("nginx: %.0f req/s\n", n.RPS(node.Now())) }
 		sc.collect = func(a *fleet.Aggregates) { a.Add("nginx.rps", n.RPS(node.Now())) }
 	case "vmstartup":
-		ch, ok := h.(cluster.Host)
-		if !ok {
-			return nil, fmt.Errorf("mode %q cannot host the vmstartup workload", p.mode)
-		}
 		ccfg := cluster.DefaultConfig(1)
 		ccfg.VMLifetime = 0
 		if p.retry {
@@ -320,7 +312,7 @@ func build(p params, seed int64) (*scenario, error) {
 		if sc.inj != nil {
 			ccfg.WrapCP = sc.inj.WrapCP
 		}
-		m := cluster.NewManager(ch, ccfg)
+		m := cluster.NewManager(h, ccfg)
 		m.Start()
 		sc.mgr = m
 		sc.report = func() {
@@ -457,6 +449,10 @@ func main() {
 		return
 	}
 
+	if err := checkUnplacedFlags(flag.CommandLine, *wl); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *nodes > 1 {
 		if *simprof {
 			fmt.Fprintln(os.Stderr, "-simprof profiles one engine; use it with -nodes 1")
@@ -558,11 +554,10 @@ func main() {
 }
 
 // snapshotScenario assembles the single-node metrics snapshot: the
-// node registry, the workload's collect output, and the scheduler /
+// engine's event count, the workload's collect output, and the scheduler /
 // request-manager / fault-injector counters when present.
 func snapshotScenario(sc *scenario) *obs.Snapshot {
 	snap := obs.NewSnapshot()
-	snap.AddRegistry("node", sc.node.Metrics)
 	snap.AddCounter("engine_events", sc.node.Engine.Fired())
 	agg := fleet.NewAggregates()
 	sc.collect(agg)
@@ -661,6 +656,23 @@ func checkPlacedFlags(fs *flag.FlagSet) error {
 		return fmt.Errorf("-place does not read %s", strings.Join(ignored, ", "))
 	}
 	return nil
+}
+
+// checkUnplacedFlags rejects explicitly set flags that the per-node
+// scenario would otherwise silently ignore: -rebalance, which only placed
+// mode reads, and -retry with a workload other than vmstartup.
+func checkUnplacedFlags(fs *flag.FlagSet, wl string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case f.Name == "rebalance":
+			err = fmt.Errorf("-rebalance needs -place")
+		case f.Name == "retry" && wl != "vmstartup":
+			err = fmt.Errorf("-retry needs -workload vmstartup (got %q)", wl)
+		}
+	})
+	return err
 }
 
 // runPlaced executes the placed fleet: n Tai Chi nodes under the cluster

@@ -58,6 +58,40 @@ func TestCheckPlacedFlags(t *testing.T) {
 	}
 }
 
+func TestCheckUnplacedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-workload", "vmstartup", "-retry"}, ""},
+		{[]string{"-workload", "vmstartup", "-retry=false"}, ""},
+		{[]string{"-rebalance=false"}, "-rebalance"},
+		{[]string{"-rebalance"}, "-rebalance"},
+		{[]string{"-retry"}, "-retry"},
+		{[]string{"-workload", "crr", "-retry"}, "-retry"},
+		{[]string{"-workload", "monitors", "-retry=false"}, "-retry"},
+	} {
+		fs := flag.NewFlagSet("taichi-sim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		wl := fs.String("workload", "crr", "")
+		fs.Bool("retry", false, "")
+		fs.Bool("rebalance", true, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := checkUnplacedFlags(fs, *wl)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%v: rejected: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("%v: accepted", tc.args)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
 func TestCheckNumericFlags(t *testing.T) {
 	type args struct {
 		dur, timeline   time.Duration

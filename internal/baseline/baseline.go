@@ -6,10 +6,10 @@
 //   - Type1 ("Tai Chi-vDP"): identical to Tai Chi except the data plane
 //     itself runs in vCPU contexts, paying the nested-page-table/VM-exit
 //     tax on every packet (~7%);
-//   - Type2 (QEMU+KVM): control plane isolated in a separate guest OS —
-//     device emulation and the guest kernel permanently occupy DP cores,
-//     and every CP↔DP interaction crosses an RPC hop because native IPC
-//     semantics are broken;
+//   - Type2 (QEMU+KVM): a Static node whose control plane is isolated in
+//     a separate guest OS — device emulation and the guest kernel
+//     permanently occupy DP cores, and every CP↔DP interaction crosses an
+//     RPC hop because native IPC semantics are broken;
 //   - Naive: co-scheduling CP tasks onto idle DP cycles *without*
 //     virtualization — preemption must wait out non-preemptible kernel
 //     routines, reproducing the ms-scale latency spikes of Figure 4.
@@ -28,7 +28,8 @@ import (
 
 // Static is the production static-partitioning baseline: DP services own
 // their cores outright and never yield; CP tasks run natively on the CP
-// pCPUs under the stock kernel scheduler.
+// pCPUs under the stock kernel scheduler. NewType2 builds the type-2
+// baseline as a Static too: fewer DP cores, an RPC coordinator.
 type Static struct {
 	Node       *platform.Node
 	DriverLock *kernel.SpinLock
@@ -39,7 +40,7 @@ type Static struct {
 // NewStatic assembles the static baseline on a node. The node should be
 // built with HWProbe=false (the probe is a Tai Chi addition).
 func NewStatic(node *platform.Node) *Static {
-	return &Static{Node: node, DriverLock: kernel.NewSpinLock("driver")}
+	return &Static{Node: node, DriverLock: kernel.NewSpinLock("driver"), coord: core.NewNetCoordinator(node)}
 }
 
 // NewStaticDefault builds the default static baseline.
@@ -76,16 +77,12 @@ func (b *Static) Lock() *kernel.SpinLock { return b.DriverLock }
 // Stream returns a deterministic RNG stream (cluster.Host).
 func (b *Static) Stream(name string) *rand.Rand { return b.Node.RNG.Stream(name) }
 
-// Tracer exposes the node's event tracer (cluster.TracerHost).
+// Tracer exposes the node's event tracer (cluster.Host).
 func (b *Static) Tracer() *trace.Tracer { return b.Node.Tracer }
 
-// Coordinator returns the native CP→DP configuration path (cluster.Host).
-func (b *Static) Coordinator() controlplane.DPCoordinator {
-	if b.coord == nil {
-		b.coord = core.NewNetCoordinator(b.Node)
-	}
-	return b.coord
-}
+// Coordinator returns the CP→DP configuration path: native IPC, or the
+// RPC path NewType2 installs (cluster.Host).
+func (b *Static) Coordinator() controlplane.DPCoordinator { return b.coord }
 
 // Type1Tax is the measured data-path virtualization tax of running DP
 // services in vCPU contexts (§6.3: ~7% average).
@@ -103,80 +100,33 @@ func NewType1(seed int64) *core.TaiChi {
 	return core.New(platform.NewNode(opts), core.DefaultConfig())
 }
 
-// Type2 is the QEMU+KVM baseline: the CP lives in a guest OS whose
-// device-emulation thread and guest kernel housekeeping permanently
+// RPCPerHop is the type-2 baseline's one-way virtio/vsock marshalling
+// cost.
+const RPCPerHop = 25 * sim.Microsecond
+
+// NewType2 assembles the QEMU+KVM baseline: the CP lives in a guest OS
+// whose device-emulation thread and guest kernel housekeeping permanently
 // occupy one core of each DP service (the "at least one dedicated CPU"
 // cost of §3.4, measured at ~26% DP degradation on the 4-core services),
-// and CP↔DP coordination pays an RPC round trip.
-type Type2 struct {
-	Node       *platform.Node
-	DriverLock *kernel.SpinLock
-	// RPCPerHop is the one-way virtio/vsock marshalling cost.
-	RPCPerHop sim.Duration
-
-	coord controlplane.DPCoordinator
-}
-
-// NewType2 assembles the type-2 baseline.
-func NewType2(seed int64) *Type2 {
+// and CP↔DP coordination pays an RPC round trip. The guest's vCPUs are
+// backed 1:1 by the CP pCPUs, and the guest scheduler is modeled by the
+// same kernel mechanics, so CP placement is Static's.
+func NewType2(seed int64) *Static {
 	opts := platform.DefaultOptions()
 	opts.Seed = seed
 	opts.HWProbe = false
-	// One core per DP service is surrendered to QEMU emulation + guest OS.
 	topo := opts.Topology
 	topo.NetCores = topo.NetCores[:len(topo.NetCores)-1]
 	topo.StorCores = topo.StorCores[:len(topo.StorCores)-1]
 	opts.Topology = topo
-	return &Type2{
-		Node:       platform.NewNode(opts),
-		DriverLock: kernel.NewSpinLock("driver"),
-		RPCPerHop:  25 * sim.Microsecond,
+	b := NewStatic(platform.NewNode(opts))
+	b.coord = &core.RPCCoordinator{
+		Inner:  core.NewNetCoordinator(b.Node),
+		Engine: b.Node.Engine,
+		PerHop: RPCPerHop,
 	}
+	return b
 }
-
-// CPAffinity returns the guest's CPU ids (the CP pCPUs backing the guest
-// vCPUs 1:1; the guest scheduler is modeled by the same kernel mechanics).
-func (b *Type2) CPAffinity() []kernel.CPUID {
-	var ids []kernel.CPUID
-	for _, c := range b.Node.Opts.Topology.CPCores {
-		ids = append(ids, kernel.CPUID(c))
-	}
-	return ids
-}
-
-// SpawnCP deploys a CP task inside the guest.
-func (b *Type2) SpawnCP(name string, prog kernel.Program) *kernel.Thread {
-	return b.Node.Kernel.Spawn(name, prog, b.CPAffinity()...)
-}
-
-// Coordinator returns the broken-IPC coordination path: native IPC
-// replaced by RPC hops in both directions (cluster.Host).
-func (b *Type2) Coordinator() controlplane.DPCoordinator {
-	if b.coord == nil {
-		b.coord = &core.RPCCoordinator{
-			Inner:   core.NewNetCoordinator(b.Node),
-			Engine:  b.Node.Engine,
-			PerHop:  b.RPCPerHop,
-			RTTHops: 2,
-		}
-	}
-	return b.coord
-}
-
-// Engine exposes the node's event engine (cluster.Host).
-func (b *Type2) Engine() *sim.Engine { return b.Node.Engine }
-
-// Lock returns the shared device-driver lock (cluster.Host).
-func (b *Type2) Lock() *kernel.SpinLock { return b.DriverLock }
-
-// Stream returns a deterministic RNG stream (cluster.Host).
-func (b *Type2) Stream(name string) *rand.Rand { return b.Node.RNG.Stream(name) }
-
-// Tracer exposes the node's event tracer (cluster.TracerHost).
-func (b *Type2) Tracer() *trace.Tracer { return b.Node.Tracer }
-
-// Run advances simulated time.
-func (b *Type2) Run(until sim.Time) { b.Node.Run(until) }
 
 // NewNaive assembles the "conventional co-scheduling" strawman: CP tasks
 // borrow idle DP cycles without virtualization, so reclaiming the core

@@ -3,10 +3,19 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/controlplane"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/workload"
+)
+
+// Every node flavour the cluster manager drives is a cluster.Host; the
+// type-2 baseline is a *Static.
+var (
+	_ cluster.Host = (*Static)(nil)
+	_ cluster.Host = (*core.TaiChi)(nil)
 )
 
 func TestStaticNeverYields(t *testing.T) {
@@ -67,14 +76,14 @@ func TestType2IPCCrossesRPC(t *testing.T) {
 	coord := b.Coordinator()
 	start := b.Node.Now()
 	var doneAt sim.Time
-	coord.ConfigureDevice(0, func() { doneAt = b.Node.Now() })
+	coord.ConfigureDevice(0, func(bool) { doneAt = b.Node.Now() })
 	b.Run(sim.Time(10 * sim.Millisecond))
 	if doneAt == 0 {
 		t.Fatal("coordination never completed")
 	}
 	rtt := doneAt.Sub(start)
-	if rtt < 2*b.RPCPerHop {
-		t.Fatalf("type-2 coordination RTT %v below the RPC floor %v", rtt, 2*b.RPCPerHop)
+	if rtt < 2*RPCPerHop {
+		t.Fatalf("type-2 coordination RTT %v below the RPC floor %v", rtt, 2*RPCPerHop)
 	}
 }
 
@@ -82,17 +91,5 @@ func TestNaiveModeConfigured(t *testing.T) {
 	tc := NewNaive(6)
 	if !tc.Cfg.NaiveCoSchedule {
 		t.Fatal("naive baseline lost its flag")
-	}
-}
-
-func TestBaselinesSatisfyClusterHost(t *testing.T) {
-	// Compile-time-ish checks that every baseline exposes the Host surface.
-	b := NewStaticDefault(7)
-	if b.Engine() == nil || b.Lock() == nil || b.Stream("x") == nil || b.Coordinator() == nil {
-		t.Fatal("static host surface incomplete")
-	}
-	t2 := NewType2(8)
-	if t2.Engine() == nil || t2.Lock() == nil || t2.Stream("x") == nil || t2.Coordinator() == nil {
-		t.Fatal("type2 host surface incomplete")
 	}
 }

@@ -20,15 +20,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TracerHost is the optional extension of Host that exposes the node's
-// event tracer. Hosts that implement it get request-lifecycle events
-// (req_issued, req_attempt, req_retry, req_completed, req_deadletter)
-// recorded into their trace, which is what lets taichi-sim -export
-// label retry and dead-letter activity on the timeline.
-type TracerHost interface {
-	Tracer() *trace.Tracer
-}
-
 // Host abstracts the node flavour (Tai Chi, static, type-2) the manager
 // drives: it can deploy CP tasks and exposes the simulated clock.
 type Host interface {
@@ -42,6 +33,12 @@ type Host interface {
 	Lock() *kernel.SpinLock
 	// Stream returns a deterministic RNG stream.
 	Stream(name string) *rand.Rand
+	// Tracer exposes the node's event tracer. The manager records
+	// request-lifecycle events (req_issued, req_attempt, req_retry,
+	// req_completed, req_deadletter) into it, which is what lets
+	// taichi-sim -export label retry and dead-letter activity on the
+	// timeline.
+	Tracer() *trace.Tracer
 }
 
 // Config parameterizes the VM-startup workload.
@@ -147,10 +144,10 @@ type Manager struct {
 	// they drain.
 	requeueR        *rand.Rand
 	pendingRequeues int
-	// tracer records request-lifecycle events when the host exposes one
-	// (TracerHost); a nil tracer is a valid no-op sink, so emission is
-	// unconditional. Emitting never schedules events or draws randomness,
-	// which keeps traced and untraced runs replay-identical.
+	// tracer records request-lifecycle events into the host's trace; a
+	// nil tracer is a valid no-op sink, so emission is unconditional.
+	// Emitting never schedules events or draws randomness, which keeps
+	// traced and untraced runs replay-identical.
 	tracer *trace.Tracer
 
 	cIssued, cCompleted, cRetried *metrics.Counter
@@ -195,6 +192,7 @@ func NewManager(host Host, cfg Config) *Manager {
 		CPExecTime:  metrics.NewHistogram("vm.cp_exec"),
 		Devices:     device.NewRegistry(host.Engine().Now),
 		Outcomes:    g,
+		tracer:      host.Tracer(),
 		cIssued:     g.Counter("issued"),
 		cCompleted:  g.Counter("completed"),
 		cRetried:    g.Counter("retried"),
@@ -228,14 +226,11 @@ func NewManager(host Host, cfg Config) *Manager {
 		m.shedR = host.Stream("cluster.shed")
 		m.tokens = cfg.Admission.Burst
 	}
-	if th, ok := host.(TracerHost); ok {
-		m.tracer = th.Tracer()
-	}
 	return m
 }
 
-// emit records one request-lifecycle trace event (no-op without a
-// TracerHost). CPU is -1: requests live in the manager, not on a core.
+// emit records one request-lifecycle trace event (no-op with a nil
+// tracer). CPU is -1: requests live in the manager, not on a core.
 func (m *Manager) emit(kind trace.Kind, id int, note string) {
 	m.tracer.Emit(m.host.Engine().Now(), kind, -1, int64(id), note)
 }
@@ -359,7 +354,7 @@ func (m *Manager) beginAttempt(req *Request) {
 		onFail = func(int) { m.attemptFailed(req, attempt, "nack") }
 	}
 
-	prog := controlplane.ResumeDeviceInitJob(m.cfg.Devices, skip, m.host.Lock(),
+	prog := controlplane.DeviceInitJob(m.cfg.Devices, skip, m.host.Lock(),
 		m.host.Coordinator(), m.host.Stream(stream),
 		func(i int) { m.deviceReady(req, attempt, i) },
 		onFail,

@@ -21,18 +21,14 @@ type flakyCoord struct {
 	calls  int
 }
 
-func (f *flakyCoord) ConfigureDevice(flow int, done func()) {
-	f.TryConfigureDevice(flow, func(bool) { done() })
-}
-
-func (f *flakyCoord) TryConfigureDevice(flow int, done func(ok bool)) {
+func (f *flakyCoord) ConfigureDevice(flow int, done func(ok bool)) {
 	i := f.calls
 	f.calls++
 	if f.fail[i] {
 		f.engine.Schedule(5*sim.Microsecond, func() { done(false) })
 		return
 	}
-	controlplane.TryConfigure(f.inner, flow, done)
+	f.inner.ConfigureDevice(flow, done)
 }
 
 // laggyCoord delays the (successful) acks of the ops whose zero-based
@@ -46,18 +42,14 @@ type laggyCoord struct {
 	calls  int
 }
 
-func (l *laggyCoord) ConfigureDevice(flow int, done func()) {
-	l.TryConfigureDevice(flow, func(bool) { done() })
-}
-
-func (l *laggyCoord) TryConfigureDevice(flow int, done func(ok bool)) {
+func (l *laggyCoord) ConfigureDevice(flow int, done func(ok bool)) {
 	i := l.calls
 	l.calls++
 	if d, lag := l.slow[i]; lag {
 		l.engine.Schedule(d, func() { done(true) })
 		return
 	}
-	controlplane.TryConfigure(l.inner, flow, done)
+	l.inner.ConfigureDevice(flow, done)
 }
 
 func failAll() map[int]bool {

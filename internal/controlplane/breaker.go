@@ -100,15 +100,8 @@ func NewBreaker(engine *sim.Engine, inner DPCoordinator, cfg BreakerConfig) *Bre
 // State returns the breaker's current position.
 func (b *Breaker) State() BreakerState { return b.state }
 
-// ConfigureDevice implements DPCoordinator for outcome-blind callers
-// (teardown jobs): done fires whatever the outcome, so a rejected
-// release does not wedge the deinit workflow.
-func (b *Breaker) ConfigureDevice(flow int, done func()) {
-	b.TryConfigureDevice(flow, func(bool) { done() })
-}
-
-// TryConfigureDevice implements FallibleCoordinator.
-func (b *Breaker) TryConfigureDevice(flow int, done func(ok bool)) {
+// ConfigureDevice implements DPCoordinator.
+func (b *Breaker) ConfigureDevice(flow int, done func(ok bool)) {
 	probe := false
 	switch b.state {
 	case BreakerOpen:
@@ -137,7 +130,7 @@ func (b *Breaker) TryConfigureDevice(flow int, done func(ok bool)) {
 		b.onFailure()
 		done(false)
 	})
-	TryConfigure(b.inner, flow, func(ok bool) {
+	b.inner.ConfigureDevice(flow, func(ok bool) {
 		if answered {
 			// Late ack after the deadline already failed the op; the
 			// attempt has moved on.

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// scriptedCoord is a FallibleCoordinator whose per-op outcome is played
+// scriptedCoord is a DPCoordinator whose per-op outcome is played
 // from a script: true = ack ok, false = NACK. Ops beyond the script (or
 // marked lost) never answer at all — the breaker's ack deadline is the
 // only thing that resolves them.
@@ -18,11 +18,7 @@ type scriptedCoord struct {
 	calls   int
 }
 
-func (s *scriptedCoord) ConfigureDevice(flow int, done func()) {
-	s.TryConfigureDevice(flow, func(bool) { done() })
-}
-
-func (s *scriptedCoord) TryConfigureDevice(flow int, done func(ok bool)) {
+func (s *scriptedCoord) ConfigureDevice(flow int, done func(ok bool)) {
 	i := s.calls
 	s.calls++
 	if s.lost[i] || i >= len(s.script) {
@@ -45,7 +41,7 @@ func repeat(v bool, n int) []bool {
 func drive(t *testing.T, e *sim.Engine, b *Breaker) bool {
 	t.Helper()
 	resolved, outcome := false, false
-	b.TryConfigureDevice(1, func(ok bool) { resolved, outcome = true, ok })
+	b.ConfigureDevice(1, func(ok bool) { resolved, outcome = true, ok })
 	for i := 0; i < 10_000 && !resolved; i++ {
 		if !e.Step() {
 			break
@@ -167,7 +163,7 @@ func TestBreakerLateAckIsDiscarded(t *testing.T) {
 	b := NewBreaker(e, inner, BreakerConfig{FailureThreshold: 1, AckTimeout: sim.Millisecond, OpenTimeout: sim.Second})
 
 	resolutions := 0
-	b.TryConfigureDevice(1, func(ok bool) {
+	b.ConfigureDevice(1, func(ok bool) {
 		resolutions++
 		if ok {
 			t.Fatal("timed-out op reported ok")
@@ -193,11 +189,7 @@ type staggeredCoord struct {
 	calls     int
 }
 
-func (s *staggeredCoord) ConfigureDevice(flow int, done func()) {
-	s.TryConfigureDevice(flow, func(bool) { done() })
-}
-
-func (s *staggeredCoord) TryConfigureDevice(flow int, done func(ok bool)) {
+func (s *staggeredCoord) ConfigureDevice(flow int, done func(ok bool)) {
 	i := s.calls
 	s.calls++
 	if i >= len(s.outcomes) {
@@ -224,7 +216,7 @@ func TestBreakerStraySuccessCannotReclose(t *testing.T) {
 	results := map[int]bool{}
 	for i := 0; i < 3; i++ {
 		i := i
-		b.TryConfigureDevice(i, func(ok bool) { results[i] = ok })
+		b.ConfigureDevice(i, func(ok bool) { results[i] = ok })
 	}
 	// The NACKs land at 1 ms and trip the breaker open.
 	e.Run(e.Now().Add(2 * sim.Millisecond))

@@ -84,32 +84,13 @@ func SynthCP(cfg SynthCPConfig, r *rand.Rand) kernel.Program {
 // RPC hop whose round-trip cost models virtio-serial/vsock marshalling.
 type DPCoordinator interface {
 	// ConfigureDevice asks the data plane to initialize one emulated
-	// device queue; done is invoked when the DP core has applied it.
-	ConfigureDevice(flow int, done func())
-}
-
-// FallibleCoordinator extends DPCoordinator with an outcome-aware
-// configure path. The fault injector's coordinator wrapper and the
-// circuit breaker implement it: done(false) reports a provisioning NACK
-// or a breaker rejection, and done may never fire at all when the op is
-// lost in transit (coordinator timeout) — the request layer's attempt
-// deadline is the backstop for that case.
-type FallibleCoordinator interface {
-	DPCoordinator
-	// TryConfigureDevice is ConfigureDevice with an explicit outcome.
-	TryConfigureDevice(flow int, done func(ok bool))
-}
-
-// TryConfigure issues one configure op through the outcome-aware path
-// when the coordinator supports it, and adapts the legacy
-// always-succeeds path otherwise (native IPC and RPC coordinators never
-// NACK).
-func TryConfigure(coord DPCoordinator, flow int, done func(ok bool)) {
-	if fc, ok := coord.(FallibleCoordinator); ok {
-		fc.TryConfigureDevice(flow, done)
-		return
-	}
-	coord.ConfigureDevice(flow, func() { done(true) })
+	// device queue; done reports the outcome once the DP core has
+	// answered. done(false) is a provisioning NACK or a breaker
+	// rejection; done may never fire at all when the op is lost in
+	// transit (coordinator timeout) — the request layer's attempt
+	// deadline is the backstop for that case. Native IPC and RPC
+	// coordinators always report true.
+	ConfigureDevice(flow int, done func(ok bool))
 }
 
 // DeviceSpec describes one emulated device to provision for a VM.
@@ -141,22 +122,16 @@ func DefaultVMDevices() []DeviceSpec {
 // configuration — the moment the inventory can mark it Active; onComplete
 // fires when every device is ready — the moment CP notifies QEMU to
 // instantiate the VM.
-func DeviceInitJob(devices []DeviceSpec, lock *kernel.SpinLock, coord DPCoordinator, r *rand.Rand,
-	onDevice func(i int), onComplete func()) kernel.Program {
-	return ResumeDeviceInitJob(devices, nil, lock, coord, r, onDevice, nil, onComplete)
-}
-
-// ResumeDeviceInitJob is DeviceInitJob with the retry-attempt extensions.
-// skip[i], when non-nil, marks devices that already reached Active in a
-// previous attempt: re-issuing their configuration is a no-op, so the
-// resumed job replaces their full init sequence with a single cheap
-// verification syscall (idempotent re-provisioning). onFail, when
-// non-nil, fires if a DP configure op is NACKed or rejected; the program
-// abandons its remaining segments so the attempt fails fast instead of
-// provisioning against a refusing data plane. With skip == nil and
-// onFail == nil the built program is segment-for-segment and
-// draw-for-draw identical to DeviceInitJob.
-func ResumeDeviceInitJob(devices []DeviceSpec, skip []bool, lock *kernel.SpinLock, coord DPCoordinator, r *rand.Rand,
+//
+// skip and onFail serve retry attempts. skip[i], when non-nil, marks
+// devices that already reached Active in a previous attempt: re-issuing
+// their configuration is a no-op, so the resumed job replaces their full
+// init sequence with a single cheap verification syscall (idempotent
+// re-provisioning). onFail, when non-nil, fires if a DP configure op is
+// NACKed or rejected; the program abandons its remaining segments so the
+// attempt fails fast instead of provisioning against a refusing data
+// plane.
+func DeviceInitJob(devices []DeviceSpec, skip []bool, lock *kernel.SpinLock, coord DPCoordinator, r *rand.Rand,
 	onDevice func(i int), onFail func(i int), onComplete func()) kernel.Program {
 	prog := &SliceProgramWithThread{}
 	var segs []kernel.Segment
@@ -181,7 +156,7 @@ func ResumeDeviceInitJob(devices []DeviceSpec, skip []bool, lock *kernel.SpinLoc
 			issue := kernel.Segment{Kind: kernel.SegSyscall, Dur: 30 * sim.Microsecond, Note: "dp_issue"}
 			issue.OnDone = func() {
 				t := prog.Thread
-				TryConfigure(coord, flow, func(ok bool) {
+				coord.ConfigureDevice(flow, func(ok bool) {
 					if !ok {
 						prog.Abandon()
 						if onFail != nil {
@@ -211,6 +186,8 @@ func ResumeDeviceInitJob(devices []DeviceSpec, skip []bool, lock *kernel.SpinLoc
 // (§2.3: device management covers both creation and destruction): per
 // device a driver-lock-protected deinit and a DP queue release, roughly a
 // third of the provisioning cost. onDevice fires per device torn down.
+// The release's outcome is ignored: a rejected release must not wedge
+// the deinit workflow.
 func DeviceDeinitJob(devices []DeviceSpec, lock *kernel.SpinLock, coord DPCoordinator, r *rand.Rand,
 	onDevice func(i int), onComplete func()) kernel.Program {
 	prog := &SliceProgramWithThread{}
@@ -223,7 +200,7 @@ func DeviceDeinitJob(devices []DeviceSpec, lock *kernel.SpinLock, coord DPCoordi
 		issue := kernel.Segment{Kind: kernel.SegSyscall, Dur: 20 * sim.Microsecond, Note: "dp_release"}
 		issue.OnDone = func() {
 			t := prog.Thread
-			coord.ConfigureDevice(di*8, func() {
+			coord.ConfigureDevice(di*8, func(bool) {
 				if t != nil {
 					t.Signal()
 				}
@@ -257,9 +234,6 @@ type SliceProgramWithThread struct {
 // The failure paths use it to end an attempt early without tearing the
 // thread down mid-segment.
 func (p *SliceProgramWithThread) Abandon() { p.abandoned = true }
-
-// Abandoned reports whether Abandon was called.
-func (p *SliceProgramWithThread) Abandoned() bool { return p.abandoned }
 
 // Next implements kernel.Program.
 func (p *SliceProgramWithThread) Next(t *kernel.Thread) (kernel.Segment, bool) {

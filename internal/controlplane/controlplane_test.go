@@ -100,9 +100,9 @@ type fakeCoord struct {
 	e     *sim.Engine
 }
 
-func (f *fakeCoord) ConfigureDevice(flow int, done func()) {
+func (f *fakeCoord) ConfigureDevice(flow int, done func(ok bool)) {
 	f.calls++
-	f.e.Schedule(f.delay, done)
+	f.e.Schedule(f.delay, func() { done(true) })
 }
 
 func TestDeviceInitJobWalksAllDevices(t *testing.T) {
@@ -111,7 +111,7 @@ func TestDeviceInitJobWalksAllDevices(t *testing.T) {
 	coord := &fakeCoord{delay: 10 * sim.Microsecond, e: e}
 	devs := DefaultVMDevices()
 	completed := false
-	th := k.Spawn("devinit", DeviceInitJob(devs, lock, coord, rand.New(rand.NewSource(7)), nil, func() { completed = true }))
+	th := k.Spawn("devinit", DeviceInitJob(devs, nil, lock, coord, rand.New(rand.NewSource(7)), nil, nil, func() { completed = true }))
 	e.Run(sim.Time(sim.Second))
 	if !completed || th.State() != kernel.StateDone {
 		t.Fatalf("job incomplete: %v / %v", completed, th.State())
@@ -133,13 +133,13 @@ func TestDeviceInitJobBlocksOnSlowCoordinator(t *testing.T) {
 	lock := kernel.NewSpinLock("drv")
 	slow := &fakeCoord{delay: 5 * sim.Millisecond, e: e}
 	fastDone, slowDone := sim.Time(0), sim.Time(0)
-	k.Spawn("slow", DeviceInitJob(DefaultVMDevices(), lock, slow, rand.New(rand.NewSource(8)), nil, func() { slowDone = e.Now() }))
+	k.Spawn("slow", DeviceInitJob(DefaultVMDevices(), nil, lock, slow, rand.New(rand.NewSource(8)), nil, nil, func() { slowDone = e.Now() }))
 	e.Run(sim.Time(sim.Second))
 
 	e2, k2 := newKernel(1)
 	lock2 := kernel.NewSpinLock("drv")
 	fast := &fakeCoord{delay: 10 * sim.Microsecond, e: e2}
-	k2.Spawn("fast", DeviceInitJob(DefaultVMDevices(), lock2, fast, rand.New(rand.NewSource(8)), nil, func() { fastDone = e2.Now() }))
+	k2.Spawn("fast", DeviceInitJob(DefaultVMDevices(), nil, lock2, fast, rand.New(rand.NewSource(8)), nil, nil, func() { fastDone = e2.Now() }))
 	e2.Run(sim.Time(sim.Second))
 
 	if slowDone <= fastDone {

@@ -300,8 +300,8 @@ func TestDeviceInitJobCompletesViaNativeIPC(t *testing.T) {
 	tc := newTaiChi(11, nil)
 	coord := NewNetCoordinator(tc.Node)
 	done := false
-	prog := controlplane.DeviceInitJob(controlplane.DefaultVMDevices(), tc.DriverLock,
-		coord, tc.Stream("dev"), nil, func() { done = true })
+	prog := controlplane.DeviceInitJob(controlplane.DefaultVMDevices(), nil, tc.DriverLock,
+		coord, tc.Stream("dev"), nil, nil, func() { done = true })
 	th := tc.SpawnCP("devinit", prog)
 	tc.Run(sim.Time(sim.Second))
 	if !done || th.State() != kernel.StateDone {

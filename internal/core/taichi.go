@@ -169,7 +169,7 @@ func (t *TaiChi) SpawnCP(name string, prog kernel.Program) *kernel.Thread {
 // Stream returns a deterministic RNG stream for a named workload.
 func (t *TaiChi) Stream(name string) *rand.Rand { return t.Node.RNG.Stream(name) }
 
-// Tracer exposes the node's event tracer (cluster.TracerHost).
+// Tracer exposes the node's event tracer (cluster.Host).
 func (t *TaiChi) Tracer() *trace.Tracer { return t.Node.Tracer }
 
 // Run advances simulated time.
@@ -226,36 +226,34 @@ func NewStorCoordinator(node *platform.Node) *NativeCoordinator {
 	return &NativeCoordinator{Node: node, Service: node.Stor, OpWork: 5 * sim.Microsecond}
 }
 
-// ConfigureDevice implements controlplane.DPCoordinator.
-func (c *NativeCoordinator) ConfigureDevice(flow int, done func()) {
+// ConfigureDevice implements controlplane.DPCoordinator; native IPC never
+// NACKs.
+func (c *NativeCoordinator) ConfigureDevice(flow int, done func(ok bool)) {
 	core := c.Service.CoreForFlow(flow)
 	c.Node.Pipe.Inject(&accel.Packet{
 		Core: core.ID,
 		Work: c.OpWork,
-		Done: func(*accel.Packet, sim.Time) { done() },
+		Done: func(*accel.Packet, sim.Time) { done(true) },
 	})
 }
 
 // RPCCoordinator wraps a coordinator with the marshalling/transport
 // penalty of replacing native IPC with RPC — the type-2 virtualization
-// cost of §3.4 (guest CP must cross virtio/vsock to reach the DP).
+// cost of §3.4 (guest CP must cross virtio/vsock to reach the DP). Each
+// round trip pays two hops, the request and the reply.
 type RPCCoordinator struct {
-	Inner   controlplane.DPCoordinator
-	Engine  *sim.Engine
-	PerHop  sim.Duration // one-way transport+marshalling cost
-	RTTHops int          // hops per round trip (request + reply = 2)
+	Inner  controlplane.DPCoordinator
+	Engine *sim.Engine
+	PerHop sim.Duration // one-way transport+marshalling cost
 }
 
-// ConfigureDevice implements controlplane.DPCoordinator with RPC delays
-// on both the request and the reply.
-func (c *RPCCoordinator) ConfigureDevice(flow int, done func()) {
-	hops := c.RTTHops
-	if hops <= 0 {
-		hops = 2
-	}
+// ConfigureDevice implements controlplane.DPCoordinator with an RPC hop
+// on both the request and the reply; the reply carries the inner
+// coordinator's outcome.
+func (c *RPCCoordinator) ConfigureDevice(flow int, done func(ok bool)) {
 	c.Engine.ScheduleNamed(c.PerHop, "core.rpc-hop", func() {
-		c.Inner.ConfigureDevice(flow, func() {
-			c.Engine.ScheduleNamed(sim.Duration(hops-1)*c.PerHop, "core.rpc-hop", done)
+		c.Inner.ConfigureDevice(flow, func(ok bool) {
+			c.Engine.ScheduleNamed(c.PerHop, "core.rpc-hop", func() { done(ok) })
 		})
 	})
 }

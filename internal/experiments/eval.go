@@ -28,7 +28,7 @@ func Fig11SynthCP(scale Scale) *Result {
 	cfg := controlplane.DefaultSynthCP()
 
 	run := func(conc int, taichi bool) sim.Duration {
-		var host cpSpawner
+		var host cluster.Host
 		var node *platform.Node
 		if taichi {
 			tc := core.NewDefault(1100 + int64(conc))
@@ -41,10 +41,10 @@ func Fig11SynthCP(scale Scale) *Result {
 		bg.Start()
 		// The production CP ecosystem keeps running during the benchmark
 		// (§3.2); it consumes roughly half of the dedicated CP cores.
-		deployMonitors(host, node.Stream, 16)
-		deployEcosystem(host, node.Stream, 2.0)
+		deployMonitors(host, 16)
+		deployEcosystem(host, 2.0)
 		node.Run(sim.Time(400 * sim.Millisecond)) // settle
-		tasks := spawnSynthBatch(host, node.Stream, cfg, conc)
+		tasks := spawnSynthBatch(host, cfg, conc)
 		node.Run(sim.Time(horizon))
 		return meanTurnaround(tasks, horizon)
 	}
@@ -66,24 +66,24 @@ func Fig11SynthCP(scale Scale) *Result {
 // systemSpec names one of the four compared systems of §6.3.
 type systemSpec struct {
 	name  string
-	build func(seed int64) (*platform.Node, cpSpawner)
+	build func(seed int64) (*platform.Node, cluster.Host)
 }
 
 func fourSystems() []systemSpec {
 	return []systemSpec{
-		{"baseline", func(seed int64) (*platform.Node, cpSpawner) {
+		{"baseline", func(seed int64) (*platform.Node, cluster.Host) {
 			b := baseline.NewStaticDefault(seed)
 			return b.Node, b
 		}},
-		{"taichi", func(seed int64) (*platform.Node, cpSpawner) {
+		{"taichi", func(seed int64) (*platform.Node, cluster.Host) {
 			tc := core.NewDefault(seed)
 			return tc.Node, tc
 		}},
-		{"taichi-vDP", func(seed int64) (*platform.Node, cpSpawner) {
+		{"taichi-vDP", func(seed int64) (*platform.Node, cluster.Host) {
 			tc := baseline.NewType1(seed)
 			return tc.Node, tc
 		}},
-		{"type2", func(seed int64) (*platform.Node, cpSpawner) {
+		{"type2", func(seed int64) (*platform.Node, cluster.Host) {
 			b := baseline.NewType2(seed)
 			return b.Node, b
 		}},
@@ -92,14 +92,14 @@ func fourSystems() []systemSpec {
 
 // withCPLoad starts the standard CP ecosystem (monitors + synth churn)
 // that gives vCPUs something to borrow idle DP cycles for.
-func withCPLoad(host cpSpawner, node *platform.Node) {
-	deployMonitors(host, node.Stream, 16)
+func withCPLoad(host cluster.Host) {
+	deployMonitors(host, 16)
 	cfg := controlplane.DefaultSynthCP()
-	r := node.Stream("cpchurn")
+	r := host.Stream("cpchurn")
 	var churn func(i int)
 	churn = func(i int) {
 		host.SpawnCP(fmt.Sprintf("churn%d", i), controlplane.SynthCP(cfg, r))
-		node.Engine.Schedule(sim.Exponential(r, 60*sim.Millisecond), func() { churn(i + 1) })
+		host.Engine().Schedule(sim.Exponential(r, 60*sim.Millisecond), func() { churn(i + 1) })
 	}
 	churn(0)
 }
@@ -107,9 +107,9 @@ func withCPLoad(host cpSpawner, node *platform.Node) {
 // withHeavyCPLoad is withCPLoad plus the production ecosystem and standing
 // CP demand that keeps vCPUs runnable throughout a DP benchmark — the
 // "CP tasks active" condition under which the paper measures DP overhead.
-func withHeavyCPLoad(host cpSpawner, node *platform.Node) {
-	withCPLoad(host, node)
-	deployEcosystem(host, node.Stream, 2.0)
+func withHeavyCPLoad(host cluster.Host) {
+	withCPLoad(host)
+	deployEcosystem(host, 2.0)
 	for i := 0; i < 6; i++ {
 		host.SpawnCP(fmt.Sprintf("standing%d", i), &kernel.SliceProgram{Segments: []kernel.Segment{
 			{Kind: kernel.SegCompute, Dur: sim.Duration(sim.Hour)},
@@ -128,7 +128,7 @@ func Fig12TCPCRR(scale Scale) *Result {
 	var base float64
 	for _, spec := range fourSystems() {
 		node, host := spec.build(1200)
-		withCPLoad(host, node)
+		withCPLoad(host)
 		crr := workload.NewCRR(node, workload.DefaultCRR())
 		node.Run(sim.Time(200 * sim.Millisecond))
 		crr.Start()
@@ -157,7 +157,7 @@ func Fig13FioIOPS(scale Scale) *Result {
 	var base float64
 	for _, spec := range fourSystems() {
 		node, host := spec.build(1300)
-		withCPLoad(host, node)
+		withCPLoad(host)
 		fio := workload.NewFio(node, workload.DefaultFio())
 		node.Run(sim.Time(200 * sim.Millisecond))
 		fio.Start()
@@ -187,18 +187,16 @@ func Table5PingRTT(scale Scale) *Result {
 		count = 1500
 	}
 
-	run := func(name string, build func() (*platform.Node, cpSpawner)) metrics.Summary {
+	run := func(name string, build func() (*platform.Node, cluster.Host)) metrics.Summary {
 		node, host := build()
-		if host != nil {
-			withCPLoad(host, node)
-			// Sustained CP pressure (the "CP load active" condition of the
-			// experiment): long-running hogs keep vCPUs runnable so idle DP
-			// cores are actually borrowed.
-			for i := 0; i < 7; i++ {
-				host.SpawnCP(fmt.Sprintf("hog%d", i), &kernel.SliceProgram{Segments: []kernel.Segment{
-					{Kind: kernel.SegCompute, Dur: sim.Duration(sim.Hour)},
-				}})
-			}
+		withCPLoad(host)
+		// Sustained CP pressure (the "CP load active" condition of the
+		// experiment): long-running hogs keep vCPUs runnable so idle DP
+		// cores are actually borrowed.
+		for i := 0; i < 7; i++ {
+			host.SpawnCP(fmt.Sprintf("hog%d", i), &kernel.SliceProgram{Segments: []kernel.Segment{
+				{Kind: kernel.SegCompute, Dur: sim.Duration(sim.Hour)},
+			}})
 		}
 		cfg := workload.DefaultPing()
 		cfg.Count = count
@@ -215,15 +213,15 @@ func Table5PingRTT(scale Scale) *Result {
 		return s
 	}
 
-	run("baseline", func() (*platform.Node, cpSpawner) {
+	run("baseline", func() (*platform.Node, cluster.Host) {
 		b := baseline.NewStaticDefault(1500)
 		return b.Node, b
 	})
-	run("taichi", func() (*platform.Node, cpSpawner) {
+	run("taichi", func() (*platform.Node, cluster.Host) {
 		tc := core.NewDefault(1500)
 		return tc.Node, tc
 	})
-	run("taichi-no-hwprobe", func() (*platform.Node, cpSpawner) {
+	run("taichi-no-hwprobe", func() (*platform.Node, cluster.Host) {
 		opts := platform.DefaultOptions()
 		opts.Seed = 1500
 		opts.HWProbe = false
@@ -252,7 +250,7 @@ func Fig14DPSuite(scale Scale) *Result {
 		var vals [2]float64
 		for i, taichi := range []bool{false, true} {
 			var node *platform.Node
-			var host cpSpawner
+			var host cluster.Host
 			if taichi {
 				tc := core.NewDefault(1400)
 				node, host = tc.Node, tc
@@ -260,7 +258,7 @@ func Fig14DPSuite(scale Scale) *Result {
 				b := baseline.NewStaticDefault(1400)
 				node, host = b.Node, b
 			}
-			withHeavyCPLoad(host, node)
+			withHeavyCPLoad(host)
 			// Production traffic is duty-cycled: trains of requests with
 			// sub-ms quiet gaps. The gaps are where Tai Chi borrows cores —
 			// and where its cache/TLB pollution cost comes from (§6.5).
@@ -346,7 +344,7 @@ func Fig15MySQL(scale Scale) *Result {
 	type out struct{ maxQ, avgQ, maxT, avgT float64 }
 	run := func(taichi bool) out {
 		var node *platform.Node
-		var host cpSpawner
+		var host cluster.Host
 		if taichi {
 			tc := core.NewDefault(1501)
 			node, host = tc.Node, tc
@@ -354,7 +352,7 @@ func Fig15MySQL(scale Scale) *Result {
 			b := baseline.NewStaticDefault(1501)
 			node, host = b.Node, b
 		}
-		withHeavyCPLoad(host, node)
+		withHeavyCPLoad(host)
 		mcfg := workload.DefaultMySQL()
 		mcfg.Phase = workload.NewPhaser(node.Engine, node.Stream("fig15.phase"), 700*sim.Microsecond, 250*sim.Microsecond)
 		m := workload.NewMySQL(node, mcfg)
@@ -405,7 +403,7 @@ func Fig16Nginx(scale Scale) *Result {
 		var vals [2]float64
 		for i, taichi := range []bool{false, true} {
 			var node *platform.Node
-			var host cpSpawner
+			var host cluster.Host
 			if taichi {
 				tc := core.NewDefault(1600)
 				node, host = tc.Node, tc
@@ -413,7 +411,7 @@ func Fig16Nginx(scale Scale) *Result {
 				b := baseline.NewStaticDefault(1600)
 				node, host = b.Node, b
 			}
-			withHeavyCPLoad(host, node)
+			withHeavyCPLoad(host)
 			cfg := workload.DefaultNginx(cse.https, cse.short)
 			cfg.Phase = workload.NewPhaser(node.Engine, node.Stream("fig16.phase"), 700*sim.Microsecond, 250*sim.Microsecond)
 			cfg.Connections = int(10000 * scale.Factor)
@@ -506,7 +504,7 @@ func Sec8DynamicDP(scale Scale) *Result {
 			}
 		}
 		tc := core.New(platform.NewNode(opts), core.DefaultConfig())
-		withCPLoad(tc, tc.Node)
+		withCPLoad(tc)
 		// Phase 1: peak throughput under saturating benchmarks.
 		crr := workload.NewCRR(tc.Node, workload.DefaultCRR())
 		fio := workload.NewFio(tc.Node, workload.DefaultFio())
@@ -523,7 +521,7 @@ func Sec8DynamicDP(scale Scale) *Result {
 		bg.Start()
 		synth := controlplane.DefaultSynthCP()
 		synth.Total = 20 * sim.Millisecond
-		tasks := spawnSynthBatch(tc, tc.Node.Stream, synth, 8)
+		tasks := spawnSynthBatch(tc, synth, 8)
 		tc.Run(tc.Node.Now().Add(sim.Duration(horizon)))
 		return cps, iops, meanTurnaround(tasks, horizon).Milliseconds()
 	}

@@ -10,8 +10,8 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
+	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
@@ -80,25 +80,20 @@ func (r *Result) Render() string {
 	return out
 }
 
-// cpSpawner is the host surface experiments deploy CP tasks through.
-type cpSpawner interface {
-	SpawnCP(name string, prog kernel.Program) *kernel.Thread
-}
-
 // deployMonitors starts n periodic monitoring tasks — the steady CP mix
 // that keeps vCPUs busy during data-plane experiments.
-func deployMonitors(host cpSpawner, stream func(name string) *rand.Rand, n int) {
+func deployMonitors(host cluster.Host, n int) {
 	for i := 0; i < n; i++ {
 		cfg := controlplane.DefaultMonitor()
-		host.SpawnCP(fmt.Sprintf("monitor%d", i), controlplane.Monitor(cfg, stream(fmt.Sprintf("exp.mon%d", i))))
+		host.SpawnCP(fmt.Sprintf("monitor%d", i), controlplane.Monitor(cfg, host.Stream(fmt.Sprintf("exp.mon%d", i))))
 	}
 }
 
 // spawnSynthBatch launches n synth_cp tasks at once and returns them.
-func spawnSynthBatch(host cpSpawner, stream func(name string) *rand.Rand, cfg controlplane.SynthCPConfig, n int) []*kernel.Thread {
+func spawnSynthBatch(host cluster.Host, cfg controlplane.SynthCPConfig, n int) []*kernel.Thread {
 	out := make([]*kernel.Thread, n)
 	for i := range out {
-		out[i] = host.SpawnCP(fmt.Sprintf("synth%d", i), controlplane.SynthCP(cfg, stream(fmt.Sprintf("synth%d", i))))
+		out[i] = host.SpawnCP(fmt.Sprintf("synth%d", i), controlplane.SynthCP(cfg, host.Stream(fmt.Sprintf("synth%d", i))))
 	}
 	return out
 }
@@ -144,14 +139,14 @@ func coarseBackground(mean float64) workload.BackgroundConfig {
 // aggregate demand is coreEquiv CPU cores. Under the static baseline this
 // load shares the 4 CP pCPUs with whatever benchmark runs; under Tai Chi
 // it spreads onto borrowed DP cycles like everything else.
-func deployEcosystem(host cpSpawner, stream func(name string) *rand.Rand, coreEquiv float64) {
+func deployEcosystem(host cluster.Host, coreEquiv float64) {
 	const tasks = 64
 	const compute = 1500 * sim.Microsecond
 	// duty = coreEquiv/tasks; sleep = compute*(1-duty)/duty.
 	duty := coreEquiv / tasks
 	sleep := sim.Duration(float64(compute) * (1 - duty) / duty)
 	for i := 0; i < tasks; i++ {
-		r := stream(fmt.Sprintf("eco%d", i))
+		r := host.Stream(fmt.Sprintf("eco%d", i))
 		phase := 0
 		host.SpawnCP(fmt.Sprintf("eco%d", i), kernel.ProgramFunc(func(*kernel.Thread) (kernel.Segment, bool) {
 			phase++

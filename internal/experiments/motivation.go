@@ -245,7 +245,7 @@ func Fig05Census(scale Scale) *Result {
 	agg := fleet.RunWorkers(members, 505, scale.Workers, func(idx int, seed int64, agg *fleet.Aggregates) {
 		b := baseline.NewStaticDefault(seed)
 		// A production-like mix: monitors and a steady churn of synth tasks.
-		deployMonitors(b, b.Node.Stream, 12)
+		deployMonitors(b, 12)
 		cfg := controlplane.DefaultSynthCP()
 		cfg.NonPreemptFrac = 0.06
 		r := b.Node.Stream("fig5.synth")

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/baseline"
+	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/dataplane"
@@ -106,18 +107,16 @@ func Table2Properties(Scale) *Result {
 	tbl.AddRow("OS count", 1, 2, 1)
 
 	// DP-CP IPC: measure one device-configuration round trip.
-	rtt := func(coord controlplane.DPCoordinator, engine interface {
-		Now() sim.Time
-		Run(sim.Time) uint64
-	}) sim.Duration {
+	rtt := func(h cluster.Host) sim.Duration {
+		engine := h.Engine()
 		start := engine.Now()
 		var done sim.Time
-		coord.ConfigureDevice(0, func() { done = engine.Now() })
+		h.Coordinator().ConfigureDevice(0, func(bool) { done = engine.Now() })
 		engine.Run(start.Add(sim.Duration(10 * sim.Millisecond)))
 		return done.Sub(start)
 	}
-	t2RTT := rtt(t2.Coordinator(), t2.Node.Engine)
-	tcRTT := rtt(tc.Coordinator(), tc.Node.Engine)
+	t2RTT := rtt(t2)
+	tcRTT := rtt(tc)
 	tbl.AddRow("DP-CP IPC round trip", "native", t2RTT.String()+" (RPC)", tcRTT.String()+" (native)")
 	res.Values["type2_ipc_us"] = t2RTT.Microseconds()
 	res.Values["taichi_ipc_us"] = tcRTT.Microseconds()
@@ -141,7 +140,7 @@ func AblationAdaptiveSlice(scale Scale) *Result {
 		cfg := core.DefaultConfig()
 		cfg.AdaptiveSlice = adaptive
 		tc := core.New(platform.NewNode(opts), cfg)
-		withCPLoad(tc, tc.Node)
+		withCPLoad(tc)
 		for i := 0; i < 8; i++ {
 			tc.SpawnCP(fmt.Sprintf("hog%d", i), &kernel.SliceProgram{Segments: []kernel.Segment{
 				{Kind: kernel.SegCompute, Dur: sim.Duration(sim.Hour)},
@@ -181,7 +180,7 @@ func AblationAdaptiveYield(scale Scale) *Result {
 		cfg := core.DefaultConfig()
 		cfg.SWProbe.Adaptive = adaptive
 		tc := core.New(platform.NewNode(opts), cfg)
-		withCPLoad(tc, tc.Node)
+		withCPLoad(tc)
 		for i := 0; i < 8; i++ {
 			tc.SpawnCP(fmt.Sprintf("hog%d", i), &kernel.SliceProgram{Segments: []kernel.Segment{
 				{Kind: kernel.SegCompute, Dur: sim.Duration(sim.Hour)},
@@ -227,7 +226,7 @@ func AblationLockRescue(scale Scale) *Result {
 		scfg.Total = 20 * sim.Millisecond
 		scfg.NonPreemptFrac = 0.5
 		scfg.Lock = tc.DriverLock
-		tasks := spawnSynthBatch(tc, tc.Node.Stream, scfg, 10)
+		tasks := spawnSynthBatch(tc, scfg, 10)
 		// Adversarial traffic: brief quiet windows bait yields, then a
 		// saturating 3 ms burst keeps every DP core busy — without rescue
 		// a preempted lock holder has nowhere to run while spinners burn

@@ -228,10 +228,10 @@ type coordFaults struct {
 // prompt rejection, far under any ack timeout.
 const nackLatency = 5 * sim.Microsecond
 
-// TryConfigureDevice implements controlplane.FallibleCoordinator.
-func (c *coordFaults) TryConfigureDevice(flow int, done func(ok bool)) {
+// ConfigureDevice implements controlplane.DPCoordinator.
+func (c *coordFaults) ConfigureDevice(flow int, done func(ok bool)) {
 	if c.inj.stopped {
-		controlplane.TryConfigure(c.inner, flow, done)
+		c.inner.ConfigureDevice(flow, done)
 		return
 	}
 	s := c.inj.Spec
@@ -248,21 +248,11 @@ func (c *coordFaults) TryConfigureDevice(flow int, done func(ok bool)) {
 	if s.PartialInitRate > 0 && c.r.Float64() < s.PartialInitRate {
 		// The DP applies the op but the completion ack is lost.
 		c.inj.partialInit.Inc()
-		c.inner.ConfigureDevice(flow, func() {})
+		c.inner.ConfigureDevice(flow, func(bool) {})
 		return
 	}
-	controlplane.TryConfigure(c.inner, flow, done)
+	c.inner.ConfigureDevice(flow, done)
 }
-
-// ConfigureDevice implements controlplane.DPCoordinator for
-// outcome-blind callers; a NACKed op still completes the callback so
-// teardown workflows cannot wedge on an injected refusal.
-func (c *coordFaults) ConfigureDevice(flow int, done func()) {
-	c.TryConfigureDevice(flow, func(bool) { done() })
-}
-
-// Attached reports whether Attach has run.
-func (i *Injector) Attached() bool { return i.attached }
 
 // Stop quiesces every armed fault class from the current instant on:
 // the hooks stay installed but inject nothing further, and the

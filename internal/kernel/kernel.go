@@ -209,9 +209,6 @@ func (k *Kernel) CPUs() []*CPU { return k.cpus }
 // Threads returns all threads ever spawned, in creation order.
 func (k *Kernel) Threads() []*Thread { return k.threads }
 
-// RunqueueLen returns the number of runnable-but-not-running threads.
-func (k *Kernel) RunqueueLen() int { return len(k.runqueue) }
-
 // Spawn creates a thread and makes it runnable immediately.
 func (k *Kernel) Spawn(name string, prog Program, affinity ...CPUID) *Thread {
 	t := &Thread{
@@ -806,15 +803,4 @@ func (k *Kernel) StartSchedWatchdog(period sim.Duration) *sim.Ticker {
 			}
 		}
 	})
-}
-
-// IdleCPUs returns the ids of online, powered, idle CPUs.
-func (k *Kernel) IdleCPUs() []CPUID {
-	var out []CPUID
-	for _, c := range k.cpus {
-		if c.Idle() {
-			out = append(out, c.ID)
-		}
-	}
-	return out
 }

@@ -149,6 +149,3 @@ func (p *LoopProgram) Next(*Thread) (Segment, bool) {
 	}
 	return s, true
 }
-
-// Consumed returns the CPU time consumed so far.
-func (p *LoopProgram) Consumed() sim.Duration { return p.consumed }

@@ -99,9 +99,6 @@ type Thread struct {
 // State returns the thread's scheduling state.
 func (t *Thread) State() ThreadState { return t.state }
 
-// VRuntime returns the fair-scheduler virtual runtime.
-func (t *Thread) VRuntime() sim.Duration { return t.vruntime }
-
 // Weight returns the fair-share weight (≥1).
 func (t *Thread) Weight() int {
 	if t.weight <= 0 {
@@ -149,10 +146,6 @@ func (t *Thread) Signal() {
 	}
 	t.pendingSignal = true
 }
-
-// Spinning reports whether the thread is busy-waiting on a contended
-// spinlock (it holds nothing yet; it only burns cycles).
-func (t *Thread) Spinning() bool { return t.spinningOn != nil }
 
 // HoldsAnyLock reports whether the thread currently holds any spinlock —
 // the condition that triggers Tai Chi's safe lock-context rescheduling

@@ -126,24 +126,3 @@ func TestTrimFloat(t *testing.T) {
 		}
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	h1 := r.Histogram("lat")
-	h2 := r.Histogram("lat")
-	if h1 != h2 {
-		t.Fatal("registry must return the same histogram for the same name")
-	}
-	r.Counter("pkts").Add(3)
-	if r.Counter("pkts").Value() != 3 {
-		t.Fatal("counter identity")
-	}
-	h1.Record(10)
-	dump := r.Dump()
-	if !strings.Contains(dump, "lat") || !strings.Contains(dump, "pkts: 3") {
-		t.Fatalf("dump missing entries:\n%s", dump)
-	}
-	if len(r.HistogramNames()) != 1 || len(r.CounterNames()) != 1 {
-		t.Fatal("names")
-	}
-}

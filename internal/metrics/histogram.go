@@ -5,10 +5,10 @@
 // paper's tables and figures. The histogram resolution (~6% relative
 // error) is chosen so the quantities the paper reports survive bucketing:
 // the microsecond RTT quantiles of Table 5, the 1–67 ms routine census of
-// Figure 5, and the utilization CDF of Figure 3. Histogram and Registry
-// merges are associative and traverse names in sorted order, which is
-// what lets internal/fleet combine per-node results deterministically
-// regardless of worker count.
+// Figure 5, and the utilization CDF of Figure 3. Histogram merges are
+// associative, and renderers and merge paths traverse names in sorted
+// order (SortedKeys), which is what lets internal/fleet combine per-node
+// results deterministically regardless of worker count.
 package metrics
 
 import (

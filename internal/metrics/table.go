@@ -84,69 +84,3 @@ func (t *Table) String() string {
 
 // Rows returns the formatted row cells, useful for assertions in tests.
 func (t *Table) Rows() [][]string { return t.rows }
-
-// Registry collects named histograms and counters for a simulation run so
-// experiment harnesses can grab everything in one place.
-type Registry struct {
-	histograms map[string]*Histogram
-	counters   map[string]*Counter
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		histograms: make(map[string]*Histogram),
-		counters:   make(map[string]*Counter),
-	}
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(name)
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
-		c = NewCounter(name)
-		r.counters[name] = c
-	}
-	return c
-}
-
-// HistogramNames returns the sorted names of all histograms.
-func (r *Registry) HistogramNames() []string { return SortedKeys(r.histograms) }
-
-// CounterNames returns the sorted names of all counters.
-func (r *Registry) CounterNames() []string { return SortedKeys(r.counters) }
-
-// Merge folds every histogram and counter of o into r, visiting names in
-// sorted order so repeated merges are deterministic. It is the
-// per-collector analogue of fleet.Aggregates.MergeFrom for harnesses that
-// aggregate whole registries across independent runs.
-func (r *Registry) Merge(o *Registry) {
-	for _, name := range SortedKeys(o.histograms) {
-		r.Histogram(name).Merge(o.histograms[name])
-	}
-	for _, name := range SortedKeys(o.counters) {
-		r.Counter(name).Add(o.counters[name].Value())
-	}
-}
-
-// Dump renders every histogram summary and counter, sorted by name.
-func (r *Registry) Dump() string {
-	var b strings.Builder
-	for _, name := range r.HistogramNames() {
-		fmt.Fprintln(&b, r.histograms[name].Summarize())
-	}
-	for _, name := range r.CounterNames() {
-		fmt.Fprintf(&b, "%s: %d\n", name, r.counters[name].Value())
-	}
-	return b.String()
-}

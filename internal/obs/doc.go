@@ -16,8 +16,8 @@
 //     Perfetto / chrome://tracing. The JSON is hand-assembled with a
 //     fixed field order and integer-math timestamps, so a given trace
 //     renders byte-identically on every run and worker count.
-//   - Metrics snapshots (snapshot.go): metrics.Registry / Group /
-//     Histogram state as Prometheus text exposition or JSON.
+//   - Metrics snapshots (snapshot.go): metrics.Group / Histogram
+//     state and loose scalars as Prometheus text exposition or JSON.
 //
 // Everything here is a pure function of already-recorded state: obs
 // never schedules events, draws randomness, or reads clocks, so

@@ -42,7 +42,7 @@ type GaugeSnap struct {
 }
 
 // Snapshot is a point-in-time export of metric state, assembled from
-// registries, counter groups, and loose scalars, then rendered as JSON
+// counter groups, histograms, and loose scalars, then rendered as JSON
 // or Prometheus text. Callers Add* in any order; rendering sorts by
 // name, so assembly order never leaks into the bytes.
 type Snapshot struct {
@@ -78,17 +78,6 @@ func (s *Snapshot) AddHistogram(name string, h *metrics.Histogram) {
 		P99Ns: int64(sum.P99), P999Ns: int64(sum.P999),
 		MaxNs: int64(sum.Max),
 	})
-}
-
-// AddRegistry folds a whole registry in, with an optional name prefix
-// ("" for none; a non-empty prefix is joined with "_").
-func (s *Snapshot) AddRegistry(prefix string, r *metrics.Registry) {
-	for _, name := range r.CounterNames() {
-		s.AddCounter(join(prefix, name), r.Counter(name).Value())
-	}
-	for _, name := range r.HistogramNames() {
-		s.AddHistogram(join(prefix, name), r.Histogram(name))
-	}
 }
 
 // AddGroup folds a counter group in under its group name (or the given

@@ -18,7 +18,6 @@ import (
 	"repro/internal/accel"
 	"repro/internal/dataplane"
 	"repro/internal/kernel"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -120,8 +119,6 @@ type Node struct {
 	Pipe   *accel.Pipeline
 	Probe  *accel.Probe // nil unless Options.HWProbe
 
-	Metrics *metrics.Registry
-
 	// byCore indexes the data-plane cores by physical id; nil where an id
 	// is not a DP core.
 	byCore []*dataplane.Core
@@ -187,12 +184,11 @@ func New(opts Options) (*Node, error) {
 		tracer.EnableOnly(DefaultTraceKinds()...)
 	}
 	n := &Node{
-		Opts:    opts,
-		Engine:  engine,
-		RNG:     sim.NewRNG(opts.Seed),
-		Tracer:  tracer,
-		Kernel:  kernel.New(engine, opts.Kernel, tracer),
-		Metrics: metrics.NewRegistry(),
+		Opts:   opts,
+		Engine: engine,
+		RNG:    sim.NewRNG(opts.Seed),
+		Tracer: tracer,
+		Kernel: kernel.New(engine, opts.Kernel, tracer),
 	}
 	for _, id := range opts.Topology.CPCores {
 		n.Kernel.AddCPU(kernel.CPUID(id), false)

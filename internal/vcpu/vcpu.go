@@ -190,10 +190,6 @@ func (v *VCPU) State() State { return v.state }
 // Core returns the backing physical core, or -1.
 func (v *VCPU) Core() int { return v.core }
 
-// Runnable reports whether the vCPU wants a core (ready, or halted with
-// pending guest work).
-func (v *VCPU) Runnable() bool { return v.state == StateReady }
-
 // MarkReady transitions a halted vCPU to ready without an interrupt —
 // used at registration time once the boot sequence completes.
 func (v *VCPU) MarkReady() {

@@ -107,6 +107,3 @@ func (p *Ping) jitter() sim.Duration {
 	}
 	return j
 }
-
-// Sent returns how many echo requests have been issued.
-func (p *Ping) Sent() int { return p.sent }

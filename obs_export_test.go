@@ -44,7 +44,6 @@ func exportRun(baseSeed int64, nodes, workers int) (chrome, prom []byte) {
 			Events: append([]trace.Event{}, sys.Node.Tracer.Events()...),
 		}
 		snap := obs.NewSnapshot()
-		snap.AddRegistry("node", sys.Node.Metrics)
 		snap.AddCounter("engine_events", sys.Node.Engine.Fired())
 		snap.AddHistogram("ping_rtt", p.RTT)
 		snaps[i] = snap
