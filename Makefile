@@ -66,14 +66,16 @@ bench-test:
 bench-pins:
 	bash bench/run.sh -seconds 0
 
-# Invariant-auditor gate: a faulted, recovery-armed run must finish with
+# Invariant-auditor gate: faulted, recovery-armed runs must finish with
 # zero audit violations (taichi-sim exits non-zero otherwise), and the
-# auditor/recovery acceptance tests must pass. Part of `make check` so a
+# auditor/recovery acceptance tests must pass. The vmstartup run is the
+# one that reaches the node-local dead-letter requeue path. Part of `make check` so a
 # scheduler change that breaks a runtime invariant — double-lend, lost
 # request, illegal mode transition — fails pre-commit even when no
 # throughput number moves.
 audit-smoke:
 	$(GO) run ./cmd/taichi-sim -mode taichi -workload crr -dur 200ms -faults default -recover -audit > /dev/null
+	$(GO) run ./cmd/taichi-sim -mode taichi -workload vmstartup -retry -recover -faults default -dur 2s -audit > /dev/null
 	$(GO) test -count=1 -run 'TestAuditorCertifiesPinnedScenarios|TestChaosRecoveryReconverges|TestRecoveryLadderFlapping' . ./internal/experiments ./internal/core
 
 # Overload-control gate: an overloaded, admission-gated run must end

@@ -8,6 +8,7 @@ import (
 	taichi "repro"
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
+	"repro/internal/core"
 	"repro/internal/kernel"
 )
 
@@ -105,6 +106,37 @@ func TestFacadeZeroFaultIdentity(t *testing.T) {
 	}
 }
 
+// TestFacadeDefenseArmingOrder: the injector's lost-IPI sweep must run
+// whether recovery was enabled before or after the injector attached.
+// Enabling recovery first arms the defense machinery without the sweep;
+// the later Attach must still start it, so both orders replay the same
+// run.
+func TestFacadeDefenseArmingOrder(t *testing.T) {
+	run := func(recoverFirst bool) (string, uint64) {
+		sys := taichi.New(5)
+		inj := taichi.NewFaultInjector(taichi.DefaultFaultSpec())
+		if recoverFirst {
+			sys.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+			inj.Attach(sys)
+		} else {
+			inj.Attach(sys)
+			sys.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+		}
+		sys.Run(taichi.Milliseconds(300))
+		return sys.Describe(), sys.Engine().Fired()
+	}
+	attachOut, attachFired := run(false)
+	recoverOut, recoverFired := run(true)
+	if attachFired != recoverFired {
+		t.Fatalf("event count depends on arming order: attach first %d, recover first %d",
+			attachFired, recoverFired)
+	}
+	if attachOut != recoverOut {
+		t.Fatalf("Describe output depends on arming order\n--- attach first\n%s--- recover first\n%s",
+			attachOut, recoverOut)
+	}
+}
+
 // TestFacadeZeroOverloadIdentity is the overload layer's regression
 // contract, the admission-gate analogue of TestFacadeZeroFaultIdentity:
 // a fully populated but not Enabled AdmissionPolicy, plus a wired (but
@@ -145,8 +177,8 @@ func TestFacadeZeroOverloadIdentity(t *testing.T) {
 
 // TestFacadeZeroPlacementIdentity is the placement layer's regression
 // contract, the placed-mode analogue of TestFacadeZeroOverloadIdentity:
-// a fully populated but not Enabled cluster.PlacementPolicy must be
-// invisible — identical Describe output and event count versus a run
+// a disabled cluster.PlacementPolicy, with Submit and HostVM called
+// anyway, must be invisible — identical Describe output and event count versus a run
 // that never mentions placement, across seeds. Only Enabled switches the
 // manager into placed mode, derives the per-VM load streams, and parks
 // dead-letters for the placer; while false, Submit and HostVM are inert.
@@ -160,7 +192,7 @@ func TestFacadeZeroPlacementIdentity(t *testing.T) {
 			cfg.Retry = cluster.DefaultRetryPolicy()
 			if withPolicy {
 				pol := cluster.DefaultPlacementPolicy()
-				pol.Enabled = false // populated knobs, placed mode disarmed
+				pol.Enabled = false // placed mode disarmed
 				cfg.Placement = pol
 			}
 			mgr := cluster.NewManager(sys, cfg)

@@ -24,6 +24,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -79,7 +80,8 @@ func DefaultClassify(id int) Priority {
 // AdmissionPolicy governs the admission gate. The zero value (Enabled
 // false) disables the machinery entirely: no RNG streams, no queues, no
 // timers — the manager is byte-identical to the pre-admission
-// implementation.
+// implementation. The queue deadlines and loop cadences are the
+// package constants below; only the bucket is tunable.
 type AdmissionPolicy struct {
 	// Enabled arms the token bucket, the per-class queues, and the
 	// shedder.
@@ -89,22 +91,6 @@ type AdmissionPolicy struct {
 	Rate float64
 	// Burst is the bucket depth (maximum tokens banked).
 	Burst float64
-	// SojournThreshold is the base queue-deadline: a queued request whose
-	// sojourn exceeds threshold × ClassSojournFactor[class] ×
-	// SojournFactor[level] is shed instead of dispatched (CoDel-style).
-	SojournThreshold sim.Duration
-	// DrainPeriod is the cadence of the dispatch loop while requests are
-	// queued; each arming is jittered from the "cluster.admit" stream.
-	DrainPeriod sim.Duration
-	// ShedPeriod is the cadence of the shedder sweep; each arming is
-	// jittered from the "cluster.shed" stream.
-	ShedPeriod sim.Duration
-	// JitterFrac spreads each drain/shed arming by ±frac.
-	JitterFrac float64
-	// ClassSojournFactor scales the sojourn threshold per class (index by
-	// Priority): batch below 1 sheds first, latency-critical above 1
-	// sheds last. Zero entries take the defaults.
-	ClassSojournFactor [NumPriorities]float64
 	// RateFactor scales the refill rate per overload level (index by
 	// core.OverloadState ordinal: normal, throttle, shed, brownout).
 	// Zero entries take the defaults.
@@ -114,77 +100,80 @@ type AdmissionPolicy struct {
 	// banked tokens when its sustained rate is already clamped. The
 	// default leaves the depth untouched at every rung.
 	BurstFactor [4]float64
-	// SojournFactor scales every sojourn threshold per overload level —
-	// the shedder's reach widens (thresholds shrink) as the ladder
-	// climbs. Zero entries take the defaults.
-	SojournFactor [4]float64
 }
 
+// Admission-gate tuning shared by every enabled gate.
+const (
+	// sojournThreshold is the base queue deadline: a queued request
+	// whose sojourn exceeds sojournThreshold × classSojournFactor[class]
+	// × levelSojournFactor[level] is shed instead of dispatched
+	// (CoDel-style).
+	sojournThreshold = 400 * sim.Millisecond
+	// drainPeriod is the cadence of the dispatch loop while requests are
+	// queued; each arming is jittered from the "cluster.admit" stream.
+	drainPeriod = 10 * sim.Millisecond
+	// shedPeriod is the cadence of the shedder sweep; each arming is
+	// jittered from the "cluster.shed" stream.
+	shedPeriod = 25 * sim.Millisecond
+	// admissionJitter spreads each drain/shed arming by ±frac.
+	admissionJitter = 0.2
+)
+
+// The sojourn factors are variables, not constants, so sojournLimit
+// multiplies them at run time in a fixed order; a folded constant
+// product could round differently.
+var (
+	// classSojournFactor scales the sojourn threshold per class (index
+	// by Priority): batch below 1 sheds first, latency-critical above 1
+	// sheds last.
+	classSojournFactor = [NumPriorities]float64{0.5, 1.0, 2.0}
+	// levelSojournFactor scales every sojourn threshold per overload
+	// level — the shedder's reach widens (thresholds shrink) as the
+	// ladder climbs.
+	levelSojournFactor = [4]float64{1.0, 0.75, 0.5, 0.25}
+)
+
 // DefaultAdmissionPolicy is the tuning used by the overload experiments:
-// a bucket sized for twice the default density-1 arrival rate, and
-// sojourn thresholds around the startup SLO.
+// a bucket sized for twice the default density-1 arrival rate.
 func DefaultAdmissionPolicy() AdmissionPolicy {
 	return AdmissionPolicy{
-		Enabled:            true,
-		Rate:               24,
-		Burst:              8,
-		SojournThreshold:   400 * sim.Millisecond,
-		DrainPeriod:        10 * sim.Millisecond,
-		ShedPeriod:         25 * sim.Millisecond,
-		JitterFrac:         0.2,
-		ClassSojournFactor: [NumPriorities]float64{0.5, 1.0, 2.0},
-		RateFactor:         [4]float64{1.0, 0.7, 0.4, 0.2},
-		BurstFactor:        [4]float64{1.0, 1.0, 1.0, 1.0},
-		SojournFactor:      [4]float64{1.0, 0.75, 0.5, 0.25},
+		Enabled:     true,
+		Rate:        24,
+		Burst:       8,
+		RateFactor:  [4]float64{1.0, 0.7, 0.4, 0.2},
+		BurstFactor: [4]float64{1.0, 1.0, 1.0, 1.0},
 	}
 }
 
 // normalize fills zero fields of an enabled policy with defaults so a
-// caller can set just Enabled.
+// caller can set just Enabled. A negative or NaN field panics, naming
+// the field.
 func (p AdmissionPolicy) normalize() AdmissionPolicy {
 	if !p.Enabled {
 		return p
 	}
 	d := DefaultAdmissionPolicy()
-	if p.Rate <= 0 {
-		p.Rate = d.Rate
-	}
-	if p.Burst <= 0 {
-		p.Burst = d.Burst
-	}
-	if p.SojournThreshold <= 0 {
-		p.SojournThreshold = d.SojournThreshold
-	}
-	if p.DrainPeriod <= 0 {
-		p.DrainPeriod = d.DrainPeriod
-	}
-	if p.ShedPeriod <= 0 {
-		p.ShedPeriod = d.ShedPeriod
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	for i := range p.ClassSojournFactor {
-		if p.ClassSojournFactor[i] <= 0 {
-			p.ClassSojournFactor[i] = d.ClassSojournFactor[i]
-		}
-	}
+	p.Rate = orDefault("Rate", p.Rate, d.Rate)
+	p.Burst = orDefault("Burst", p.Burst, d.Burst)
 	for i := range p.RateFactor {
-		if p.RateFactor[i] <= 0 {
-			p.RateFactor[i] = d.RateFactor[i]
-		}
+		p.RateFactor[i] = orDefault(fmt.Sprintf("RateFactor[%d]", i), p.RateFactor[i], d.RateFactor[i])
 	}
 	for i := range p.BurstFactor {
-		if p.BurstFactor[i] <= 0 {
-			p.BurstFactor[i] = d.BurstFactor[i]
-		}
-	}
-	for i := range p.SojournFactor {
-		if p.SojournFactor[i] <= 0 {
-			p.SojournFactor[i] = d.SojournFactor[i]
-		}
+		p.BurstFactor[i] = orDefault(fmt.Sprintf("BurstFactor[%d]", i), p.BurstFactor[i], d.BurstFactor[i])
 	}
 	return p
+}
+
+// orDefault returns v, or def when v is zero. A negative or NaN v
+// panics, naming field.
+func orDefault(field string, v, def float64) float64 {
+	if v < 0 || math.IsNaN(v) {
+		panic(fmt.Sprintf("cluster: AdmissionPolicy.%s = %v; want a non-negative number", field, v))
+	}
+	if v == 0 {
+		return def
+	}
+	return v
 }
 
 // overloadLevel reads the node's overload-ladder rung (0 = normal … 3 =
@@ -224,10 +213,9 @@ func (m *Manager) refillTokens(level int) {
 // sojournLimit is the effective queue deadline for one class at one
 // overload level.
 func (m *Manager) sojournLimit(class Priority, level int) sim.Duration {
-	base := float64(m.cfg.Admission.SojournThreshold)
-	return sim.Duration(base *
-		m.cfg.Admission.ClassSojournFactor[class] *
-		m.cfg.Admission.SojournFactor[level])
+	return sim.Duration(float64(sojournThreshold) *
+		classSojournFactor[class] *
+		levelSojournFactor[level])
 }
 
 // admitOrEnqueue is the gate itself: called for every freshly issued
@@ -274,7 +262,7 @@ func (m *Manager) armDrain() {
 		return
 	}
 	m.drainArmed = true
-	delay := sim.Jitter(m.admitR, m.cfg.Admission.DrainPeriod, m.cfg.Admission.JitterFrac)
+	delay := sim.Jitter(m.admitR, drainPeriod, admissionJitter)
 	m.host.Engine().ScheduleNamed(delay, "cluster.admit", func() {
 		m.drainArmed = false
 		m.drainAdmitQ()
@@ -325,7 +313,7 @@ func (m *Manager) armShedSweep() {
 		return
 	}
 	m.shedArmed = true
-	delay := sim.Jitter(m.shedR, m.cfg.Admission.ShedPeriod, m.cfg.Admission.JitterFrac)
+	delay := sim.Jitter(m.shedR, shedPeriod, admissionJitter)
 	m.host.Engine().ScheduleNamed(delay, "cluster.shed", func() {
 		m.shedArmed = false
 		m.shedSweep()
@@ -379,25 +367,17 @@ func (m *Manager) dispatch(req *Request) {
 	m.beginAttempt(req)
 }
 
-// attemptBudgetFor resolves the per-class attempt budget (falls back to
-// the shared MaxAttempts; zero when retries are disabled, matching the
-// pre-admission manager).
+// attemptBudgetFor resolves the per-class attempt budget: the class
+// override when set, else maxAttempts, and zero when retries are
+// disabled (without retries no attempt is ever declared failed).
 func (m *Manager) attemptBudgetFor(class Priority) int {
 	if !m.cfg.Retry.Enabled {
-		return m.cfg.Retry.MaxAttempts
+		return 0
 	}
 	if b := m.cfg.Retry.ClassMaxAttempts[class]; b > 0 {
 		return b
 	}
-	return m.cfg.Retry.MaxAttempts
-}
-
-// resurrectionBudgetFor resolves the per-class resurrection budget.
-func (m *Manager) resurrectionBudgetFor(class Priority) int {
-	if b := m.cfg.Requeue.ClassMaxResurrections[class]; b > 0 {
-		return b
-	}
-	return m.cfg.Requeue.MaxResurrections
+	return maxAttempts
 }
 
 // Shed returns the shed request count.

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -141,7 +144,7 @@ func TestResurrectionDefersWhileMemberSheds(t *testing.T) {
 	cfg.VMs = 1
 	cfg.VMLifetime = 0
 	cfg.Retry = DefaultRetryPolicy()
-	cfg.Requeue = RequeuePolicy{Enabled: true, RequeueDelay: 20 * sim.Millisecond, MaxHealthChecks: 100}
+	cfg.Requeue = DefaultRequeuePolicy()
 	cfg.Admission = DefaultAdmissionPolicy()
 	cfg.Classify = func(int) Priority { return PriorityNormal }
 	cfg.OverloadLevel = func() int { return level }
@@ -206,5 +209,57 @@ func TestBurstFactorClampsBankedTokens(t *testing.T) {
 	plain := issue([4]float64{})
 	if q := plain.QueuedAdmission(); q != 0 {
 		t.Fatalf("queued = %d with default BurstFactor, want 0", q)
+	}
+}
+
+// TestNewManagerRejectsMalformedPolicy: a negative or NaN admission
+// bucket value, or a negative per-class attempt budget, panics naming
+// the field instead of silently becoming the default (a NaN rate would
+// otherwise poison the token count and the gate would never admit).
+// Zero keeps meaning "default".
+func TestNewManagerRejectsMalformedPolicy(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Rate", func(c *Config) { c.Admission.Rate = -5 }},
+		{"Rate", func(c *Config) { c.Admission.Rate = nan }},
+		{"Burst", func(c *Config) { c.Admission.Burst = -1 }},
+		{"Burst", func(c *Config) { c.Admission.Burst = nan }},
+		{"RateFactor[2]", func(c *Config) { c.Admission.RateFactor[2] = -0.4 }},
+		{"RateFactor[0]", func(c *Config) { c.Admission.RateFactor[0] = nan }},
+		{"BurstFactor[3]", func(c *Config) { c.Admission.BurstFactor[3] = -1 }},
+		{"BurstFactor[1]", func(c *Config) { c.Admission.BurstFactor[1] = nan }},
+		{"ClassMaxAttempts[0]", func(c *Config) { c.Retry.ClassMaxAttempts[0] = -1 }},
+	} {
+		cfg := DefaultConfig(1)
+		cfg.Retry = DefaultRetryPolicy()
+		cfg.Admission = DefaultAdmissionPolicy()
+		tc.set(&cfg)
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			NewManager(core.NewDefault(85), cfg)
+			return ""
+		}()
+		if !strings.Contains(msg, tc.field) {
+			t.Errorf("%s: NewManager panic %q, want one naming the field", tc.field, msg)
+		}
+	}
+
+	// Zero still means the default.
+	cfg := DefaultConfig(1)
+	cfg.Retry = RetryPolicy{Enabled: true}
+	cfg.Admission = AdmissionPolicy{Enabled: true}
+	m := NewManager(core.NewDefault(85), cfg)
+	if got, want := m.cfg.Admission, DefaultAdmissionPolicy(); got != want {
+		t.Fatalf("zero admission fields normalized to %+v, want %+v", got, want)
+	}
+	if got := m.attemptBudgetFor(PriorityBatch); got != maxAttempts {
+		t.Fatalf("zero ClassMaxAttempts entry gave budget %d, want %d", got, maxAttempts)
 	}
 }

@@ -177,12 +177,18 @@ type Manager struct {
 	stopped bool
 }
 
-// NewManager builds the workload around a host.
+// NewManager builds the workload around a host. It panics, naming the
+// field, on a negative or NaN admission-bucket value or a negative
+// per-class attempt budget; zero means the default.
 func NewManager(host Host, cfg Config) *Manager {
-	cfg.Retry = cfg.Retry.normalize()
-	cfg.Requeue = cfg.Requeue.normalize()
 	cfg.Admission = cfg.Admission.normalize()
-	cfg.Placement = cfg.Placement.normalize()
+	if cfg.Retry.Enabled {
+		for c, b := range cfg.Retry.ClassMaxAttempts {
+			if b < 0 {
+				panic(fmt.Sprintf("cluster: RetryPolicy.ClassMaxAttempts[%d] = %d; want a non-negative number", c, b))
+			}
+		}
+	}
 	g := metrics.NewGroup("requests")
 	m := &Manager{
 		cfg:         cfg,
@@ -365,7 +371,7 @@ func (m *Manager) beginAttempt(req *Request) {
 	m.host.SpawnCP(name, prog)
 
 	if m.cfg.Retry.Enabled {
-		req.deadline = m.host.Engine().ScheduleNamed(m.cfg.Retry.AttemptTimeout, "cluster.deadline", func() {
+		req.deadline = m.host.Engine().ScheduleNamed(attemptTimeout, "cluster.deadline", func() {
 			m.attemptFailed(req, attempt, "timeout")
 		})
 	}
@@ -443,7 +449,7 @@ func (m *Manager) attemptFailed(req *Request, attempt int, reason string) {
 	req.state = ReqRetrying
 	m.cRetried.Inc()
 	m.emit(trace.KindRequestRetry, req.ID, reason)
-	delay := sim.Jitter(m.retryR, m.cfg.Retry.backoff(attempt), m.cfg.Retry.JitterFrac)
+	delay := sim.Jitter(m.retryR, backoff(attempt), retryJitter)
 	m.host.Engine().ScheduleNamed(delay, "cluster.retry", func() {
 		if req.state != ReqRetrying {
 			return
@@ -479,7 +485,7 @@ func (m *Manager) deadLetter(req *Request, reason string) {
 // maybeRequeue arms one resurrection decision for a freshly dead-lettered
 // request, if the policy allows another life.
 func (m *Manager) maybeRequeue(req *Request) {
-	if !m.cfg.Requeue.Enabled || req.Resurrections >= m.resurrectionBudgetFor(req.Class) {
+	if !m.cfg.Requeue.Enabled || req.Resurrections >= maxResurrections {
 		return
 	}
 	m.pendingRequeues++
@@ -489,16 +495,16 @@ func (m *Manager) maybeRequeue(req *Request) {
 
 // scheduleRequeueCheck waits out the (jittered) requeue dwell and then
 // consults node health: healthy → resurrect; unhealthy → re-poll up to
-// MaxHealthChecks times, after which the request stays dead-lettered.
+// maxHealthChecks times, after which the request stays dead-lettered.
 func (m *Manager) scheduleRequeueCheck(req *Request, check int) {
-	delay := sim.Jitter(m.requeueR, m.cfg.Requeue.RequeueDelay, m.cfg.Requeue.JitterFrac)
+	delay := sim.Jitter(m.requeueR, requeueDelay, requeueJitter)
 	m.host.Engine().ScheduleNamed(delay, "cluster.requeue", func() {
 		if req.state != ReqDeadLettered {
 			m.pendingRequeues--
 			return
 		}
 		if m.cfg.Healthy != nil && !m.cfg.Healthy() {
-			if check >= m.cfg.Requeue.MaxHealthChecks {
+			if check >= maxHealthChecks {
 				// The node never came back: abandon the resurrection.
 				m.pendingRequeues--
 				return

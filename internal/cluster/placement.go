@@ -16,52 +16,28 @@ import (
 //
 // The zero value disables the machinery entirely: no streams are
 // derived, Start keeps its arrival process, and runs are byte-identical
-// to a manager without the field — including a *populated* policy with
-// Enabled false.
+// to a manager without the field.
 type PlacementPolicy struct {
-	// Enabled turns placed mode on. Every other field is ignored — and no
-	// stream is derived — while false.
+	// Enabled turns placed mode on.
 	Enabled bool
-	// VMLoadPeriod is the mean gap between a resident VM's CP load
+}
+
+// Per-VM load program: sized so a handful of resident VMs is background
+// noise and a few dozen visibly pressures the CP — the gradient the
+// pressure policy steers against.
+const (
+	// vmLoadPeriod is the mean gap between a resident VM's CP load
 	// bursts.
-	VMLoadPeriod sim.Duration
-	// VMLoadBusy is the CP compute time of each burst.
-	VMLoadBusy sim.Duration
-	// JitterFrac spreads the period (±frac) from the VM's
+	vmLoadPeriod = 40 * sim.Millisecond
+	// vmLoadBusy is the CP compute time of each burst.
+	vmLoadBusy = 400 * sim.Microsecond
+	// vmLoadJitter spreads the period (±frac) from the VM's
 	// "cluster.vmload%d" stream so co-resident VMs do not beat.
-	JitterFrac float64
-}
+	vmLoadJitter = 0.2
+)
 
-// DefaultPlacementPolicy sizes the per-VM load so a handful of resident
-// VMs is background noise and a few dozen visibly pressures the CP —
-// the gradient the pressure policy steers against.
-func DefaultPlacementPolicy() PlacementPolicy {
-	return PlacementPolicy{
-		Enabled:      true,
-		VMLoadPeriod: 40 * sim.Millisecond,
-		VMLoadBusy:   400 * sim.Microsecond,
-		JitterFrac:   0.2,
-	}
-}
-
-// normalize fills unset knobs from the defaults, preserving the
-// zero-value-disables contract.
-func (p PlacementPolicy) normalize() PlacementPolicy {
-	if !p.Enabled {
-		return p
-	}
-	d := DefaultPlacementPolicy()
-	if p.VMLoadPeriod <= 0 {
-		p.VMLoadPeriod = d.VMLoadPeriod
-	}
-	if p.VMLoadBusy <= 0 {
-		p.VMLoadBusy = d.VMLoadBusy
-	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = d.JitterFrac
-	}
-	return p
-}
+// DefaultPlacementPolicy turns placed mode on.
+func DefaultPlacementPolicy() PlacementPolicy { return PlacementPolicy{Enabled: true} }
 
 // vmLoad is one resident VM's recurring load program. The stopped flag
 // is how eviction works: the program checks it before every segment, so
@@ -99,7 +75,6 @@ func (m *Manager) HostVM(id int) {
 		m.vmLoads = map[int]*vmLoad{}
 	}
 	m.vmLoads[id] = l
-	p := m.cfg.Placement
 	r := m.host.Stream(fmt.Sprintf("cluster.vmload%d", id))
 	burst := true
 	m.host.SpawnCP(fmt.Sprintf("vmload%d", id),
@@ -109,10 +84,10 @@ func (m *Manager) HostVM(id int) {
 			}
 			if burst {
 				burst = false
-				return kernel.Segment{Kind: kernel.SegCompute, Dur: p.VMLoadBusy}, true
+				return kernel.Segment{Kind: kernel.SegCompute, Dur: vmLoadBusy}, true
 			}
 			burst = true
-			return kernel.Segment{Kind: kernel.SegSleep, Dur: sim.Jitter(r, p.VMLoadPeriod, p.JitterFrac)}, true
+			return kernel.Segment{Kind: kernel.SegSleep, Dur: sim.Jitter(r, vmLoadPeriod, vmLoadJitter)}, true
 		}))
 }
 

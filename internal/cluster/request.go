@@ -83,8 +83,8 @@ type Request struct {
 	state   RequestState
 	records []*device.Device
 	// attemptBudget is the attempt count at which the request
-	// dead-letters; it starts at RetryPolicy.MaxAttempts and grows by the
-	// same amount per resurrection (Attempts itself stays monotonic so
+	// dead-letters; it starts at the class's attempt budget and grows by
+	// the same amount per resurrection (Attempts itself stays monotonic so
 	// per-attempt RNG stream names never repeat).
 	attemptBudget int
 	deadline      sim.Handle
@@ -102,76 +102,48 @@ func (r *Request) Terminal() bool { return r.state.Terminal() }
 // RetryPolicy governs per-request deadlines and retries. The zero value
 // (Enabled false) disables the whole machinery: no deadline events are
 // scheduled, no RNG stream is created, and the manager's event stream is
-// byte-identical to the pre-lifecycle implementation.
+// byte-identical to the pre-lifecycle implementation. The deadline and
+// backoff shape are the package constants below.
 type RetryPolicy struct {
 	// Enabled arms deadlines, retries and dead-lettering.
 	Enabled bool
-	// MaxAttempts bounds provisioning attempts per request; the request
-	// dead-letters when the budget is exhausted.
-	MaxAttempts int
-	// AttemptTimeout is the per-attempt deadline: an attempt that has not
-	// signalled device completion by then is declared failed.
-	AttemptTimeout sim.Duration
-	// BaseBackoff / BackoffFactor shape the exponential backoff between
-	// attempts: attempt n waits BaseBackoff × BackoffFactor^(n-1).
-	BaseBackoff   sim.Duration
-	BackoffFactor float64
-	// JitterFrac spreads each backoff by ±frac, drawn from the manager's
-	// dedicated "cluster.retry" stream so replays stay bit-for-bit.
-	JitterFrac float64
-	// ClassMaxAttempts overrides MaxAttempts per priority class (index by
-	// Priority). A zero entry falls back to MaxAttempts, so the zero
+	// ClassMaxAttempts overrides maxAttempts per priority class (index by
+	// Priority). A zero entry falls back to maxAttempts, so the zero
 	// array keeps every class on the shared budget.
 	ClassMaxAttempts [NumPriorities]int
 }
 
-// DefaultRetryPolicy mirrors a production device-manager profile: three
-// attempts, a deadline comfortably above the uncontended init time, and
-// exponentially growing, jittered backoff.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		Enabled:        true,
-		MaxAttempts:    3,
-		AttemptTimeout: 500 * sim.Millisecond,
-		BaseBackoff:    20 * sim.Millisecond,
-		BackoffFactor:  2.0,
-		JitterFrac:     0.2,
-	}
-}
+// Retry tuning shared by every enabled policy: a production
+// device-manager profile of three attempts, a deadline comfortably above
+// the uncontended init time, and exponentially growing, jittered
+// backoff.
+const (
+	// maxAttempts bounds provisioning attempts per request; the request
+	// dead-letters when the budget is exhausted.
+	maxAttempts = 3
+	// attemptTimeout is the per-attempt deadline: an attempt that has not
+	// signalled device completion by then is declared failed.
+	attemptTimeout = 500 * sim.Millisecond
+	// baseBackoff and backoffFactor shape the exponential backoff
+	// between attempts: attempt n waits baseBackoff × backoffFactor^(n-1).
+	baseBackoff   = 20 * sim.Millisecond
+	backoffFactor = 2.0
+	// retryJitter spreads each backoff by ±frac, drawn from the
+	// manager's dedicated "cluster.retry" stream so replays stay
+	// bit-for-bit.
+	retryJitter = 0.2
+)
 
-// normalize fills zero fields of an enabled policy with defaults so a
-// caller can set just Enabled.
-func (p RetryPolicy) normalize() RetryPolicy {
-	if !p.Enabled {
-		return p
-	}
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = d.AttemptTimeout
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.BackoffFactor < 1 {
-		// Factor exactly 1.0 is a legitimate constant-backoff policy;
-		// only unset (zero) or shrinking factors get the default.
-		p.BackoffFactor = d.BackoffFactor
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	return p
-}
+// DefaultRetryPolicy arms retries with the shared budget for every
+// class.
+func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{Enabled: true} }
 
 // backoff returns the delay before re-issuing after failed attempt n
 // (1-based), before jitter.
-func (p RetryPolicy) backoff(n int) sim.Duration {
-	d := float64(p.BaseBackoff)
+func backoff(n int) sim.Duration {
+	d := float64(baseBackoff)
 	for i := 1; i < n; i++ {
-		d *= p.BackoffFactor
+		d *= backoffFactor
 	}
 	return sim.Duration(d)
 }
@@ -186,52 +158,23 @@ func (p RetryPolicy) backoff(n int) sim.Duration {
 type RequeuePolicy struct {
 	// Enabled arms the dead-letter requeue path.
 	Enabled bool
-	// MaxResurrections bounds resurrections per request.
-	MaxResurrections int
-	// RequeueDelay is the dwell between dead-lettering and the health
-	// check that gates resurrection.
-	RequeueDelay sim.Duration
-	// JitterFrac spreads each dwell by ±frac, drawn from the manager's
-	// dedicated "cluster.requeue" stream.
-	JitterFrac float64
-	// MaxHealthChecks bounds how many times an unhealthy verdict is
-	// re-polled before the request is abandoned in the dead-letter state.
-	MaxHealthChecks int
-	// ClassMaxResurrections overrides MaxResurrections per priority class
-	// (index by Priority). A zero entry falls back to MaxResurrections.
-	ClassMaxResurrections [NumPriorities]int
 }
 
-// DefaultRequeuePolicy allows one resurrection per request after a short
+// Requeue tuning: one resurrection per request after a short
 // health-gated dwell.
-func DefaultRequeuePolicy() RequeuePolicy {
-	return RequeuePolicy{
-		Enabled:          true,
-		MaxResurrections: 1,
-		RequeueDelay:     50 * sim.Millisecond,
-		JitterFrac:       0.2,
-		MaxHealthChecks:  4,
-	}
-}
+const (
+	// maxResurrections bounds resurrections per request.
+	maxResurrections = 1
+	// requeueDelay is the dwell between dead-lettering and the health
+	// check that gates resurrection.
+	requeueDelay = 50 * sim.Millisecond
+	// requeueJitter spreads each dwell by ±frac, drawn from the
+	// manager's dedicated "cluster.requeue" stream.
+	requeueJitter = 0.2
+	// maxHealthChecks bounds how many times an unhealthy verdict is
+	// re-polled before the request is abandoned in the dead-letter state.
+	maxHealthChecks = 4
+)
 
-// normalize fills zero fields of an enabled policy with defaults so a
-// caller can set just Enabled.
-func (p RequeuePolicy) normalize() RequeuePolicy {
-	if !p.Enabled {
-		return p
-	}
-	d := DefaultRequeuePolicy()
-	if p.MaxResurrections <= 0 {
-		p.MaxResurrections = d.MaxResurrections
-	}
-	if p.RequeueDelay <= 0 {
-		p.RequeueDelay = d.RequeueDelay
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	if p.MaxHealthChecks <= 0 {
-		p.MaxHealthChecks = d.MaxHealthChecks
-	}
-	return p
-}
+// DefaultRequeuePolicy arms the dead-letter requeue path.
+func DefaultRequeuePolicy() RequeuePolicy { return RequeuePolicy{Enabled: true} }

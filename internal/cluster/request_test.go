@@ -122,8 +122,8 @@ func TestDeadLetterAfterMaxAttemptsRollsBackDevices(t *testing.T) {
 	if req.State() != ReqDeadLettered || req.Reason != "nack" {
 		t.Fatalf("request state=%v reason=%q", req.State(), req.Reason)
 	}
-	if req.Attempts != cfg.Retry.MaxAttempts {
-		t.Fatalf("attempts=%d, want the MaxAttempts cap %d", req.Attempts, cfg.Retry.MaxAttempts)
+	if req.Attempts != maxAttempts {
+		t.Fatalf("attempts=%d, want the maxAttempts cap %d", req.Attempts, maxAttempts)
 	}
 	// Rollback: every provisioned record released, none leaked.
 	if int(mgr.Devices.Aborted) != len(cfg.Devices) {
@@ -181,25 +181,18 @@ func TestNoLostRequestsUnderCPCrash(t *testing.T) {
 // Completed/StartupTime and letting Completed exceed Issued.
 func TestTimedOutAttemptCannotCompleteTwice(t *testing.T) {
 	tc := core.NewDefault(67)
-	// Op 0's ack stalls far past the attempt deadline, then arrives; the
-	// attempt is declared failed at 100 ms yet resumes and runs through.
+	// Op 0's ack stalls past the 500 ms attempt deadline, then arrives:
+	// the attempt is declared failed yet resumes and runs through, and
+	// its device completion lands while the retry it spawned is in
+	// flight — the window where the old guard let both attempts finish.
 	tc.SetCoordinator(&laggyCoord{inner: tc.Coordinator(), engine: tc.Engine(),
-		slow: map[int]sim.Duration{0: 300 * sim.Millisecond}})
+		slow: map[int]sim.Duration{0: 450 * sim.Millisecond}})
 
 	cfg := DefaultConfig(1)
 	cfg.VMs = 1
 	cfg.VMLifetime = 0
 	cfg.MonitorsPerDensity = 0 // keep attempt timing free of CP contention
-	cfg.Retry = RetryPolicy{
-		Enabled:        true,
-		MaxAttempts:    3,
-		AttemptTimeout: 100 * sim.Millisecond,
-		// The backoff lands between the stalled attempt's device
-		// completion and its QEMU completion — the window where the old
-		// guard let both attempts finish.
-		BaseBackoff:   350 * sim.Millisecond,
-		BackoffFactor: 1, // constant backoff must survive normalize()
-	}
+	cfg.Retry = DefaultRetryPolicy()
 	mgr := NewManager(tc, cfg)
 	mgr.Start()
 	drainVMs(t, tc, mgr, 1)
@@ -282,30 +275,10 @@ func TestRetryDisabledMatchesLegacyStreams(t *testing.T) {
 }
 
 func TestRetryPolicyBackoffShape(t *testing.T) {
-	p := DefaultRetryPolicy()
-	if p.backoff(1) != p.BaseBackoff {
-		t.Fatalf("backoff(1) = %v, want base %v", p.backoff(1), p.BaseBackoff)
+	if backoff(1) != baseBackoff {
+		t.Fatalf("backoff(1) = %v, want base %v", backoff(1), baseBackoff)
 	}
-	if p.backoff(2) != 2*p.BaseBackoff {
-		t.Fatalf("backoff(2) = %v, want doubled base", p.backoff(2))
-	}
-	var zero RetryPolicy
-	n := zero.normalize()
-	if n.Enabled {
-		t.Fatal("zero policy must stay disabled")
-	}
-	half := RetryPolicy{Enabled: true}
-	h := half.normalize()
-	if h.MaxAttempts == 0 || h.AttemptTimeout == 0 || h.BaseBackoff == 0 || h.BackoffFactor <= 1 {
-		t.Fatalf("normalize left zero fields: %+v", h)
-	}
-	// Factor exactly 1.0 is a valid constant-backoff policy and must not
-	// be overwritten with the exponential default.
-	c := RetryPolicy{Enabled: true, BackoffFactor: 1}.normalize()
-	if c.BackoffFactor != 1 {
-		t.Fatalf("constant backoff factor rewritten to %v", c.BackoffFactor)
-	}
-	if c.backoff(3) != c.BaseBackoff {
-		t.Fatalf("constant backoff grew: backoff(3) = %v, want %v", c.backoff(3), c.BaseBackoff)
+	if backoff(2) != 2*baseBackoff {
+		t.Fatalf("backoff(2) = %v, want doubled base", backoff(2))
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// firstLifeFails NACKs exactly the first MaxAttempts ops — each failed
+// firstLifeFails NACKs exactly the first maxAttempts ops — each failed
 // attempt aborts at its first NACK, so the request's first life burns
 // the whole retry budget and dead-letters, and any later life succeeds.
 // Call-count gating keeps the shape independent of when the request
@@ -43,7 +42,7 @@ func TestRequeueResurrectsAfterNodeHeals(t *testing.T) {
 		cfg.VMs = 1
 		cfg.VMLifetime = 0
 		cfg.Retry = DefaultRetryPolicy()
-		cfg.Requeue = RequeuePolicy{Enabled: true, RequeueDelay: 30 * sim.Millisecond}
+		cfg.Requeue = DefaultRequeuePolicy()
 		mgr := NewManager(tc, cfg)
 		mgr.Start()
 		drainSettled(t, tc, mgr, 1)
@@ -57,8 +56,8 @@ func TestRequeueResurrectsAfterNodeHeals(t *testing.T) {
 		}
 		// The first life burned the full budget; the second life got a
 		// fresh one and needed at least one more attempt.
-		if req.Attempts <= cfg.Retry.MaxAttempts {
-			t.Fatalf("attempts=%d, want more than the first life's budget %d", req.Attempts, cfg.Retry.MaxAttempts)
+		if req.Attempts <= maxAttempts {
+			t.Fatalf("attempts=%d, want more than the first life's budget %d", req.Attempts, maxAttempts)
 		}
 		// DeadLettered counts the transient dead-letter even though the
 		// request came back — the counter is incidence, not final state.
@@ -82,7 +81,7 @@ func TestRequeueResurrectsAfterNodeHeals(t *testing.T) {
 }
 
 // TestRequeueBudgetBounded: a permanently failing node gets exactly
-// MaxResurrections extra lives, each with a fresh attempt budget, and
+// maxResurrections extra lives, each with a fresh attempt budget, and
 // then stays dead-lettered with the manager settled.
 func TestRequeueBudgetBounded(t *testing.T) {
 	tc := core.NewDefault(72)
@@ -92,7 +91,7 @@ func TestRequeueBudgetBounded(t *testing.T) {
 	cfg.VMs = 1
 	cfg.VMLifetime = 0
 	cfg.Retry = DefaultRetryPolicy()
-	cfg.Requeue = RequeuePolicy{Enabled: true, MaxResurrections: 2, RequeueDelay: 10 * sim.Millisecond}
+	cfg.Requeue = DefaultRequeuePolicy()
 	mgr := NewManager(tc, cfg)
 	mgr.Start()
 	drainSettled(t, tc, mgr, 1)
@@ -101,11 +100,12 @@ func TestRequeueBudgetBounded(t *testing.T) {
 	if req.State() != ReqDeadLettered {
 		t.Fatalf("state=%v, want dead-lettered after the budget ran out", req.State())
 	}
-	if mgr.Resurrected() != 2 || req.Resurrections != 2 {
-		t.Fatalf("resurrected=%d req.Resurrections=%d, want the full budget of 2", mgr.Resurrected(), req.Resurrections)
+	if mgr.Resurrected() != maxResurrections || req.Resurrections != maxResurrections {
+		t.Fatalf("resurrected=%d req.Resurrections=%d, want the full budget of %d",
+			mgr.Resurrected(), req.Resurrections, maxResurrections)
 	}
-	// Three lives, each with MaxAttempts fresh attempts.
-	if want := 3 * cfg.Retry.MaxAttempts; req.Attempts != want {
+	// 1+maxResurrections lives, each with maxAttempts fresh attempts.
+	if want := (1 + maxResurrections) * maxAttempts; req.Attempts != want {
 		t.Fatalf("attempts=%d, want %d (fresh budget per life)", req.Attempts, want)
 	}
 	if !mgr.Settled() || mgr.pendingRequeues != 0 {
@@ -114,7 +114,7 @@ func TestRequeueBudgetBounded(t *testing.T) {
 }
 
 // TestRequeueHealthGateAbandons: a node that never reports healthy gets
-// polled exactly MaxHealthChecks times and the request is then abandoned
+// polled exactly maxHealthChecks times and the request is then abandoned
 // in the dead-letter state — no resurrection onto a sick node, ever.
 func TestRequeueHealthGateAbandons(t *testing.T) {
 	tc := core.NewDefault(73)
@@ -125,14 +125,14 @@ func TestRequeueHealthGateAbandons(t *testing.T) {
 	cfg.VMs = 1
 	cfg.VMLifetime = 0
 	cfg.Retry = DefaultRetryPolicy()
-	cfg.Requeue = RequeuePolicy{Enabled: true, RequeueDelay: 10 * sim.Millisecond, MaxHealthChecks: 3}
+	cfg.Requeue = DefaultRequeuePolicy()
 	cfg.Healthy = func() bool { polls++; return false }
 	mgr := NewManager(tc, cfg)
 	mgr.Start()
 	drainSettled(t, tc, mgr, 1)
 
-	if polls != 3 {
-		t.Fatalf("health polled %d times, want exactly MaxHealthChecks=3", polls)
+	if polls != maxHealthChecks {
+		t.Fatalf("health polled %d times, want exactly maxHealthChecks=%d", polls, maxHealthChecks)
 	}
 	if mgr.Resurrected() != 0 {
 		t.Fatalf("resurrected=%d onto a node that never reported healthy", mgr.Resurrected())
@@ -157,7 +157,7 @@ func TestRequeueHealthGateWaitsForHealth(t *testing.T) {
 	cfg.VMs = 1
 	cfg.VMLifetime = 0
 	cfg.Retry = DefaultRetryPolicy()
-	cfg.Requeue = RequeuePolicy{Enabled: true, RequeueDelay: 20 * sim.Millisecond, MaxHealthChecks: 10}
+	cfg.Requeue = DefaultRequeuePolicy()
 	cfg.Healthy = func() bool { polls++; return polls >= 3 }
 	mgr := NewManager(tc, cfg)
 	mgr.Start()
@@ -200,21 +200,5 @@ func TestRequeueDisabledIsInert(t *testing.T) {
 	}
 	if req := mgr.Requests()[0]; req.State() != ReqDeadLettered {
 		t.Fatalf("state=%v, want a terminal dead letter", req.State())
-	}
-}
-
-// TestRequeuePolicyNormalize: zero stays disabled; Enabled-only fills
-// every knob from the default policy.
-func TestRequeuePolicyNormalize(t *testing.T) {
-	var zero RequeuePolicy
-	if zero.normalize().Enabled {
-		t.Fatal("zero policy must stay disabled")
-	}
-	n := RequeuePolicy{Enabled: true}.normalize()
-	if n.MaxResurrections == 0 || n.RequeueDelay == 0 || n.MaxHealthChecks == 0 {
-		t.Fatalf("normalize left zero fields: %+v", n)
-	}
-	if !strings.Contains(fmt.Sprintf("%+v", DefaultRequeuePolicy()), "Enabled:true") {
-		t.Fatal("DefaultRequeuePolicy must come armed")
 	}
 }

@@ -42,26 +42,9 @@ func (m DefenseMode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// DefenseConfig tunes the graceful-degradation machinery. The zero value
-// of each field takes the matching DefaultDefenseConfig value.
+// DefenseConfig tunes the graceful-degradation machinery. The reclaim
+// watchdog and the probe-miss fallback use the fixed thresholds below.
 type DefenseConfig struct {
-	// ReclaimTimeout is how long a probe preemption request may stay
-	// outstanding before the reclaim watchdog escalates. The fault-free
-	// reclaim completes within IRQ latency + VM-exit cost (~2.5 µs), so
-	// the default sits well clear of it.
-	ReclaimTimeout sim.Duration
-	// ReclaimRetries bounds forced-IPI escalations before vCPU teardown.
-	ReclaimRetries int
-	// RetryBackoff multiplies the timeout after each escalation.
-	RetryBackoff float64
-	// ProbeMissThreshold and ProbeMissWindow govern the fallback to the
-	// software probe: that many probe misses detected within the sliding
-	// window disqualify the hardware probe.
-	ProbeMissThreshold int
-	ProbeMissWindow    sim.Duration
-	// TeardownThreshold is the vCPU-teardown count that triggers static
-	// partitioning — repeated teardowns mean reclaims cannot be trusted.
-	TeardownThreshold int
 	// SchedWatchdogPeriod arms the kernel's lost-resched-IPI sweep
 	// (kernel.StartSchedWatchdog); 0 keeps it off.
 	SchedWatchdogPeriod sim.Duration
@@ -70,38 +53,29 @@ type DefenseConfig struct {
 // DefaultDefenseConfig returns the defense tuning used by the chaos
 // experiments.
 func DefaultDefenseConfig() DefenseConfig {
-	return DefenseConfig{
-		ReclaimTimeout:      10 * sim.Microsecond,
-		ReclaimRetries:      2,
-		RetryBackoff:        2.0,
-		ProbeMissThreshold:  10,
-		ProbeMissWindow:     50 * sim.Millisecond,
-		TeardownThreshold:   8,
-		SchedWatchdogPeriod: 100 * sim.Microsecond,
-	}
+	return DefenseConfig{SchedWatchdogPeriod: 100 * sim.Microsecond}
 }
 
-func (c *DefenseConfig) applyDefaults() {
-	d := DefaultDefenseConfig()
-	if c.ReclaimTimeout == 0 {
-		c.ReclaimTimeout = d.ReclaimTimeout
-	}
-	if c.ReclaimRetries == 0 {
-		c.ReclaimRetries = d.ReclaimRetries
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = d.RetryBackoff
-	}
-	if c.ProbeMissThreshold == 0 {
-		c.ProbeMissThreshold = d.ProbeMissThreshold
-	}
-	if c.ProbeMissWindow == 0 {
-		c.ProbeMissWindow = d.ProbeMissWindow
-	}
-	if c.TeardownThreshold == 0 {
-		c.TeardownThreshold = d.TeardownThreshold
-	}
-}
+// Defense thresholds, placed around the fault-free reclaim envelope.
+const (
+	// reclaimTimeout is how long a probe preemption request may stay
+	// outstanding before the reclaim watchdog escalates. The fault-free
+	// reclaim completes within IRQ latency + VM-exit cost (~2.5 µs), so
+	// the timeout sits well clear of it.
+	reclaimTimeout = 10 * sim.Microsecond
+	// reclaimRetries bounds forced-IPI escalations before vCPU teardown.
+	reclaimRetries = 2
+	// reclaimBackoff multiplies the timeout after each escalation.
+	reclaimBackoff = 2.0
+	// probeMissThreshold and probeMissWindow govern the fallback to the
+	// software probe: that many probe misses detected within the sliding
+	// window disqualify the hardware probe.
+	probeMissThreshold = 10
+	probeMissWindow    = 50 * sim.Millisecond
+	// teardownThreshold is the vCPU-teardown count that triggers static
+	// partitioning — repeated teardowns mean reclaims cannot be trusted.
+	teardownThreshold = 8
+)
 
 // defenseState is the per-scheduler degradation ladder: the escalation
 // rungs down and, once EnableRecovery armed it, the self-healing climb
@@ -110,10 +84,12 @@ func (c *DefenseConfig) applyDefaults() {
 // passive (no events, no RNG, no timers) so zero-fault runs remain
 // byte-identical.
 type defenseState struct {
-	cfg       DefenseConfig
 	mode      DefenseMode // assigned only by setMode
-	misses    window      // probe-miss detections (ProbeMissWindow)
+	misses    window      // probe-miss detections (probeMissWindow)
 	teardowns int
+	// watchdog latches once the kernel's lost-resched-IPI sweep started,
+	// whichever EnableDefense call first asked for it.
+	watchdog bool
 
 	// Recovery state. r is nil until EnableRecovery arms the ladder, and
 	// every recovery path stays inert without it — no events, no RNG
@@ -148,15 +124,16 @@ func (d *defenseState) setMode(m DefenseMode) {
 // EnableDefense arms the graceful-degradation machinery: the per-slot
 // reclaim watchdog, the probe-miss fallback ladder, and (optionally) the
 // kernel scheduler watchdog. It is idempotent and meant to be called by
-// the fault-injection layer right after the injector attaches; fault-free
-// runs never call it, keeping their event streams untouched.
+// the fault-injection layer when the injector attaches; fault-free runs
+// never call it, keeping their event streams untouched. The scheduler
+// watchdog starts on the first call with a positive period, so the
+// order of EnableDefense and EnableRecovery does not matter.
 func (s *Scheduler) EnableDefense(cfg DefenseConfig) {
-	if s.defense != nil {
-		return
+	if s.defense == nil {
+		s.defense = &defenseState{misses: window{span: probeMissWindow}}
 	}
-	cfg.applyDefaults()
-	s.defense = &defenseState{cfg: cfg, misses: window{span: cfg.ProbeMissWindow}}
-	if cfg.SchedWatchdogPeriod > 0 {
+	if cfg.SchedWatchdogPeriod > 0 && !s.defense.watchdog {
+		s.defense.watchdog = true
 		s.kern.StartSchedWatchdog(cfg.SchedWatchdogPeriod)
 	}
 }
@@ -178,7 +155,7 @@ func (s *Scheduler) armReclaimWatchdog(slot *dpSlot) {
 	if s.defense == nil || slot.wdEv != (sim.Handle{}) {
 		return
 	}
-	slot.wdEv = s.engine.ScheduleNamed(s.defense.cfg.ReclaimTimeout, "core.watchdog", func() {
+	slot.wdEv = s.engine.ScheduleNamed(reclaimTimeout, "core.watchdog", func() {
 		slot.wdEv = sim.Handle{}
 		s.reclaimWatchdog(slot)
 	})
@@ -202,7 +179,7 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 	// pressure window.
 	d.clean.reset()
 	s.overloadNoteEscalation()
-	if slot.wdRetries < d.cfg.ReclaimRetries {
+	if slot.wdRetries < reclaimRetries {
 		// Escalate: a forced IPI this time, not a probe request.
 		slot.wdRetries++
 		s.WatchdogRetries.Inc()
@@ -211,9 +188,9 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		if slot.occupant != nil {
 			slot.occupant.ForceExit(vcpu.ExitForced)
 		}
-		timeout := d.cfg.ReclaimTimeout
+		timeout := reclaimTimeout
 		for i := 0; i < slot.wdRetries; i++ {
-			timeout = sim.Duration(float64(timeout) * d.cfg.RetryBackoff)
+			timeout = sim.Duration(float64(timeout) * reclaimBackoff)
 		}
 		slot.wdEv = s.engine.ScheduleNamed(timeout, "core.watchdog", func() {
 			slot.wdEv = sim.Handle{}
@@ -241,7 +218,7 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		}
 		s.resumeDP(slot)
 	}
-	if d.teardowns >= d.cfg.TeardownThreshold && d.mode != ModeStatic {
+	if d.teardowns >= teardownThreshold && d.mode != ModeStatic {
 		s.enterStatic()
 	}
 	s.reconcile()
@@ -263,7 +240,7 @@ func (s *Scheduler) noteProbeMiss(slot *dpSlot) {
 		// incrementing here too would double-count the incident.
 		s.FaultsRecovered.Inc()
 	}
-	if n := d.misses.add(now); n >= d.cfg.ProbeMissThreshold && d.mode == ModeNormal {
+	if n := d.misses.add(now); n >= probeMissThreshold && d.mode == ModeNormal {
 		s.ProbeFallbacks.Inc()
 		d.setMode(ModeSWProbe)
 		s.node.Probe.Enabled = false

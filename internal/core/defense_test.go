@@ -67,32 +67,32 @@ func TestSetCoreDownWithArmedReclaimWatchdog(t *testing.T) {
 }
 
 // TestProbeMissWindowBoundary pins the sliding-window comparison in
-// noteProbeMiss: a miss exactly ProbeMissWindow old still counts toward
+// noteProbeMiss: a miss exactly probeMissWindow old still counts toward
 // the threshold (eviction is strictly-older-than), while one nanosecond
 // beyond the window it ages out and the probe survives.
 func TestProbeMissWindowBoundary(t *testing.T) {
-	run := func(seed int64, thirdAt sim.Time) *TaiChi {
+	first := sim.Time(10 * sim.Microsecond)
+	run := func(seed int64, lastAt sim.Time) *TaiChi {
 		tc := newTaiChi(seed, nil)
-		tc.Sched.EnableDefense(DefenseConfig{
-			ProbeMissThreshold:  3,
-			ProbeMissWindow:     sim.Millisecond,
-			SchedWatchdogPeriod: 0,
-		})
+		tc.Sched.EnableDefense(DefenseConfig{SchedWatchdogPeriod: 0})
 		slot := tc.Sched.slots[tc.Sched.order[0]]
-		for _, at := range []sim.Time{
-			sim.Time(10 * sim.Microsecond),
-			sim.Time(510 * sim.Microsecond),
-			thirdAt,
-		} {
-			tc.Node.Engine.At(at, func() { tc.Sched.noteProbeMiss(slot) })
+		// probeMissThreshold misses: the first, the rest but one spread
+		// across the window, and the last at lastAt.
+		at := []sim.Time{first}
+		for i := 1; i < probeMissThreshold-1; i++ {
+			at = append(at, first.Add(sim.Duration(i)*probeMissWindow/probeMissThreshold))
 		}
-		tc.Run(sim.Time(2 * sim.Millisecond))
+		at = append(at, lastAt)
+		for _, a := range at {
+			tc.Node.Engine.At(a, func() { tc.Sched.noteProbeMiss(slot) })
+		}
+		tc.Run(lastAt.Add(sim.Millisecond))
 		return tc
 	}
 
-	// Third miss exactly one window after the first: the first miss sits
+	// Last miss exactly one window after the first: the first miss sits
 	// exactly at the cutoff, is kept, and the threshold fires.
-	at := run(71, sim.Time(10*sim.Microsecond).Add(sim.Millisecond))
+	at := run(71, first.Add(probeMissWindow))
 	if at.Sched.DefenseMode() != ModeSWProbe || at.Sched.ProbeFallbacks.Value() != 1 {
 		t.Fatalf("boundary miss discarded: mode=%v fallbacks=%d",
 			at.Sched.DefenseMode(), at.Sched.ProbeFallbacks.Value())
@@ -101,9 +101,9 @@ func TestProbeMissWindowBoundary(t *testing.T) {
 		t.Fatal("hardware probe still enabled after fallback")
 	}
 
-	// One nanosecond past the window: the first miss ages out, only two
-	// remain, and the probe survives.
-	past := run(72, sim.Time(10*sim.Microsecond).Add(sim.Millisecond+sim.Nanosecond))
+	// One nanosecond past the window: the first miss ages out, one short
+	// of the threshold remain, and the probe survives.
+	past := run(72, first.Add(probeMissWindow+sim.Nanosecond))
 	if past.Sched.DefenseMode() != ModeNormal || past.Sched.ProbeFallbacks.Value() != 0 {
 		t.Fatalf("miss outside the window still tripped the fallback: mode=%v fallbacks=%d",
 			past.Sched.DefenseMode(), past.Sched.ProbeFallbacks.Value())
