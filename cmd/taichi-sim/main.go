@@ -35,14 +35,14 @@
 // dead-lettering; setting it with any other workload is an error.
 //
 // -recover arms the self-healing layer: the scheduler's de-escalation
-// ladder (static → sw-probe → normal under the default
-// core.RecoveryPolicy) and, with -retry -workload vmstartup, the bounded
+// ladder (static → sw-probe → normal, on the fixed tuning of
+// internal/core/recovery.go) and, with -retry -workload vmstartup, the bounded
 // dead-letter requeue (cluster.DefaultRequeuePolicy, health-gated on the
 // node's defense mode and breaker).
 //
 // -overload arms the overload-control layer: the scheduler's brownout
-// ladder (normal → throttle → shed → brownout under the default
-// core.OverloadPolicy) and, with -workload vmstartup, the deterministic
+// ladder (normal → throttle → shed → brownout, on the fixed tuning of
+// internal/core/overload.go) and, with -workload vmstartup, the deterministic
 // admission gate with priority-aware load shedding
 // (cluster.DefaultAdmissionPolicy + DefaultClassify).
 //

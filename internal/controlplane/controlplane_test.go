@@ -12,7 +12,7 @@ import (
 
 func newKernel(cpus int) (*sim.Engine, *kernel.Kernel) {
 	e := sim.NewEngine()
-	k := kernel.New(e, kernel.DefaultConfig(), trace.New(0))
+	k := kernel.New(e, trace.New(0))
 	for i := 0; i < cpus; i++ {
 		k.AddCPU(kernel.CPUID(i), false)
 	}

@@ -95,12 +95,11 @@ type defenseState struct {
 	// every recovery path stays inert without it — no events, no RNG
 	// stream, no timers — so runs without recovery remain byte-identical
 	// to the pre-recovery code.
-	pol RecoveryPolicy
-	r   *rand.Rand // "core.recovery" stream
+	r *rand.Rand // "core.recovery" stream
 	// cooldown is the dwell the *next* static entry will wait before its
-	// exit attempt; grows by CooldownFactor per entry, capped.
+	// exit attempt; grows by recoveryCooldownFactor per entry, capped.
 	cooldown sim.Duration
-	// clean holds clean-reclaim instants (ProbationWindow) while in
+	// clean holds clean-reclaim instants (probationWindow) while in
 	// ModeSWProbe.
 	clean window
 	// generation counts static exits — the recovery "incarnation" carried
@@ -291,9 +290,9 @@ func (s *Scheduler) enterStatic() {
 	// pending. The dwell is the current cooldown, jittered so fleet
 	// members degraded by one incident do not exit in lockstep; the next
 	// static episode dwells longer, so a flapping node settles static.
-	dwell := sim.Jitter(d.r, d.cooldown, d.pol.JitterFrac)
+	dwell := sim.Jitter(d.r, d.cooldown, recoveryJitter)
 	s.engine.ScheduleNamed(dwell, "core.recovery", s.tryExitStatic)
-	d.cooldown = stretch(d.cooldown, d.pol.CooldownFactor, d.pol.MaxCooldown)
+	d.cooldown = stretch(d.cooldown, recoveryCooldownFactor, recoveryMaxCooldown)
 }
 
 // SetCoreDown marks a DP core hardware-offline (or back online) on behalf

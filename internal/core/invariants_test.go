@@ -99,7 +99,7 @@ func TestPreemptLatencyBounded(t *testing.T) {
 	}
 }
 
-// TestNoYieldWithPipelineInFlight: with PipelineAwareYield (§9), the
+// TestNoYieldWithPipelineInFlight: with the §9 in-flight check, the
 // scheduler never lends a core that has packets inside the accelerator.
 func TestNoYieldWithPipelineInFlight(t *testing.T) {
 	tc := newTaiChi(79, nil)

@@ -11,7 +11,7 @@ import (
 
 func orchFixture() (*sim.Engine, *kernel.Kernel, *Orchestrator, *vcpu.VCPU) {
 	e := sim.NewEngine()
-	k := kernel.New(e, kernel.DefaultConfig(), trace.New(0))
+	k := kernel.New(e, trace.New(0))
 	k.AddCPU(0, false) // pCPU
 	c := k.AddCPU(100, true)
 	o := NewOrchestrator(k)
@@ -122,7 +122,7 @@ func TestSourceExitCostDelaysDelivery(t *testing.T) {
 		t.Fatalf("source exits %d", o.SourceExits)
 	}
 	lat := deliveredAt.Sub(sentAt)
-	want := o.SourceExitCost + k.Config().IPILatency
+	want := o.SourceExitCost + kernel.IPILatency
 	if lat != want {
 		t.Fatalf("delivery latency %v, want %v", lat, want)
 	}

@@ -51,17 +51,16 @@ func TestWindowTrimOnAddMatchesTrimOnCount(t *testing.T) {
 }
 
 // TestRecoveryCooldownOrder: the recovery ladder dwells first and then
-// stretches. The first static entry waits the jittered Cooldown, and
-// only the next one is quoted Cooldown×CooldownFactor.
+// stretches. The first static entry waits the jittered cooldown, and
+// only the next one is quoted cooldown×factor.
 func TestRecoveryCooldownOrder(t *testing.T) {
 	tc := newTaiChi(77, nil)
-	pol := DefaultRecoveryPolicy()
-	tc.Sched.EnableRecovery(pol)
+	tc.Sched.EnableRecovery(DefaultRecoveryPolicy())
 	start := tc.Node.Engine.Now()
 	tc.Sched.enterStatic()
-	want := sim.Duration(float64(pol.Cooldown) * pol.CooldownFactor)
+	want := sim.Duration(float64(recoveryCooldown) * recoveryCooldownFactor)
 	if got := tc.Sched.RecoveryStats().NextCooldown; got != want {
-		t.Fatalf("NextCooldown after the first static entry = %v, want Cooldown×CooldownFactor = %v", got, want)
+		t.Fatalf("NextCooldown after the first static entry = %v, want cooldown×factor = %v", got, want)
 	}
 	tc.Run(start.Add(2 * want))
 	var exit sim.Time = -1
@@ -74,23 +73,22 @@ func TestRecoveryCooldownOrder(t *testing.T) {
 	if exit < 0 {
 		t.Fatal("static was never left")
 	}
-	lo := sim.Duration(float64(pol.Cooldown) * (1 - pol.JitterFrac))
-	hi := sim.Duration(float64(pol.Cooldown) * (1 + pol.JitterFrac))
+	lo := sim.Duration(float64(recoveryCooldown) * (1 - recoveryJitter))
+	hi := sim.Duration(float64(recoveryCooldown) * (1 + recoveryJitter))
 	if dwell := exit.Sub(start); dwell < lo || dwell > hi {
-		t.Fatalf("first static dwell %v, want the jittered Cooldown in [%v, %v]", dwell, lo, hi)
+		t.Fatalf("first static dwell %v, want the jittered cooldown in [%v, %v]", dwell, lo, hi)
 	}
 }
 
 // TestOverloadCooldownOrder: the overload ladder stretches when it
-// escalates, so the first de-escalation already waits
-// Cooldown×CooldownFactor (4 ms with the defaults), not Cooldown.
+// escalates, so the first de-escalation already waits cooldown×factor
+// (4 ms), not the base cooldown.
 func TestOverloadCooldownOrder(t *testing.T) {
 	tc := newTaiChi(78, nil)
-	pol := DefaultOverloadPolicy()
-	tc.Sched.EnableOverload(pol)
+	tc.Sched.EnableOverload(DefaultOverloadPolicy())
 	start := tc.Node.Engine.Now()
 	tc.Sched.overloadEscalate()
-	dwell := sim.Duration(float64(pol.Cooldown) * pol.CooldownFactor)
+	dwell := sim.Duration(float64(overloadCooldown) * overloadCooldownFactor)
 	if dwell != 4*sim.Millisecond {
 		t.Fatalf("default first dwell %v, want 4ms", dwell)
 	}
@@ -105,9 +103,9 @@ func TestOverloadCooldownOrder(t *testing.T) {
 	if exit < 0 {
 		t.Fatal("an idle node never de-escalated")
 	}
-	// The sampler fires every SamplePeriod (±JitterFrac), so the exit
-	// lands on the first sample at or after the dwell.
-	late := sim.Duration(float64(pol.SamplePeriod) * (1 + pol.JitterFrac))
+	// The sampler fires every overloadSamplePeriod (±overloadJitter), so
+	// the exit lands on the first sample at or after the dwell.
+	late := sim.Duration(float64(overloadSamplePeriod) * (1 + overloadJitter))
 	if got := exit.Sub(start); got < dwell || got > dwell+late {
 		t.Fatalf("first de-escalation after %v, want within [%v, %v]", got, dwell, dwell+late)
 	}

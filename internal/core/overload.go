@@ -59,97 +59,49 @@ func (o OverloadState) String() string {
 	return fmt.Sprintf("overload(%d)", uint8(o))
 }
 
-// OverloadPolicy tunes the ladder. The zero value of each field takes
-// the matching DefaultOverloadPolicy value.
-type OverloadPolicy struct {
-	// SamplePeriod is the pressure-sampling cadence; each arming is
-	// jittered from the dedicated "core.overload" stream.
-	SamplePeriod sim.Duration
-	// Window is the sliding window watchdog escalations are counted
-	// over.
-	Window sim.Duration
-	// EscalationWeight is the pressure contributed by each watchdog
-	// escalation inside the window.
-	EscalationWeight float64
-	// SmoothAlpha is the EWMA weight of the newest pressure sample.
-	SmoothAlpha float64
-	// EnterThrottle/EnterShed/EnterBrownout are the smoothed-pressure
-	// thresholds for escalating onto each rung.
-	EnterThrottle float64
-	EnterShed     float64
-	EnterBrownout float64
-	// ExitHysteresis: de-escalating off a rung requires pressure below
-	// that rung's entry threshold minus this margin.
-	ExitHysteresis float64
-	// Cooldown is the base dwell on a rung before de-escalation;
-	// CooldownFactor stretches it on every escalation (capped at
-	// MaxCooldown) so a flapping node settles rather than oscillates.
-	// The stretch comes first, so even the first de-escalation waits
-	// Cooldown×CooldownFactor (4 ms with the defaults).
-	Cooldown       sim.Duration
-	CooldownFactor float64
-	MaxCooldown    sim.Duration
-	// JitterFrac perturbs each sample arming by ±frac.
-	JitterFrac float64
-}
+// OverloadPolicy is EnableOverload's argument. It has no fields: the
+// ladder runs on the fixed tuning below.
+type OverloadPolicy struct{}
 
 // DefaultOverloadPolicy returns the tuning used by the overload
 // experiments.
-func DefaultOverloadPolicy() OverloadPolicy {
-	return OverloadPolicy{
-		SamplePeriod:     500 * sim.Microsecond,
-		Window:           5 * sim.Millisecond,
-		EscalationWeight: 0.15,
-		SmoothAlpha:      0.25,
-		EnterThrottle:    0.70,
-		EnterShed:        0.85,
-		EnterBrownout:    0.95,
-		ExitHysteresis:   0.10,
-		Cooldown:         2 * sim.Millisecond,
-		CooldownFactor:   2.0,
-		MaxCooldown:      100 * sim.Millisecond,
-		JitterFrac:       0.1,
-	}
-}
+func DefaultOverloadPolicy() OverloadPolicy { return OverloadPolicy{} }
 
-func (p *OverloadPolicy) applyDefaults() {
-	d := DefaultOverloadPolicy()
-	if p.SamplePeriod == 0 {
-		p.SamplePeriod = d.SamplePeriod
-	}
-	if p.Window == 0 {
-		p.Window = d.Window
-	}
-	if p.EscalationWeight == 0 {
-		p.EscalationWeight = d.EscalationWeight
-	}
-	if p.SmoothAlpha == 0 {
-		p.SmoothAlpha = d.SmoothAlpha
-	}
-	if p.EnterThrottle == 0 {
-		p.EnterThrottle = d.EnterThrottle
-	}
-	if p.EnterShed == 0 {
-		p.EnterShed = d.EnterShed
-	}
-	if p.EnterBrownout == 0 {
-		p.EnterBrownout = d.EnterBrownout
-	}
-	if p.ExitHysteresis == 0 {
-		p.ExitHysteresis = d.ExitHysteresis
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = d.Cooldown
-	}
-	if p.CooldownFactor == 0 {
-		p.CooldownFactor = d.CooldownFactor
-	}
-	if p.MaxCooldown == 0 {
-		p.MaxCooldown = d.MaxCooldown
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = d.JitterFrac
-	}
+// Overload ladder tuning.
+const (
+	// overloadSamplePeriod is the pressure-sampling cadence; each arming
+	// is jittered by ±overloadJitter from the dedicated "core.overload"
+	// stream.
+	overloadSamplePeriod = 500 * sim.Microsecond
+	overloadJitter       = 0.1
+	// escalationWindow is the sliding window watchdog escalations are
+	// counted over; each escalation inside it adds escalationWeight to
+	// the pressure sample.
+	escalationWindow = 5 * sim.Millisecond
+	escalationWeight = 0.15
+	// smoothAlpha is the EWMA weight of the newest pressure sample.
+	smoothAlpha = 0.25
+	// exitHysteresis: de-escalating off a rung requires pressure below
+	// that rung's entry threshold (overloadEnter) minus this margin.
+	exitHysteresis = 0.10
+	// overloadCooldown is the base dwell on a rung before de-escalation;
+	// overloadCooldownFactor stretches it on every escalation (capped at
+	// overloadMaxCooldown) so a flapping node settles rather than
+	// oscillates. The stretch comes first, so even the first
+	// de-escalation waits 4 ms.
+	overloadCooldown       = 2 * sim.Millisecond
+	overloadCooldownFactor = 2.0
+	overloadMaxCooldown    = 100 * sim.Millisecond
+)
+
+// overloadEnter is each rung's smoothed-pressure entry threshold;
+// OverloadNormal has none. It is a variable, not constants, so that
+// overloadEnter[st]-exitHysteresis is a float64 subtraction at run time,
+// not a constant expression folded exactly.
+var overloadEnter = [OverloadBrownout + 1]float64{
+	OverloadThrottle: 0.70,
+	OverloadShed:     0.85,
+	OverloadBrownout: 0.95,
 }
 
 // overloadState is the per-scheduler ladder state. Like defenseState it
@@ -158,21 +110,18 @@ func (p *OverloadPolicy) applyDefaults() {
 // no timers — so runs without overload control remain byte-identical to
 // the pre-overload code.
 type overloadState struct {
-	pol OverloadPolicy
-	r   *rand.Rand // "core.overload" stream, created only when armed
+	r *rand.Rand // "core.overload" stream, created only when armed
 
 	state    OverloadState
 	smoothed float64
-	// enter is each rung's smoothed-pressure entry threshold;
-	// OverloadNormal has none.
-	enter [OverloadBrownout + 1]float64
-	// esc holds watchdog-escalation instants (Window).
+	// esc holds watchdog-escalation instants (escalationWindow).
 	esc window
 	// lastChange is when the ladder last moved; de-escalation waits out
 	// cooldown from here.
 	lastChange sim.Time
 	// cooldown is the dwell the current rung requires before
-	// de-escalating; grows by CooldownFactor per escalation, capped.
+	// de-escalating; grows by overloadCooldownFactor per escalation,
+	// capped.
 	cooldown sim.Duration
 	// peak is the highest rung reached (OverloadStats reporting).
 	peak OverloadState
@@ -195,18 +144,14 @@ type OverloadStats struct {
 // derives the lending-pressure index and walks the overload state
 // machine. Idempotent; runs that never call it keep their event streams
 // untouched.
-func (s *Scheduler) EnableOverload(pol OverloadPolicy) {
+func (s *Scheduler) EnableOverload(OverloadPolicy) {
 	if s.overload != nil {
 		return
 	}
-	pol.applyDefaults()
 	s.overload = &overloadState{
-		pol: pol,
-		r:   s.node.Stream("core.overload"),
-		enter: [...]float64{OverloadThrottle: pol.EnterThrottle, OverloadShed: pol.EnterShed,
-			OverloadBrownout: pol.EnterBrownout},
-		esc:      window{span: pol.Window},
-		cooldown: pol.Cooldown,
+		r:        s.node.Stream("core.overload"),
+		esc:      window{span: escalationWindow},
+		cooldown: overloadCooldown,
 	}
 	s.armOverloadSample()
 }
@@ -252,7 +197,7 @@ func (s *Scheduler) overloadBrownedOut() bool {
 // the dedicated "core.overload" stream.
 func (s *Scheduler) armOverloadSample() {
 	ov := s.overload
-	delay := sim.Jitter(ov.r, ov.pol.SamplePeriod, ov.pol.JitterFrac)
+	delay := sim.Jitter(ov.r, overloadSamplePeriod, overloadJitter)
 	s.engine.ScheduleNamed(delay, "core.overload", func() {
 		s.sampleOverload()
 		s.armOverloadSample()
@@ -280,14 +225,14 @@ func (s *Scheduler) sampleOverload() {
 	if len(s.order) > 0 {
 		sample = float64(busy) / float64(len(s.order))
 	}
-	sample += ov.pol.EscalationWeight * float64(ov.esc.count(now))
-	ov.smoothed = ov.pol.SmoothAlpha*sample + (1-ov.pol.SmoothAlpha)*ov.smoothed
+	sample += escalationWeight * float64(ov.esc.count(now))
+	ov.smoothed = smoothAlpha*sample + (1-smoothAlpha)*ov.smoothed
 
 	// The target is the highest rung whose entry threshold the pressure
 	// reaches, whatever order the thresholds come in.
 	target := OverloadNormal
 	for st := OverloadBrownout; st > OverloadNormal; st-- {
-		if ov.smoothed >= ov.enter[st] {
+		if ov.smoothed >= overloadEnter[st] {
 			target = st
 			break
 		}
@@ -300,7 +245,7 @@ func (s *Scheduler) sampleOverload() {
 		// Hysteresis: pressure must clear the current rung's entry
 		// threshold by the margin, and the rung's cooldown must have
 		// elapsed, before stepping down one rung.
-		if ov.smoothed < ov.enter[ov.state]-ov.pol.ExitHysteresis &&
+		if ov.smoothed < overloadEnter[ov.state]-exitHysteresis &&
 			now.Sub(ov.lastChange) >= ov.cooldown {
 			s.overloadDeescalate()
 		}
@@ -321,7 +266,7 @@ func (s *Scheduler) overloadEscalate() {
 	// CPU -1: like the defense ladder, a scheduler-wide transition.
 	s.node.Tracer.Emit(ov.lastChange, trace.KindOverloadEnter, -1,
 		int64(ov.state), ov.state.String())
-	ov.cooldown = stretch(ov.cooldown, ov.pol.CooldownFactor, ov.pol.MaxCooldown)
+	ov.cooldown = stretch(ov.cooldown, overloadCooldownFactor, overloadMaxCooldown)
 	if ov.state == OverloadBrownout && s.OnSuspend != nil {
 		s.OnSuspend()
 	}

@@ -5,10 +5,12 @@ import (
 	"repro/internal/trace"
 )
 
-// RecoveryPolicy tunes the self-healing de-escalation ladder — the
-// inverse of the DefenseConfig escalation ladder. The paper frames every
-// defense rung (probe fallback, static partitioning) as a *temporary*
-// shelter (§6); this policy decides when the scheduler climbs back up:
+// RecoveryPolicy is EnableRecovery's argument. It has no fields: the
+// self-healing de-escalation ladder — the inverse of the defense
+// escalation ladder — runs on the fixed tuning below. The paper frames
+// every defense rung (probe fallback, static partitioning) as a
+// *temporary* shelter (§6); the ladder decides when the scheduler climbs
+// back up:
 //
 //	ModeStatic --cooldown elapsed--> ModeSWProbe --probation passed--> ModeNormal
 //
@@ -16,64 +18,32 @@ import (
 // flapping node settles in static mode instead of oscillating), while the
 // sw-probe exit is evidence-driven (a probation window of clean reclaims
 // proves the reclaim envelope holds again before the hardware probe is
-// re-trusted). The zero value of each field takes the matching
-// DefaultRecoveryPolicy value.
-type RecoveryPolicy struct {
-	// ProbationReclaims is how many clean reclaims (reclaim completed
-	// without any watchdog escalation) inside ProbationWindow promote
-	// ModeSWProbe back to ModeNormal.
-	ProbationReclaims int
-	// ProbationWindow is the sliding window the clean-reclaim count is
-	// measured over. Any watchdog escalation resets the window.
-	ProbationWindow sim.Duration
-	// Cooldown is the initial dwell time in ModeStatic before the first
-	// exit attempt.
-	Cooldown sim.Duration
-	// CooldownFactor multiplies the cooldown after every static entry, so
-	// repeated re-escalation stretches the dwell exponentially.
-	CooldownFactor float64
-	// MaxCooldown caps the exponential growth.
-	MaxCooldown sim.Duration
-	// JitterFrac perturbs each cooldown by up to ±frac (drawn from the
-	// dedicated "core.recovery" stream) so fleet members degraded by the
-	// same incident do not exit static in lockstep.
-	JitterFrac float64
-}
+// re-trusted).
+type RecoveryPolicy struct{}
 
 // DefaultRecoveryPolicy returns the tuning used by the chaos experiment's
 // recovery sweep.
-func DefaultRecoveryPolicy() RecoveryPolicy {
-	return RecoveryPolicy{
-		ProbationReclaims: 8,
-		ProbationWindow:   50 * sim.Millisecond,
-		Cooldown:          10 * sim.Millisecond,
-		CooldownFactor:    2.0,
-		MaxCooldown:       500 * sim.Millisecond,
-		JitterFrac:        0.1,
-	}
-}
+func DefaultRecoveryPolicy() RecoveryPolicy { return RecoveryPolicy{} }
 
-func (p *RecoveryPolicy) applyDefaults() {
-	d := DefaultRecoveryPolicy()
-	if p.ProbationReclaims == 0 {
-		p.ProbationReclaims = d.ProbationReclaims
-	}
-	if p.ProbationWindow == 0 {
-		p.ProbationWindow = d.ProbationWindow
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = d.Cooldown
-	}
-	if p.CooldownFactor == 0 {
-		p.CooldownFactor = d.CooldownFactor
-	}
-	if p.MaxCooldown == 0 {
-		p.MaxCooldown = d.MaxCooldown
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = d.JitterFrac
-	}
-}
+// Recovery ladder tuning.
+const (
+	// probationReclaims clean reclaims (reclaim completed without any
+	// watchdog escalation) inside probationWindow promote ModeSWProbe
+	// back to ModeNormal. Any watchdog escalation resets the window.
+	probationReclaims = 8
+	probationWindow   = 50 * sim.Millisecond
+	// recoveryCooldown is the initial dwell in ModeStatic before the
+	// first exit attempt. recoveryCooldownFactor multiplies it after
+	// every static entry, so repeated re-escalation stretches the dwell
+	// exponentially, up to recoveryMaxCooldown.
+	recoveryCooldown       = 10 * sim.Millisecond
+	recoveryCooldownFactor = 2.0
+	recoveryMaxCooldown    = 500 * sim.Millisecond
+	// recoveryJitter perturbs each cooldown by up to ±frac (drawn from
+	// the dedicated "core.recovery" stream) so fleet members degraded by
+	// the same incident do not exit static in lockstep.
+	recoveryJitter = 0.1
+)
 
 // RecoveryStats is the ladder's read-only view, printed by Describe and
 // by taichi-sim's recovery line.
@@ -95,17 +65,15 @@ type RecoveryStats struct {
 // has not (recovery without defenses would have nothing to recover
 // from). Idempotent; runs that never call it keep their event streams
 // untouched.
-func (s *Scheduler) EnableRecovery(pol RecoveryPolicy) {
+func (s *Scheduler) EnableRecovery(RecoveryPolicy) {
 	s.EnableDefense(DefenseConfig{})
 	d := s.defense
 	if d.r != nil {
 		return
 	}
-	pol.applyDefaults()
-	d.pol = pol
 	d.r = s.node.Stream("core.recovery")
-	d.cooldown = pol.Cooldown
-	d.clean.span = pol.ProbationWindow
+	d.cooldown = recoveryCooldown
+	d.clean.span = probationWindow
 }
 
 // RecoveryStats returns the ladder's current state (zero value when the
@@ -162,7 +130,7 @@ func (s *Scheduler) noteCleanReclaim(slot *dpSlot) {
 		// accumulate (ARCHITECTURE.md §6.6).
 		return
 	}
-	if d.clean.add(s.engine.Now()) >= d.pol.ProbationReclaims {
+	if d.clean.add(s.engine.Now()) >= probationReclaims {
 		s.recoverToNormal()
 	}
 }

@@ -38,27 +38,16 @@ func TestSliceExpiryRecoveryCountsOnce(t *testing.T) {
 	}
 }
 
-// flapPolicy is the recovery tuning of the flapping test: short cooldown
-// and probation so a 300ms horizon sees several full ladder cycles.
-func flapPolicy() RecoveryPolicy {
-	return RecoveryPolicy{
-		ProbationReclaims: 4,
-		ProbationWindow:   20 * sim.Millisecond,
-		Cooldown:          5 * sim.Millisecond,
-		CooldownFactor:    2.0,
-		MaxCooldown:       40 * sim.Millisecond,
-		JitterFrac:        0.1,
-	}
-}
-
 // runFlap drives one node through a pulsed fault schedule: every 50ms of
 // simulated time the first 10ms wedge every VM exit by 5ms — far past
 // the reclaim watchdog's budget — and the remaining 40ms are clean. The
-// node oscillates normal↔static with the recovery ladder armed.
+// node oscillates normal↔static with the recovery ladder armed on its
+// default tuning, over a horizon long enough for the static dwell to
+// reach its cap.
 func runFlap(seed int64) *TaiChi {
 	tc := newTaiChi(seed, nil)
 	tc.Sched.EnableDefense(DefaultDefenseConfig())
-	tc.Sched.EnableRecovery(flapPolicy())
+	tc.Sched.EnableRecovery(DefaultRecoveryPolicy())
 	spawnHogs(tc, 8)
 
 	pulsed := func() bool {
@@ -86,7 +75,7 @@ func runFlap(seed int64) *TaiChi {
 	}
 	tc.Node.Engine.Schedule(sim.Microsecond, tick)
 
-	tc.Run(sim.Time(300 * sim.Millisecond))
+	tc.Run(sim.Time(600 * sim.Millisecond))
 	return tc
 }
 
@@ -105,15 +94,16 @@ func flapLine(tc *TaiChi) string {
 // MemberSeed(81, 0..3)). Every rung change, window reset, cooldown draw
 // and stretch shows in these counters, so any drift in the ladder's
 // order of operations breaks the pin.
-const flapPinned = `mode=normal static_fb=5 recoveries=10 reescalations=4 gen=5 next_cooldown=40ms rejoined=true detected=126 recovered=42
-mode=normal static_fb=6 recoveries=12 reescalations=5 gen=6 next_cooldown=40ms rejoined=true detected=145 recovered=49
-mode=normal static_fb=6 recoveries=12 reescalations=5 gen=6 next_cooldown=40ms rejoined=true detected=145 recovered=49
-mode=normal static_fb=6 recoveries=12 reescalations=5 gen=6 next_cooldown=40ms rejoined=true detected=192 recovered=70`
+const flapPinned = `mode=static static_fb=6 recoveries=10 reescalations=5 gen=5 next_cooldown=500ms rejoined=false detected=145 recovered=49
+mode=static static_fb=6 recoveries=10 reescalations=5 gen=5 next_cooldown=500ms rejoined=false detected=145 recovered=49
+mode=static static_fb=6 recoveries=10 reescalations=5 gen=5 next_cooldown=500ms rejoined=false detected=145 recovered=49
+mode=static static_fb=6 recoveries=10 reescalations=5 gen=5 next_cooldown=500ms rejoined=false detected=145 recovered=49`
 
 // TestRecoveryLadderFlapping is the flapping acceptance test: under the
 // pulsed schedule the node must oscillate (multiple static fallbacks,
 // multiple recoveries, at least one re-escalation) and the exponential
-// cooldown must have grown — the settling mechanism — while rendering
+// cooldown must have grown to its cap — the settling mechanism — while
+// rendering
 // exactly flapPinned and staying byte-identical across 1 and 8 fleet
 // workers.
 func TestRecoveryLadderFlapping(t *testing.T) {
@@ -130,11 +120,14 @@ func TestRecoveryLadderFlapping(t *testing.T) {
 		t.Fatalf("flapping never detected: %s", line)
 	}
 	rs := tc.Sched.RecoveryStats()
-	if rs.NextCooldown <= flapPolicy().Cooldown {
+	if rs.NextCooldown <= recoveryCooldown {
 		t.Fatalf("cooldown never grew — flapping unpenalized: %s", line)
 	}
-	if rs.NextCooldown > flapPolicy().MaxCooldown {
+	if rs.NextCooldown > recoveryMaxCooldown {
 		t.Fatalf("cooldown exceeded its cap: %s", line)
+	}
+	if rs.NextCooldown != recoveryMaxCooldown {
+		t.Fatalf("cooldown never reached its cap: %s", line)
 	}
 
 	render := func(workers int) string {
@@ -171,11 +164,10 @@ func TestRecoveryUnarmedIsPassive(t *testing.T) {
 	}
 }
 
-// TestEnableRecoveryIdempotent: re-arming keeps the first policy and
-// creates no second RNG stream.
+// TestEnableRecoveryIdempotent: re-arming creates no second RNG stream.
 func TestEnableRecoveryIdempotent(t *testing.T) {
 	tc := newTaiChi(75, nil)
-	tc.Sched.EnableRecovery(flapPolicy())
+	tc.Sched.EnableRecovery(DefaultRecoveryPolicy())
 	if tc.Sched.defense == nil {
 		t.Fatal("EnableRecovery must arm the defense state")
 	}
@@ -183,22 +175,5 @@ func TestEnableRecoveryIdempotent(t *testing.T) {
 	tc.Sched.EnableRecovery(DefaultRecoveryPolicy())
 	if tc.Sched.defense.r != first {
 		t.Fatal("EnableRecovery replaced the armed stream")
-	}
-	if tc.Sched.defense.pol.Cooldown != flapPolicy().Cooldown {
-		t.Fatal("second EnableRecovery overwrote the policy")
-	}
-}
-
-// TestRecoveryPolicyDefaults: zero fields fill from the default policy.
-func TestRecoveryPolicyDefaults(t *testing.T) {
-	var p RecoveryPolicy
-	p.applyDefaults()
-	if p != DefaultRecoveryPolicy() {
-		t.Fatalf("zero policy filled to %+v, want defaults", p)
-	}
-	partial := RecoveryPolicy{Cooldown: 7 * sim.Millisecond}
-	partial.applyDefaults()
-	if partial.Cooldown != 7*sim.Millisecond || partial.ProbationReclaims != DefaultRecoveryPolicy().ProbationReclaims {
-		t.Fatalf("partial policy filled to %+v", partial)
 	}
 }

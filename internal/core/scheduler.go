@@ -30,22 +30,16 @@ type Config struct {
 	// AdaptiveSlice enables slice doubling/reset (§4.1); false freezes the
 	// slice at InitialSlice (ablation).
 	AdaptiveSlice bool
-
-	// SWProbe is the adaptive yield configuration (§4.3).
-	SWProbe SWProbeConfig
+	// AdaptiveYield enables the software probe's empty-poll threshold
+	// adaptation (§4.3); false freezes it at the initial value
+	// (ablation).
+	AdaptiveYield bool
 
 	// LockRescue enables safe CP-to-DP scheduling in lock context (§4.1).
 	LockRescue bool
 	// RescueSlice is the hosting slice used while a rescued vCPU drains
 	// its non-preemptible section on a borrowed core.
 	RescueSlice sim.Duration
-
-	// PipelineAwareYield implements the §9 future-work refinement: the
-	// scheduler consults the accelerator's in-flight occupancy before
-	// lending a core, instead of relying on empty-poll statistics alone —
-	// a packet already inside the 3.2 µs pipeline means the "idle" core
-	// is about to be busy.
-	PipelineAwareYield bool
 
 	// NaiveCoSchedule models a conventional (non-virtualized) co-scheduler:
 	// a preemption request must wait for the guest's non-preemptible
@@ -63,17 +57,16 @@ type Config struct {
 // DefaultConfig mirrors the paper's deployment parameters.
 func DefaultConfig() Config {
 	return Config{
-		VCPUs:              8,
-		VCPUBaseID:         100,
-		InitialSlice:       50 * sim.Microsecond,
-		MaxSlice:           400 * sim.Microsecond,
-		AdaptiveSlice:      true,
-		SWProbe:            DefaultSWProbeConfig(),
-		PipelineAwareYield: true,
-		LockRescue:         true,
-		RescueSlice:        100 * sim.Microsecond,
-		Costs:              vcpu.DefaultCosts(),
-		ReconcilePeriod:    200 * sim.Microsecond,
+		VCPUs:           8,
+		VCPUBaseID:      100,
+		InitialSlice:    50 * sim.Microsecond,
+		MaxSlice:        400 * sim.Microsecond,
+		AdaptiveSlice:   true,
+		AdaptiveYield:   true,
+		LockRescue:      true,
+		RescueSlice:     100 * sim.Microsecond,
+		Costs:           vcpu.DefaultCosts(),
+		ReconcilePeriod: 200 * sim.Microsecond,
 	}
 }
 
@@ -185,7 +178,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 		kern:           node.Kernel,
 		engine:         node.Engine,
 		tracer:         node.Tracer,
-		sw:             NewSWProbe(cfg.SWProbe),
+		sw:             NewSWProbe(cfg.AdaptiveYield),
 		slots:          map[int]*dpSlot{},
 		slotOf:         map[*vcpu.VCPU]*dpSlot{},
 		claimed:        map[*vcpu.VCPU]bool{},
@@ -367,11 +360,12 @@ func (s *Scheduler) reconcile() {
 			slot.available = false
 			continue
 		}
-		if s.cfg.PipelineAwareYield && s.node.Pipe.InFlight(id) > 0 {
-			// §9: packets already in the accelerator pipeline mean this
-			// core is about to be busy; don't bait a doomed yield. The
-			// core stays available and is retried once the pipeline
-			// drains (next reconcile tick).
+		if s.node.Pipe.InFlight(id) > 0 {
+			// The §9 future-work refinement: the empty-poll statistics
+			// alone miss packets already inside the 3.2 µs accelerator
+			// pipeline, and such a core is about to be busy; don't bait
+			// a doomed yield. The core stays available and is retried
+			// once the pipeline drains (next reconcile tick).
 			continue
 		}
 		v := s.acquireVCPU()

@@ -16,41 +16,27 @@ package core
 
 import "repro/internal/sim"
 
-// SWProbeConfig parameterizes the software workload probe's adaptive
-// yield algorithm (§4.3, Figure 9).
-type SWProbeConfig struct {
-	// InitialThreshold is the starting consecutive-empty-poll count N.
-	InitialThreshold int
-	// MinThreshold / MaxThreshold clamp adaptation.
-	MinThreshold int
-	MaxThreshold int
-	// Adaptive enables threshold adaptation; false freezes N at the
-	// initial value (the fixed-threshold ablation).
-	Adaptive bool
-}
-
-// DefaultSWProbeConfig returns the production tuning: N starts at 200
+// Software-probe yield thresholds (§4.3, Figure 9): N starts at 200
 // empty polls (~20 µs of confirmed idleness at 100 ns/poll) and adapts
 // within [50, 1600]. The ceiling is deliberately modest: even when every
 // yield gets punished by an immediate preemption, the framework keeps
 // offering sub-200µs idle gaps to the control plane rather than starving
 // it — the CP has SLOs too (§3.1), and the hardware probe keeps the cost
 // of a "wrong" yield at ~2 µs.
-func DefaultSWProbeConfig() SWProbeConfig {
-	return SWProbeConfig{
-		InitialThreshold: 200,
-		MinThreshold:     50,
-		MaxThreshold:     1600,
-		Adaptive:         true,
-	}
-}
+const (
+	initialYieldThreshold = 200
+	minYieldThreshold     = 50
+	maxYieldThreshold     = 1600
+)
 
 // SWProbe is the software workload probe: it owns the per-DP-core
 // empty-poll yield threshold and adapts it from VM-exit reasons — more
 // eager after sustained idleness (slice-timer exits), more conservative
 // after false-positive yields (hardware-probe exits).
 type SWProbe struct {
-	cfg        SWProbeConfig
+	// adaptive enables threshold adaptation; false freezes N at the
+	// initial value (the fixed-threshold ablation).
+	adaptive   bool
 	thresholds map[int]int
 
 	// Raises / Drops count adaptation steps, for the ablation bench.
@@ -58,12 +44,10 @@ type SWProbe struct {
 	Drops  uint64
 }
 
-// NewSWProbe returns a probe with every core at the initial threshold.
-func NewSWProbe(cfg SWProbeConfig) *SWProbe {
-	if cfg.InitialThreshold <= 0 {
-		cfg = DefaultSWProbeConfig()
-	}
-	return &SWProbe{cfg: cfg, thresholds: map[int]int{}}
+// NewSWProbe returns a probe with every core at the initial threshold;
+// adaptive=false freezes it there.
+func NewSWProbe(adaptive bool) *SWProbe {
+	return &SWProbe{adaptive: adaptive, thresholds: map[int]int{}}
 }
 
 // Threshold returns core's current consecutive-empty-poll yield threshold.
@@ -71,7 +55,7 @@ func (p *SWProbe) Threshold(core int) int {
 	if n, ok := p.thresholds[core]; ok {
 		return n
 	}
-	return p.cfg.InitialThreshold
+	return initialYieldThreshold
 }
 
 // IdleWindow converts the threshold into the countdown duration for a
@@ -84,12 +68,12 @@ func (p *SWProbe) IdleWindow(core int, pollCost sim.Duration) sim.Duration {
 // idle through a whole vCPU slice, so idleness detection can be more
 // eager (N decreases).
 func (p *SWProbe) SustainedIdle(core int) {
-	if !p.cfg.Adaptive {
+	if !p.adaptive {
 		return
 	}
 	n := p.Threshold(core) / 2
-	if n < p.cfg.MinThreshold {
-		n = p.cfg.MinThreshold
+	if n < minYieldThreshold {
+		n = minYieldThreshold
 	}
 	if n != p.Threshold(core) {
 		p.Drops++
@@ -101,12 +85,12 @@ func (p *SWProbe) SustainedIdle(core int) {
 // was premature (I/O arrived), so idleness detection must be more
 // conservative (N increases).
 func (p *SWProbe) FalsePositive(core int) {
-	if !p.cfg.Adaptive {
+	if !p.adaptive {
 		return
 	}
 	n := p.Threshold(core) * 2
-	if n > p.cfg.MaxThreshold {
-		n = p.cfg.MaxThreshold
+	if n > maxYieldThreshold {
+		n = maxYieldThreshold
 	}
 	if n != p.Threshold(core) {
 		p.Raises++

@@ -8,7 +8,7 @@ import (
 )
 
 func TestSWProbeDefaults(t *testing.T) {
-	p := NewSWProbe(DefaultSWProbeConfig())
+	p := NewSWProbe(true)
 	if got := p.Threshold(0); got != 200 {
 		t.Fatalf("initial threshold %d", got)
 	}
@@ -18,7 +18,7 @@ func TestSWProbeDefaults(t *testing.T) {
 }
 
 func TestSWProbeAdaptation(t *testing.T) {
-	p := NewSWProbe(DefaultSWProbeConfig())
+	p := NewSWProbe(true)
 	p.SustainedIdle(3)
 	if got := p.Threshold(3); got != 100 {
 		t.Fatalf("after sustained idle: %d, want 100", got)
@@ -35,29 +35,26 @@ func TestSWProbeAdaptation(t *testing.T) {
 }
 
 func TestSWProbeClamping(t *testing.T) {
-	cfg := DefaultSWProbeConfig()
-	p := NewSWProbe(cfg)
+	p := NewSWProbe(true)
 	for i := 0; i < 20; i++ {
 		p.SustainedIdle(0)
 	}
-	if got := p.Threshold(0); got != cfg.MinThreshold {
-		t.Fatalf("floor: %d, want %d", got, cfg.MinThreshold)
+	if got := p.Threshold(0); got != minYieldThreshold {
+		t.Fatalf("floor: %d, want %d", got, minYieldThreshold)
 	}
 	for i := 0; i < 20; i++ {
 		p.FalsePositive(0)
 	}
-	if got := p.Threshold(0); got != cfg.MaxThreshold {
-		t.Fatalf("ceiling: %d, want %d", got, cfg.MaxThreshold)
+	if got := p.Threshold(0); got != maxYieldThreshold {
+		t.Fatalf("ceiling: %d, want %d", got, maxYieldThreshold)
 	}
 }
 
 func TestSWProbeNonAdaptive(t *testing.T) {
-	cfg := DefaultSWProbeConfig()
-	cfg.Adaptive = false
-	p := NewSWProbe(cfg)
+	p := NewSWProbe(false)
 	p.SustainedIdle(0)
 	p.FalsePositive(0)
-	if got := p.Threshold(0); got != cfg.InitialThreshold {
+	if got := p.Threshold(0); got != initialYieldThreshold {
 		t.Fatalf("non-adaptive threshold moved to %d", got)
 	}
 	if p.Raises != 0 || p.Drops != 0 {
@@ -69,8 +66,7 @@ func TestSWProbeNonAdaptive(t *testing.T) {
 // event sequences.
 func TestPropertySWProbeBounds(t *testing.T) {
 	f := func(events []bool) bool {
-		cfg := DefaultSWProbeConfig()
-		p := NewSWProbe(cfg)
+		p := NewSWProbe(true)
 		for _, fp := range events {
 			if fp {
 				p.FalsePositive(1)
@@ -78,7 +74,7 @@ func TestPropertySWProbeBounds(t *testing.T) {
 				p.SustainedIdle(1)
 			}
 			th := p.Threshold(1)
-			if th < cfg.MinThreshold || th > cfg.MaxThreshold {
+			if th < minYieldThreshold || th > maxYieldThreshold {
 				return false
 			}
 		}
@@ -86,12 +82,5 @@ func TestPropertySWProbeBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSWProbeZeroConfigFallsBack(t *testing.T) {
-	p := NewSWProbe(SWProbeConfig{})
-	if p.Threshold(0) != DefaultSWProbeConfig().InitialThreshold {
-		t.Fatal("zero config should fall back to defaults")
 	}
 }

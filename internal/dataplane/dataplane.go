@@ -8,6 +8,7 @@ package dataplane
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/accel"
 	"repro/internal/metrics"
@@ -67,6 +68,26 @@ func DefaultConfig() Config {
 		PollutionWork:   40 * sim.Microsecond,
 		PollutionFactor: 1.35,
 	}
+}
+
+// Validate rejects a negative or NaN field, naming it. Zero means the
+// default (PollutionWork's default is zero: no pollution penalty).
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"EmptyPollCost", float64(c.EmptyPollCost)},
+		{"Burst", float64(c.Burst)},
+		{"TaxFactor", c.TaxFactor},
+		{"PollutionWork", float64(c.PollutionWork)},
+		{"PollutionFactor", c.PollutionFactor},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) {
+			return fmt.Errorf("%s = %v: negative or NaN", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (c *Config) applyDefaults() {

@@ -130,7 +130,7 @@ func Chaos(scale Scale) *Result {
 }
 
 // ChaosRecovery sweeps the chaos fault levels with the self-healing
-// recovery ladder armed (core.RecoveryPolicy defaults) and reports each
+// recovery ladder armed (core.DefaultRecoveryPolicy) and reports each
 // level's end-of-run rung, ladder activity, and final-quarter DP
 // throughput against the zero-fault baseline. Injection is front-loaded:
 // the injector stops at mid-horizon, so the final quarter measures

@@ -178,7 +178,7 @@ func AblationAdaptiveYield(scale Scale) *Result {
 		opts := platform.DefaultOptions()
 		opts.Seed = 2400
 		cfg := core.DefaultConfig()
-		cfg.SWProbe.Adaptive = adaptive
+		cfg.AdaptiveYield = adaptive
 		tc := core.New(platform.NewNode(opts), cfg)
 		withCPLoad(tc)
 		for i := 0; i < 8; i++ {

@@ -126,7 +126,7 @@ func (c *CPU) tick() {
 	h := c.tickEv
 	c.kern.tick(c)
 	if c.tickEv == h {
-		c.tickEv = c.kern.engine.Schedule(c.kern.cfg.TickPeriod, c.tickFire)
+		c.tickEv = c.kern.engine.Schedule(tickPeriod, c.tickFire)
 	}
 }
 
@@ -268,7 +268,7 @@ func (c *CPU) accrueSpin(now sim.Time) {
 
 func (c *CPU) armTick() {
 	if c.tickEv == (sim.Handle{}) {
-		c.tickEv = c.kern.engine.Schedule(c.kern.cfg.TickPeriod, c.tickFire)
+		c.tickEv = c.kern.engine.Schedule(tickPeriod, c.tickFire)
 	}
 }
 

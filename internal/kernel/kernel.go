@@ -9,51 +9,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Config holds the kernel cost model. Zero fields take defaults.
-type Config struct {
-	// CtxSwitchCost is charged when a CPU switches to a different thread.
-	CtxSwitchCost sim.Duration
-	// TickPeriod is the scheduler tick interval (Linux: 1 ms at HZ=1000).
-	TickPeriod sim.Duration
-	// Quantum is the CPU time a thread may run before a tick preempts it
+// The kernel cost model.
+const (
+	// ctxSwitchCost is charged when a CPU switches to a different thread.
+	ctxSwitchCost = 1 * sim.Microsecond
+	// tickPeriod is the scheduler tick interval (Linux: 1 ms at HZ=1000).
+	tickPeriod = 1 * sim.Millisecond
+	// quantum is the CPU time a thread may run before a tick preempts it
 	// in favour of another runnable thread.
-	Quantum sim.Duration
+	quantum = 3 * sim.Millisecond
 	// IPILatency is hardware IPI delivery latency between powered CPUs.
-	IPILatency sim.Duration
-	// SoftirqLatency is the delay from raising a softirq to its handler
+	IPILatency = 500 * sim.Nanosecond
+	// softirqLatency is the delay from raising a softirq to its handler
 	// running.
-	SoftirqLatency sim.Duration
-}
-
-// DefaultConfig returns the kernel cost model used across experiments.
-func DefaultConfig() Config {
-	return Config{
-		CtxSwitchCost:  1 * sim.Microsecond,
-		TickPeriod:     1 * sim.Millisecond,
-		Quantum:        3 * sim.Millisecond,
-		IPILatency:     500 * sim.Nanosecond,
-		SoftirqLatency: 500 * sim.Nanosecond,
-	}
-}
-
-func (c *Config) applyDefaults() {
-	d := DefaultConfig()
-	if c.CtxSwitchCost == 0 {
-		c.CtxSwitchCost = d.CtxSwitchCost
-	}
-	if c.TickPeriod == 0 {
-		c.TickPeriod = d.TickPeriod
-	}
-	if c.Quantum == 0 {
-		c.Quantum = d.Quantum
-	}
-	if c.IPILatency == 0 {
-		c.IPILatency = d.IPILatency
-	}
-	if c.SoftirqLatency == 0 {
-		c.SoftirqLatency = d.SoftirqLatency
-	}
-}
+	softirqLatency = 500 * sim.Nanosecond
+)
 
 // Vector identifies an IPI type.
 type Vector uint8
@@ -80,7 +50,6 @@ type IPIRouter func(src, dst CPUID, vec Vector, arg int64) bool
 // Kernel is a single OS instance scheduling threads over logical CPUs.
 type Kernel struct {
 	engine *sim.Engine
-	cfg    Config
 	tracer *trace.Tracer
 
 	cpus     []*CPU
@@ -97,7 +66,7 @@ type Kernel struct {
 	ipiSeq          int64
 
 	// softirqs holds the raised softirqs oldest first. Every raise waits
-	// the same SoftirqLatency on softirqLane, so each lane event runs the
+	// the same softirqLatency on softirqLane, so each lane event runs the
 	// oldest.
 	softirqs    sim.FIFO[raisedSoftirq]
 	softirqLane *sim.Lane
@@ -138,11 +107,9 @@ type Kernel struct {
 }
 
 // New creates a kernel bound to the engine. The tracer may be nil.
-func New(engine *sim.Engine, cfg Config, tracer *trace.Tracer) *Kernel {
-	cfg.applyDefaults()
+func New(engine *sim.Engine, tracer *trace.Tracer) *Kernel {
 	k := &Kernel{
 		engine:          engine,
-		cfg:             cfg,
 		tracer:          tracer,
 		cpuByID:         map[CPUID]*CPU{},
 		ipiHandlers:     map[Vector]func(CPUID, int64){},
@@ -154,7 +121,7 @@ func New(engine *sim.Engine, cfg Config, tracer *trace.Tracer) *Kernel {
 		Preemptions:     metrics.NewCounter("kernel.preemptions"),
 		WatchdogKicks:   metrics.NewCounter("kernel.watchdog_kicks"),
 	}
-	k.softirqLane = engine.Lane(k.cfg.SoftirqLatency, "kernel.softirq")
+	k.softirqLane = engine.Lane(softirqLatency, "kernel.softirq")
 	k.softirqRun = k.runOldestSoftirq
 	k.ipiHandlers[VecResched] = func(cpu CPUID, _ int64) {
 		if c := k.CPU(cpu); c != nil && c.powered && c.cur == nil {
@@ -166,9 +133,6 @@ func New(engine *sim.Engine, cfg Config, tracer *trace.Tracer) *Kernel {
 
 // Engine returns the simulation engine the kernel runs on.
 func (k *Kernel) Engine() *sim.Engine { return k.engine }
-
-// Config returns the kernel cost model.
-func (k *Kernel) Config() Config { return k.cfg }
 
 // Tracer returns the kernel's tracer (possibly nil).
 func (k *Kernel) Tracer() *trace.Tracer { return k.tracer }
@@ -344,7 +308,7 @@ func (k *Kernel) dispatch(c *CPU, t *Thread) {
 	c.traceEmit(trace.KindSchedSwitch, int64(t.ID), t.Name)
 	c.armTick()
 	c.inSwitch = true
-	c.startRun(k.cfg.CtxSwitchCost, c.switchFire)
+	c.startRun(ctxSwitchCost, c.switchFire)
 }
 
 // startSegment begins (or continues) the current thread's next segment.
@@ -519,7 +483,7 @@ func (k *Kernel) segmentDone(c *CPU) {
 	}
 	// Preemption point: honor pending resched requests outside
 	// non-preemptible context.
-	if (c.needResched || t.sliceRan >= k.cfg.Quantum) && !t.InNonPreemptible() && k.HasRunnableFor(c.ID) {
+	if (c.needResched || t.sliceRan >= quantum) && !t.InNonPreemptible() && k.HasRunnableFor(c.ID) {
 		k.preempt(c)
 		return
 	}
@@ -639,7 +603,7 @@ func (k *Kernel) tick(c *CPU) {
 			c.runStart = now
 		}
 	}
-	if t.sliceRan < k.cfg.Quantum || !k.HasRunnableFor(c.ID) {
+	if t.sliceRan < quantum || !k.HasRunnableFor(c.ID) {
 		return
 	}
 	if t.InNonPreemptible() || c.inSwitch {
@@ -686,11 +650,11 @@ func (k *Kernel) SendIPI(src, dst CPUID, vec Vector, arg int64) {
 }
 
 // DeliverIPIDirect performs hardware-path delivery (MSR write → LAPIC)
-// after the configured latency. The unified IPI orchestrator calls this
+// after IPILatency. The unified IPI orchestrator calls this
 // for pCPU destinations. If the destination is unpowered at delivery
 // time, the interrupt posts and is delivered at the next PowerOn.
 func (k *Kernel) DeliverIPIDirect(dst CPUID, vec Vector, arg int64, seq int64) {
-	latency := k.cfg.IPILatency
+	latency := IPILatency
 	if k.IPIFault != nil && vec != VecBoot {
 		drop, delay := k.IPIFault(dst, vec)
 		if drop {

@@ -9,7 +9,7 @@ import (
 
 func newTestKernel(nPhys, nVirt int) (*sim.Engine, *Kernel) {
 	e := sim.NewEngine()
-	k := New(e, DefaultConfig(), trace.New(0))
+	k := New(e, trace.New(0))
 	for i := 0; i < nPhys; i++ {
 		k.AddCPU(CPUID(i), false)
 	}
@@ -313,7 +313,7 @@ func TestIPIDelivery(t *testing.T) {
 	if deliveredOn != 1 {
 		t.Fatalf("delivered on cpu%d", deliveredOn)
 	}
-	wantAt := sim.Time(sim.Millisecond).Add(k.Config().IPILatency)
+	wantAt := sim.Time(sim.Millisecond).Add(IPILatency)
 	if deliveredAt != wantAt {
 		t.Fatalf("delivered at %v, want %v", deliveredAt, wantAt)
 	}
@@ -367,7 +367,7 @@ func TestSoftirq(t *testing.T) {
 	}
 }
 
-// Softirqs run one SoftirqLatency after they are raised, in raise order,
+// Softirqs run one softirqLatency after they are raised, in raise order,
 // each on its own CPU with its own vector, also when the pending ring
 // wraps and grows.
 func TestSoftirqsRunInRaiseOrder(t *testing.T) {
@@ -383,7 +383,7 @@ func TestSoftirqsRunInRaiseOrder(t *testing.T) {
 		k.RegisterSoftirq(vec, func(cpu CPUID) { got = append(got, run{cpu, vec, e.Now()}) })
 	}
 	var want []run
-	lat := k.Config().SoftirqLatency
+	lat := softirqLatency
 	for i := 0; i < 40; i++ {
 		cpu, vec := CPUID(i%2), VecUser+Vector(i/3%2)
 		k.RaiseSoftirq(cpu, vec)

@@ -17,7 +17,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		nCPU := 1 + r.Intn(4)
 		e := sim.NewEngine()
-		k := New(e, DefaultConfig(), trace.New(0))
+		k := New(e, trace.New(0))
 		for i := 0; i < nCPU; i++ {
 			k.AddCPU(CPUID(i), false)
 		}
@@ -77,7 +77,7 @@ func TestPropertyFreezeThawConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
-		k := New(e, DefaultConfig(), trace.New(0))
+		k := New(e, trace.New(0))
 		vc := k.AddCPU(0, true)
 		vc.SetOnline(true)
 
@@ -117,7 +117,7 @@ func TestPropertySingleOccupancy(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
-		k := New(e, DefaultConfig(), trace.New(0))
+		k := New(e, trace.New(0))
 		n := 2 + r.Intn(3)
 		for i := 0; i < n; i++ {
 			k.AddCPU(CPUID(i), false)

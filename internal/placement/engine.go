@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -88,6 +89,33 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects a negative or NaN knob, naming it. Zero means the
+// default (no absolute threshold, for HotAbs).
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ArrivalRate", c.ArrivalRate},
+		{"ArrivalDelay", float64(c.ArrivalDelay)},
+		{"ScanEvery", float64(c.ScanEvery)},
+		{"HotK", float64(c.HotK)},
+		{"HotBand", c.HotBand},
+		{"HotAbs", c.HotAbs},
+		{"MigrationBudget", float64(c.MigrationBudget)},
+		{"BounceBudget", float64(c.BounceBudget)},
+		{"CooldownScans", float64(c.CooldownScans)},
+		{"CopyTime", float64(c.CopyTime)},
+		{"PauseTime", float64(c.PauseTime)},
+		{"MaxScans", float64(c.MaxScans)},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) {
+			return fmt.Errorf("placement: %s = %v: negative or NaN", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // normalize fills unset knobs from the defaults.
 func (c Config) normalize() Config {
 	d := DefaultConfig()
@@ -97,37 +125,34 @@ func (c Config) normalize() Config {
 	if c.VMs <= 0 {
 		c.VMs = d.VMs
 	}
-	if c.ArrivalRate <= 0 {
+	if c.ArrivalRate == 0 {
 		c.ArrivalRate = d.ArrivalRate
 	}
-	if c.ScanEvery <= 0 {
+	if c.ScanEvery == 0 {
 		c.ScanEvery = d.ScanEvery
 	}
-	if c.ArrivalDelay < 0 {
-		c.ArrivalDelay = 0
-	}
-	if c.HotK <= 0 {
+	if c.HotK == 0 {
 		c.HotK = d.HotK
 	}
-	if c.HotBand <= 0 {
+	if c.HotBand == 0 {
 		c.HotBand = d.HotBand
 	}
-	if c.MigrationBudget <= 0 {
+	if c.MigrationBudget == 0 {
 		c.MigrationBudget = d.MigrationBudget
 	}
-	if c.BounceBudget <= 0 {
+	if c.BounceBudget == 0 {
 		c.BounceBudget = d.BounceBudget
 	}
-	if c.CooldownScans <= 0 {
+	if c.CooldownScans == 0 {
 		c.CooldownScans = d.CooldownScans
 	}
-	if c.CopyTime <= 0 {
+	if c.CopyTime == 0 {
 		c.CopyTime = d.CopyTime
 	}
-	if c.PauseTime <= 0 {
+	if c.PauseTime == 0 {
 		c.PauseTime = d.PauseTime
 	}
-	if c.MaxScans <= 0 {
+	if c.MaxScans == 0 {
 		c.MaxScans = d.MaxScans
 	}
 	return c
@@ -196,8 +221,12 @@ type Engine struct {
 // engine's own cluster-level streams; member simulations keep their own
 // per-member seeds. The engine records its decisions into a private
 // tracer (members never see cluster-level kinds), sized unlimited so
-// audits are never truncated.
+// audits are never truncated. It panics, naming the field, on a config
+// Validate rejects.
 func NewEngine(seed int64, cfg Config, members []Member) *Engine {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.normalize()
 	if !cfg.Policy.Valid() {
 		panic(fmt.Sprintf("placement: unknown policy %q", cfg.Policy))

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -324,4 +325,48 @@ func TestUnknownPolicyPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = "bogus"
 	NewEngine(1, cfg, members(newFake()))
+}
+
+// A negative or NaN knob makes NewEngine panic naming the field, rather
+// than running on the default (or, for a NaN HotBand, never finding a
+// member hot); zero still takes the default.
+func TestMalformedConfigPanics(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"ArrivalRate", func(c *Config) { c.ArrivalRate = -1 }},
+		{"ArrivalRate", func(c *Config) { c.ArrivalRate = nan }},
+		{"ArrivalDelay", func(c *Config) { c.ArrivalDelay = -sim.Millisecond }},
+		{"ScanEvery", func(c *Config) { c.ScanEvery = -sim.Millisecond }},
+		{"HotK", func(c *Config) { c.HotK = -1 }},
+		{"HotBand", func(c *Config) { c.HotBand = -0.25 }},
+		{"HotBand", func(c *Config) { c.HotBand = nan }},
+		{"HotAbs", func(c *Config) { c.HotAbs = -2 }},
+		{"HotAbs", func(c *Config) { c.HotAbs = nan }},
+		{"MigrationBudget", func(c *Config) { c.MigrationBudget = -1 }},
+		{"BounceBudget", func(c *Config) { c.BounceBudget = -1 }},
+		{"CooldownScans", func(c *Config) { c.CooldownScans = -1 }},
+		{"CopyTime", func(c *Config) { c.CopyTime = -sim.Millisecond }},
+		{"PauseTime", func(c *Config) { c.PauseTime = -sim.Millisecond }},
+		{"MaxScans", func(c *Config) { c.MaxScans = -1 }},
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, tc.field) {
+					t.Errorf("%s: NewEngine recovered %v, want a panic naming the field", tc.field, r)
+				}
+			}()
+			NewEngine(1, cfg, members(newFake()))
+		}()
+	}
+	zero := Config{Workers: -1}
+	e := NewEngine(1, zero, members(newFake()))
+	if want := DefaultConfig(); e.cfg.ScanEvery != want.ScanEvery || e.cfg.HotBand != want.HotBand {
+		t.Fatalf("zero config normalized to %+v, want the defaults", e.cfg)
+	}
 }

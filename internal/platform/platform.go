@@ -50,8 +50,6 @@ func (t Topology) DPCores() []int {
 type Options struct {
 	Seed     int64
 	Topology Topology
-	// Kernel is the OS cost model.
-	Kernel kernel.Config
 	// Net / Stor are the per-service DP cost models.
 	Net  dataplane.Config
 	Stor dataplane.Config
@@ -83,7 +81,6 @@ func DefaultOptions() Options {
 	return Options{
 		Seed:            1,
 		Topology:        DefaultTopology(),
-		Kernel:          kernel.DefaultConfig(),
 		Net:             net,
 		Stor:            stor,
 		Accel:           accel.DefaultConfig(),
@@ -125,8 +122,8 @@ type Node struct {
 }
 
 // NewNode assembles a SmartNIC from options. It panics on an invalid
-// topology; New is the error-returning form for options that arrive from
-// config or flags.
+// topology or DP cost model; New is the error-returning form for options
+// that arrive from config or flags.
 func NewNode(opts Options) *Node {
 	n, err := New(opts)
 	if err != nil {
@@ -168,10 +165,16 @@ func validateTopology(t Topology) error {
 }
 
 // New assembles a SmartNIC from options, reporting an invalid topology
-// as an error instead of panicking.
+// or DP cost model as an error instead of panicking.
 func New(opts Options) (*Node, error) {
 	if err := validateTopology(opts.Topology); err != nil {
 		return nil, err
+	}
+	if err := opts.Net.Validate(); err != nil {
+		return nil, fmt.Errorf("platform: Net.%w", err)
+	}
+	if err := opts.Stor.Validate(); err != nil {
+		return nil, fmt.Errorf("platform: Stor.%w", err)
 	}
 	engine := sim.NewEngine()
 	tracer := trace.New(opts.TraceLimit)
@@ -188,7 +191,7 @@ func New(opts Options) (*Node, error) {
 		Engine: engine,
 		RNG:    sim.NewRNG(opts.Seed),
 		Tracer: tracer,
-		Kernel: kernel.New(engine, opts.Kernel, tracer),
+		Kernel: kernel.New(engine, tracer),
 	}
 	for _, id := range opts.Topology.CPCores {
 		n.Kernel.AddCPU(kernel.CPUID(id), false)

@@ -1,10 +1,12 @@
 package platform
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/dataplane"
 	"repro/internal/sim"
 )
 
@@ -139,6 +141,45 @@ func TestNegativeCoreIDRejected(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "negative") {
 			t.Errorf("%s: error %q does not name the negative id", tc.name, err)
 		}
+	}
+}
+
+// A negative or NaN DP cost-model field is an error naming the service
+// and the field; zero still means the default.
+func TestMalformedDataplaneConfigRejected(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		mut   func(*dataplane.Config)
+	}{
+		{"EmptyPollCost", func(c *dataplane.Config) { c.EmptyPollCost = -1 }},
+		{"Burst", func(c *dataplane.Config) { c.Burst = -4 }},
+		{"TaxFactor", func(c *dataplane.Config) { c.TaxFactor = -1.5 }},
+		{"TaxFactor", func(c *dataplane.Config) { c.TaxFactor = nan }},
+		{"PollutionWork", func(c *dataplane.Config) { c.PollutionWork = -sim.Microsecond }},
+		{"PollutionFactor", func(c *dataplane.Config) { c.PollutionFactor = -2 }},
+		{"PollutionFactor", func(c *dataplane.Config) { c.PollutionFactor = nan }},
+	} {
+		for _, svc := range []string{"Net", "Stor"} {
+			opts := DefaultOptions()
+			cfg := &opts.Net
+			if svc == "Stor" {
+				cfg = &opts.Stor
+			}
+			tc.mut(cfg)
+			n, err := New(opts)
+			want := svc + "." + tc.field
+			if err == nil || n != nil {
+				t.Errorf("%s: New accepted a malformed value", want)
+			} else if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name the field", want, err)
+			}
+		}
+	}
+	opts := DefaultOptions()
+	opts.Net, opts.Stor = dataplane.Config{}, dataplane.Config{}
+	if _, err := New(opts); err != nil {
+		t.Fatalf("zero DP cost models must take the defaults: %v", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 func newFixture() (*sim.Engine, *kernel.Kernel, *VCPU) {
 	e := sim.NewEngine()
-	k := kernel.New(e, kernel.DefaultConfig(), trace.New(0))
+	k := kernel.New(e, trace.New(0))
 	c := k.AddCPU(0, true)
 	c.SetOnline(true)
 	v := New(k, c, DefaultCosts(), k.Tracer())
@@ -165,7 +165,7 @@ func TestPostedInterruptNoExit(t *testing.T) {
 
 func TestUnpostedInterruptForcesExit(t *testing.T) {
 	e := sim.NewEngine()
-	k := kernel.New(e, kernel.DefaultConfig(), trace.New(0))
+	k := kernel.New(e, trace.New(0))
 	c := k.AddCPU(0, true)
 	c.SetOnline(true)
 	costs := DefaultCosts()
@@ -213,7 +213,7 @@ func TestEnterInWrongStatePanics(t *testing.T) {
 
 func TestNonVirtualCPUPanics(t *testing.T) {
 	e := sim.NewEngine()
-	k := kernel.New(e, kernel.DefaultConfig(), trace.New(0))
+	k := kernel.New(e, trace.New(0))
 	c := k.AddCPU(0, false)
 	defer func() {
 		if recover() == nil {
@@ -244,7 +244,7 @@ func TestPropertyChaoticScheduling(t *testing.T) {
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
-		k := kernel.New(e, kernel.DefaultConfig(), trace.New(0))
+		k := kernel.New(e, trace.New(0))
 		c := k.AddCPU(0, true)
 		c.SetOnline(true)
 		v := New(k, c, DefaultCosts(), k.Tracer())

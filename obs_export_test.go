@@ -3,8 +3,6 @@ package taichi_test
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	taichi "repro"
@@ -57,7 +55,7 @@ func exportRun(baseSeed int64, nodes, workers int) (chrome, prom []byte) {
 // testdata/golden/obs/ additionally pin the bytes across commits; to
 // regenerate after an intentional schema change run
 //
-//	UPDATE_OBS_GOLDEN=1 go test -run TestExportDeterminism .
+//	go test -run TestExportDeterminism . -update
 func TestExportDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -75,32 +73,8 @@ func TestExportDeterminism(t *testing.T) {
 				t.Error("export differs between repeated identical runs")
 			}
 
-			checkGolden(t, fmt.Sprintf("chrome_seed%d.json", seed), chrome1)
-			checkGolden(t, fmt.Sprintf("metrics_seed%d.prom", seed), prom1)
+			checkGolden(t, fmt.Sprintf("obs/chrome_seed%d.json", seed), chrome1)
+			checkGolden(t, fmt.Sprintf("obs/metrics_seed%d.prom", seed), prom1)
 		})
-	}
-}
-
-// checkGolden compares got against the named golden file, or rewrites
-// the golden when UPDATE_OBS_GOLDEN is set.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", "obs", name)
-	if os.Getenv("UPDATE_OBS_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("golden %s missing (regenerate with UPDATE_OBS_GOLDEN=1): %v", name, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden (%d vs %d bytes); if intentional, regenerate with UPDATE_OBS_GOLDEN=1",
-			name, len(got), len(want))
 	}
 }

@@ -66,9 +66,11 @@ func TestOverloadAcceptance(t *testing.T) {
 
 // TestOverloadParallelDeterminism pins the overload sweep to the fleet
 // determinism contract: byte-identical table and values on 1 and 8
-// workers.
+// workers, with the 1-worker string pinned in
+// testdata/golden/quick/overload_vals.txt.
 func TestOverloadParallelDeterminism(t *testing.T) {
 	sequential, _ := overloadVals(t, 1)
+	checkGolden(t, "quick/overload_vals.txt", []byte(sequential))
 	if parallel, _ := overloadVals(t, 8); parallel != sequential {
 		t.Fatalf("overload sweep differs between 1 and 8 workers:\n--- sequential\n%s--- parallel\n%s",
 			sequential, parallel)

@@ -65,9 +65,11 @@ func TestPlacementAcceptance(t *testing.T) {
 
 // TestPlacementParallelDeterminism pins the placement sweep to the fleet
 // determinism contract: byte-identical table and values on 1 and 8
-// workers.
+// workers, with the 1-worker string pinned in
+// testdata/golden/quick/placement_vals.txt.
 func TestPlacementParallelDeterminism(t *testing.T) {
 	sequential, _ := placementVals(t, 1)
+	checkGolden(t, "quick/placement_vals.txt", []byte(sequential))
 	if parallel, _ := placementVals(t, 8); parallel != sequential {
 		t.Fatalf("placement sweep differs between 1 and 8 workers:\n--- sequential\n%s--- parallel\n%s",
 			sequential, parallel)

@@ -46,11 +46,12 @@ import (
 type System = core.TaiChi
 
 // Config is the Tai Chi configuration surface (vCPU pool size, adaptive
-// time slice, workload-probe tuning, lock rescue).
+// time slice and yield switches, lock rescue).
 type Config = core.Config
 
-// Options configures the underlying platform (topology, cost models,
-// hardware probe).
+// Options configures the underlying platform (topology, DP and
+// accelerator cost models, hardware probe). The kernel cost model is
+// fixed. TryNewWithConfig rejects a negative or NaN DP cost field.
 type Options = platform.Options
 
 // StaticBaseline is the production static-partitioning deployment the
@@ -95,8 +96,9 @@ func NewWithConfig(opts Options, cfg Config) *System {
 
 // TryNewWithConfig builds a Tai Chi node from explicit platform options
 // and scheduler configuration, reporting invalid topologies (no DP
-// cores, duplicate core ids) and invalid scheduler configurations (empty
-// vCPU pool, vCPU id collisions) as errors instead of panicking.
+// cores, duplicate core ids), negative or NaN DP cost-model fields and
+// invalid scheduler configurations (empty vCPU pool, vCPU id collisions)
+// as errors instead of panicking.
 func TryNewWithConfig(opts Options, cfg Config) (*System, error) {
 	node, err := platform.New(opts)
 	if err != nil {
@@ -160,9 +162,10 @@ const (
 	PriorityLatencyCritical = cluster.PriorityLatencyCritical
 )
 
-// OverloadPolicy tunes the node's brownout ladder: the lending-pressure
-// index sampling, the normal→throttle→shed→brownout escalation
-// thresholds, and the hysteretic cooldown-gated de-escalation.
+// OverloadPolicy arms the node's brownout ladder (lending-pressure
+// sampling, normal→throttle→shed→brownout escalation, hysteretic
+// cooldown-gated de-escalation). It has no fields: the ladder's tuning
+// is fixed.
 type OverloadPolicy = core.OverloadPolicy
 
 // OverloadState is the node's overload-ladder rung.
