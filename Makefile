@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench-go bench-test bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build inline test test-race race bench-go bench-test bench-pins chaos-smoke fuzz-smoke audit-smoke overload-smoke placement-smoke
 
-check: fmt vet lint build test-race bench-test bench-pins audit-smoke overload-smoke placement-smoke
+check: fmt vet lint build inline test-race bench-test bench-pins audit-smoke overload-smoke placement-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
 # core concurrency, and seedless constructors. Zero diagnostics is the
@@ -30,6 +30,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Inlining gate on the trace write path: every layer calls
+# (*Tracer).Emit on its hot path, and an Emit the compiler does not
+# inline costs the packet workloads several percent of wall time. The
+# compiler replays its -m report from the build cache, so this is cheap.
+inline:
+	@$(GO) build -gcflags=-m ./internal/trace 2>&1 | grep -qE 'can inline \(\*Tracer\)\.Emit( |$$)' || \
+		{ echo "(*Tracer).Emit is no longer inlinable"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -112,7 +120,8 @@ bench-go:
 # Fuzz gate: run each differential fuzzer against its reference model
 # for FUZZTIME — the event engine against the container/heap engine, the
 # span deriver against the kind-by-kind deriver, the Chrome writer
-# against the fmt/json.Marshal exporter. `go test` replays only their
+# against the fmt/json.Marshal exporter, the chunked tracer against the
+# flat []Event tracer. `go test` replays only their
 # seed corpora; this searches beyond them. A failing input is written
 # under the package's testdata/fuzz/ and fails `go test` from then on.
 FUZZTIME ?= 10s
@@ -121,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDerive$$' -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzChrome$$' -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzTracer$$' -fuzztime $(FUZZTIME) ./internal/trace
 
 # Request-lifecycle acceptance gate: under the chaos fault sweep, every
 # issued VM creation must reach a terminal state (zero lost requests)

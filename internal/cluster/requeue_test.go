@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package cluster
 
 import (
@@ -65,7 +67,7 @@ func TestRequeueResurrectsAfterNodeHeals(t *testing.T) {
 			t.Fatalf("dead-letter incidence %d, want 1", mgr.DeadLettered())
 		}
 		life2 := false
-		for _, ev := range tc.Node.Tracer.Events() {
+		for ev := range tc.Node.Tracer.All() {
 			if ev.Kind == trace.KindRequestResurrected && ev.Note == "life2" {
 				life2 = true
 			}

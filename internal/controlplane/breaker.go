@@ -83,16 +83,40 @@ type Breaker struct {
 	trips, rejects, timeouts, nacks, halfOpens, closes uint64
 }
 
-// NewBreaker wraps inner with a circuit breaker driven by the engine.
+// Validate rejects a negative field, naming it. Zero means the
+// field's default.
+func (c BreakerConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"FailureThreshold", int64(c.FailureThreshold)},
+		{"OpenTimeout", int64(c.OpenTimeout)},
+		{"AckTimeout", int64(c.AckTimeout)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("controlplane: breaker %s = %d: negative", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// NewBreaker wraps inner with a circuit breaker driven by the engine. A
+// zero config field takes its DefaultBreakerConfig value; NewBreaker
+// panics, naming the field, on a config Validate rejects.
 func NewBreaker(engine *sim.Engine, inner DPCoordinator, cfg BreakerConfig) *Breaker {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultBreakerConfig().FailureThreshold
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
-	if cfg.OpenTimeout <= 0 {
-		cfg.OpenTimeout = DefaultBreakerConfig().OpenTimeout
+	d := DefaultBreakerConfig()
+	if cfg.FailureThreshold == 0 {
+		cfg.FailureThreshold = d.FailureThreshold
 	}
-	if cfg.AckTimeout <= 0 {
-		cfg.AckTimeout = DefaultBreakerConfig().AckTimeout
+	if cfg.OpenTimeout == 0 {
+		cfg.OpenTimeout = d.OpenTimeout
+	}
+	if cfg.AckTimeout == 0 {
+		cfg.AckTimeout = d.AckTimeout
 	}
 	return &Breaker{cfg: cfg, engine: engine, inner: inner}
 }

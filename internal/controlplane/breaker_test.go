@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -244,5 +245,32 @@ func TestZeroBreakerLineMatchesFreshBreaker(t *testing.T) {
 	b := NewBreaker(e, &scriptedCoord{engine: e}, DefaultBreakerConfig())
 	if b.Describe() != ZeroBreakerLine() {
 		t.Fatalf("fresh breaker %q != zero line %q", b.Describe(), ZeroBreakerLine())
+	}
+}
+
+// A negative config field makes NewBreaker panic naming the field,
+// rather than running on the default; zero still takes the default.
+func TestBreakerMalformedConfigPanics(t *testing.T) {
+	e := sim.NewEngine()
+	for _, tc := range []struct {
+		field string
+		cfg   BreakerConfig
+	}{
+		{"FailureThreshold", BreakerConfig{FailureThreshold: -1}},
+		{"OpenTimeout", BreakerConfig{OpenTimeout: -sim.Millisecond}},
+		{"AckTimeout", BreakerConfig{AckTimeout: -sim.Millisecond}},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, tc.field) {
+					t.Errorf("%s: NewBreaker recovered %v, want a panic naming the field", tc.field, r)
+				}
+			}()
+			NewBreaker(e, &scriptedCoord{engine: e}, tc.cfg)
+		}()
+	}
+	if b := NewBreaker(e, &scriptedCoord{engine: e}, BreakerConfig{}); b.cfg != DefaultBreakerConfig() {
+		t.Fatalf("zero config normalized to %+v, want the defaults", b.cfg)
 	}
 }

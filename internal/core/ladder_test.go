@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package core
 
 import (
@@ -64,7 +66,7 @@ func TestRecoveryCooldownOrder(t *testing.T) {
 	}
 	tc.Run(start.Add(2 * want))
 	var exit sim.Time = -1
-	for _, e := range tc.Node.Tracer.Events() {
+	for e := range tc.Node.Tracer.All() {
 		if e.Kind == trace.KindDefenseRecover {
 			exit = e.At
 			break
@@ -94,7 +96,7 @@ func TestOverloadCooldownOrder(t *testing.T) {
 	}
 	tc.Run(start.Add(2 * dwell))
 	var exit sim.Time = -1
-	for _, e := range tc.Node.Tracer.Events() {
+	for e := range tc.Node.Tracer.All() {
 		if e.Kind == trace.KindOverloadExit {
 			exit = e.At
 			break

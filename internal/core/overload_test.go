@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package core
 
 import (
@@ -57,7 +59,7 @@ func TestBrownoutDuringArmedReclaimWatchdog(t *testing.T) {
 	// The manual climb must look exactly like a real one in the trace:
 	// rungs 1, 2, 3 in order, each climbing exactly one.
 	var rungs []int64
-	for _, e := range tc.Node.Tracer.Events() {
+	for e := range tc.Node.Tracer.All() {
 		if e.Kind == trace.KindOverloadEnter {
 			rungs = append(rungs, e.Arg)
 		}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -64,6 +65,8 @@ type Kernel struct {
 	ipiHandlers     map[Vector]func(cpu CPUID, arg int64)
 	softirqHandlers map[Vector]func(cpu CPUID)
 	ipiSeq          int64
+	// ipiNotes caches the IPI trace notes, formatted once per key.
+	ipiNotes map[ipiNoteKey]string
 
 	// softirqs holds the raised softirqs oldest first. Every raise waits
 	// the same softirqLatency on softirqLane, so each lane event runs the
@@ -114,6 +117,7 @@ func New(engine *sim.Engine, tracer *trace.Tracer) *Kernel {
 		cpuByID:         map[CPUID]*CPU{},
 		ipiHandlers:     map[Vector]func(CPUID, int64){},
 		softirqHandlers: map[Vector]func(CPUID){},
+		ipiNotes:        map[ipiNoteKey]string{},
 		CtxSwitches:     metrics.NewCounter("kernel.ctx_switches"),
 		IPIsSent:        metrics.NewCounter("kernel.ipis_sent"),
 		IPIsDeferred:    metrics.NewCounter("kernel.ipis_deferred"),
@@ -398,7 +402,7 @@ func (k *Kernel) startSegment(c *CPU) {
 			t.spinningOn = seg.Lock
 			c.spinStart = k.engine.Now()
 			c.Gauge.SetBusy(k.engine.Now(), true)
-			c.traceEmit(trace.KindNonPreemptibleBegin, int64(t.ID), "spin:"+seg.Lock.Name)
+			c.traceEmit(trace.KindNonPreemptibleBegin, int64(t.ID), seg.Lock.spinNote)
 		}
 	default:
 		if !t.segStarted {
@@ -422,7 +426,7 @@ func (k *Kernel) startSegment(c *CPU) {
 func (k *Kernel) beginLockHold(c *CPU, t *Thread) {
 	seg := t.seg
 	t.segStarted = true
-	c.traceEmit(trace.KindNonPreemptibleBegin, int64(t.ID), "hold:"+seg.Lock.Name)
+	c.traceEmit(trace.KindNonPreemptibleBegin, int64(t.ID), seg.Lock.holdNote)
 	if c.OnSegment != nil {
 		c.OnSegment(t, seg.Kind, seg.Note)
 	}
@@ -464,7 +468,7 @@ func (k *Kernel) segmentDone(c *CPU) {
 		c.traceEmit(trace.KindNonPreemptibleEnd, int64(t.ID), seg.Note)
 	}
 	if seg.Kind == SegLock {
-		c.traceEmit(trace.KindNonPreemptibleEnd, int64(t.ID), "hold:"+seg.Lock.Name)
+		c.traceEmit(trace.KindNonPreemptibleEnd, int64(t.ID), seg.Lock.holdNote)
 		seg.Lock.release(t)
 		k.grantLock(seg.Lock)
 	}
@@ -642,7 +646,7 @@ func (k *Kernel) SendIPI(src, dst CPUID, vec Vector, arg int64) {
 	k.IPIsSent.Inc()
 	k.ipiSeq++
 	seq := k.ipiSeq
-	k.tracer.Emit(k.engine.Now(), trace.KindIPISend, int(src), seq, fmt.Sprintf("vec=%d dst=%d", vec, dst))
+	k.tracer.Emit(k.engine.Now(), trace.KindIPISend, int(src), seq, k.ipiNote(vec, dst, true))
 	if k.Router != nil && k.Router(src, dst, vec, arg) {
 		return
 	}
@@ -673,9 +677,35 @@ func (k *Kernel) DeliverIPIDirect(dst CPUID, vec Vector, arg int64, seq int64) {
 			c.pendingIPIs = append(c.pendingIPIs, pendingIPI{vec, arg})
 			return
 		}
-		k.tracer.Emit(k.engine.Now(), trace.KindIPIDeliver, int(dst), seq, fmt.Sprintf("vec=%d", vec))
+		k.tracer.Emit(k.engine.Now(), trace.KindIPIDeliver, int(dst), seq, k.ipiNote(vec, dst, false))
 		k.deliverIPI(dst, vec, arg)
 	})
+}
+
+// ipiNoteKey names one IPI trace note.
+type ipiNoteKey struct {
+	vec  Vector
+	dst  CPUID // 0 for a delivery note, which names no destination
+	send bool
+}
+
+// ipiNote returns the trace note of an IPI send ("vec=V dst=D") or
+// delivery ("vec=V"), formatting it only the first time it is asked for.
+func (k *Kernel) ipiNote(vec Vector, dst CPUID, send bool) string {
+	if !send {
+		dst = 0
+	}
+	key := ipiNoteKey{vec, dst, send}
+	note, ok := k.ipiNotes[key]
+	if !ok {
+		if send {
+			note = "vec=" + strconv.Itoa(int(vec)) + " dst=" + strconv.Itoa(int(dst))
+		} else {
+			note = "vec=" + strconv.Itoa(int(vec))
+		}
+		k.ipiNotes[key] = note
+	}
+	return note
 }
 
 // deliverIPI invokes the vector handler immediately.

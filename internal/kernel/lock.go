@@ -6,9 +6,12 @@ package kernel
 // can hold the lock while other CPUs spin, which is the deadlock hazard
 // Tai Chi's safe lock-context rescheduling exists to defuse (§4.1).
 type SpinLock struct {
-	Name    string
-	owner   *Thread
-	waiters []*Thread // FIFO spin queue
+	Name string
+	// spinNote and holdNote are the trace notes of a spin on the lock
+	// and of a hold of it, built once here rather than on every emit.
+	spinNote, holdNote string
+	owner              *Thread
+	waiters            []*Thread // FIFO spin queue
 	// AcquireCount counts successful acquisitions, for tests.
 	AcquireCount uint64
 	// ContendedCount counts acquisitions that had to spin first.
@@ -16,7 +19,9 @@ type SpinLock struct {
 }
 
 // NewSpinLock returns an unlocked spinlock.
-func NewSpinLock(name string) *SpinLock { return &SpinLock{Name: name} }
+func NewSpinLock(name string) *SpinLock {
+	return &SpinLock{Name: name, spinNote: "spin:" + name, holdNote: "hold:" + name}
+}
 
 // Owner returns the current holder, or nil.
 func (l *SpinLock) Owner() *Thread { return l.owner }

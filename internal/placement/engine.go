@@ -96,6 +96,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
+		{"VMs", float64(c.VMs)},
 		{"ArrivalRate", c.ArrivalRate},
 		{"ArrivalDelay", float64(c.ArrivalDelay)},
 		{"ScanEvery", float64(c.ScanEvery)},
@@ -122,7 +123,7 @@ func (c Config) normalize() Config {
 	if c.Policy == "" {
 		c.Policy = d.Policy
 	}
-	if c.VMs <= 0 {
+	if c.VMs == 0 {
 		c.VMs = d.VMs
 	}
 	if c.ArrivalRate == 0 {

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package placement
 
 import (
@@ -227,7 +229,7 @@ func TestReplacementViaPlacer(t *testing.T) {
 		t.Fatalf("Replaced=%d, want 1", e.stats.Replaced)
 	}
 	var sawReplaced bool
-	for _, ev := range e.Tracer().Events() {
+	for ev := range e.Tracer().All() {
 		if ev.Kind == trace.KindVMPlace && ev.Note == "replaced" && ev.Arg == 1 {
 			sawReplaced = true
 		}
@@ -336,6 +338,7 @@ func TestMalformedConfigPanics(t *testing.T) {
 		field string
 		mut   func(*Config)
 	}{
+		{"VMs", func(c *Config) { c.VMs = -5 }},
 		{"ArrivalRate", func(c *Config) { c.ArrivalRate = -1 }},
 		{"ArrivalRate", func(c *Config) { c.ArrivalRate = nan }},
 		{"ArrivalDelay", func(c *Config) { c.ArrivalDelay = -sim.Millisecond }},
@@ -366,7 +369,7 @@ func TestMalformedConfigPanics(t *testing.T) {
 	}
 	zero := Config{Workers: -1}
 	e := NewEngine(1, zero, members(newFake()))
-	if want := DefaultConfig(); e.cfg.ScanEvery != want.ScanEvery || e.cfg.HotBand != want.HotBand {
+	if want := DefaultConfig(); e.cfg.VMs != want.VMs || e.cfg.ScanEvery != want.ScanEvery || e.cfg.HotBand != want.HotBand {
 		t.Fatalf("zero config normalized to %+v, want the defaults", e.cfg)
 	}
 }

@@ -1,3 +1,10 @@
+// This file and the readers that range over Tracer.All carry a go1.23
+// constraint, which turns on range-over-func for them: the module's go
+// line stays at 1.22 because the benchmark module that requires it
+// declares 1.22.
+
+//go:build go1.23
+
 // Package trace records structured simulation events and provides the
 // analyzers behind the paper's motivation figures: the non-preemptible
 // routine census (Figure 5), the latency-spike anatomy timeline (Figure 4),
@@ -7,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -289,7 +297,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one trace record.
+// Event is one trace record, as readers see it.
 type Event struct {
 	At   sim.Time
 	Kind Kind
@@ -298,58 +306,188 @@ type Event struct {
 	Note string // optional human-readable detail
 }
 
+// record is one stored event. It holds no pointer, so the garbage
+// collector never scans a chunk of them, and the note is an index into
+// the tracer's note table.
+type record struct {
+	at  sim.Time
+	arg int64
+	cpu int32
+	// kindNote packs the Kind into the low 8 bits and the note ID above.
+	kindNote uint32
+}
+
+const (
+	// Chunks start small, so a tracer that records a few setup events
+	// stays small, and grow with the event count up to maxChunk records
+	// (24 KB, below the allocator's 32 KB large-object size).
+	minChunk = 64
+	maxChunk = 1024
+	// maxNotes bounds the note table: an ID has the 24 bits kindNote
+	// leaves above the kind.
+	maxNotes = 1 << 24
+)
+
 // Tracer accumulates events. A nil *Tracer is a valid no-op sink so hot
 // paths can trace unconditionally.
+//
+// Events are stored as pointer-free records in fixed-capacity chunks that
+// are never copied or grown; notes are interned into an append-only
+// table. All iterates the records in place. Events builds one []Event
+// copy, releases the chunks it copied and returns the same slice until
+// the next Emit.
 type Tracer struct {
-	events   []Event
-	filtered bool
-	enabled  [len(kinds)]bool // indexed by Kind when filtered
-	dropped  uint64
-	limit    int
+	on      [256]bool // indexed by Kind: whether Emit records the kind
+	limit   int
+	n       int // stored events: len(flat) + the records in chunks and cur
+	dropped uint64
+
+	flat   []Event    // the oldest events, as Events last returned them
+	chunks [][]record // full chunks after flat, in emission order
+	cur    []record   // the chunk being filled, after chunks
+
+	notes    []string          // note ID → note; ID 0 is ""; nil before the first note
+	noteIDs  map[string]uint32 // note → ID, for every note but ""
+	lastNote string            // the last note interned, and its ID
+	lastID   uint32
 }
 
 // New returns a tracer that records every kind, with an optional cap on
 // stored events (0 means unlimited).
 func New(limit int) *Tracer {
-	return &Tracer{limit: limit}
+	t := &Tracer{limit: limit}
+	for k := range t.on {
+		t.on[k] = true
+	}
+	return t
 }
 
 // EnableOnly restricts recording to the given kinds. Passing no kinds
 // disables recording entirely. A filtered tracer drops kinds outside
 // the schema.
 func (t *Tracer) EnableOnly(enable ...Kind) {
-	t.filtered = true
-	t.enabled = [len(kinds)]bool{}
+	t.on = [256]bool{}
 	for _, k := range enable {
-		if int(k) < len(t.enabled) {
-			t.enabled[k] = true
+		if int(k) < len(kinds) {
+			t.on[k] = true
 		}
 	}
 }
 
 // Emit records one event. Safe to call on a nil tracer. The filter check
-// is a single array load so components can trace unconditionally on hot
-// paths (the accelerator emits four events per packet).
+// is a single array load and Emit inlines, so components can trace
+// unconditionally on hot paths (the accelerator emits four events per
+// packet). cpu must fit in 32 bits.
 func (t *Tracer) Emit(at sim.Time, kind Kind, cpu int, arg int64, note string) {
-	if t == nil {
-		return
+	if t != nil && t.on[kind] {
+		t.record(at, kind, cpu, arg, note)
 	}
-	if t.filtered && (int(kind) >= len(t.enabled) || !t.enabled[kind]) {
-		return
-	}
-	if t.limit > 0 && len(t.events) >= t.limit {
+}
+
+// record stores one event that passed the kind filter.
+func (t *Tracer) record(at sim.Time, kind Kind, cpu int, arg int64, note string) {
+	if t.limit > 0 && t.n >= t.limit {
 		t.dropped++
 		return
 	}
-	t.events = append(t.events, Event{At: at, Kind: kind, CPU: cpu, Arg: arg, Note: note})
+	if int(int32(cpu)) != cpu {
+		panic(fmt.Sprintf("trace: cpu %d does not fit in 32 bits", cpu))
+	}
+	if len(t.cur) == cap(t.cur) {
+		if cap(t.cur) > 0 {
+			t.chunks = append(t.chunks, t.cur)
+		}
+		t.cur = make([]record, 0, min(max(t.n, minChunk), maxChunk))
+	}
+	t.cur = append(t.cur, record{at: at, arg: arg, cpu: int32(cpu), kindNote: uint32(kind) | t.intern(note)<<8})
+	t.n++
 }
 
-// Events returns the recorded events in emission order.
+// intern returns the note's ID, adding the note to the table if new.
+// Runs of one note are common (a burst of timer exits), so the last
+// note is checked before the map.
+func (t *Tracer) intern(note string) uint32 {
+	if note == "" {
+		return 0
+	}
+	if note == t.lastNote {
+		return t.lastID
+	}
+	id, ok := t.noteIDs[note]
+	if !ok {
+		if t.noteIDs == nil {
+			t.notes, t.noteIDs = []string{""}, map[string]uint32{}
+		}
+		id = uint32(len(t.notes))
+		if id == maxNotes {
+			panic("trace: note table full")
+		}
+		t.notes = append(t.notes, note)
+		t.noteIDs[note] = id
+	}
+	t.lastNote, t.lastID = note, id
+	return id
+}
+
+// event resolves a stored record.
+func (t *Tracer) event(r record) Event {
+	e := Event{At: r.at, Kind: Kind(r.kindNote), CPU: int(r.cpu), Arg: r.arg}
+	if id := r.kindNote >> 8; id != 0 {
+		e.Note = t.notes[id]
+	}
+	return e
+}
+
+// All iterates the recorded events in emission order without copying
+// them. The tracer must not record while the iteration runs.
+func (t *Tracer) All() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		if t == nil {
+			return
+		}
+		for _, e := range t.flat {
+			if !yield(e) {
+				return
+			}
+		}
+		for _, c := range t.chunks {
+			for _, r := range c {
+				if !yield(t.event(r)) {
+					return
+				}
+			}
+		}
+		for _, r := range t.cur {
+			if !yield(t.event(r)) {
+				return
+			}
+		}
+	}
+}
+
+// Events returns the recorded events in emission order. The first call
+// after an Emit builds one exact-sized slice and releases the chunks it
+// copied; later calls return that slice until the next Emit. Readers
+// that only iterate should use All, which copies nothing.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	if t.n > len(t.flat) {
+		out := make([]Event, len(t.flat), t.n)
+		copy(out, t.flat)
+		for i, c := range t.chunks {
+			for _, r := range c {
+				out = append(out, t.event(r))
+			}
+			t.chunks[i] = nil
+		}
+		for _, r := range t.cur {
+			out = append(out, t.event(r))
+		}
+		t.flat, t.chunks, t.cur = out, t.chunks[:0], t.cur[:0]
+	}
+	return t.flat
 }
 
 // Dropped returns how many events were discarded due to the cap.
@@ -365,16 +503,16 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
 }
 
-// Reset discards all stored events.
+// Reset discards all stored events. The note table is kept.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.events = t.events[:0]
-	t.dropped = 0
+	t.flat, t.chunks, t.cur = nil, nil, t.cur[:0]
+	t.n, t.dropped = 0, 0
 }
 
 // NonPreemptibleCensus pairs np_begin/np_end events per CPU and returns a
@@ -382,7 +520,7 @@ func (t *Tracer) Reset() {
 func (t *Tracer) NonPreemptibleCensus() *metrics.Histogram {
 	h := metrics.NewHistogram("non_preemptible_duration")
 	open := map[int]sim.Time{} // cpu -> begin time
-	for _, e := range t.Events() {
+	for e := range t.All() {
 		switch e.Kind {
 		case KindNonPreemptibleBegin:
 			open[e.CPU] = e.At
@@ -427,7 +565,7 @@ func CensusBuckets(h *metrics.Histogram) []DurationBucket {
 func (t *Tracer) IPILatencies() *metrics.Histogram {
 	h := metrics.NewHistogram("ipi_latency")
 	sent := map[int64]sim.Time{}
-	for _, e := range t.Events() {
+	for e := range t.All() {
 		switch e.Kind {
 		case KindIPISend:
 			sent[e.Arg] = e.At
@@ -466,7 +604,7 @@ func (t *Tracer) PacketBreakdown() []PacketStage {
 		}
 		return p
 	}
-	for _, e := range t.Events() {
+	for e := range t.All() {
 		switch e.Kind {
 		case KindPacketArrive:
 			p := get(e.Arg)
@@ -523,7 +661,7 @@ func (t *Tracer) PacketBreakdown() []PacketStage {
 // reason string emitted by the vCPU model).
 func (t *Tracer) ExitReasonCounts() map[string]uint64 {
 	out := map[string]uint64{}
-	for _, e := range t.Events() {
+	for e := range t.All() {
 		if e.Kind == KindVMExit {
 			out[e.Note]++
 		}
@@ -535,9 +673,8 @@ func (t *Tracer) ExitReasonCounts() map[string]uint64 {
 // examples/coscheduling to show the Figure 4 spike anatomy.
 func (t *Tracer) Timeline(from, to sim.Time) string {
 	var b strings.Builder
-	evs := t.Events()
-	sorted := make([]Event, 0, len(evs))
-	for _, e := range evs {
+	var sorted []Event
+	for e := range t.All() {
 		if e.At >= from && e.At <= to {
 			sorted = append(sorted, e)
 		}

@@ -182,3 +182,33 @@ func TestPacketBreakdownDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitAllocs pins the write path's allocation cost: an Emit the kind
+// filter rejects, or on a nil tracer, allocates nothing, and recorded
+// Emits allocate at most one chunk per maxChunk events, plus the
+// amortized growth of the chunk index.
+func TestEmitAllocs(t *testing.T) {
+	var none *Tracer
+	tr := New(0)
+	tr.EnableOnly(KindYield)
+	if n := testing.AllocsPerRun(1000, func() {
+		none.Emit(1, KindVMExit, 0, 0, "timer")
+		tr.Emit(1, KindVMExit, 0, 0, "timer")
+	}); n != 0 {
+		t.Fatalf("filtered-out Emit allocated %v times, want 0", n)
+	}
+
+	// AllocsPerRun calls the function once before measuring, so the
+	// measured run appends to a tracer already past the small chunks.
+	const events = 64 * maxChunk
+	tr = New(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < events; i++ {
+			tr.Emit(sim.Time(i), KindVMExit, 0, int64(i), "timer")
+		}
+	})
+	if chunks := float64(events / maxChunk); allocs > 2*chunks {
+		t.Fatalf("%d recorded Emits allocated %v times, want at most %v chunks plus as many index growths",
+			events, allocs, chunks)
+	}
+}
