@@ -31,13 +31,19 @@ vet:
 build:
 	$(GO) build ./...
 
-# Inlining gate on the trace write path: every layer calls
-# (*Tracer).Emit on its hot path, and an Emit the compiler does not
-# inline costs the packet workloads several percent of wall time. The
-# compiler replays its -m report from the build cache, so this is cheap.
+# Inlining gate on the hot paths: every layer calls (*Tracer).Emit, and
+# the lend/reclaim cycle asks (*Scheduler).hasWork, which asks
+# (*Kernel).HasRunnableFor, which asks (*Thread).AllowedOn, of every
+# vCPU and runnable thread it scans. A call the compiler stops inlining
+# costs several percent of wall time. The compiler replays its -m report
+# from the build cache, so this is cheap.
 inline:
-	@$(GO) build -gcflags=-m ./internal/trace 2>&1 | grep -qE 'can inline \(\*Tracer\)\.Emit( |$$)' || \
-		{ echo "(*Tracer).Emit is no longer inlinable"; exit 1; }
+	@out=$$($(GO) build -gcflags=-m ./internal/trace ./internal/kernel ./internal/core 2>&1); \
+	for fn in '(*Tracer).Emit' '(*Thread).AllowedOn' '(*Kernel).HasRunnableFor' '(*Scheduler).hasWork'; do \
+		re=$$(printf '%s' "$$fn" | sed 's/[(*).]/\\&/g'); \
+		printf '%s\n' "$$out" | grep -qE "can inline $$re( |$$)" || \
+			{ echo "$$fn is no longer inlinable"; exit 1; }; \
+	done
 
 test:
 	$(GO) test ./...

@@ -212,6 +212,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects a negative stage time, naming it: a negative stage
+// could hide inside a positive sum and shift every packet's timing.
+func (c Config) Validate() error {
+	if c.Preprocess < 0 {
+		return fmt.Errorf("Preprocess = %v: negative", c.Preprocess)
+	}
+	if c.Transfer < 0 {
+		return fmt.Errorf("Transfer = %v: negative", c.Transfer)
+	}
+	return nil
+}
+
 // Pipeline is the programmable accelerator datapath. Packets proceed
 // through preprocess and transfer stages in parallel (the hardware is
 // deeply pipelined), then land in the destination core's DP queue.

@@ -383,13 +383,24 @@ func TestHaltedVCPUsDontChurn(t *testing.T) {
 
 // Once warm, lending idle DP cores to vCPUs and reclaiming them allocates
 // nothing: the scheduler's exit callback, the vCPU's entry and exit
-// events, the kernel's run, tick and softirq events and the segment a
-// thread resumes are all bound or buffered once.
+// events, the kernel's run, tick, sleep, IPI and softirq events and the
+// segment a thread resumes are all bound or buffered once. The nappers
+// sleep between bursts, so their wakeups keep sending resched IPIs.
 func TestLendCycleAllocFree(t *testing.T) {
 	tc := newTaiChi(2, nil)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 4; i++ {
 		tc.SpawnCP("hog", &kernel.LoopProgram{Total: 10 * sim.Second, Gen: func(sim.Duration) kernel.Segment {
 			return kernel.Segment{Kind: kernel.SegCompute, Dur: 200 * sim.Microsecond}
+		}})
+	}
+	for i := 0; i < 12; i++ {
+		n := 0
+		tc.SpawnCP("napper", &kernel.LoopProgram{Total: 10 * sim.Second, Gen: func(sim.Duration) kernel.Segment {
+			n++
+			if n%2 == 0 {
+				return kernel.Segment{Kind: kernel.SegSleep, Dur: 130 * sim.Microsecond}
+			}
+			return kernel.Segment{Kind: kernel.SegCompute, Dur: 70 * sim.Microsecond}
 		}})
 	}
 	tc.Run(sim.Time(50 * sim.Millisecond))
@@ -399,10 +410,13 @@ func TestLendCycleAllocFree(t *testing.T) {
 		}
 		return n
 	}
-	before := entries()
+	before, ipis := entries(), tc.Node.Kernel.IPIsSent.Value()
 	allocs := testing.AllocsPerRun(20, func() { tc.Run(tc.Engine().Now().Add(sim.Millisecond)) })
 	if lends := entries() - before; lends < 21*10 {
 		t.Fatalf("%d lends in 21 ms, want a steady lend/reclaim cycle", lends)
+	}
+	if sent := tc.Node.Kernel.IPIsSent.Value() - ipis; sent < 21*10 {
+		t.Fatalf("%d IPIs in 21 ms, want wakeups to keep sending them", sent)
 	}
 	if allocs != 0 {
 		t.Fatalf("lend/reclaim cycles allocate %v per simulated ms, want 0", allocs)

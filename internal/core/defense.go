@@ -212,7 +212,7 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		// softirq never ran, e.g. a dropped self-IPI) — abort it by hand.
 		if v := slot.pendingEnter; v != nil {
 			slot.pendingEnter = nil
-			delete(s.claimed, v)
+			s.vs(v).claimed = false
 			s.enqueueReady(v)
 		}
 		s.resumeDP(slot)
@@ -263,12 +263,11 @@ func (s *Scheduler) enterStatic() {
 	// CPU -1: the fallback is a scheduler-wide decision, not tied to one core.
 	s.node.Tracer.Emit(s.engine.Now(), trace.KindReclaimEscalate, -1,
 		int64(d.teardowns), "static")
-	for _, id := range s.order {
-		slot := s.slots[id]
+	for _, slot := range s.slots {
 		slot.available = false
 		if v := slot.pendingEnter; v != nil && slot.preemptReq == 0 {
 			slot.pendingEnter = nil
-			delete(s.claimed, v)
+			s.vs(v).claimed = false
 			s.enqueueReady(v)
 			s.resumeDP(slot)
 		}
@@ -300,7 +299,7 @@ func (s *Scheduler) enterStatic() {
 // the dataplane core is in DP hands before it freezes, and an onlined
 // core re-enters the lending pool at the next idle detection.
 func (s *Scheduler) SetCoreDown(id int, down bool) {
-	slot := s.slots[id]
+	slot := s.slotAt(id)
 	if slot == nil {
 		return
 	}
@@ -309,7 +308,7 @@ func (s *Scheduler) SetCoreDown(id int, down bool) {
 		slot.dp.SetDown(true)
 		if v := slot.pendingEnter; v != nil && slot.preemptReq == 0 {
 			slot.pendingEnter = nil
-			delete(s.claimed, v)
+			s.vs(v).claimed = false
 			s.enqueueReady(v)
 			s.resumeDP(slot)
 		}

@@ -14,8 +14,8 @@ func occupiedSlot(t *testing.T, tc *TaiChi) *dpSlot {
 	spawnHogs(tc, 8)
 	for i := 0; i < 50; i++ {
 		tc.Run(tc.Node.Engine.Now().Add(sim.Millisecond))
-		for _, id := range tc.Sched.order {
-			if slot := tc.Sched.slots[id]; slot.occupant != nil {
+		for _, slot := range tc.Sched.slots {
+			if slot.occupant != nil {
 				return slot
 			}
 		}
@@ -75,7 +75,7 @@ func TestProbeMissWindowBoundary(t *testing.T) {
 	run := func(seed int64, lastAt sim.Time) *TaiChi {
 		tc := newTaiChi(seed, nil)
 		tc.Sched.EnableDefense(DefenseConfig{SchedWatchdogPeriod: 0})
-		slot := tc.Sched.slots[tc.Sched.order[0]]
+		slot := tc.Sched.slots[0]
 		// probeMissThreshold misses: the first, the rest but one spread
 		// across the window, and the last at lastAt.
 		at := []sim.Time{first}
@@ -150,9 +150,9 @@ func TestStaticFallbackDuringActiveAudit(t *testing.T) {
 		t.Fatal("observer recorded nothing before the fallback")
 	}
 	// No DP core may be lent while static.
-	for _, id := range tc.Sched.order {
-		if slot := tc.Sched.slots[id]; slot.occupant != nil || slot.pendingEnter != nil {
-			t.Fatalf("core %d still lent out in static mode", id)
+	for _, slot := range tc.Sched.slots {
+		if slot.occupant != nil || slot.pendingEnter != nil {
+			t.Fatalf("core %d still lent out in static mode", slot.dp.ID)
 		}
 	}
 }

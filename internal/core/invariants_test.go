@@ -62,7 +62,7 @@ func TestProbeNeverFiresForPState(t *testing.T) {
 		// At IRQ delivery the scheduler may already have flipped the state
 		// back; check against the slot bookkeeping instead: an IRQ is only
 		// legitimate if the core was lent out (occupied or entering).
-		slot := tc.Sched.slots[core]
+		slot := tc.Sched.slotAt(core)
 		if slot == nil || (slot.occupant == nil && slot.pendingEnter == nil && slot.preemptReq == 0) {
 			violations++
 		}
@@ -114,7 +114,7 @@ func TestNoYieldWithPipelineInFlight(t *testing.T) {
 	tc.Node.Engine.Schedule(1, pump)
 	tick := tc.Node.Engine.NewTicker(10*sim.Microsecond, func() {
 		for _, dp := range tc.Node.DPCores() {
-			slot := tc.Sched.slots[dp.ID]
+			slot := tc.Sched.slotAt(dp.ID)
 			if slot.pendingEnter != nil && tc.Node.Pipe.InFlight(dp.ID) > 0 && slot.preemptReq == 0 {
 				// A pending entry with traffic in flight and no abort
 				// request pending means the gate failed.
@@ -139,7 +139,7 @@ func TestDPCoreStateConsistency(t *testing.T) {
 	bad := 0
 	tc.Node.Engine.NewTicker(50*sim.Microsecond, func() {
 		for _, dp := range tc.Node.DPCores() {
-			slot := tc.Sched.slots[dp.ID]
+			slot := tc.Sched.slotAt(dp.ID)
 			if slot.occupant != nil && dp.State() != dataplane.Yielded {
 				bad++
 			}

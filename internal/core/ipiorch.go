@@ -24,8 +24,10 @@ import (
 // after which standard CPU-affinity configuration can bind unmodified CP
 // tasks to them.
 type Orchestrator struct {
-	kern   *kernel.Kernel
-	vcpus  map[kernel.CPUID]*vcpu.VCPU
+	kern *kernel.Kernel
+	// vcpus indexes the registered vCPUs by logical CPU id; other ids
+	// hold nil.
+	vcpus  []*vcpu.VCPU
 	engine *sim.Engine
 
 	// SourceExitCost is the extra latency when the *sender* is a running
@@ -45,7 +47,6 @@ type Orchestrator struct {
 func NewOrchestrator(k *kernel.Kernel) *Orchestrator {
 	o := &Orchestrator{
 		kern:   k,
-		vcpus:  map[kernel.CPUID]*vcpu.VCPU{},
 		engine: k.Engine(),
 	}
 	k.Router = o.route
@@ -57,8 +58,11 @@ func NewOrchestrator(k *kernel.Kernel) *Orchestrator {
 // it like any other CPU.
 func (o *Orchestrator) Register(v *vcpu.VCPU) {
 	id := v.ID()
-	if _, dup := o.vcpus[id]; dup {
+	if o.VCPU(id) != nil {
 		panic(fmt.Sprintf("core: vCPU %d registered twice", id))
+	}
+	for len(o.vcpus) <= int(id) {
+		o.vcpus = append(o.vcpus, nil)
 	}
 	o.vcpus[id] = v
 	// Boot IPI sequence: routed below, where it onlines the CPU.
@@ -66,7 +70,12 @@ func (o *Orchestrator) Register(v *vcpu.VCPU) {
 }
 
 // VCPU returns the registered vCPU for a logical CPU id, or nil.
-func (o *Orchestrator) VCPU(id kernel.CPUID) *vcpu.VCPU { return o.vcpus[id] }
+func (o *Orchestrator) VCPU(id kernel.CPUID) *vcpu.VCPU {
+	if uint(id) < uint(len(o.vcpus)) {
+		return o.vcpus[id]
+	}
+	return nil
+}
 
 // route implements kernel.IPIRouter.
 func (o *Orchestrator) route(src, dst kernel.CPUID, vec kernel.Vector, arg int64) bool {
@@ -75,12 +84,13 @@ func (o *Orchestrator) route(src, dst kernel.CPUID, vec kernel.Vector, arg int64
 	// Source phase (Figure 8b left): a vCPU sender without IPI
 	// virtualization must VM-exit so the scheduler can reissue the IPI.
 	var sendDelay sim.Duration
-	if srcV, ok := o.vcpus[src]; ok && srcV.State() == vcpu.StateRunning && o.SourceExitCost > 0 {
+	if srcV := o.VCPU(src); srcV != nil && srcV.State() == vcpu.StateRunning && o.SourceExitCost > 0 {
 		o.SourceExits++
 		sendDelay = o.SourceExitCost
 	}
 
-	v, isVirtual := o.vcpus[dst]
+	v := o.VCPU(dst)
+	isVirtual := v != nil
 
 	// Registration ceremony (Figure 8a): boot IPIs online the offline
 	// vCPU without touching its run state — the guest stays "sleeping"
@@ -104,20 +114,19 @@ func (o *Orchestrator) route(src, dst kernel.CPUID, vec kernel.Vector, arg int64
 		return true
 	}
 
-	deliver := func() {
-		o.kern.DeliverIPIDirect(dst, vec, arg, 0)
-	}
-
-	inject := func() {
-		if v.State() == vcpu.StateHalted {
-			o.Wakeups++
-		}
-		v.InjectInterrupt(deliver)
-	}
 	if sendDelay > 0 {
-		o.engine.ScheduleNamed(sendDelay, "core.ipi-send", inject)
+		o.engine.ScheduleNamed(sendDelay, "core.ipi-send", func() { o.inject(v, vec, arg) })
 	} else {
-		inject()
+		o.inject(v, vec, arg)
 	}
 	return true
+}
+
+// inject is the destination phase for a vCPU: wake it if halted, then
+// deliver through it.
+func (o *Orchestrator) inject(v *vcpu.VCPU, vec kernel.Vector, arg int64) {
+	if v.State() == vcpu.StateHalted {
+		o.Wakeups++
+	}
+	v.InjectInterrupt(func() { o.kern.DeliverIPIDirect(v.ID(), vec, arg, 0) })
 }

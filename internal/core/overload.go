@@ -215,15 +215,14 @@ func (s *Scheduler) sampleOverload() {
 	now := s.engine.Now()
 
 	busy := 0
-	for _, id := range s.order {
-		slot := s.slots[id]
+	for _, slot := range s.slots {
 		if slot.occupant == nil && slot.pendingEnter == nil && !slot.available {
 			busy++
 		}
 	}
 	sample := 0.0
-	if len(s.order) > 0 {
-		sample = float64(busy) / float64(len(s.order))
+	if len(s.slots) > 0 {
+		sample = float64(busy) / float64(len(s.slots))
 	}
 	sample += escalationWeight * float64(ov.esc.count(now))
 	ov.smoothed = smoothAlpha*sample + (1-smoothAlpha)*ov.smoothed

@@ -19,7 +19,7 @@ import (
 func TestSliceExpiryRecoveryCountsOnce(t *testing.T) {
 	tc := newTaiChi(73, nil)
 	tc.Sched.EnableDefense(DefenseConfig{SchedWatchdogPeriod: 0})
-	slot := tc.Sched.slots[tc.Sched.order[0]]
+	slot := tc.Sched.slots[0]
 
 	// Escalated incident: the watchdog already retried this slot when the
 	// slice expiry lands, then the reclaim completes.
@@ -31,7 +31,7 @@ func TestSliceExpiryRecoveryCountsOnce(t *testing.T) {
 	}
 
 	// Unescalated incident: the slice expiry itself is the recovery.
-	slot2 := tc.Sched.slots[tc.Sched.order[1]]
+	slot2 := tc.Sched.slots[1]
 	tc.Sched.noteProbeMiss(slot2)
 	if got := tc.Sched.FaultsRecovered.Value(); got != 2 {
 		t.Fatalf("clean slice-expiry recovery not counted: total %d, want 2", got)

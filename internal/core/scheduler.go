@@ -87,6 +87,16 @@ type dpSlot struct {
 	wdRetries int
 }
 
+// vcpuState is the scheduler's view of one vCPU.
+type vcpuState struct {
+	// claimed marks a vCPU with an entry in flight or a core held (DP or
+	// CP), so no second placement path can grab it.
+	claimed bool
+	// slot is the DP core the vCPU occupies, the inverse of
+	// dpSlot.occupant; nil when it occupies none.
+	slot *dpSlot
+}
+
 // Scheduler is the Tai Chi vCPU scheduler (§4.1): it lends idle DP cores
 // to CP vCPUs, reclaims them on hardware-probe IRQs, adapts slice and
 // yield thresholds from VM-exit reasons, and keeps lock-holding vCPUs
@@ -98,20 +108,21 @@ type Scheduler struct {
 	engine *sim.Engine
 	tracer *trace.Tracer
 
-	vcpus  []*vcpu.VCPU
-	orch   *Orchestrator
-	sw     *SWProbe
-	slots  map[int]*dpSlot
-	order  []int // deterministic slot iteration order
-	slotOf map[*vcpu.VCPU]*dpSlot
-	ready  []*vcpu.VCPU // round-robin placement queue
+	vcpus []*vcpu.VCPU
+	// pool is the scheduler's state of each vCPU, indexed like vcpus: by
+	// pool position, v.ID()-cfg.VCPUBaseID.
+	pool []vcpuState
+	orch *Orchestrator
+	sw   *SWProbe
+	// slots holds one slot per DP core in DPCores order, the order every
+	// scan takes; slotByCore indexes the same slots by core id.
+	slots      []*dpSlot
+	slotByCore []*dpSlot
+	ready      []*vcpu.VCPU // round-robin placement queue
 	// rescueQ holds vCPUs frozen inside non-preemptible sections that
 	// could not be re-hosted immediately; they take priority for the next
 	// free core (DP or CP) to guarantee forward progress.
 	rescueQ []*vcpu.VCPU
-	// claimed marks vCPUs with an entry in flight or a core held, so no
-	// second placement path can grab them.
-	claimed map[*vcpu.VCPU]bool
 	// reconciling guards against re-entrant placement (OnWake and
 	// OnEnqueue can fire inside reconcile itself).
 	reconciling    bool
@@ -179,9 +190,6 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 		engine:         node.Engine,
 		tracer:         node.Tracer,
 		sw:             NewSWProbe(cfg.AdaptiveYield),
-		slots:          map[int]*dpSlot{},
-		slotOf:         map[*vcpu.VCPU]*dpSlot{},
-		claimed:        map[*vcpu.VCPU]bool{},
 		Yields:         metrics.NewCounter("taichi.yields"),
 		Preempts:       metrics.NewCounter("taichi.preempts"),
 		Rescues:        metrics.NewCounter("taichi.rescues"),
@@ -213,13 +221,17 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 		s.vcpus = append(s.vcpus, v)
 		s.orch.Register(v)
 	}
+	s.pool = make([]vcpuState, len(s.vcpus))
 
 	// DP slots + software probe wiring.
 	for _, dp := range node.DPCores() {
 		dp := dp
 		slot := &dpSlot{dp: dp, slice: cfg.InitialSlice}
-		s.slots[dp.ID] = slot
-		s.order = append(s.order, dp.ID)
+		s.slots = append(s.slots, slot)
+		for len(s.slotByCore) <= dp.ID {
+			s.slotByCore = append(s.slotByCore, nil)
+		}
+		s.slotByCore[dp.ID] = slot
 		dp.YieldThreshold = func() int { return s.sw.Threshold(dp.ID) }
 		dp.OnIdle = func(c *dataplane.Core) { s.onDPIdle(slot) }
 	}
@@ -271,6 +283,19 @@ func (s *Scheduler) VCPUIDs() []kernel.CPUID {
 	return out
 }
 
+// vs returns v's scheduler state.
+func (s *Scheduler) vs(v *vcpu.VCPU) *vcpuState {
+	return &s.pool[v.ID()-s.cfg.VCPUBaseID]
+}
+
+// slotAt returns the slot of DP core id, or nil if id is not a DP core.
+func (s *Scheduler) slotAt(id int) *dpSlot {
+	if uint(id) < uint(len(s.slotByCore)) {
+		return s.slotByCore[id]
+	}
+	return nil
+}
+
 // --- event entry points ---------------------------------------------------
 
 // onDPIdle: the software workload probe confirmed idle DP cycles
@@ -289,7 +314,7 @@ func (s *Scheduler) onWake(v *vcpu.VCPU) {
 // onProbeIRQ: the hardware probe saw I/O for a V-state core
 // (Figure 7b steps 1-2 of the preempt path).
 func (s *Scheduler) onProbeIRQ(core int) {
-	slot := s.slots[core]
+	slot := s.slotAt(core)
 	if slot == nil || slot.preemptReq != 0 {
 		return
 	}
@@ -347,8 +372,7 @@ func (s *Scheduler) reconcile() {
 			s.reconcile()
 		}
 	}()
-	for _, id := range s.order {
-		slot := s.slots[id]
+	for _, slot := range s.slots {
 		if !slot.available || slot.occupant != nil || slot.pendingEnter != nil {
 			continue
 		}
@@ -360,7 +384,7 @@ func (s *Scheduler) reconcile() {
 			slot.available = false
 			continue
 		}
-		if s.node.Pipe.InFlight(id) > 0 {
+		if s.node.Pipe.InFlight(slot.dp.ID) > 0 {
 			// The §9 future-work refinement: the empty-poll statistics
 			// alone miss packets already inside the 3.2 µs accelerator
 			// pipeline, and such a core is about to be busy; don't bait
@@ -383,7 +407,7 @@ func (s *Scheduler) acquireVCPU() *vcpu.VCPU {
 	for len(s.rescueQ) > 0 {
 		v := s.rescueQ[0]
 		s.rescueQ = s.rescueQ[1:]
-		if !s.claimed[v] && v.State() == vcpu.StateReady && s.hasWork(v) {
+		if !s.vs(v).claimed && v.State() == vcpu.StateReady && s.hasWork(v) {
 			return v
 		}
 	}
@@ -391,12 +415,12 @@ func (s *Scheduler) acquireVCPU() *vcpu.VCPU {
 		v := s.ready[0]
 		// Shift down rather than reslice, so appends reuse the array.
 		s.ready = s.ready[:copy(s.ready, s.ready[1:])]
-		if !s.claimed[v] && v.State() == vcpu.StateReady && s.hasWork(v) {
+		if !s.vs(v).claimed && v.State() == vcpu.StateReady && s.hasWork(v) {
 			return v
 		}
 	}
-	for _, v := range s.vcpus {
-		if s.claimed[v] {
+	for i, v := range s.vcpus {
+		if s.pool[i].claimed {
 			continue
 		}
 		switch v.State() {
@@ -439,7 +463,7 @@ func (s *Scheduler) hasWork(v *vcpu.VCPU) bool {
 // enqueueReady appends v to the round-robin queue (no duplicates, never
 // while a placement is in flight for it).
 func (s *Scheduler) enqueueReady(v *vcpu.VCPU) {
-	if s.claimed[v] {
+	if s.vs(v).claimed {
 		return
 	}
 	for _, rv := range s.ready {
@@ -453,9 +477,10 @@ func (s *Scheduler) enqueueReady(v *vcpu.VCPU) {
 // enterOn lends the slot's core to v via the dedicated softirq
 // (Figure 7b steps 3-4 of the yield path).
 func (s *Scheduler) enterOn(slot *dpSlot, v *vcpu.VCPU) {
-	if s.claimed[v] || v.State() != vcpu.StateReady {
+	vs := s.vs(v)
+	if vs.claimed || v.State() != vcpu.StateReady {
 		panic(fmt.Sprintf("core: double placement of vCPU %d (claimed=%v state=%v) on core %d",
-			v.ID(), s.claimed[v], v.State(), slot.dp.ID))
+			v.ID(), vs.claimed, v.State(), slot.dp.ID))
 	}
 	if slot.dp.State() == dataplane.Polling {
 		slot.dp.Yield()
@@ -463,7 +488,7 @@ func (s *Scheduler) enterOn(slot *dpSlot, v *vcpu.VCPU) {
 	}
 	slot.available = false
 	slot.pendingEnter = v
-	s.claimed[v] = true
+	vs.claimed = true
 	if s.node.Probe != nil {
 		s.node.Probe.SetState(slot.dp.ID, accel.VState)
 	}
@@ -473,7 +498,7 @@ func (s *Scheduler) enterOn(slot *dpSlot, v *vcpu.VCPU) {
 // softirqSwitch runs in softirq context on the target core and performs
 // the actual VM-entry.
 func (s *Scheduler) softirqSwitch(cpu kernel.CPUID) {
-	slot := s.slots[int(cpu)]
+	slot := s.slotAt(int(cpu))
 	if slot == nil || slot.pendingEnter == nil {
 		return
 	}
@@ -482,13 +507,13 @@ func (s *Scheduler) softirqSwitch(cpu kernel.CPUID) {
 	if slot.preemptReq != 0 || slot.dp.Down() {
 		// The hardware probe fired during the switch window (or the core
 		// went hardware-offline): abort the entry and give the core back.
-		delete(s.claimed, v)
+		s.vs(v).claimed = false
 		s.enqueueReady(v)
 		s.resumeDP(slot)
 		return
 	}
 	slot.occupant = v
-	s.slotOf[v] = slot
+	s.vs(v).slot = slot
 	slice := slot.slice
 	if s.cfg.NaiveCoSchedule {
 		// A conventional co-scheduler has no preemption timer that can
@@ -513,9 +538,10 @@ func (s *Scheduler) onExit(v *vcpu.VCPU, reason vcpu.ExitReason) {
 		s.reconcile()
 	}()
 
-	slot := s.slotOf[v]
-	delete(s.slotOf, v)
-	delete(s.claimed, v)
+	vs := s.vs(v)
+	slot := vs.slot
+	vs.slot = nil
+	vs.claimed = false
 	if slot != nil {
 		slot.occupant = nil
 	}
@@ -651,8 +677,7 @@ func (s *Scheduler) resumeDP(slot *dpSlot) {
 func (s *Scheduler) rescue(v *vcpu.VCPU) {
 	s.Rescues.Inc()
 	// Preferred: another idle DP core.
-	for _, id := range s.order {
-		slot := s.slots[id]
+	for _, slot := range s.slots {
 		if slot.available && slot.occupant == nil && slot.pendingEnter == nil &&
 			s.lendable(slot) &&
 			slot.dp.State() == dataplane.Polling && slot.dp.QueueLen() == 0 {
@@ -695,7 +720,7 @@ func (s *Scheduler) pickCPHost() *kernel.CPU {
 // on it until the vCPU leaves its non-preemptible section.
 func (s *Scheduler) hostOnCP(host *kernel.CPU, v *vcpu.VCPU) {
 	host.PowerOff()
-	s.claimed[v] = true
+	s.vs(v).claimed = true
 	var onExit func(v *vcpu.VCPU, reason vcpu.ExitReason)
 	onExit = func(v *vcpu.VCPU, reason vcpu.ExitReason) {
 		stillNP := v.CPU().Current() != nil && v.CPU().InNonPreemptibleSection()
@@ -703,14 +728,14 @@ func (s *Scheduler) hostOnCP(host *kernel.CPU, v *vcpu.VCPU) {
 			v.Enter(int(host.ID), s.cfg.RescueSlice, onExit)
 			return
 		}
-		delete(s.claimed, v)
+		s.vs(v).claimed = false
 		host.PowerOn()
 		s.releaseOrRequeue(v)
 		// Serve the next queued rescue on the core we just freed.
 		for len(s.rescueQ) > 0 {
 			next := s.rescueQ[0]
 			s.rescueQ = s.rescueQ[1:]
-			if !s.claimed[next] && next.State() == vcpu.StateReady && s.hasWork(next) {
+			if !s.vs(next).claimed && next.State() == vcpu.StateReady && s.hasWork(next) {
 				s.rescue(next)
 				break
 			}

@@ -36,8 +36,10 @@ const (
 type SWProbe struct {
 	// adaptive enables threshold adaptation; false freezes N at the
 	// initial value (the fixed-threshold ablation).
-	adaptive   bool
-	thresholds map[int]int
+	adaptive bool
+	// thresholds holds N per DP core id; zero (never a valid N) stands
+	// for the initial value, so the slice grows only on adaptation.
+	thresholds []int
 
 	// Raises / Drops count adaptation steps, for the ablation bench.
 	Raises uint64
@@ -47,15 +49,23 @@ type SWProbe struct {
 // NewSWProbe returns a probe with every core at the initial threshold;
 // adaptive=false freezes it there.
 func NewSWProbe(adaptive bool) *SWProbe {
-	return &SWProbe{adaptive: adaptive, thresholds: map[int]int{}}
+	return &SWProbe{adaptive: adaptive}
 }
 
 // Threshold returns core's current consecutive-empty-poll yield threshold.
 func (p *SWProbe) Threshold(core int) int {
-	if n, ok := p.thresholds[core]; ok {
-		return n
+	if uint(core) < uint(len(p.thresholds)) && p.thresholds[core] != 0 {
+		return p.thresholds[core]
 	}
 	return initialYieldThreshold
+}
+
+// set records core's threshold n.
+func (p *SWProbe) set(core, n int) {
+	for len(p.thresholds) <= core {
+		p.thresholds = append(p.thresholds, 0)
+	}
+	p.thresholds[core] = n
 }
 
 // IdleWindow converts the threshold into the countdown duration for a
@@ -78,7 +88,7 @@ func (p *SWProbe) SustainedIdle(core int) {
 	if n != p.Threshold(core) {
 		p.Drops++
 	}
-	p.thresholds[core] = n
+	p.set(core, n)
 }
 
 // FalsePositive records a hardware-probe VM-exit on the core: the yield
@@ -95,5 +105,5 @@ func (p *SWProbe) FalsePositive(core int) {
 	if n != p.Threshold(core) {
 		p.Raises++
 	}
-	p.thresholds[core] = n
+	p.set(core, n)
 }

@@ -59,12 +59,19 @@ func New(node *platform.Node, cfg Config) *TaiChi {
 }
 
 // TryNew is New with the configuration-error paths surfaced as errors
-// instead of panics: an empty vCPU pool and vCPU logical-id collisions
-// with CPUs the kernel already owns are caller mistakes a long-running
-// harness should be able to report, not die on.
+// instead of panics: an empty vCPU pool, a negative vCPU base id, a
+// negative VM-entry or VM-exit cost and vCPU logical-id collisions with
+// CPUs the kernel already owns are caller mistakes a long-running harness
+// should be able to report, not die on.
 func TryNew(node *platform.Node, cfg Config) (*TaiChi, error) {
 	if cfg.VCPUs <= 0 {
 		return nil, fmt.Errorf("core: config needs at least one vCPU (got %d)", cfg.VCPUs)
+	}
+	if cfg.VCPUBaseID < 0 {
+		return nil, fmt.Errorf("core: VCPUBaseID = %d: negative", cfg.VCPUBaseID)
+	}
+	if err := cfg.Costs.Validate(); err != nil {
+		return nil, fmt.Errorf("core: Costs.%w", err)
 	}
 	for i := 0; i < cfg.VCPUs; i++ {
 		id := cfg.VCPUBaseID + kernel.CPUID(i)
@@ -112,10 +119,10 @@ func (t *TaiChi) Describe() string {
 	fmt.Fprintf(&b, "vcpus: entries=%d exits timer=%d probe=%d halt=%d ipi=%d forced=%d teardowns=%d\n",
 		entries, exits[vcpu.ExitTimer], exits[vcpu.ExitProbe], exits[vcpu.ExitHalt],
 		exits[vcpu.ExitIPI], exits[vcpu.ExitForced], teardowns)
-	for _, id := range s.order {
-		dp := s.slots[id].dp
+	for _, slot := range s.slots {
+		dp := slot.dp
 		fmt.Fprintf(&b, "dp.core%d: processed=%d yields=%d resumes=%d maxq=%d\n",
-			id, dp.Processed, dp.Yields, dp.Resumes, dp.MaxQueueLen)
+			dp.ID, dp.Processed, dp.Yields, dp.Resumes, dp.MaxQueueLen)
 	}
 	fmt.Fprintf(&b, "defense: mode=%s detected=%d recovered=%d retries=%d teardowns=%d probe-fallbacks=%d static-fallbacks=%d\n",
 		s.DefenseMode(), s.FaultsDetected.Value(), s.FaultsRecovered.Value(),

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -98,5 +100,27 @@ func TestNewDefaultIsRunnable(t *testing.T) {
 	}
 	if tc.DriverLock == nil || tc.Sched == nil {
 		t.Fatal("incomplete assembly")
+	}
+}
+
+// TryNew reports a malformed scheduler configuration as an error naming
+// the field, instead of panicking inside the vCPU pool's construction.
+func TestTryNewRejectsMalformedConfig(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		mut  func(*Config)
+	}{
+		{"VCPUBaseID", func(c *Config) { c.VCPUBaseID = -8 }},
+		{"Costs.Entry", func(c *Config) { c.Costs.Entry = -sim.Microsecond }},
+		{"Costs.Exit", func(c *Config) { c.Costs.Exit = -1 }},
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		got, err := TryNew(platform.NewNode(platform.DefaultOptions()), cfg)
+		if err == nil || got != nil {
+			t.Errorf("%s: TryNew accepted the config", tc.want)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the field", tc.want, err)
+		}
 	}
 }

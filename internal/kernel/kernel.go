@@ -53,8 +53,9 @@ type Kernel struct {
 	engine *sim.Engine
 	tracer *trace.Tracer
 
-	cpus     []*CPU
-	cpuByID  map[CPUID]*CPU
+	cpus []*CPU
+	// cpuByID indexes cpus by id; ids not registered hold nil.
+	cpuByID  []*CPU
 	threads  []*Thread
 	nextTID  ThreadID
 	runqueue []*Thread
@@ -62,11 +63,14 @@ type Kernel struct {
 	// Router intercepts IPI sends (nil = direct delivery).
 	Router IPIRouter
 
-	ipiHandlers     map[Vector]func(cpu CPUID, arg int64)
-	softirqHandlers map[Vector]func(cpu CPUID)
+	// ipiHandlers and softirqHandlers are indexed by vector.
+	ipiHandlers     []func(cpu CPUID, arg int64)
+	softirqHandlers []func(cpu CPUID)
 	ipiSeq          int64
-	// ipiNotes caches the IPI trace notes, formatted once per key.
-	ipiNotes map[ipiNoteKey]string
+	// ipiNotes caches the IPI trace notes, formatted once each:
+	// ipiNotes[vec][0] is the delivery note, ipiNotes[vec][dst+1] the
+	// note of a send to dst.
+	ipiNotes [][]string
 
 	// softirqs holds the raised softirqs oldest first. Every raise waits
 	// the same softirqLatency on softirqLane, so each lane event runs the
@@ -74,6 +78,13 @@ type Kernel struct {
 	softirqs    sim.FIFO[raisedSoftirq]
 	softirqLane *sim.Lane
 	softirqRun  func() // k.runOldestSoftirq, bound once
+
+	// ipis holds the IPIs in flight on the plain hardware path, oldest
+	// first. Each waits the same IPILatency on ipiLane, so each lane event
+	// lands the oldest; an IPI with a fault-injected delay takes the heap.
+	ipis    sim.FIFO[flyingIPI]
+	ipiLane *sim.Lane
+	ipiRun  func() // k.landOldestIPI, bound once
 
 	// OnEnqueue fires whenever a thread enters the runqueue; Tai Chi uses
 	// it to wake halted vCPUs when CP work appears.
@@ -112,26 +123,24 @@ type Kernel struct {
 // New creates a kernel bound to the engine. The tracer may be nil.
 func New(engine *sim.Engine, tracer *trace.Tracer) *Kernel {
 	k := &Kernel{
-		engine:          engine,
-		tracer:          tracer,
-		cpuByID:         map[CPUID]*CPU{},
-		ipiHandlers:     map[Vector]func(CPUID, int64){},
-		softirqHandlers: map[Vector]func(CPUID){},
-		ipiNotes:        map[ipiNoteKey]string{},
-		CtxSwitches:     metrics.NewCounter("kernel.ctx_switches"),
-		IPIsSent:        metrics.NewCounter("kernel.ipis_sent"),
-		IPIsDeferred:    metrics.NewCounter("kernel.ipis_deferred"),
-		IPIsDropped:     metrics.NewCounter("kernel.ipis_dropped"),
-		Preemptions:     metrics.NewCounter("kernel.preemptions"),
-		WatchdogKicks:   metrics.NewCounter("kernel.watchdog_kicks"),
+		engine:        engine,
+		tracer:        tracer,
+		CtxSwitches:   metrics.NewCounter("kernel.ctx_switches"),
+		IPIsSent:      metrics.NewCounter("kernel.ipis_sent"),
+		IPIsDeferred:  metrics.NewCounter("kernel.ipis_deferred"),
+		IPIsDropped:   metrics.NewCounter("kernel.ipis_dropped"),
+		Preemptions:   metrics.NewCounter("kernel.preemptions"),
+		WatchdogKicks: metrics.NewCounter("kernel.watchdog_kicks"),
 	}
 	k.softirqLane = engine.Lane(softirqLatency, "kernel.softirq")
 	k.softirqRun = k.runOldestSoftirq
-	k.ipiHandlers[VecResched] = func(cpu CPUID, _ int64) {
+	k.ipiLane = engine.Lane(IPILatency, "kernel.ipi")
+	k.ipiRun = k.landOldestIPI
+	k.RegisterIPIHandler(VecResched, func(cpu CPUID, _ int64) {
 		if c := k.CPU(cpu); c != nil && c.powered && c.cur == nil {
 			k.schedule(c)
 		}
-	}
+	})
 	return k
 }
 
@@ -148,7 +157,10 @@ func (k *Kernel) Now() sim.Time { return k.engine.Now() }
 // powered; virtual CPUs come up offline and unpowered, to be brought
 // online by the boot IPI sequence (§4.2, Figure 8a).
 func (k *Kernel) AddCPU(id CPUID, virtual bool) *CPU {
-	if _, dup := k.cpuByID[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("kernel: negative cpu id %d", id))
+	}
+	if k.CPU(id) != nil {
 		panic(fmt.Sprintf("kernel: duplicate cpu id %d", id))
 	}
 	c := &CPU{
@@ -164,12 +176,20 @@ func (k *Kernel) AddCPU(id CPUID, virtual bool) *CPU {
 	c.switchFire = c.switchFinished
 	c.tickFire = c.tick
 	k.cpus = append(k.cpus, c)
+	for len(k.cpuByID) <= int(id) {
+		k.cpuByID = append(k.cpuByID, nil)
+	}
 	k.cpuByID[id] = c
 	return c
 }
 
 // CPU returns the CPU with the given id, or nil.
-func (k *Kernel) CPU(id CPUID) *CPU { return k.cpuByID[id] }
+func (k *Kernel) CPU(id CPUID) *CPU {
+	if uint(id) < uint(len(k.cpuByID)) {
+		return k.cpuByID[id]
+	}
+	return nil
+}
 
 // CPUs returns all registered CPUs in creation order.
 func (k *Kernel) CPUs() []*CPU { return k.cpus }
@@ -344,7 +364,10 @@ func (k *Kernel) startSegment(c *CPU) {
 		t.state = StateSleeping
 		t.cpu = nil
 		c.cur = nil
-		k.engine.ScheduleNamed(dur, "kernel.sleep", func() { k.makeRunnable(t) })
+		if t.wakeFire == nil {
+			t.wakeFire = t.wake
+		}
+		k.engine.ScheduleNamed(dur, "kernel.sleep", t.wakeFire)
 		k.schedule(c)
 	case SegWait:
 		if t.pendingSignal {
@@ -631,6 +654,9 @@ func (k *Kernel) tick(c *CPU) {
 // RegisterIPIHandler installs the handler for an IPI vector. Handlers run
 // in "interrupt context" at delivery time on the destination CPU.
 func (k *Kernel) RegisterIPIHandler(vec Vector, fn func(cpu CPUID, arg int64)) {
+	for len(k.ipiHandlers) <= int(vec) {
+		k.ipiHandlers = append(k.ipiHandlers, nil)
+	}
 	k.ipiHandlers[vec] = fn
 }
 
@@ -658,60 +684,88 @@ func (k *Kernel) SendIPI(src, dst CPUID, vec Vector, arg int64) {
 // for pCPU destinations. If the destination is unpowered at delivery
 // time, the interrupt posts and is delivered at the next PowerOn.
 func (k *Kernel) DeliverIPIDirect(dst CPUID, vec Vector, arg int64, seq int64) {
-	latency := IPILatency
+	var delay sim.Duration
 	if k.IPIFault != nil && vec != VecBoot {
-		drop, delay := k.IPIFault(dst, vec)
+		var drop bool
+		drop, delay = k.IPIFault(dst, vec)
 		if drop {
 			k.IPIsDropped.Inc()
 			return
 		}
-		latency += delay
 	}
-	k.engine.ScheduleNamed(latency, "kernel.ipi", func() {
-		c := k.CPU(dst)
-		if c == nil {
-			return
-		}
-		if !c.powered {
-			k.IPIsDeferred.Inc()
-			c.pendingIPIs = append(c.pendingIPIs, pendingIPI{vec, arg})
-			return
-		}
-		k.tracer.Emit(k.engine.Now(), trace.KindIPIDeliver, int(dst), seq, k.ipiNote(vec, dst, false))
-		k.deliverIPI(dst, vec, arg)
-	})
+	ipi := flyingIPI{dst, vec, arg, seq}
+	if delay == 0 {
+		k.ipis.Push(ipi)
+		k.ipiLane.Schedule(k.ipiRun)
+		return
+	}
+	k.engine.ScheduleNamed(IPILatency+delay, "kernel.ipi", func() { k.landIPI(ipi) })
 }
 
-// ipiNoteKey names one IPI trace note.
-type ipiNoteKey struct {
-	vec  Vector
-	dst  CPUID // 0 for a delivery note, which names no destination
-	send bool
+// flyingIPI is one IPI on its way to the destination's LAPIC.
+type flyingIPI struct {
+	dst CPUID
+	vec Vector
+	arg int64
+	seq int64
+}
+
+// landOldestIPI lands the oldest IPI on the lane.
+func (k *Kernel) landOldestIPI() { k.landIPI(k.ipis.Pop()) }
+
+// landIPI delivers an IPI that has crossed the interconnect, or posts it
+// if the destination is unpowered.
+func (k *Kernel) landIPI(ipi flyingIPI) {
+	c := k.CPU(ipi.dst)
+	if c == nil {
+		return
+	}
+	if !c.powered {
+		k.IPIsDeferred.Inc()
+		c.pendingIPIs = append(c.pendingIPIs, pendingIPI{ipi.vec, ipi.arg})
+		return
+	}
+	k.tracer.Emit(k.engine.Now(), trace.KindIPIDeliver, int(ipi.dst), ipi.seq, k.ipiNote(ipi.vec, ipi.dst, false))
+	k.deliverIPI(ipi.dst, ipi.vec, ipi.arg)
 }
 
 // ipiNote returns the trace note of an IPI send ("vec=V dst=D") or
 // delivery ("vec=V"), formatting it only the first time it is asked for.
 func (k *Kernel) ipiNote(vec Vector, dst CPUID, send bool) string {
-	if !send {
-		dst = 0
-	}
-	key := ipiNoteKey{vec, dst, send}
-	note, ok := k.ipiNotes[key]
-	if !ok {
-		if send {
-			note = "vec=" + strconv.Itoa(int(vec)) + " dst=" + strconv.Itoa(int(dst))
-		} else {
-			note = "vec=" + strconv.Itoa(int(vec))
+	col := 0 // the delivery note
+	if send {
+		if dst < 0 {
+			return formatIPINote(vec, dst, send) // names no CPU; not kept
 		}
-		k.ipiNotes[key] = note
+		col = int(dst) + 1
 	}
-	return note
+	for len(k.ipiNotes) <= int(vec) {
+		k.ipiNotes = append(k.ipiNotes, nil)
+	}
+	row := k.ipiNotes[vec]
+	for len(row) <= col {
+		row = append(row, "")
+	}
+	if row[col] == "" {
+		row[col] = formatIPINote(vec, dst, send)
+	}
+	k.ipiNotes[vec] = row
+	return row[col]
+}
+
+func formatIPINote(vec Vector, dst CPUID, send bool) string {
+	if send {
+		return "vec=" + strconv.Itoa(int(vec)) + " dst=" + strconv.Itoa(int(dst))
+	}
+	return "vec=" + strconv.Itoa(int(vec))
 }
 
 // deliverIPI invokes the vector handler immediately.
 func (k *Kernel) deliverIPI(dst CPUID, vec Vector, arg int64) {
-	if h := k.ipiHandlers[vec]; h != nil {
-		h(dst, arg)
+	if int(vec) < len(k.ipiHandlers) {
+		if h := k.ipiHandlers[vec]; h != nil {
+			h(dst, arg)
+		}
 	}
 }
 
@@ -720,6 +774,9 @@ func (k *Kernel) deliverIPI(dst CPUID, vec Vector, arg int64) {
 // RegisterSoftirq installs a softirq handler for a vector. Tai Chi's
 // vCPU scheduler registers its context-switch handler here (§4.1).
 func (k *Kernel) RegisterSoftirq(vec Vector, fn func(cpu CPUID)) {
+	for len(k.softirqHandlers) <= int(vec) {
+		k.softirqHandlers = append(k.softirqHandlers, nil)
+	}
 	k.softirqHandlers[vec] = fn
 }
 
@@ -741,8 +798,10 @@ func (k *Kernel) RaiseSoftirq(cpu CPUID, vec Vector) {
 func (k *Kernel) runOldestSoftirq() {
 	r := k.softirqs.Pop()
 	k.tracer.Emit(k.engine.Now(), trace.KindSoftirqRun, int(r.cpu), int64(r.vec), "")
-	if h := k.softirqHandlers[r.vec]; h != nil {
-		h(r.cpu)
+	if int(r.vec) < len(k.softirqHandlers) {
+		if h := k.softirqHandlers[r.vec]; h != nil {
+			h(r.cpu)
+		}
 	}
 }
 

@@ -220,6 +220,81 @@ func TestAffinityRespected(t *testing.T) {
 	}
 }
 
+// The affinity set answers AllowedOn exactly as a set of CPU ids would,
+// including ids of 64 and above (the vCPU pool starts at 100) and the
+// CPU -1 of hardware-originated sends.
+func TestAffinitySet(t *testing.T) {
+	probe := []CPUID{-1, 0, 1, 5, 63, 64, 65, 100, 107, 127, 128, 300}
+	for _, tc := range []struct {
+		name string
+		set  []CPUID // nil: SetAffinity never called
+		any  bool
+	}{
+		{"never set", nil, true},
+		{"empty set", []CPUID{}, true},
+		{"one low id", []CPUID{5}, false},
+		{"duplicates", []CPUID{1, 1, 64, 1, 64}, false},
+		{"word edges", []CPUID{0, 63, 64, 127, 128}, false},
+		{"vCPU pool", []CPUID{8, 9, 10, 11, 100, 101, 102, 103, 104, 105, 106, 107}, false},
+		{"high id only", []CPUID{300}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, k := newTestKernel(1, 0)
+			th := k.Spawn("w", computeProg(1, sim.Millisecond))
+			if tc.set != nil {
+				th.SetAffinity(tc.set...)
+			}
+			want := map[CPUID]bool{}
+			for _, c := range tc.set {
+				want[c] = true
+			}
+			for _, c := range probe {
+				if got := th.AllowedOn(c); got != (tc.any || want[c]) {
+					t.Errorf("AllowedOn(%d) = %v with affinity %v", c, got, tc.set)
+				}
+			}
+		})
+	}
+}
+
+func TestAffinityNegativeIDPanics(t *testing.T) {
+	_, k := newTestKernel(1, 0)
+	th := k.Spawn("w", computeProg(1, sim.Millisecond))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetAffinity(-1) did not panic")
+		}
+	}()
+	th.SetAffinity(0, -1)
+}
+
+// IPI trace notes name the vector, and a send's note its destination;
+// each is formatted once, and a delivery note never takes a send's slot.
+func TestIPINotes(t *testing.T) {
+	_, k := newTestKernel(1, 0)
+	for _, tc := range []struct {
+		vec  Vector
+		dst  CPUID
+		send bool
+		want string
+	}{
+		{VecResched, 0, true, "vec=0 dst=0"},
+		{VecResched, 0, false, "vec=0"},
+		{VecUser, 107, true, "vec=3 dst=107"},
+		{VecUser, 107, false, "vec=3"},
+		{VecUser, 2, true, "vec=3 dst=2"},
+		{VecCall, -1, true, "vec=1 dst=-1"},
+		{VecResched, 0, true, "vec=0 dst=0"},
+	} {
+		if got := k.ipiNote(tc.vec, tc.dst, tc.send); got != tc.want {
+			t.Errorf("ipiNote(%d, %d, %v) = %q, want %q", tc.vec, tc.dst, tc.send, got, tc.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { k.ipiNote(VecUser, 107, true) }); allocs != 0 {
+		t.Fatalf("a formatted note allocates %v per ask, want 0", allocs)
+	}
+}
+
 func TestVCPUFreezeThawPreservesWork(t *testing.T) {
 	e, k := newTestKernel(0, 1)
 	vc := k.CPU(0)

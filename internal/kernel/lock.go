@@ -39,10 +39,7 @@ func (l *SpinLock) tryAcquire(t *Thread) bool {
 	}
 	l.owner = t
 	l.AcquireCount++
-	if t.holding == nil {
-		t.holding = make(map[*SpinLock]bool)
-	}
-	t.holding[l] = true
+	t.holding++
 	return true
 }
 
@@ -73,5 +70,5 @@ func (l *SpinLock) release(t *Thread) {
 		panic("kernel: releasing spinlock not held by thread " + t.Name)
 	}
 	l.owner = nil
-	delete(t.holding, l)
+	t.holding--
 }

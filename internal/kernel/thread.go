@@ -54,10 +54,11 @@ type Thread struct {
 	Name    string
 	program Program
 
-	// affinity is the set of logical CPUs the thread may run on; nil
-	// means "any CPU". Set via standard affinity configuration, which is
-	// how CP tasks get bound to vCPUs without code modification (§4.2).
-	affinity map[CPUID]bool
+	// affinity is the set of logical CPUs the thread may run on, one bit
+	// per CPU id; nil means "any CPU". Set via standard affinity
+	// configuration, which is how CP tasks get bound to vCPUs without code
+	// modification (§4.2).
+	affinity []uint64
 
 	state    ThreadState
 	cpu      *CPU // CPU currently executing (or frozen-holding) the thread
@@ -74,7 +75,7 @@ type Thread struct {
 	segRemaining sim.Duration
 	segStarted   bool // OnStart fired
 	spinningOn   *SpinLock
-	holding      map[*SpinLock]bool
+	holding      int          // spinlocks held
 	sliceRan     sim.Duration // CPU time since last dispatch, for quantum
 	// pendingSignal records a Signal that arrived before the SegWait
 	// started, so an IPC reply racing ahead of the wait is not lost.
@@ -83,6 +84,9 @@ type Thread struct {
 	// in flight when the thread's vCPU was powered off; -1 when no timed
 	// segment was in flight.
 	frozenRemaining sim.Duration
+	// wakeFire is t.wake, bound at the first sleep so later sleeps
+	// allocate nothing.
+	wakeFire func()
 
 	// Stats.
 	CreatedAt  sim.Time
@@ -119,22 +123,37 @@ func (t *Thread) SetWeight(w int) {
 // SetAffinity restricts the thread to the given CPUs; the standard
 // mechanism by which CP tasks are bound to vCPUs (§4.2). Passing no CPUs
 // clears the restriction. Affinity changes take effect at the next
-// scheduling decision.
+// scheduling decision. A negative CPU id panics.
 func (t *Thread) SetAffinity(cpus ...CPUID) {
 	if len(cpus) == 0 {
 		t.affinity = nil
 		return
 	}
-	t.affinity = make(map[CPUID]bool, len(cpus))
+	var set []uint64
 	for _, c := range cpus {
-		t.affinity[c] = true
+		if c < 0 {
+			panic(fmt.Sprintf("kernel: affinity of thread %s names cpu %d", t.Name, c))
+		}
+		w := int(c / 64)
+		if w >= len(set) {
+			set = append(set, make([]uint64, w+1-len(set))...)
+		}
+		set[w] |= 1 << (c % 64)
 	}
+	t.affinity = set
 }
 
 // AllowedOn reports whether the thread may run on cpu.
 func (t *Thread) AllowedOn(cpu CPUID) bool {
-	return t.affinity == nil || t.affinity[cpu]
+	if t.affinity == nil {
+		return true
+	}
+	w := uint(cpu) / 64
+	return w < uint(len(t.affinity)) && t.affinity[w]&(1<<(uint(cpu)%64)) != 0
 }
+
+// wake ends a sleep segment.
+func (t *Thread) wake() { t.kern.makeRunnable(t) }
 
 // Signal releases a thread blocked in SegWait. Signalling a thread not in
 // StateWaiting is remembered and consumed by the next SegWait (so an IPC
@@ -150,12 +169,12 @@ func (t *Thread) Signal() {
 // HoldsAnyLock reports whether the thread currently holds any spinlock —
 // the condition that triggers Tai Chi's safe lock-context rescheduling
 // when the thread's vCPU gets preempted (§4.1).
-func (t *Thread) HoldsAnyLock() bool { return len(t.holding) > 0 }
+func (t *Thread) HoldsAnyLock() bool { return t.holding > 0 }
 
 // InNonPreemptible reports whether the thread is inside a non-preemptible
 // segment (including spinning on or holding a lock).
 func (t *Thread) InNonPreemptible() bool {
-	if t.spinningOn != nil || len(t.holding) > 0 {
+	if t.spinningOn != nil || t.holding > 0 {
 		return true
 	}
 	return t.seg != nil && !t.seg.Preemptible()

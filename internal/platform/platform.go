@@ -176,6 +176,9 @@ func New(opts Options) (*Node, error) {
 	if err := opts.Stor.Validate(); err != nil {
 		return nil, fmt.Errorf("platform: Stor.%w", err)
 	}
+	if err := opts.Accel.Validate(); err != nil {
+		return nil, fmt.Errorf("platform: Accel.%w", err)
+	}
 	engine := sim.NewEngine()
 	tracer := trace.New(opts.TraceLimit)
 	switch {

@@ -57,8 +57,11 @@ type Engine struct {
 	queue []slot
 	// lanes hold the events of constant-delay sources (see Lane). Each is
 	// already sorted by (when, seq), so only its head competes with the
-	// heap top.
+	// heap top. busy holds the non-empty lanes in no particular order:
+	// (when, seq) is a total order, so the scan order cannot matter, and
+	// an idle lane costs a dispatch nothing.
 	lanes []*Lane
+	busy  []*Lane
 	// free holds fired and discarded events for reuse.
 	free    []*event
 	fired   uint64
@@ -210,11 +213,9 @@ func (e *Engine) next() (*slot, *Lane) {
 			s = &e.queue[0]
 		}
 		var src *Lane
-		for _, l := range e.lanes {
-			if l.slots.Len() > 0 {
-				if h := l.slots.front(); s == nil || h.before(s) {
-					s, src = h, l
-				}
+		for _, l := range e.busy {
+			if h := l.slots.front(); s == nil || h.before(s) {
+				s, src = h, l
 			}
 		}
 		if s == nil || !s.ev.canceled() {
@@ -230,7 +231,15 @@ func (e *Engine) take(src *Lane) *event {
 	if src == nil {
 		return e.pop()
 	}
-	return src.slots.Pop().ev
+	ev := src.slots.Pop().ev
+	if src.slots.Len() == 0 {
+		// Swap src out of busy.
+		last := e.busy[len(e.busy)-1]
+		e.busy[src.busyAt] = last
+		last.busyAt = src.busyAt
+		e.busy = e.busy[:len(e.busy)-1]
+	}
+	return ev
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -321,8 +330,8 @@ func (e *Engine) RunUntilIdle() uint64 {
 	return e.fired - start
 }
 
-// Lane is a FIFO for a source whose events all fire the same fixed delay
-// after they are scheduled, such as a pipeline with a constant latency.
+// Lane is a FIFO for events that all fire the same fixed delay after they
+// are scheduled, such as those of a pipeline with a constant latency.
 // Because the clock never runs backwards and each slot takes the engine's
 // global sequence number, a lane is already sorted by (when, seq): it
 // skips the heap, and the engine dispatches exactly the order one heap of
@@ -332,14 +341,23 @@ type Lane struct {
 	delay Duration
 	name  string
 	slots FIFO[slot]
+	// busyAt is the lane's index in e.busy while it holds events.
+	busyAt int
 }
 
-// Lane returns a new lane whose events fire delay after they are
-// scheduled and carry name as their debug label. Lanes live as long as
-// the engine; a source creates its lane once, at construction.
+// Lane returns the lane whose events fire delay after they are scheduled
+// and carry name as their debug label. Sources asking for the same delay
+// and name share one lane: each event carries its own callback, so the
+// lane stays sorted whoever feeds it. Lanes live as long as the engine; a
+// source asks for its lane once, at construction.
 func (e *Engine) Lane(delay Duration, name string) *Lane {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: lane delay %v is negative", delay))
+	}
+	for _, l := range e.lanes {
+		if l.delay == delay && l.name == name {
+			return l
+		}
 	}
 	l := &Lane{e: e, delay: delay, name: name}
 	e.lanes = append(e.lanes, l)
@@ -351,6 +369,10 @@ func (e *Engine) Lane(delay Duration, name string) *Lane {
 func (l *Lane) Schedule(fn func()) Handle {
 	e := l.e
 	ev := e.newEvent(l.name, fn)
+	if l.slots.Len() == 0 {
+		l.busyAt = len(e.busy)
+		e.busy = append(e.busy, l)
+	}
 	l.slots.Push(slot{when: e.now.Add(l.delay), seq: e.seq, ev: ev})
 	e.seq++
 	if e.prof != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -10,10 +11,11 @@ import (
 type cancelable interface{ Cancel() }
 
 // fuzzEngine is the engine surface a fuzz script drives. Lanes are
-// numbered in creation order.
+// numbered in the order they were asked for; asking twice for one delay
+// and name may return one lane twice.
 type fuzzEngine interface {
 	schedule(kind byte, d Duration, fn func()) cancelable
-	newLane(d Duration)
+	newLane(d Duration, name string)
 	nLanes() int
 	laneSchedule(i int, fn func()) cancelable
 	Stop()
@@ -28,6 +30,9 @@ type fuzzEngine interface {
 type engineUnderTest struct {
 	*Engine
 	lanes []*Lane
+	// laneErr records the first Lane call that broke sharing: a repeated
+	// (delay, name) must return the same lane, any other pair a new one.
+	laneErr string
 }
 
 func (e *engineUnderTest) schedule(kind byte, d Duration, fn func()) cancelable {
@@ -35,23 +40,33 @@ func (e *engineUnderTest) schedule(kind byte, d Duration, fn func()) cancelable 
 	case 0:
 		return e.Schedule(d, fn)
 	case 1:
-		return e.ScheduleNamed(d, "fuzz", fn)
+		return e.ScheduleNamed(d, heapName, fn)
 	default:
 		return e.At(e.Now().Add(d), fn)
 	}
 }
 
-func (e *engineUnderTest) newLane(d Duration) { e.lanes = append(e.lanes, e.Lane(d, "fuzz.lane")) }
-func (e *engineUnderTest) nLanes() int        { return len(e.lanes) }
+func (e *engineUnderTest) newLane(d Duration, name string) {
+	l := e.Lane(d, name)
+	for _, old := range e.lanes {
+		if same := old.delay == d && old.name == name; same != (old == l) && e.laneErr == "" {
+			e.laneErr = fmt.Sprintf("Lane(%v, %q) returned %p; an earlier Lane(%v, %q) returned %p",
+				d, name, l, old.delay, old.name, old)
+		}
+	}
+	e.lanes = append(e.lanes, l)
+}
+func (e *engineUnderTest) nLanes() int { return len(e.lanes) }
 func (e *engineUnderTest) laneSchedule(i int, fn func()) cancelable {
 	return e.lanes[i].Schedule(fn)
 }
 
-// referenceEngine models lane i as its delay alone: a lane send is
-// ScheduleNamed(now+delay) on the one heap.
+// referenceEngine models lane i as its delay and name alone: a lane send
+// is ScheduleNamed(delay, name) on the one heap.
 type referenceEngine struct {
 	*refEngine
 	delays []Duration
+	names  []string
 }
 
 func (e *referenceEngine) schedule(kind byte, d Duration, fn func()) cancelable {
@@ -59,24 +74,34 @@ func (e *referenceEngine) schedule(kind byte, d Duration, fn func()) cancelable 
 	case 0:
 		return e.Schedule(d, fn)
 	case 1:
-		return e.ScheduleNamed(d, "fuzz", fn)
+		return e.ScheduleNamed(d, heapName, fn)
 	default:
 		return e.At(e.Now().Add(d), fn)
 	}
 }
 
-func (e *referenceEngine) newLane(d Duration) { e.delays = append(e.delays, d) }
-func (e *referenceEngine) nLanes() int        { return len(e.delays) }
-func (e *referenceEngine) laneSchedule(i int, fn func()) cancelable {
-	return e.ScheduleNamed(e.delays[i], "fuzz.lane", fn)
+func (e *referenceEngine) newLane(d Duration, name string) {
+	e.delays = append(e.delays, d)
+	e.names = append(e.names, name)
 }
+func (e *referenceEngine) nLanes() int { return len(e.delays) }
+func (e *referenceEngine) laneSchedule(i int, fn func()) cancelable {
+	return e.ScheduleNamed(e.delays[i], e.names[i], fn)
+}
+
+// heapName labels the ScheduleNamed heap kind. laneNames are the names a
+// script may give a lane; the second is heapName, so lane and heap events
+// can share a dispatch class.
+const heapName = "fuzz"
+
+var laneNames = [2]string{"fuzz.lane", heapName}
 
 // laneTarget+i names lane i as where an event goes; targets below it are
 // the heap kinds 0 Schedule, 1 ScheduleNamed and 2 At.
 const laneTarget = 3
 
-// maxLanes bounds the lanes a script may create.
-const maxLanes = 2
+// maxLanes bounds the lanes a script may ask for.
+const maxLanes = 3
 
 // firing is one dispatched event: its script id and the clock it saw.
 type firing struct {
@@ -169,9 +194,9 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 		if r.lastFired >= 0 {
 			r.handles[r.lastFired].Cancel()
 		}
-	case 8: // a new lane; a zero or repeated delay is allowed
+	case 8: // ask for a lane; a zero or repeated delay or name is allowed
 		if r.eng.nLanes() < maxLanes {
-			r.eng.newLane(Duration(a % 8))
+			r.eng.newLane(Duration(a%8), laneNames[a/8%2])
 		}
 	case 9: // schedule on a lane
 		if n := r.eng.nLanes(); n > 0 {
@@ -184,16 +209,22 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // FuzzEngine holds Engine to the reference model (the container/heap
 // engine it replaced) over random scripts of heap and lane schedules,
 // cancels of live and stale handles, Stop from inside callbacks,
-// Run(until), Step and RunUntilIdle. After every op the firing sequence,
-// Now, Fired, Pending and the op's return value must agree. The seed
-// corpus is testdata/fuzz/FuzzEngine.
+// Run(until), Step and RunUntilIdle. Lanes asked for twice with one delay
+// and name must be one lane, and lane and heap events may share a name.
+// After every op the firing sequence, Now, Fired, Pending, the profile
+// (dispatch classes and high-water mark) and the op's return value must
+// agree. The seed corpus is testdata/fuzz/FuzzEngine.
 func FuzzEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*200 {
 			script = script[:3*200]
 		}
-		got := &scriptRun{eng: &engineUnderTest{Engine: NewEngine()}, lastFired: -1}
-		want := &scriptRun{eng: &referenceEngine{refEngine: newRefEngine()}, lastFired: -1}
+		under := &engineUnderTest{Engine: NewEngine()}
+		under.EnableProfile(NewProfile())
+		ref := &referenceEngine{refEngine: newRefEngine()}
+		ref.prof = NewProfile()
+		got := &scriptRun{eng: under, lastFired: -1}
+		want := &scriptRun{eng: ref, lastFired: -1}
 		for i := 0; i+2 < len(script); i += 3 {
 			code, a, b := script[i], script[i+1], script[i+2]
 			gr, wr := got.op(code, a, b), want.op(code, a, b)
@@ -208,6 +239,12 @@ func FuzzEngine(f *testing.F) {
 				t.Fatalf("op %d: now/fired/pending %v/%d/%d, reference %v/%d/%d", step,
 					got.eng.Now(), got.eng.Fired(), got.eng.Pending(),
 					want.eng.Now(), want.eng.Fired(), want.eng.Pending())
+			}
+			if under.laneErr != "" {
+				t.Fatalf("op %d: %s", step, under.laneErr)
+			}
+			if g, w := under.Profile().Describe(), ref.prof.Describe(); g != w {
+				t.Fatalf("op %d: profile\n%s\nreference\n%s", step, g, w)
 			}
 		}
 	})

@@ -111,6 +111,17 @@ func DefaultCosts() Costs {
 	}
 }
 
+// Validate rejects a negative transition cost, naming it.
+func (c Costs) Validate() error {
+	if c.Entry < 0 {
+		return fmt.Errorf("Entry = %v: negative", c.Entry)
+	}
+	if c.Exit < 0 {
+		return fmt.Errorf("Exit = %v: negative", c.Exit)
+	}
+	return nil
+}
+
 // VCPU is one virtual CPU context bound 1:1 to a kernel logical CPU.
 type VCPU struct {
 	cpu    *kernel.CPU
@@ -134,6 +145,10 @@ type VCPU struct {
 	// never the next one's.
 	entrySlices sim.FIFO[sim.Duration]
 	entryFire   func() // v.entryDone, bound once
+	// entryLane and exitLane carry the VM-entry and unstalled VM-exit
+	// events. Every vCPU of a node with the same costs shares the pair.
+	entryLane *sim.Lane
+	exitLane  *sim.Lane
 
 	// OnWake fires when an interrupt wakes a halted vCPU; the scheduler
 	// uses it to move the vCPU into its runnable queue.
@@ -152,10 +167,14 @@ type VCPU struct {
 	Teardowns   uint64 // forced exit completions (watchdog escalation)
 }
 
-// New wraps the kernel CPU (which must be virtual) as a vCPU context.
+// New wraps the kernel CPU (which must be virtual) as a vCPU context. It
+// panics on malformed costs, naming the field.
 func New(k *kernel.Kernel, cpu *kernel.CPU, costs Costs, tracer *trace.Tracer) *VCPU {
 	if !cpu.Virtual {
 		panic(fmt.Sprintf("vcpu: cpu%d is not virtual", cpu.ID))
+	}
+	if err := costs.Validate(); err != nil {
+		panic("vcpu: Costs." + err.Error())
 	}
 	v := &VCPU{
 		cpu:    cpu,
@@ -166,6 +185,8 @@ func New(k *kernel.Kernel, cpu *kernel.CPU, costs Costs, tracer *trace.Tracer) *
 		state:  StateHalted,
 		core:   -1,
 	}
+	v.entryLane = v.engine.Lane(costs.Entry, "vcpu.entry")
+	v.exitLane = v.engine.Lane(costs.Exit, "vcpu.exit")
 	v.sliceFire = v.sliceExpired
 	v.exitFire = v.exitDone
 	v.entryFire = v.entryDone
@@ -212,7 +233,7 @@ func (v *VCPU) Enter(core int, slice sim.Duration, onExit func(v *VCPU, reason E
 	v.Entries++
 	v.tracer.Emit(v.engine.Now(), trace.KindVMEntry, core, int64(v.cpu.ID), "")
 	v.entrySlices.Push(slice)
-	v.engine.ScheduleNamed(v.costs.Entry, "vcpu.entry", v.entryFire)
+	v.entryLane.Schedule(v.entryFire)
 }
 
 // entryDone completes the oldest queued VM-entry: the guest resumes and
@@ -274,12 +295,17 @@ func (v *VCPU) beginExit(reason ExitReason) {
 	v.Exits++
 	v.ExitsByWhy[reason]++
 	v.tracer.Emit(v.engine.Now(), trace.KindVMExit, v.core, int64(v.cpu.ID), reason.String())
-	cost := v.costs.Exit
+	var stall sim.Duration
 	if v.ExitStall != nil {
-		cost += v.ExitStall(v)
+		stall = v.ExitStall(v)
 	}
 	v.exitReason = reason
-	v.exitEv = v.engine.ScheduleNamed(cost, "vcpu.exit", v.exitFire)
+	if stall == 0 {
+		v.exitEv = v.exitLane.Schedule(v.exitFire)
+	} else {
+		// A stalled exit has its own delay, so it takes the heap.
+		v.exitEv = v.engine.ScheduleNamed(v.costs.Exit+stall, "vcpu.exit", v.exitFire)
+	}
 }
 
 // exitDone is the in-flight VM-exit's completion event.

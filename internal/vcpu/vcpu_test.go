@@ -1,7 +1,9 @@
 package vcpu
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -22,6 +24,34 @@ func guestWork(k *kernel.Kernel, d sim.Duration, cpus ...kernel.CPUID) *kernel.T
 	return k.Spawn("guest", &kernel.SliceProgram{Segments: []kernel.Segment{
 		{Kind: kernel.SegCompute, Dur: d},
 	}}, cpus...)
+}
+
+// A negative VM-entry or VM-exit cost is rejected by name; zero is a
+// legal (free) transition.
+func TestMalformedCostsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		costs Costs
+	}{
+		{"Entry", Costs{Entry: -sim.Microsecond, Exit: 2 * sim.Microsecond}},
+		{"Exit", Costs{Entry: sim.Microsecond, Exit: -1}},
+	} {
+		if err := tc.costs.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate(%+v) = %v, want an error naming the field", tc.field, tc.costs, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Costs."+tc.field) {
+					t.Errorf("%s: New panicked with %v, want the field named", tc.field, r)
+				}
+			}()
+			k := kernel.New(sim.NewEngine(), trace.New(0))
+			New(k, k.AddCPU(0, true), tc.costs, k.Tracer())
+		}()
+	}
+	if err := (Costs{}).Validate(); err != nil {
+		t.Fatalf("zero costs must be legal: %v", err)
+	}
 }
 
 func TestEnterRunsGuestAfterEntryCost(t *testing.T) {

@@ -96,9 +96,10 @@ func NewWithConfig(opts Options, cfg Config) *System {
 
 // TryNewWithConfig builds a Tai Chi node from explicit platform options
 // and scheduler configuration, reporting invalid topologies (no DP
-// cores, duplicate core ids), negative or NaN DP cost-model fields and
-// invalid scheduler configurations (empty vCPU pool, vCPU id collisions)
-// as errors instead of panicking.
+// cores, duplicate core ids), negative or NaN DP cost-model fields,
+// negative accelerator stage times and invalid scheduler configurations
+// (empty vCPU pool, negative vCPU costs, vCPU id collisions) as errors
+// instead of panicking.
 func TryNewWithConfig(opts Options, cfg Config) (*System, error) {
 	node, err := platform.New(opts)
 	if err != nil {
