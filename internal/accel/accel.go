@@ -28,7 +28,9 @@ type Packet struct {
 	Flow int
 	// SYN / FIN mark flow-opening and flow-closing packets.
 	SYN, FIN bool
-	// Done, if non-nil, fires when the DP service finishes the packet.
+	// Done, if non-nil, fires when the DP service finishes the packet. Its
+	// pointer aims into the DP core's own buffer and is valid only during
+	// the call: a callback that keeps the packet copies *p.
 	Done func(p *Packet, finished sim.Time)
 }
 
@@ -229,8 +231,11 @@ func (c Config) Validate() error {
 // deeply pipelined), then land in the destination core's DP queue.
 //
 // Every packet spends the same Preprocess+Transfer inside, so packets
-// leave in arrival order: the in-flight packets form a FIFO, and each
-// packet's completion event delivers the oldest one.
+// leave in arrival order: the in-flight packets form a FIFO of values,
+// and each completion event delivers the oldest ones. A packet injected
+// at the instant of the previous one, with nothing scheduled in between,
+// joins that packet's completion event instead of taking its own
+// (sim.Lane.Joinable), so a train rides one event.
 type Pipeline struct {
 	engine  *sim.Engine
 	cfg     Config
@@ -245,7 +250,15 @@ type Pipeline struct {
 	// inFlight counts packets inside the pipeline per destination core.
 	inFlight []int
 	// queue holds the in-flight packets oldest first.
-	queue sim.FIFO[*Packet]
+	queue sim.FIFO[Packet]
+	// groups holds, oldest first, how many packets each pending
+	// completion event delivers.
+	groups sim.FIFO[int]
+	// tail is the newest completion event, which a packet may join.
+	tail sim.Handle
+	// cur is the packet being delivered: the sink's pointer aims here, so
+	// no packet moves to the heap on its way out.
+	cur Packet
 	// complete is pl.completeOldest, bound once so scheduling it
 	// allocates nothing.
 	complete func()
@@ -255,8 +268,9 @@ type Pipeline struct {
 }
 
 // NewPipeline builds the accelerator datapath. deliver lands finished
-// packets in a DP core's receive queue; probe may be nil (no hardware
-// probe fitted, as on a stock SmartNIC image).
+// packets in a DP core's receive queue; its packet pointer aims into the
+// pipeline and is valid only during the call. probe may be nil (no
+// hardware probe fitted, as on a stock SmartNIC image).
 func NewPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tracer, deliver func(core int, p *Packet)) *Pipeline {
 	if deliver == nil {
 		panic("accel: pipeline needs a delivery sink")
@@ -284,9 +298,10 @@ func (pl *Pipeline) InFlight(core int) int {
 // Probe returns the attached hardware workload probe (possibly nil).
 func (pl *Pipeline) Probe() *Probe { return pl.probe }
 
-// Inject accepts a packet at the accelerator's ingress. The probe check
-// happens *before* preprocessing (Figure 10), which is what creates the
-// 3.2 µs window that hides the 2 µs vCPU exit.
+// Inject accepts a packet at the accelerator's ingress, setting its ID
+// (unless the caller chose one) and Arrival and then copying it: p is not
+// retained. The probe check happens *before* preprocessing (Figure 10),
+// which is what creates the 3.2 µs window that hides the 2 µs vCPU exit.
 func (pl *Pipeline) Inject(p *Packet) {
 	now := pl.engine.Now()
 	p.Arrival = now
@@ -297,7 +312,7 @@ func (pl *Pipeline) Inject(p *Packet) {
 	pl.Injected++
 	pl.inFlight = grow(pl.inFlight, p.Core)
 	pl.inFlight[p.Core]++
-	pl.queue.Push(p)
+	pl.queue.Push(*p)
 	pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID, "")
 
 	if pl.probe != nil {
@@ -306,19 +321,32 @@ func (pl *Pipeline) Inject(p *Packet) {
 
 	// The preprocess and transfer stages complete back-to-back with no
 	// intervening decision point, so one simulation event covers both;
-	// the stage-boundary trace record carries its true timestamp.
-	pl.lane.Schedule(pl.complete)
+	// the stage-boundary trace record carries its true timestamp. A
+	// packet whose own event would fire right after the newest one joins
+	// it.
+	if pl.lane.Joinable(pl.tail) {
+		*pl.groups.Back()++
+		return
+	}
+	pl.tail = pl.lane.Schedule(pl.complete)
+	pl.groups.Push(1)
 }
 
-// completeOldest delivers the packet that has been in the pipeline
-// longest. Completion events ride one lane, so they fire in the order they
-// were scheduled, and that packet is the one this event was scheduled for.
+// completeOldest delivers the packets that have been in the pipeline
+// longest, as many as this event carries. Completion events ride one
+// lane, so they fire in the order they were scheduled, and those packets
+// are the ones this event was scheduled for. Each packet gets the trace
+// records, the in-flight decrement and the delivery its own event would
+// have given it, in the same order.
 func (pl *Pipeline) completeOldest() {
-	p := pl.queue.Pop()
-	pl.tracer.Emit(p.Arrival.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
-	pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
-	pl.inFlight[p.Core]--
-	pl.deliver(p.Core, p)
+	for n := pl.groups.Pop(); n > 0; n-- {
+		pl.cur = pl.queue.Pop()
+		p := &pl.cur
+		pl.tracer.Emit(p.Arrival.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
+		pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
+		pl.inFlight[p.Core]--
+		pl.deliver(p.Core, p)
+	}
 }
 
 // Window returns the total preprocessing window (stages ②+③).

@@ -111,6 +111,8 @@ var overloadEnter = [OverloadBrownout + 1]float64{
 // the pre-overload code.
 type overloadState struct {
 	r *rand.Rand // "core.overload" stream, created only when armed
+	// tick samples and re-arms; bound once so re-arming allocates nothing.
+	tick func()
 
 	state    OverloadState
 	smoothed float64
@@ -152,6 +154,10 @@ func (s *Scheduler) EnableOverload(OverloadPolicy) {
 		r:        s.node.Stream("core.overload"),
 		esc:      window{span: escalationWindow},
 		cooldown: overloadCooldown,
+	}
+	s.overload.tick = func() {
+		s.sampleOverload()
+		s.armOverloadSample()
 	}
 	s.armOverloadSample()
 }
@@ -198,10 +204,7 @@ func (s *Scheduler) overloadBrownedOut() bool {
 func (s *Scheduler) armOverloadSample() {
 	ov := s.overload
 	delay := sim.Jitter(ov.r, overloadSamplePeriod, overloadJitter)
-	s.engine.ScheduleNamed(delay, "core.overload", func() {
-		s.sampleOverload()
-		s.armOverloadSample()
-	})
+	s.engine.ScheduleNamed(delay, "core.overload", ov.tick)
 }
 
 // sampleOverload derives the lending-pressure index — the fraction of DP

@@ -114,9 +114,15 @@ type Core struct {
 	tracer  *trace.Tracer
 	cfg     *Config
 
-	state        CoreState
-	down         bool // hardware offline (fault injection); queue accrues
-	queue        []*accel.Packet
+	state CoreState
+	down  bool // hardware offline (fault injection); queue accrues
+	// queue holds the received packets, by value, oldest first.
+	queue sim.FIFO[accel.Packet]
+	// batch is the burst being processed and cost its total work; one
+	// burst per core is in flight at a time, so both are reused.
+	batch        []accel.Packet
+	cost         sim.Duration
+	finishFn     func() // c.finish, bound once so a burst allocates nothing
 	idleEv       sim.Handle
 	idleFire     func() // c.idleExpired, bound once so armIdle allocates nothing
 	pollutedWork sim.Duration
@@ -149,16 +155,16 @@ type Core struct {
 func (c *Core) State() CoreState { return c.state }
 
 // QueueLen returns the number of packets waiting.
-func (c *Core) QueueLen() int { return len(c.queue) }
+func (c *Core) QueueLen() int { return c.queue.Len() }
 
-// Deliver lands a preprocessed packet in the core's receive queue (the
-// accelerator pipeline's sink). A polling core starts a burst immediately;
-// a yielded core leaves the packet for the probe/slice machinery to
-// trigger resumption.
+// Deliver lands a copy of a preprocessed packet in the core's receive
+// queue (the accelerator pipeline's sink); p is not retained. A polling
+// core starts a burst immediately; a yielded core leaves the packet for
+// the probe/slice machinery to trigger resumption.
 func (c *Core) Deliver(p *accel.Packet) {
-	c.queue = append(c.queue, p)
-	if len(c.queue) > c.MaxQueueLen {
-		c.MaxQueueLen = len(c.queue)
+	c.queue.Push(*p)
+	if c.queue.Len() > c.MaxQueueLen {
+		c.MaxQueueLen = c.queue.Len()
 	}
 	if c.state == Polling && !c.down {
 		c.cancelIdle()
@@ -166,28 +172,28 @@ func (c *Core) Deliver(p *accel.Packet) {
 	}
 }
 
-// processNext consumes the next burst, or returns to polling.
+// processNext consumes the next burst, or returns to polling. Only a
+// polling core starts a burst (Deliver, Resume and SetDown check), and the
+// burst's own completion calls it again, so one burst is in flight at most.
 func (c *Core) processNext() {
 	if c.down {
 		c.state = Polling
 		c.Gauge.SetBusy(c.engine.Now(), false)
 		return
 	}
-	if len(c.queue) == 0 {
+	if c.queue.Len() == 0 {
 		c.state = Polling
 		c.Gauge.SetBusy(c.engine.Now(), false)
 		c.armIdle()
 		return
 	}
 	c.state = Processing
-	n := c.cfg.Burst
-	if n > len(c.queue) {
-		n = len(c.queue)
-	}
-	batch := c.queue[:n]
-	c.queue = c.queue[n:]
+	n := min(c.cfg.Burst, c.queue.Len())
+	c.batch = c.batch[:0]
 	var cost sim.Duration
-	for _, p := range batch {
+	for range n {
+		c.batch = append(c.batch, c.queue.Pop())
+		p := &c.batch[len(c.batch)-1]
 		w := p.Work
 		if c.conns != nil {
 			w += c.conns.cost(p.Flow, p.SYN, p.FIN)
@@ -208,18 +214,23 @@ func (c *Core) processNext() {
 		}
 	}
 	c.Gauge.SetBusy(c.engine.Now(), true)
-	c.engine.ScheduleNamed(cost, "dp.batch", func() {
-		now := c.engine.Now()
-		c.WorkTime += cost
-		for _, p := range batch {
-			c.Processed++
-			c.tracer.Emit(now, trace.KindPacketProcessed, c.ID, p.ID, "")
-			if p.Done != nil {
-				p.Done(p, now)
-			}
+	c.cost = cost
+	c.engine.ScheduleNamed(cost, "dp.batch", c.finishFn)
+}
+
+// finish completes the burst in flight and starts the next one.
+func (c *Core) finish() {
+	now := c.engine.Now()
+	c.WorkTime += c.cost
+	for i := range c.batch {
+		p := &c.batch[i]
+		c.Processed++
+		c.tracer.Emit(now, trace.KindPacketProcessed, c.ID, p.ID, "")
+		if p.Done != nil {
+			p.Done(p, now)
 		}
-		c.processNext()
-	})
+	}
+	c.processNext()
 }
 
 // armIdle starts the consecutive-empty-poll countdown; when it expires
@@ -239,7 +250,7 @@ func (c *Core) armIdle() {
 // empty queue reports itself idle.
 func (c *Core) idleExpired() {
 	c.idleEv = sim.Handle{}
-	if c.state == Polling && len(c.queue) == 0 {
+	if c.state == Polling && c.queue.Len() == 0 {
 		c.tracer.Emit(c.engine.Now(), trace.KindYield, c.ID, 0, "idle-detected")
 		c.OnIdle(c)
 	}
@@ -276,7 +287,7 @@ func (c *Core) Resume() {
 	if c.down {
 		return // offline: queued packets wait for SetDown(false)
 	}
-	if len(c.queue) > 0 {
+	if c.queue.Len() > 0 {
 		c.processNext()
 	} else {
 		c.armIdle()
@@ -302,7 +313,7 @@ func (c *Core) SetDown(down bool) {
 		return
 	}
 	if c.state == Polling {
-		if len(c.queue) > 0 {
+		if c.queue.Len() > 0 {
 			c.processNext()
 		} else {
 			c.armIdle()
@@ -321,7 +332,6 @@ type Service struct {
 	engine *sim.Engine
 	cfg    Config
 	cores  []*Core
-	byID   map[int]*Core
 }
 
 // NewService builds a DP service over the given physical core ids.
@@ -330,7 +340,7 @@ func NewService(engine *sim.Engine, name string, coreIDs []int, cfg Config, trac
 	if len(coreIDs) == 0 {
 		panic("dataplane: service needs at least one core")
 	}
-	s := &Service{Name: name, engine: engine, cfg: cfg, byID: map[int]*Core{}}
+	s := &Service{Name: name, engine: engine, cfg: cfg}
 	for _, id := range coreIDs {
 		c := &Core{
 			ID:      id,
@@ -342,8 +352,8 @@ func NewService(engine *sim.Engine, name string, coreIDs []int, cfg Config, trac
 			Gauge:   metrics.NewBusyGauge(fmt.Sprintf("%s.core%d", name, id), engine.Now()),
 		}
 		c.idleFire = c.idleExpired
+		c.finishFn = c.finish
 		s.cores = append(s.cores, c)
-		s.byID[id] = c
 	}
 	return s
 }
@@ -351,8 +361,16 @@ func NewService(engine *sim.Engine, name string, coreIDs []int, cfg Config, trac
 // Cores returns the service's cores.
 func (s *Service) Cores() []*Core { return s.cores }
 
-// Core returns the core with the given physical id, or nil.
-func (s *Service) Core(id int) *Core { return s.byID[id] }
+// Core returns the core with the given physical id, or nil. The hot path
+// routes through platform.Node.DPCore; this scan serves tests and setup.
+func (s *Service) Core(id int) *Core {
+	for _, c := range s.cores {
+		if c.ID == id {
+			return c
+		}
+	}
+	return nil
+}
 
 // CoreForFlow maps a flow hash to a core (receive-side scaling).
 func (s *Service) CoreForFlow(flow int) *Core {
@@ -366,7 +384,7 @@ func (s *Service) CoreForFlow(flow int) *Core {
 // cores outside this service panic — a mis-wired experiment, not a
 // runtime condition.
 func (s *Service) Deliver(core int, p *accel.Packet) {
-	c := s.byID[core]
+	c := s.Core(core)
 	if c == nil {
 		panic(fmt.Sprintf("dataplane: %s has no core %d", s.Name, core))
 	}

@@ -381,6 +381,27 @@ func (l *Lane) Schedule(fn func()) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
+// Joinable reports whether an event scheduled on l now would be
+// dispatched right after h's event, with nothing between them: h is l's
+// newest event and still pending, it is due when the new event would be,
+// and the engine has scheduled nothing since. The new event would take the
+// next sequence number at the same instant, so no key can fall between the
+// two. A source may then run the new event's work at the end of h's
+// callback instead of scheduling it, and every other event fires exactly
+// as before: one scheduled from that callback takes a later sequence
+// number and still fires after the whole group. Only the counts of
+// scheduled and fired events (Fired, Pending, the profile) tell the two
+// apart, and Stop: called inside h's callback, it no longer ends Run
+// before the joined work, which runs as part of the same dispatch.
+func (l *Lane) Joinable(h Handle) bool {
+	e := l.e
+	if h.ev == nil || h.ev.gen != h.gen || l.slots.Len() == 0 {
+		return false
+	}
+	t := l.slots.Back()
+	return t.ev == h.ev && t.seq+1 == e.seq && t.when == e.now.Add(l.delay)
+}
+
 // Ticker invokes fn every period until cancelled. fn observes the engine
 // clock already advanced to the tick instant.
 type Ticker struct {

@@ -115,18 +115,72 @@ type scriptRun struct {
 	eng       fuzzEngine
 	handles   []cancelable
 	fired     []bool
+	behaves   []byte
 	lastFired int // id of the most recent firing, -1 before any
 	log       []firing
+	// newest maps a lane number to the id of the newest event scheduled
+	// on it under that number.
+	newest map[int]int
+	// riders maps an event id to the callbacks joined to it (engine under
+	// test only); they run, in join order, at the end of its callback.
+	riders map[int][]func()
+	book   *joinBook
 }
 
+// joinBook records the joins the engine under test has made. Both runs
+// share it: neither cancels a member of a joined group, since a joined
+// callback has no event of its own to cancel.
+type joinBook struct {
+	grouped map[int]bool // host and joined event ids
+	queued  int          // joined callbacks whose host has not fired
+	ran     int          // joined callbacks run
+}
+
+func newScriptRun(eng fuzzEngine, book *joinBook) *scriptRun {
+	return &scriptRun{eng: eng, lastFired: -1, newest: map[int]int{}, riders: map[int][]func(){}, book: book}
+}
+
+// noHandle is a joined callback's handle: there is no event to cancel.
+type noHandle struct{}
+
+func (noHandle) Cancel() {}
+
 // add schedules event len(handles) on target, after d when target is a
-// heap kind. Its callback logs the firing and then acts on behave: 1 stops
-// the engine, 2 schedules a child that does nothing (childTarget says
-// where), 3 cancels some handle, which may be live, fired or its own.
+// heap kind.
 func (r *scriptRun) add(target byte, d Duration, behave byte) {
+	id, fn := r.callback(target, behave)
+	var h cancelable
+	if target >= laneTarget {
+		i := int(target - laneTarget)
+		h = r.eng.laneSchedule(i, fn)
+		r.newest[i] = id
+	} else {
+		h = r.eng.schedule(target, d, fn)
+	}
+	r.handles = append(r.handles, h)
+}
+
+// join makes event len(handles), bound for lane laneTarget+i, a rider on
+// event host: it runs at the end of host's callback instead of being
+// scheduled.
+func (r *scriptRun) join(host, i int, behave byte) {
+	id, fn := r.callback(laneTarget+byte(i), behave)
+	r.riders[host] = append(r.riders[host], fn)
+	r.handles = append(r.handles, noHandle{})
+	r.book.grouped[host], r.book.grouped[id] = true, true
+	r.book.queued++
+}
+
+// callback issues the next event id and returns it with its callback,
+// which logs the firing and then acts on behave: 1 stops the engine, 2
+// schedules a child that does nothing (childTarget says where), 3 cancels
+// some handle, which may be live, fired or its own. Then it runs the
+// callbacks joined to it.
+func (r *scriptRun) callback(target, behave byte) (int, func()) {
 	id := len(r.handles)
 	r.fired = append(r.fired, false)
-	fn := func() {
+	r.behaves = append(r.behaves, behave)
+	return id, func() {
 		r.fired[id] = true
 		r.lastFired = id
 		r.log = append(r.log, firing{id, r.eng.Now()})
@@ -136,16 +190,21 @@ func (r *scriptRun) add(target byte, d Duration, behave byte) {
 		case 2:
 			r.add(r.childTarget(target, behave/4%4), Duration(behave/16), 0)
 		case 3:
-			r.handles[int(behave/4)%len(r.handles)].Cancel()
+			r.cancel(int(behave/4) % len(r.handles))
+		}
+		for _, ride := range r.riders[id] {
+			r.book.queued--
+			r.book.ran++
+			ride()
 		}
 	}
-	var h cancelable
-	if target >= laneTarget {
-		h = r.eng.laneSchedule(int(target-laneTarget), fn)
-	} else {
-		h = r.eng.schedule(target, d, fn)
+}
+
+// cancel cancels event id unless it belongs to a joined group.
+func (r *scriptRun) cancel(id int) {
+	if !r.book.grouped[id] {
+		r.handles[id].Cancel()
 	}
-	r.handles = append(r.handles, h)
 }
 
 // childTarget is where a callback on parent schedules its child, given
@@ -179,7 +238,7 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 		r.add(code%10, Duration(a%32), b)
 	case 3: // cancel any handle: live, already cancelled, or fired
 		if len(r.handles) > 0 {
-			r.handles[int(a)%len(r.handles)].Cancel()
+			r.cancel(int(a) % len(r.handles))
 		}
 	case 4:
 		return r.eng.Run(r.eng.Now().Add(Duration(a % 64)))
@@ -198,7 +257,7 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 		if r.eng.nLanes() < maxLanes {
 			r.eng.newLane(Duration(a%8), laneNames[a/8%2])
 		}
-	case 9: // schedule on a lane
+	case 9: // schedule on a lane (a >= 128 asks to join; see FuzzEngine)
 		if n := r.eng.nLanes(); n > 0 {
 			r.add(laneTarget+a%byte(n), 0, b)
 		}
@@ -211,9 +270,21 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // cancels of live and stale handles, Stop from inside callbacks,
 // Run(until), Step and RunUntilIdle. Lanes asked for twice with one delay
 // and name must be one lane, and lane and heap events may share a name.
-// After every op the firing sequence, Now, Fired, Pending, the profile
-// (dispatch classes and high-water mark) and the op's return value must
-// agree. The seed corpus is testdata/fuzz/FuzzEngine.
+//
+// A lane send with a >= 128 asks to join the newest event the script has
+// scheduled on that lane number. When Lane.Joinable allows it, the engine
+// under test runs the new callback at the end of that event's instead of
+// scheduling it, while the reference schedules it as usual. The group then
+// fires within one Step, so after each op the reference steps until it has
+// caught up; the steps must fire exactly the joined callbacks. Neither run
+// cancels a member of a group, and no member stops the engine: a Stop
+// inside a group lets the rest of it run, by design, which the reference
+// cannot model.
+//
+// After every op the firing sequence, Now, Fired and Pending (both
+// counting joined callbacks as events), the profile (dispatch classes and
+// high-water mark; compared until the first join) and the op's return
+// value must agree. The seed corpus is testdata/fuzz/FuzzEngine.
 func FuzzEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*200 {
@@ -223,29 +294,61 @@ func FuzzEngine(f *testing.F) {
 		under.EnableProfile(NewProfile())
 		ref := &referenceEngine{refEngine: newRefEngine()}
 		ref.prof = NewProfile()
-		got := &scriptRun{eng: under, lastFired: -1}
-		want := &scriptRun{eng: ref, lastFired: -1}
+		book := &joinBook{grouped: map[int]bool{}}
+		got := newScriptRun(under, book)
+		want := newScriptRun(ref, book)
 		for i := 0; i+2 < len(script); i += 3 {
 			code, a, b := script[i], script[i+1], script[i+2]
-			gr, wr := got.op(code, a, b), want.op(code, a, b)
+			ran := book.ran
+			var gr, wr uint64
+			if host, lane, ok := joinTarget(under, got, code, a, b); ok {
+				got.join(host, lane, b)
+				want.add(laneTarget+byte(lane), 0, b)
+			} else {
+				gr, wr = got.op(code, a, b), want.op(code, a, b)
+			}
+			var caughtUp uint64
+			for len(want.log) < len(got.log) && want.eng.Step() {
+				caughtUp++
+			}
 			step := i / 3
-			if gr != wr {
-				t.Fatalf("op %d (%d %d %d) returned %d, reference %d", step, code%10, a, b, gr, wr)
+			if gr+uint64(book.ran-ran) != wr+caughtUp {
+				t.Fatalf("op %d (%d %d %d) returned %d with %d joined callbacks run, reference %d and %d catch-up steps",
+					step, code%10, a, b, gr, book.ran-ran, wr, caughtUp)
 			}
 			if !reflect.DeepEqual(got.log, want.log) {
 				t.Fatalf("op %d: firings %v, reference %v", step, got.log, want.log)
 			}
-			if got.eng.Now() != want.eng.Now() || got.eng.Fired() != want.eng.Fired() || got.eng.Pending() != want.eng.Pending() {
+			gf, gp := got.eng.Fired()+uint64(book.ran), got.eng.Pending()+book.queued
+			if got.eng.Now() != want.eng.Now() || gf != want.eng.Fired() || gp != want.eng.Pending() {
 				t.Fatalf("op %d: now/fired/pending %v/%d/%d, reference %v/%d/%d", step,
-					got.eng.Now(), got.eng.Fired(), got.eng.Pending(),
-					want.eng.Now(), want.eng.Fired(), want.eng.Pending())
+					got.eng.Now(), gf, gp, want.eng.Now(), want.eng.Fired(), want.eng.Pending())
 			}
 			if under.laneErr != "" {
 				t.Fatalf("op %d: %s", step, under.laneErr)
+			}
+			if len(book.grouped) > 0 {
+				continue
 			}
 			if g, w := under.Profile().Describe(), ref.prof.Describe(); g != w {
 				t.Fatalf("op %d: profile\n%s\nreference\n%s", step, g, w)
 			}
 		}
 	})
+}
+
+// joinTarget reports whether op (code, a, b) asks to join a lane event and
+// Lane.Joinable allows it, with the host event's id and the lane number.
+// Callbacks that stop the engine are never joined.
+func joinTarget(under *engineUnderTest, got *scriptRun, code, a, b byte) (host, lane int, ok bool) {
+	n := under.nLanes()
+	if code%10 != 9 || a < 128 || n == 0 || b%4 == 1 {
+		return 0, 0, false
+	}
+	lane = int(a % byte(n))
+	host, ok = got.newest[lane]
+	if !ok || got.behaves[host]%4 == 1 || !under.lanes[lane].Joinable(got.handles[host].(Handle)) {
+		return 0, 0, false
+	}
+	return host, lane, true
 }

@@ -38,3 +38,7 @@ func (q *FIFO[T]) Pop() T {
 
 // front returns the oldest value in place; the queue must be non-empty.
 func (q *FIFO[T]) front() *T { return &q.ring[q.head] }
+
+// Back returns the newest value in place, valid until the next Push or
+// Pop; the queue must be non-empty.
+func (q *FIFO[T]) Back() *T { return &q.ring[(q.head+q.count-1)&(len(q.ring)-1)] }

@@ -81,6 +81,52 @@ func TestLanePendingAndHighWater(t *testing.T) {
 	}
 }
 
+// Joinable holds only for the lane's newest event, still pending, due
+// when an event scheduled now would be, with nothing scheduled since.
+func TestLaneJoinable(t *testing.T) {
+	e := NewEngine()
+	l, other := e.Lane(3, "lane"), e.Lane(3, "other")
+	nop := func() {}
+	if l.Joinable(Handle{}) {
+		t.Fatal("the zero handle is joinable")
+	}
+	h := l.Schedule(nop)
+	if !l.Joinable(h) {
+		t.Fatal("the newest event is not joinable")
+	}
+	if other.Joinable(h) {
+		t.Fatal("another lane's event is joinable")
+	}
+	o := other.Schedule(nop)
+	if l.Joinable(h) {
+		t.Fatal("joinable after another lane scheduled")
+	}
+	if !other.Joinable(o) {
+		t.Fatal("the other lane's newest event is not joinable")
+	}
+	h = l.Schedule(nop)
+	e.Schedule(3, nop)
+	if l.Joinable(h) {
+		t.Fatal("joinable after a heap event due at the same instant")
+	}
+	h = l.Schedule(nop)
+	e.Run(1)
+	if l.Joinable(h) {
+		t.Fatal("joinable after the clock moved")
+	}
+	h = l.Schedule(nop)
+	h.Cancel()
+	if l.Joinable(h) {
+		t.Fatal("a cancelled event is joinable")
+	}
+	h = l.Schedule(nop)
+	e.RunUntilIdle()
+	l.Schedule(nop) // reuses h's event
+	if l.Joinable(h) {
+		t.Fatal("a fired event is joinable")
+	}
+}
+
 // Once the lane's ring and the free list have grown, scheduling and
 // dispatching a method-value callback on a lane allocates nothing.
 func TestLaneScheduleAllocFree(t *testing.T) {

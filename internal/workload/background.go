@@ -108,8 +108,8 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		CalmHold:          b.cfg.CalmHold,
 		BurstHold:         b.cfg.BurstHold,
 	}
-	// Both callbacks are built once per arrival process, so a train
-	// costs one allocation: its packets' shared backing array.
+	// Both callbacks are built once per arrival process, and the
+	// pipeline copies each packet, so a train allocates nothing.
 	var next, arrive func()
 	next = func() {
 		if b.stopped {
@@ -121,11 +121,9 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		if b.stopped {
 			return
 		}
-		pkts := make([]accel.Packet, train)
-		for k := range pkts {
-			pkts[k] = accel.Packet{Core: core, Work: work}
+		for range train {
 			b.Packets.Inc()
-			b.node.Pipe.Inject(&pkts[k])
+			b.node.Pipe.Inject(&accel.Packet{Core: core, Work: work})
 		}
 		next()
 	}
