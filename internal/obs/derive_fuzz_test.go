@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,11 +14,14 @@ import (
 // produce exactly what the kind-by-kind reference deriver below does,
 // on arbitrary event scripts, nil slices included. The seed corpus is
 // testdata/fuzz/FuzzDerive. Its equal-sort-keys and
-// closed-and-truncated-tie entries hold spans equal on every sort key,
-// closed and truncated ones mixed, among spans the sort must reverse,
-// so an unstable sort without the final index comparison misorders
-// them; no-spans and opens-no-closes leave one output slice empty,
-// which must stay nil.
+// closed-and-truncated-tie entries hold spans equal on every sort key
+// but Truncated, closed and truncated ones mixed, among spans the sort
+// must reverse; equal-start-many-ends opens 8 and then 16 spans at one
+// instant and closes each group in reverse, then ends on a closed span
+// tied with a truncated one opened before it, so skipping the sort of a
+// run of equal Start, dropping the Truncated key, or leaving a closed
+// span marked truncated each misorders or mislabels spans; no-spans and
+// opens-no-closes leave one output slice empty, which must stay nil.
 func FuzzDerive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := decodeScript(data)
@@ -28,12 +32,53 @@ func FuzzDerive(f *testing.F) {
 	})
 }
 
+// TestDeriveNonChronological holds Derive to the reference on scripts
+// whose clock steps back, which the tracer never records and
+// decodeScript never produces: a span that starts before the one stored
+// ahead of it sends Derive through its whole-slice sort.
+func TestDeriveNonChronological(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	unordered := 0
+	for n := 0; n < 2000; n++ {
+		data := make([]byte, 5*(1+r.Intn(60)))
+		r.Read(data)
+		events := decodeScript(data)
+		for i := range events {
+			if r.Intn(8) == 0 {
+				events[i].At -= sim.Time(r.Int63n(int64(events[i].At) + 1))
+			}
+		}
+		got, want := Derive(events), deriveReference(events)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("script %d: Derive diverged from the reference on %d events\ngot  %+v\nwant %+v", n, len(events), got, want)
+		}
+		last := sim.Time(-1)
+		for _, e := range events {
+			if e.Kind.Info().Opens == trace.ClassNone {
+				continue
+			}
+			if e.At < last {
+				unordered++
+				break
+			}
+			last = e.At
+		}
+	}
+	if unordered < 500 {
+		t.Errorf("only %d of 2000 scripts open a span before an earlier-stored one", unordered)
+	}
+}
+
 // decodeScript turns fuzz bytes into an event script, five bytes per
 // event: kind, time step, CPU, Arg, note. The kind byte ranges over
 // KindNone, every schema kind and one unknown kind; CPU, Arg and note
-// take few values so begins and ends collide often; At never decreases.
+// take few values so begins and ends collide often, and the largest CPU
+// and Arg are past the keys Derive keeps in an array, so its map of
+// larger keys is exercised too; At never decreases.
 func decodeScript(data []byte) []trace.Event {
 	kinds := trace.Kinds()
+	cpus := [...]int{-1, 0, 1, 100}
+	args := [...]int64{0, 1, 2, 1 << 40}
 	notes := [...]string{"", "a", "b"}
 	var events []trace.Event
 	var at sim.Time
@@ -42,8 +87,8 @@ func decodeScript(data []byte) []trace.Event {
 		events = append(events, trace.Event{
 			At:   at,
 			Kind: trace.Kind(int(data[0]) % (len(kinds) + 2)),
-			CPU:  int(data[2]%4) - 1,
-			Arg:  int64(data[3] % 4),
+			CPU:  cpus[data[2]%4],
+			Arg:  args[data[3]%4],
 			Note: notes[data[4]%3],
 		})
 	}

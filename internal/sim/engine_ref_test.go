@@ -169,19 +169,24 @@ func (e *refEngine) Step() bool {
 
 // Run executes events until no events remain, Stop is called, or the clock
 // would pass `until` (events at exactly `until` do fire). It returns the
-// number of events executed by this call.
+// number of events executed by this call. The clock ends at `until`
+// unless Stop ended the run.
 func (e *refEngine) Run(until Time) uint64 {
 	e.stopped = false
 	start := e.fired
 	for !e.stopped {
 		// Peek to honor the horizon without consuming the event.
+		// Unless Stop ends the run, advance the clock to the horizon so
+		// callers observe a full interval elapsed even when the system
+		// went idle early.
 		next := e.peek()
 		if next == nil {
+			if e.now < until {
+				e.now = until
+			}
 			break
 		}
 		if next.when > until {
-			// Advance the clock to the horizon so callers observe a full
-			// interval elapsed even when the system went idle early.
 			e.now = until
 			break
 		}
@@ -189,9 +194,6 @@ func (e *refEngine) Run(until Time) uint64 {
 		if e.Limit != 0 && e.fired-start > e.Limit {
 			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
 		}
-	}
-	if e.now < until && e.peek() == nil {
-		e.now = until
 	}
 	return e.fired - start
 }

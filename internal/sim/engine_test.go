@@ -143,6 +143,24 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
+// TestStopLeavesClockAtStop requires Run to leave the clock at the
+// stopping event's instant whether or not another event is pending: a
+// stop used to advance the clock to the horizon only when the queue
+// happened to be empty.
+func TestStopLeavesClockAtStop(t *testing.T) {
+	for _, pending := range []bool{false, true} {
+		e := NewEngine()
+		e.Schedule(10, e.Stop)
+		if pending {
+			e.Schedule(50, func() {})
+		}
+		e.Run(100)
+		if e.Now() != 10 {
+			t.Errorf("pending=%v: Now() = %v after a stop at 10, want 10", pending, e.Now())
+		}
+	}
+}
+
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	depth := 0
