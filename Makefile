@@ -16,8 +16,9 @@ GO ?= go
 check: fmt vet lint build inline test-race bench-test bench-pins audit-smoke overload-smoke placement-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
-# core concurrency, and seedless constructors. Zero diagnostics is the
-# only passing state; exemptions require a //taichi:allow directive.
+# core concurrency, locks outside internal/fleet, seedless constructors
+# and named RNG streams. Zero diagnostics is the only passing state;
+# exemptions require a //taichi:allow directive.
 lint:
 	$(GO) run ./cmd/taichilint ./...
 

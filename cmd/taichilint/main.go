@@ -11,11 +11,11 @@
 // analyzer name, sorted by position, so output is itself deterministic.
 //
 // See internal/lint for the rules — five per-package (walltime,
-// globalrand, maporder, goroutine, seedflow) and three whole-program
-// built on the interprocedural facts layer (lockorder, streamdraw,
-// atomicmix) — and ARCHITECTURE.md §7 for the contract they enforce.
-// The whole-program rules see exactly the packages the pattern loads,
-// so cross-package checks only cover the packages a pattern names.
+// globalrand, maporder, goroutine, seedflow) and one whole-program,
+// streamdraw, built on the interprocedural facts layer — and
+// ARCHITECTURE.md §7 for the contract they enforce. The whole-program
+// rule sees exactly the packages the pattern loads, so its
+// cross-package checks only cover the packages a pattern names.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -8,13 +9,11 @@ import (
 )
 
 // This file is the interprocedural facts layer behind the whole-program
-// analyzers (lockorder, streamdraw, atomicmix). The per-package
-// analyzers are syntactic; the invariants added since — consistent
-// mutex acquisition order, deterministic reachability of named-stream
-// draws, no mixed atomic and plain field access — span package
-// boundaries, so they need a module-wide view: every function
-// declaration, a static call graph over them, and deterministic
-// iteration orders so diagnostics replay bit-for-bit.
+// analyzer streamdraw. The per-package analyzers are syntactic; whether
+// a named-stream draw is reachable only through deterministic control
+// flow spans package boundaries, so it needs a module-wide view: every
+// function declaration, a static call graph over them, and
+// deterministic iteration orders so diagnostics replay bit-for-bit.
 //
 // The call graph is static and intentionally conservative: direct calls
 // and method calls that the type checker resolves to a concrete
@@ -36,22 +35,10 @@ type FuncInfo struct {
 	// Pkg is the package the declaration lives in.
 	Pkg *Package
 
-	calls []CallSite
+	// callees are the resolved call targets in source order; they may
+	// belong to packages outside the loaded program (stdlib).
+	callees []*types.Func
 }
-
-// CallSite is one static call edge out of a function.
-type CallSite struct {
-	// Callee is the resolved target. It may belong to a package outside
-	// the loaded program (stdlib); Program.FuncInfo returns nil for
-	// those.
-	Callee *types.Func
-	// Call is the call expression, for positions.
-	Call *ast.CallExpr
-}
-
-// Calls returns the function's outgoing static call edges in source
-// order.
-func (fi *FuncInfo) Calls() []CallSite { return fi.calls }
 
 // A Program is the whole-module view handed to program-level analyzers:
 // every loaded package, every function declaration, and the static call
@@ -59,20 +46,25 @@ func (fi *FuncInfo) Calls() []CallSite { return fi.calls }
 type Program struct {
 	Pkgs []*Package
 
-	funcs map[*types.Func]*FuncInfo
 	// order holds the functions sorted by declaration position so every
 	// program-level iteration is deterministic.
 	order []*FuncInfo
-	// callers is the reverse call graph, built on demand.
-	callers map[*types.Func][]*FuncInfo
+}
+
+// sitePos anchors a fact to a package and position for reporting.
+type sitePos struct {
+	pkg *Package
+	pos token.Pos
+}
+
+func (s sitePos) String() string {
+	p := s.pkg.Fset.Position(s.pos)
+	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
 // NewProgram builds the facts layer over the loaded packages.
 func NewProgram(pkgs []*Package) *Program {
-	p := &Program{
-		Pkgs:  pkgs,
-		funcs: map[*types.Func]*FuncInfo{},
-	}
+	p := &Program{Pkgs: pkgs}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -84,9 +76,7 @@ func NewProgram(pkgs []*Package) *Program {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Fn: obj, Decl: fd, Pkg: pkg}
-				p.funcs[obj] = fi
-				p.order = append(p.order, fi)
+				p.order = append(p.order, &FuncInfo{Fn: obj, Decl: fd, Pkg: pkg})
 			}
 		}
 	}
@@ -109,7 +99,7 @@ func NewProgram(pkgs []*Package) *Program {
 				return true
 			}
 			if callee := calleeOf(pkg, call); callee != nil {
-				fi.calls = append(fi.calls, CallSite{Callee: callee, Call: call})
+				fi.callees = append(fi.callees, callee)
 			}
 			return true
 		})
@@ -142,33 +132,10 @@ func calleeOf(pkg *Package, call *ast.CallExpr) *types.Func {
 // (position-sorted) order.
 func (p *Program) Functions() []*FuncInfo { return p.order }
 
-// FuncInfo returns the facts for fn, or nil if fn is not declared in
-// the loaded program (stdlib functions, interface methods).
-func (p *Program) FuncInfo(fn *types.Func) *FuncInfo { return p.funcs[fn] }
-
-// Callers returns the functions holding a static call edge to fn, in
-// deterministic order.
-func (p *Program) Callers(fn *types.Func) []*FuncInfo {
-	if p.callers == nil {
-		p.callers = map[*types.Func][]*FuncInfo{}
-		for _, fi := range p.order {
-			seen := map[*types.Func]bool{}
-			for _, cs := range fi.calls {
-				if !seen[cs.Callee] {
-					seen[cs.Callee] = true
-					p.callers[cs.Callee] = append(p.callers[cs.Callee], fi)
-				}
-			}
-		}
-	}
-	return p.callers[fn]
-}
-
 // Closure computes, for every declared function, the transitive closure
 // of a per-function seed fact over the static call graph: out(f) =
-// seed(f) ∪ ⋃ out(callee). The seeds map is not mutated. Used by
-// lockorder ("locks f may acquire") and streamdraw ("does f reach a
-// random draw").
+// seed(f) ∪ ⋃ out(callee). The seeds map is not mutated. streamdraw
+// uses it to ask "does f reach a random draw".
 func (p *Program) Closure(seed func(fi *FuncInfo) []string) map[*types.Func]map[string]bool {
 	out := map[*types.Func]map[string]bool{}
 	for _, fi := range p.order {
@@ -187,8 +154,8 @@ func (p *Program) Closure(seed func(fi *FuncInfo) []string) map[*types.Func]map[
 		changed = false
 		for _, fi := range p.order {
 			set := out[fi.Fn]
-			for _, cs := range fi.calls {
-				for _, fact := range sortedFacts(out[cs.Callee]) {
+			for _, callee := range fi.callees {
+				for _, fact := range sortedFacts(out[callee]) {
 					if !set[fact] {
 						set[fact] = true
 						changed = true
@@ -209,15 +176,4 @@ func sortedFacts(set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// posLess orders two positions for deterministic reporting.
-func posLess(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
 }

@@ -25,27 +25,69 @@ var concurrencyPkgs = map[string]bool{
 // in internal/fleet, which runs whole deterministic simulations on
 // worker goroutines and merges their results.
 //
-// This rule has no //taichi:allow escape: it only applies inside the
-// core, where directives are ignored by design.
+// Everywhere else except internal/fleet the rule bans host locks:
+// sync.Mutex and sync.RWMutex references and sync/atomic imports. The
+// module's one lock guards fleet.ForEach's panic index, which the race
+// detector exercises; a lock anywhere else is new shared host state,
+// so it needs a directive saying why. sync.WaitGroup and sync.Once
+// stay legal.
+//
+// Inside the core the rule has no //taichi:allow escape, since
+// directives are ignored there by design; outside it a directive
+// excuses one lock.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements, channel operations and sync primitives in the " +
-		"deterministic core; host concurrency is confined to internal/fleet and cmd/",
+		"deterministic core, and sync.Mutex, sync.RWMutex and sync/atomic outside " +
+		"internal/fleet; host concurrency is confined to internal/fleet and cmd/",
 	Run: runGoroutine,
 }
 
 func runGoroutine(pass *Pass) {
-	if !isCorePackage(pass.Pkg.Path()) {
-		return
+	switch path := pass.Pkg.Path(); {
+	case isCorePackage(path):
+		banCoreConcurrency(pass)
+	case internalHead(path) != "fleet":
+		banLocks(pass)
 	}
+}
+
+// banLocks reports every sync/atomic import and every reference to the
+// sync.Mutex or sync.RWMutex type: a field, embedded field, variable,
+// parameter or composite literal all name the type.
+func banLocks(pass *Pass) {
 	for _, f := range pass.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err == nil && concurrencyPkgs[path] {
-				pass.Report(imp.Pos(),
-					"import of %s in the deterministic core; host synchronization belongs in internal/fleet", path)
+		banImports(pass, f, map[string]bool{"sync/atomic": true}, "outside internal/fleet")
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
 			}
+			if tn, ok := pass.Info.Uses[id].(*types.TypeName); ok && tn.Pkg() != nil &&
+				tn.Pkg().Path() == "sync" && (tn.Name() == "Mutex" || tn.Name() == "RWMutex") {
+				pass.Report(id.Pos(),
+					"sync.%s outside internal/fleet; host locks belong in internal/fleet", tn.Name())
+			}
+			return true
+		})
+	}
+}
+
+// banImports reports each import in f of a path in banned.
+func banImports(pass *Pass, f *ast.File, banned map[string]bool, where string) {
+	for _, imp := range f.Imports {
+		if path, err := strconv.Unquote(imp.Path.Value); err == nil && banned[path] {
+			pass.Report(imp.Pos(),
+				"import of %s %s; host synchronization belongs in internal/fleet", path, where)
 		}
+	}
+}
+
+// banCoreConcurrency reports every host concurrency primitive in a core
+// package.
+func banCoreConcurrency(pass *Pass) {
+	for _, f := range pass.Files {
+		banImports(pass, f, concurrencyPkgs, "in the deterministic core")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:

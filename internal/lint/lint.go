@@ -11,23 +11,21 @@
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
-// only, because the module is intentionally dependency-free. Eight
+// only, because the module is intentionally dependency-free. Six
 // analyzers ship with it — five per-package:
 //
 //	walltime   — forbid wall-clock reads (time.Now, time.Sleep, …)
 //	globalrand — forbid global math/rand state and env-derived seeds
 //	maporder   — forbid order-sensitive iteration over Go maps
-//	goroutine  — forbid concurrency primitives in the deterministic core
+//	goroutine  — forbid concurrency primitives in the deterministic core,
+//	             and mutexes and sync/atomic outside internal/fleet
 //	seedflow   — exported constructors reaching randomness must take a seed
 //
-// and three whole-program, built on the interprocedural facts layer in
+// and one whole-program, built on the interprocedural facts layer in
 // facts.go (module-wide call graph over the same loader):
 //
-//	lockorder   — consistent mutex acquisition order; guarded fields
-//	              never written outside their mutex
-//	streamdraw  — named RNG streams unique module-wide, registered, and
-//	              drawn only through deterministic control flow
-//	atomicmix   — no field accessed both via sync/atomic and plainly
+//	streamdraw — named RNG streams unique module-wide, registered, and
+//	             drawn only through deterministic control flow
 //
 // A site that is legitimately exempt (for example wall-clock progress
 // timing in cmd/) opts out with a directive comment on, or directly
@@ -70,9 +68,8 @@ type Analyzer struct {
 	Run func(pass *Pass)
 
 	// RunProgram inspects the whole loaded program at once — the
-	// interprocedural analyzers (lockorder, streamdraw, atomicmix) need
-	// cross-package facts a single-package pass cannot see. The same
-	// determinism bar applies.
+	// interprocedural analyzer streamdraw needs cross-package facts a
+	// single-package pass cannot see. The same determinism bar applies.
 	RunProgram func(pass *ProgramPass)
 }
 
@@ -247,7 +244,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // All returns the full determinism suite in a fixed order: the
-// per-package rules first, then the whole-program rules.
+// per-package rules first, then the whole-program rule.
 func All() []*Analyzer {
 	return []*Analyzer{
 		WallTime,
@@ -255,8 +252,6 @@ func All() []*Analyzer {
 		MapOrder,
 		Goroutine,
 		SeedFlow,
-		LockOrder,
 		StreamDraw,
-		AtomicMix,
 	}
 }

@@ -38,6 +38,16 @@ func TestGoroutineCore(t *testing.T) {
 		filepath.Join("testdata", "goroutine", "core"), "repro/internal/sim")
 }
 
+func TestGoroutineLockBanOutsideCore(t *testing.T) {
+	linttest.Run(t, lint.Goroutine,
+		filepath.Join("testdata", "goroutine", "cmdtool"), "repro/cmd/tool")
+}
+
+func TestGoroutineLockBanModelLayer(t *testing.T) {
+	linttest.Run(t, lint.Goroutine,
+		filepath.Join("testdata", "goroutine", "experiments"), "repro/internal/experiments")
+}
+
 func TestGoroutineFleetExempt(t *testing.T) {
 	linttest.Run(t, lint.Goroutine,
 		filepath.Join("testdata", "goroutine", "fleet"), "repro/internal/fleet")
@@ -48,27 +58,17 @@ func TestSeedFlow(t *testing.T) {
 		filepath.Join("testdata", "seedflow", "sim"), "repro/internal/vcpu")
 }
 
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, lint.LockOrder,
-		filepath.Join("testdata", "lockorder", "fleet"), "repro/internal/fleet")
-}
-
 func TestStreamDraw(t *testing.T) {
 	linttest.Run(t, lint.StreamDraw,
 		filepath.Join("testdata", "streamdraw", "sim"), "repro/internal/workload")
-}
-
-func TestAtomicMix(t *testing.T) {
-	linttest.Run(t, lint.AtomicMix,
-		filepath.Join("testdata", "atomicmix", "fleet"), "repro/internal/fleet")
 }
 
 // TestRepoLintClean is the contract itself: the entire module — the
 // deterministic core, the model layers, fleet, cmd front-ends and
 // examples — must carry zero determinism diagnostics. A regression
 // here means someone reintroduced wall clocks, global randomness,
-// unordered map iteration or core concurrency without the directive
-// trail the repository requires.
+// unordered map iteration, core concurrency or a lock outside
+// internal/fleet without the directive trail the repository requires.
 func TestRepoLintClean(t *testing.T) {
 	pkgs, err := lint.Load(filepath.Join("..", ".."), "./...")
 	if err != nil {

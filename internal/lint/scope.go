@@ -24,37 +24,31 @@ var corePackages = map[string]bool{
 	"faults":       true,
 }
 
-// simPackages extends the core with the model layers that feed it:
-// anything under internal/ except the explicitly-concurrent fleet
-// runner. These packages may not read wall clocks or global RNG state,
-// but (unlike the core) the broader set is not subject to the
-// goroutine rule — fleet needs sync, and experiments drive fleet.
-func isSimPackage(path string) bool {
+// internalHead returns the first path segment after /internal/ ("sim"
+// for repro/internal/sim/sub), or "" when path has no internal segment.
+func internalHead(path string) string {
 	i := strings.Index(path, "/internal/")
 	if i < 0 {
-		return false
+		return ""
 	}
-	rest := path[i+len("/internal/"):]
-	head := rest
-	if j := strings.Index(rest, "/"); j >= 0 {
-		head = rest[:j]
-	}
-	return head != "fleet"
+	head, _, _ := strings.Cut(path[i+len("/internal/"):], "/")
+	return head
+}
+
+// isSimPackage reports whether path is one of the model layers that
+// feed the core: anything under internal/ except the explicitly
+// concurrent fleet runner. These packages may not read wall clocks or
+// global RNG state, but (unlike the core) only the goroutine rule's
+// lock ban applies to them, not its ban on all host concurrency.
+func isSimPackage(path string) bool {
+	head := internalHead(path)
+	return head != "" && head != "fleet"
 }
 
 // isCorePackage reports whether path is in the deterministic event
 // core (see corePackages).
 func isCorePackage(path string) bool {
-	i := strings.Index(path, "/internal/")
-	if i < 0 {
-		return false
-	}
-	rest := path[i+len("/internal/"):]
-	head := rest
-	if j := strings.Index(rest, "/"); j >= 0 {
-		head = rest[:j]
-	}
-	return corePackages[head]
+	return corePackages[internalHead(path)]
 }
 
 // directivePrefix introduces an allow directive. The full grammar is

@@ -291,8 +291,7 @@ func (e *Engine) dispatch(when Time, src *Lane) {
 // number of events executed by this call. If Stop ended the run, the
 // clock stays at the stopping event's instant, whether or not events are
 // still pending; otherwise, when `until` is not in the past, it ends at
-// `until`. (A past `until` leaves an idle engine's clock alone but moves
-// it back to `until` when an event is pending.)
+// `until`. The clock never moves back.
 func (e *Engine) Run(until Time) uint64 {
 	e.stopped = false
 	start := e.fired
@@ -300,16 +299,12 @@ func (e *Engine) Run(until Time) uint64 {
 		// Select once, then either honor the horizon without consuming
 		// the event or dispatch the selected one.
 		s, src := e.next()
-		if s == nil {
+		if s == nil || s.when > until {
 			// Advance the clock to the horizon so callers observe a full
 			// interval elapsed even when the system went idle early.
 			if e.now < until {
 				e.now = until
 			}
-			break
-		}
-		if s.when > until {
-			e.now = until
 			break
 		}
 		e.dispatch(s.when, src)

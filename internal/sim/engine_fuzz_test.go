@@ -240,8 +240,12 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 		if len(r.handles) > 0 {
 			r.cancel(int(a) % len(r.handles))
 		}
-	case 4:
-		return r.eng.Run(r.eng.Now().Add(Duration(a % 64)))
+	case 4: // b's low bit sets a past horizon
+		d := Duration(a % 64)
+		if b&1 == 1 {
+			d = -d
+		}
+		return r.eng.Run(r.eng.Now().Add(d))
 	case 5:
 		if r.eng.Step() {
 			return 1
@@ -268,7 +272,7 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // FuzzEngine holds Engine to the reference model (the container/heap
 // engine it replaced) over random scripts of heap and lane schedules,
 // cancels of live and stale handles, Stop from inside callbacks,
-// Run(until), Step and RunUntilIdle. Lanes asked for twice with one delay
+// Run(until) to a future or past horizon, Step and RunUntilIdle. Lanes asked for twice with one delay
 // and name must be one lane, and lane and heap events may share a name.
 //
 // A lane send with a >= 128 asks to join the newest event the script has
@@ -284,7 +288,8 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // After every op the firing sequence, Now, Fired and Pending (both
 // counting joined callbacks as events), the profile (dispatch classes and
 // high-water mark; compared until the first join) and the op's return
-// value must agree. The seed corpus is testdata/fuzz/FuzzEngine.
+// value must agree, and no op may move Now back. The seed corpus is
+// testdata/fuzz/FuzzEngine.
 func FuzzEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*200 {
@@ -299,7 +304,7 @@ func FuzzEngine(f *testing.F) {
 		want := newScriptRun(ref, book)
 		for i := 0; i+2 < len(script); i += 3 {
 			code, a, b := script[i], script[i+1], script[i+2]
-			ran := book.ran
+			ran, before := book.ran, got.eng.Now()
 			var gr, wr uint64
 			if host, lane, ok := joinTarget(under, got, code, a, b); ok {
 				got.join(host, lane, b)
@@ -312,6 +317,9 @@ func FuzzEngine(f *testing.F) {
 				caughtUp++
 			}
 			step := i / 3
+			if now := got.eng.Now(); now < before {
+				t.Fatalf("op %d (%d %d %d) moved the clock back from %v to %v", step, code%10, a, b, before, now)
+			}
 			if gr+uint64(book.ran-ran) != wr+caughtUp {
 				t.Fatalf("op %d (%d %d %d) returned %d with %d joined callbacks run, reference %d and %d catch-up steps",
 					step, code%10, a, b, gr, book.ran-ran, wr, caughtUp)

@@ -170,7 +170,7 @@ func (e *refEngine) Step() bool {
 // Run executes events until no events remain, Stop is called, or the clock
 // would pass `until` (events at exactly `until` do fire). It returns the
 // number of events executed by this call. The clock ends at `until`
-// unless Stop ended the run.
+// unless Stop ended the run or `until` is in the past.
 func (e *refEngine) Run(until Time) uint64 {
 	e.stopped = false
 	start := e.fired
@@ -180,14 +180,10 @@ func (e *refEngine) Run(until Time) uint64 {
 		// callers observe a full interval elapsed even when the system
 		// went idle early.
 		next := e.peek()
-		if next == nil {
+		if next == nil || next.when > until {
 			if e.now < until {
 				e.now = until
 			}
-			break
-		}
-		if next.when > until {
-			e.now = until
 			break
 		}
 		e.Step()
