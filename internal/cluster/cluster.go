@@ -303,6 +303,13 @@ func (m *Manager) issueRequest() *Request {
 		state:         ReqPending,
 		attemptBudget: m.attemptBudgetFor(class),
 	}
+	if m.cfg.Retry.Enabled {
+		// Every attempt resets the deadline, which cancels the last
+		// attempt's, so a firing deadline belongs to the current attempt.
+		req.deadline = m.host.Engine().NewTimer(0, "cluster.deadline", func() {
+			m.attemptFailed(req, req.Attempts, "timeout")
+		})
+	}
 	m.reqs = append(m.reqs, req)
 	m.cIssued.Inc()
 	m.emit(trace.KindRequestIssued, id, note)
@@ -371,9 +378,7 @@ func (m *Manager) beginAttempt(req *Request) {
 	m.host.SpawnCP(name, prog)
 
 	if m.cfg.Retry.Enabled {
-		req.deadline = m.host.Engine().ScheduleNamed(attemptTimeout, "cluster.deadline", func() {
-			m.attemptFailed(req, attempt, "timeout")
-		})
+		req.deadline.Reset(attemptTimeout)
 	}
 }
 
@@ -402,9 +407,8 @@ func (m *Manager) attemptDevicesDone(req *Request, attempt int) {
 	if attempt != req.Attempts || req.state != ReqProvisioning {
 		return
 	}
-	if req.deadline != (sim.Handle{}) {
-		req.deadline.Cancel()
-		req.deadline = sim.Handle{}
+	if req.deadline != nil {
+		req.deadline.Stop()
 	}
 	devDone := m.host.Engine().Now()
 	m.CPExecTime.Record(devDone.Sub(req.IssuedAt))
@@ -432,10 +436,7 @@ func (m *Manager) attemptFailed(req *Request, attempt int, reason string) {
 	if attempt != req.Attempts || req.Terminal() || req.state == ReqRetrying {
 		return
 	}
-	if req.deadline != (sim.Handle{}) {
-		req.deadline.Cancel()
-		req.deadline = sim.Handle{}
-	}
+	req.deadline.Stop()
 	switch reason {
 	case "timeout":
 		m.cTimeouts.Inc()

@@ -87,7 +87,8 @@ type Request struct {
 	// the same amount per resurrection (Attempts itself stays monotonic so
 	// per-attempt RNG stream names never repeat).
 	attemptBudget int
-	deadline      sim.Handle
+	// deadline is the per-attempt timeout, nil unless retries are on.
+	deadline *sim.Timer
 	// enqueuedAt is when the admission gate queued the request (zero when
 	// it was dispatched immediately); the sojourn the shedder measures.
 	enqueuedAt sim.Time

@@ -101,7 +101,7 @@ func TestClaimsMatchSlotsUnderFaults(t *testing.T) {
 		return false, 0
 	}
 	cores := tc.Node.DPCores()
-	tc.Engine().NewTicker(100*sim.Microsecond, func() {
+	tc.Engine().NewTimer(100*sim.Microsecond, "", func() {
 		// Aim at an open softirq window when there is one: the abort of
 		// a pending entry is the narrowest path to the claims.
 		dp := cores[r.Intn(len(cores))]
@@ -119,7 +119,7 @@ func TestClaimsMatchSlotsUnderFaults(t *testing.T) {
 				tc.Sched.SetCoreDown(dp.ID, false)
 			})
 		}
-	})
+	}).Reset(100 * sim.Microsecond)
 	for i := 0; i < 6; i++ {
 		spawnHogs(tc, 1)
 		n := 0

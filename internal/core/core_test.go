@@ -232,11 +232,11 @@ func TestLockRescueKeepsForwardProgress(t *testing.T) {
 	tc.Node.Engine.Schedule(1, pump)
 
 	stuckChecks := 0
-	tc.Node.Engine.NewTicker(sim.Millisecond, func() {
+	tc.Node.Engine.NewTimer(sim.Millisecond, "", func() {
 		if st := tc.Node.Kernel.DetectStuckSpinners(); len(st) > 0 {
 			stuckChecks++
 		}
-	})
+	}).Reset(sim.Millisecond)
 	tc.Run(sim.Time(3 * sim.Second))
 	for _, th := range tasks {
 		if th.State() != kernel.StateDone {

@@ -151,13 +151,10 @@ func (s *Scheduler) DefenseMode() DefenseMode {
 // armReclaimWatchdog starts the timeout clock for an outstanding
 // preemption request (called when the probe IRQ sets preemptReq).
 func (s *Scheduler) armReclaimWatchdog(slot *dpSlot) {
-	if s.defense == nil || slot.wdEv != (sim.Handle{}) {
+	if s.defense == nil || slot.wd.Armed() {
 		return
 	}
-	slot.wdEv = s.engine.ScheduleNamed(reclaimTimeout, "core.watchdog", func() {
-		slot.wdEv = sim.Handle{}
-		s.reclaimWatchdog(slot)
-	})
+	slot.wd.Reset(reclaimTimeout)
 }
 
 // reclaimWatchdog fires when a preemption request outlived its timeout:
@@ -191,10 +188,7 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		for i := 0; i < slot.wdRetries; i++ {
 			timeout = sim.Duration(float64(timeout) * reclaimBackoff)
 		}
-		slot.wdEv = s.engine.ScheduleNamed(timeout, "core.watchdog", func() {
-			slot.wdEv = sim.Handle{}
-			s.reclaimWatchdog(slot)
-		})
+		slot.wd.Reset(timeout)
 		return
 	}
 

@@ -39,7 +39,7 @@ func TestSetCoreDownWithArmedReclaimWatchdog(t *testing.T) {
 	// exit having landed yet).
 	slot.preemptReq = tc.Node.Engine.Now()
 	tc.Sched.armReclaimWatchdog(slot)
-	if slot.wdEv == (sim.Handle{}) {
+	if !slot.wd.Armed() {
 		t.Fatal("watchdog did not arm")
 	}
 
@@ -52,7 +52,7 @@ func TestSetCoreDownWithArmedReclaimWatchdog(t *testing.T) {
 	if !slot.dp.Down() {
 		t.Fatal("core not marked down")
 	}
-	if slot.wdEv != (sim.Handle{}) {
+	if slot.wd.Armed() {
 		t.Fatal("watchdog still armed after the reclaim completed")
 	}
 	if got := tc.Sched.WatchdogTeardowns.Value(); got != 0 {

@@ -112,7 +112,7 @@ func TestNoYieldWithPipelineInFlight(t *testing.T) {
 		tc.Node.Engine.Schedule(sim.Exponential(r, 150*sim.Microsecond), pump)
 	}
 	tc.Node.Engine.Schedule(1, pump)
-	tick := tc.Node.Engine.NewTicker(10*sim.Microsecond, func() {
+	tick := tc.Node.Engine.NewTimer(10*sim.Microsecond, "", func() {
 		for _, dp := range tc.Node.DPCores() {
 			slot := tc.Sched.slotAt(dp.ID)
 			if slot.pendingEnter != nil && tc.Node.Pipe.InFlight(dp.ID) > 0 && slot.preemptReq == 0 {
@@ -122,6 +122,7 @@ func TestNoYieldWithPipelineInFlight(t *testing.T) {
 			}
 		}
 	})
+	tick.Reset(10 * sim.Microsecond)
 	tc.Run(sim.Time(300 * sim.Millisecond))
 	tick.Stop()
 	if violations > 0 {
@@ -137,14 +138,14 @@ func TestDPCoreStateConsistency(t *testing.T) {
 	bg := workload.NewBackground(tc.Node, workload.DefaultBackground(0.3))
 	bg.Start()
 	bad := 0
-	tc.Node.Engine.NewTicker(50*sim.Microsecond, func() {
+	tc.Node.Engine.NewTimer(50*sim.Microsecond, "", func() {
 		for _, dp := range tc.Node.DPCores() {
 			slot := tc.Sched.slotAt(dp.ID)
 			if slot.occupant != nil && dp.State() != dataplane.Yielded {
 				bad++
 			}
 		}
-	})
+	}).Reset(50 * sim.Microsecond)
 	tc.Run(sim.Time(300 * sim.Millisecond))
 	if bad > 0 {
 		t.Fatalf("%d ticks with scheduler/DP state divergence", bad)

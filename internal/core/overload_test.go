@@ -25,7 +25,7 @@ func TestBrownoutDuringArmedReclaimWatchdog(t *testing.T) {
 	// onProbeIRQ path without the exit having landed).
 	slot.preemptReq = tc.Node.Engine.Now()
 	tc.Sched.armReclaimWatchdog(slot)
-	if slot.wdEv == (sim.Handle{}) {
+	if !slot.wd.Armed() {
 		t.Fatal("watchdog did not arm")
 	}
 

@@ -81,9 +81,9 @@ type dpSlot struct {
 	preemptReq sim.Time
 	// pendingEnter is the vCPU a raised softirq will enter.
 	pendingEnter *vcpu.VCPU
-	// wdEv / wdRetries drive the reclaim watchdog (defense.go); unused —
+	// wd / wdRetries drive the reclaim watchdog (defense.go); unused —
 	// and event-free — unless EnableDefense armed the machinery.
-	wdEv      sim.Handle
+	wd        *sim.Timer
 	wdRetries int
 }
 
@@ -227,6 +227,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 	for _, dp := range node.DPCores() {
 		dp := dp
 		slot := &dpSlot{dp: dp, slice: cfg.InitialSlice}
+		slot.wd = s.engine.NewTimer(0, "core.watchdog", func() { s.reclaimWatchdog(slot) })
 		s.slots = append(s.slots, slot)
 		for len(s.slotByCore) <= dp.ID {
 			s.slotByCore = append(s.slotByCore, nil)
@@ -254,7 +255,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 	// Background reconciliation keeps placement live even without event
 	// triggers (e.g. a vCPU parked while all DP cores were busy).
 	if cfg.ReconcilePeriod > 0 {
-		s.engine.NewTicker(cfg.ReconcilePeriod, s.reconcile)
+		s.engine.NewTimer(cfg.ReconcilePeriod, "", s.reconcile).Reset(cfg.ReconcilePeriod)
 	}
 
 	node.Net.Start()
@@ -645,10 +646,7 @@ func (s *Scheduler) resumeDP(slot *dpSlot) {
 	if s.node.Probe != nil {
 		s.node.Probe.SetState(slot.dp.ID, accel.PState)
 	}
-	if slot.wdEv != (sim.Handle{}) {
-		slot.wdEv.Cancel()
-		slot.wdEv = sim.Handle{}
-	}
+	slot.wd.Stop()
 	clean := slot.wdRetries == 0
 	if !clean {
 		// The reclaim only completed because the watchdog escalated.

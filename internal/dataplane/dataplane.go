@@ -122,9 +122,8 @@ type Core struct {
 	// burst per core is in flight at a time, so both are reused.
 	batch        []accel.Packet
 	cost         sim.Duration
-	finishFn     func() // c.finish, bound once so a burst allocates nothing
-	idleEv       sim.Handle
-	idleFire     func() // c.idleExpired, bound once so armIdle allocates nothing
+	finishFn     func()     // c.finish, bound once so a burst allocates nothing
+	idle         *sim.Timer // the empty-poll countdown; fires c.idleExpired
 	pollutedWork sim.Duration
 	// conns is the optional per-core connection table (EnableConnTrack).
 	conns *connTable
@@ -167,7 +166,7 @@ func (c *Core) Deliver(p *accel.Packet) {
 		c.MaxQueueLen = c.queue.Len()
 	}
 	if c.state == Polling && !c.down {
-		c.cancelIdle()
+		c.idle.Stop()
 		c.processNext()
 	}
 }
@@ -236,30 +235,22 @@ func (c *Core) finish() {
 // armIdle starts the consecutive-empty-poll countdown; when it expires
 // the core reports idle CPU cycles upward.
 func (c *Core) armIdle() {
-	if c.OnIdle == nil || c.YieldThreshold == nil || c.idleEv != (sim.Handle{}) || c.down {
+	if c.OnIdle == nil || c.YieldThreshold == nil || c.idle.Armed() || c.down {
 		return
 	}
 	n := c.YieldThreshold()
 	if n <= 0 {
 		n = 1
 	}
-	c.idleEv = c.engine.ScheduleNamed(sim.Duration(n)*c.cfg.EmptyPollCost, "dp.idle-poll", c.idleFire)
+	c.idle.Reset(sim.Duration(n) * c.cfg.EmptyPollCost)
 }
 
 // idleExpired ends the empty-poll countdown: a core still polling an
 // empty queue reports itself idle.
 func (c *Core) idleExpired() {
-	c.idleEv = sim.Handle{}
 	if c.state == Polling && c.queue.Len() == 0 {
 		c.tracer.Emit(c.engine.Now(), trace.KindYield, c.ID, 0, "idle-detected")
 		c.OnIdle(c)
-	}
-}
-
-func (c *Core) cancelIdle() {
-	if c.idleEv != (sim.Handle{}) {
-		c.idleEv.Cancel()
-		c.idleEv = sim.Handle{}
 	}
 }
 
@@ -268,7 +259,7 @@ func (c *Core) Yield() {
 	if c.state != Polling {
 		panic(fmt.Sprintf("dataplane: yielding core %d in state %v", c.ID, c.state))
 	}
-	c.cancelIdle()
+	c.idle.Stop()
 	c.state = Yielded
 	c.Yields++
 }
@@ -309,7 +300,7 @@ func (c *Core) SetDown(down bool) {
 	}
 	c.down = down
 	if down {
-		c.cancelIdle()
+		c.idle.Stop()
 		return
 	}
 	if c.state == Polling {
@@ -351,7 +342,7 @@ func NewService(engine *sim.Engine, name string, coreIDs []int, cfg Config, trac
 			state:   Polling,
 			Gauge:   metrics.NewBusyGauge(fmt.Sprintf("%s.core%d", name, id), engine.Now()),
 		}
-		c.idleFire = c.idleExpired
+		c.idle = engine.NewTimer(0, "dp.idle-poll", c.idleExpired)
 		c.finishFn = c.finish
 		s.cores = append(s.cores, c)
 	}

@@ -44,10 +44,11 @@ func TestChaosShape(t *testing.T) {
 	}
 }
 
-// TestChaosSmokeRequestOutcomes is the PR's acceptance gate (the
-// `make chaos-smoke` target): at every fault level, 100% of issued VM
-// creations must reach a terminal state, and the rendered outcome table
-// must be byte-identical across three seeds × 1 and 8 workers.
+// TestChaosSmokeRequestOutcomes is the request-lifecycle acceptance
+// gate, run under the race detector by `make check`: at every fault
+// level, 100% of issued VM creations must reach a terminal state, and
+// the rendered outcome table must be byte-identical across three seeds
+// × 1 and 8 workers.
 func TestChaosSmokeRequestOutcomes(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []int64{950, 951, 7007} {

@@ -115,7 +115,7 @@ func Fig03UtilizationCDF(scale Scale) *Result {
 				}
 			}
 			redraw()
-			node.Engine.NewTicker(epoch, redraw)
+			node.Engine.NewTimer(epoch, "", redraw).Reset(epoch)
 			var pump func()
 			pump = func() {
 				gap := sim.Duration(float64(work) / target)
@@ -130,13 +130,13 @@ func Fig03UtilizationCDF(scale Scale) *Result {
 		// Sample per-window utilization of every core, in parts-per-million
 		// so the duration-keyed histogram can hold fractions.
 		hist := metrics.NewHistogram("dp_util_ppm")
-		node.Engine.NewTicker(window, func() {
+		node.Engine.NewTimer(window, "", func() {
 			for _, c := range cores {
 				u := c.Utilization()
 				hist.Record(sim.Duration(u * 1e6))
 				c.Gauge.ResetWindow(node.Now())
 			}
-		})
+		}).Reset(window)
 		node.Run(sim.Time(perNode))
 		agg.Merge("dp_util_ppm", hist)
 	})

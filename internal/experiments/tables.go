@@ -236,11 +236,11 @@ func AblationLockRescue(scale Scale) *Result {
 		wcfg.Phase = phase
 		stream := workload.NewStream(tc.Node, wcfg)
 		stream.Start()
-		tc.Node.Engine.NewTicker(sim.Millisecond, func() {
+		tc.Node.Engine.NewTimer(sim.Millisecond, "", func() {
 			if len(tc.Node.Kernel.DetectStuckSpinners()) > 0 {
 				stuckTicks++
 			}
-		})
+		}).Reset(sim.Millisecond)
 		tc.Run(sim.Time(scale.dur(4 * sim.Second)))
 		for _, t := range tasks {
 			if t.State() == kernel.StateDone {
@@ -285,7 +285,7 @@ func AblationPostedInterrupts(scale Scale) *Result {
 		// unified IPI orchestrator must inject into a live guest — via
 		// posted interrupts, or via a forced VM-exit without them.
 		tc.Node.Kernel.RegisterIPIHandler(kernel.VecUser+2, func(kernel.CPUID, int64) {})
-		tick := tc.Node.Engine.NewTicker(100*sim.Microsecond, func() {
+		tick := tc.Node.Engine.NewTimer(100*sim.Microsecond, "", func() {
 			for _, v := range tc.Sched.VCPUs() {
 				if v.State().String() == "running" {
 					tc.Node.Kernel.SendIPI(8, v.ID(), kernel.VecUser+2, 0)
@@ -293,6 +293,7 @@ func AblationPostedInterrupts(scale Scale) *Result {
 				}
 			}
 		})
+		tick.Reset(100 * sim.Microsecond)
 		tc.Run(tc.Node.Now().Add(sim.Duration(scale.dur(2 * sim.Second))))
 		tick.Stop()
 		for _, v := range tc.Sched.VCPUs() {

@@ -29,21 +29,20 @@ type CPU struct {
 	// back-to-back wakeups spread across distinct idle CPUs.
 	kicked bool
 
-	// In-flight timed work (context switch overhead or a thread segment).
-	runEv    sim.Handle
+	// run times the in-flight work (context switch overhead or a thread
+	// segment); runDone ends it.
+	run      *sim.Timer
 	runStart sim.Time
 	runDone  func()
-	runFire  func() // c.finishRun, bound once so startRun allocates nothing
-	// segFire, switchFire and tickFire are c.segmentFinished,
-	// c.switchFinished and c.tick, bound once for the same reason.
+	// segFire and switchFire are c.segmentFinished and c.switchFinished,
+	// bound once so startRun allocates nothing.
 	segFire    func()
 	switchFire func()
-	tickFire   func()
 	inSwitch   bool // current run is context-switch overhead
 	spinStart  sim.Time
-	// tickEv is the pending scheduler tick while the CPU runs a thread,
-	// zero when disarmed.
-	tickEv sim.Handle
+	// tick is the periodic scheduler tick, armed while the CPU runs a
+	// thread.
+	tick *sim.Timer
 
 	// pendingIPIs queues interrupts that arrived while powered off; they
 	// are delivered on power-on (mirrors posted-interrupt semantics).
@@ -93,18 +92,17 @@ func (c *CPU) InNonPreemptibleSection() bool {
 // startRun begins a timed busy interval; remaining time is tracked by the
 // caller via accrueRun on suspension.
 func (c *CPU) startRun(d sim.Duration, done func()) {
-	if c.runEv != (sim.Handle{}) {
+	if c.run.Armed() {
 		panic(fmt.Sprintf("kernel: cpu%d starting run with run in flight", c.ID))
 	}
 	c.runStart = c.kern.engine.Now()
 	c.runDone = done
-	c.runEv = c.kern.engine.ScheduleNamed(d, "kernel.run", c.runFire)
+	c.run.Reset(d)
 	c.Gauge.SetBusy(c.kern.engine.Now(), true)
 }
 
 // finishRun completes the in-flight timed run.
 func (c *CPU) finishRun() {
-	c.runEv = sim.Handle{}
 	fn := c.runDone
 	c.runDone = nil
 	fn()
@@ -120,26 +118,15 @@ func (c *CPU) switchFinished() {
 	c.kern.startSegment(c)
 }
 
-// tick is the CPU's periodic scheduler tick. It re-arms after the tick
-// body, unless the body disarmed it (and perhaps armed a fresh one).
-func (c *CPU) tick() {
-	h := c.tickEv
-	c.kern.tick(c)
-	if c.tickEv == h {
-		c.tickEv = c.kern.engine.Schedule(tickPeriod, c.tickFire)
-	}
-}
-
 // suspendRun cancels the in-flight run and returns the elapsed busy time.
 // Returns elapsed = 0, ok = false when no run was in flight.
 func (c *CPU) suspendRun() (elapsed sim.Duration, ok bool) {
-	if c.runEv == (sim.Handle{}) {
+	if !c.run.Armed() {
 		return 0, false
 	}
 	now := c.kern.engine.Now()
 	elapsed = now.Sub(c.runStart)
-	c.runEv.Cancel()
-	c.runEv = sim.Handle{}
+	c.run.Stop()
 	c.runDone = nil
 	return elapsed, true
 }
@@ -226,7 +213,7 @@ func (c *CPU) PowerOff() {
 			t.frozenRemaining = -1
 		}
 	}
-	c.disarmTick()
+	c.tick.Stop()
 	c.powered = false
 	c.Gauge.SetBusy(now, false)
 }
@@ -266,16 +253,11 @@ func (c *CPU) accrueSpin(now sim.Time) {
 
 // --- scheduler tick ------------------------------------------------------
 
+// armTick starts the tick unless it is already running; inside the tick
+// body it is, so the tick keeps its period.
 func (c *CPU) armTick() {
-	if c.tickEv == (sim.Handle{}) {
-		c.tickEv = c.kern.engine.Schedule(tickPeriod, c.tickFire)
-	}
-}
-
-func (c *CPU) disarmTick() {
-	if c.tickEv != (sim.Handle{}) {
-		c.tickEv.Cancel()
-		c.tickEv = sim.Handle{}
+	if !c.tick.Armed() {
+		c.tick.Reset(tickPeriod)
 	}
 }
 

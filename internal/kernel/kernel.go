@@ -171,10 +171,10 @@ func (k *Kernel) AddCPU(id CPUID, virtual bool) *CPU {
 		powered: !virtual,
 		Gauge:   metrics.NewBusyGauge(fmt.Sprintf("cpu%d", id), k.engine.Now()),
 	}
-	c.runFire = c.finishRun
+	c.run = k.engine.NewTimer(0, "kernel.run", c.finishRun)
+	c.tick = k.engine.NewTimer(tickPeriod, "kernel.tick", func() { k.tick(c) })
 	c.segFire = c.segmentFinished
 	c.switchFire = c.switchFinished
-	c.tickFire = c.tick
 	k.cpus = append(k.cpus, c)
 	for len(k.cpuByID) <= int(id) {
 		k.cpuByID = append(k.cpuByID, nil)
@@ -558,7 +558,7 @@ func (k *Kernel) exitThread(c *CPU) {
 	t.FinishedAt = k.engine.Now()
 	t.cpu = nil
 	c.cur = nil
-	c.disarmTick()
+	c.tick.Stop()
 	if t.OnExit != nil {
 		t.OnExit(t)
 	}
@@ -611,7 +611,7 @@ func (k *Kernel) accrue(t *Thread, d sim.Duration) {
 // otherwise (the mechanism whose latency Figure 4 dissects).
 func (k *Kernel) tick(c *CPU) {
 	if !c.powered || c.cur == nil {
-		c.disarmTick()
+		c.tick.Stop()
 		return
 	}
 	t := c.cur
@@ -619,7 +619,7 @@ func (k *Kernel) tick(c *CPU) {
 	// Account in-flight run time so quantum checks see fresh numbers.
 	if t.spinningOn != nil {
 		c.accrueSpin(now)
-	} else if c.runEv != (sim.Handle{}) && !c.inSwitch {
+	} else if c.run.Armed() && !c.inSwitch {
 		elapsed := now.Sub(c.runStart)
 		if elapsed > 0 {
 			k.accrue(t, elapsed)
@@ -846,8 +846,8 @@ func (k *Kernel) DetectStuckSpinners() []StuckSpinner {
 // much larger than IPILatency so in-flight kicks are never mistaken for
 // lost ones (acting on one early is harmless, merely delivering the
 // reschedule before the IPI would have).
-func (k *Kernel) StartSchedWatchdog(period sim.Duration) *sim.Ticker {
-	return k.engine.NewTicker(period, func() {
+func (k *Kernel) StartSchedWatchdog(period sim.Duration) *sim.Timer {
+	t := k.engine.NewTimer(period, "kernel.watchdog", func() {
 		for _, c := range k.cpus {
 			if c.kicked && c.Idle() && k.HasRunnableFor(c.ID) {
 				c.kicked = false
@@ -856,4 +856,6 @@ func (k *Kernel) StartSchedWatchdog(period sim.Duration) *sim.Ticker {
 			}
 		}
 	})
+	t.Reset(period)
+	return t
 }

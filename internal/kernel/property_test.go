@@ -130,7 +130,7 @@ func TestPropertySingleOccupancy(t *testing.T) {
 			k.Spawn("t", &SliceProgram{Segments: segs})
 		}
 		ok := true
-		tick := e.NewTicker(100*sim.Microsecond, func() {
+		tick := e.NewTimer(100*sim.Microsecond, "", func() {
 			seen := map[*Thread]int{}
 			for _, c := range k.CPUs() {
 				if th := c.Current(); th != nil {
@@ -141,6 +141,7 @@ func TestPropertySingleOccupancy(t *testing.T) {
 				}
 			}
 		})
+		tick.Reset(100 * sim.Microsecond)
 		e.Run(sim.Time(100 * sim.Millisecond))
 		tick.Stop()
 		return ok

@@ -399,43 +399,65 @@ func (l *Lane) Joinable(h Handle) bool {
 	return t.ev == h.ev && t.seq+1 == e.seq && t.when == e.now.Add(l.delay)
 }
 
-// Ticker invokes fn every period until cancelled. fn observes the engine
-// clock already advanced to the tick instant.
-type Ticker struct {
-	engine *Engine
+// Timer is an event that is armed and re-armed: its callback and label
+// are bound once, at construction, so arming it allocates nothing.
+// Reset(d) cancels the pending firing, if any, and schedules one d from
+// now: Handle.Cancel then ScheduleNamed, so it takes the next sequence
+// number just as Schedule does. A one-shot timer (period 0) is disarmed
+// before its callback runs. A periodic timer stays armed through its
+// callback and re-arms one period after the callback returns, unless the
+// callback stopped or reset it.
+type Timer struct {
+	e      *Engine
 	period Duration
+	name   string
 	fn     func()
-	tick   func() // t.fire, bound once so re-arming allocates nothing
-	h      Handle
-	done   bool
+	fire   func() // t.run, bound once
+	h      Handle // the pending firing; zero when disarmed
 }
 
-// NewTicker starts a periodic callback with the first firing one period
-// from now.
-func (e *Engine) NewTicker(period Duration, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
+// NewTimer returns a disarmed timer that runs fn, labelled name. A
+// positive period makes it periodic; 0 makes it one-shot.
+func (e *Engine) NewTimer(period Duration, name string, fn func()) *Timer {
+	if period < 0 {
+		panic(fmt.Sprintf("sim: timer period %v is negative", period))
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.tick = t.fire
-	t.arm()
+	if fn == nil {
+		panic("sim: nil timer callback")
+	}
+	t := &Timer{e: e, period: period, name: name, fn: fn}
+	t.fire = t.run
 	return t
 }
 
-func (t *Ticker) arm() { t.h = t.engine.Schedule(t.period, t.tick) }
-
-func (t *Ticker) fire() {
-	if t.done {
-		return
-	}
-	t.fn()
-	if !t.done {
-		t.arm()
-	}
+// Reset cancels any pending firing and arms the timer d from now.
+func (t *Timer) Reset(d Duration) {
+	t.h.Cancel()
+	t.h = t.e.ScheduleNamed(d, t.name, t.fire)
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.done = true
+// Stop disarms the timer. Stopping a disarmed timer is a no-op.
+func (t *Timer) Stop() {
 	t.h.Cancel()
+	t.h = Handle{}
+}
+
+// Armed reports whether a firing is pending, or a periodic timer's
+// callback is running without having stopped it.
+func (t *Timer) Armed() bool { return t.h != Handle{} }
+
+// run is the timer's event. During a periodic callback t.h still holds
+// the firing's handle, now stale, so Stop and Reset inside the callback
+// act on nothing but t.h, and the re-arm sees that they ran.
+func (t *Timer) run() {
+	if t.period == 0 {
+		t.h = Handle{}
+		t.fn()
+		return
+	}
+	h := t.h
+	t.fn()
+	if t.h == h {
+		t.h = t.e.ScheduleNamed(t.period, t.name, t.fire)
+	}
 }

@@ -18,6 +18,7 @@ type fuzzEngine interface {
 	newLane(d Duration, name string)
 	nLanes() int
 	laneSchedule(i int, fn func()) cancelable
+	newTimer(period Duration, fn func()) fuzzTimer
 	Stop()
 	Step() bool
 	Run(until Time) uint64
@@ -25,6 +26,14 @@ type fuzzEngine interface {
 	Now() Time
 	Fired() uint64
 	Pending() int
+}
+
+// fuzzTimer is what both engines' timers offer: *Timer for Engine,
+// *refTimer for the reference model.
+type fuzzTimer interface {
+	Reset(d Duration)
+	Stop()
+	Armed() bool
 }
 
 type engineUnderTest struct {
@@ -60,6 +69,9 @@ func (e *engineUnderTest) nLanes() int { return len(e.lanes) }
 func (e *engineUnderTest) laneSchedule(i int, fn func()) cancelable {
 	return e.lanes[i].Schedule(fn)
 }
+func (e *engineUnderTest) newTimer(period Duration, fn func()) fuzzTimer {
+	return e.NewTimer(period, timerName, fn)
+}
 
 // referenceEngine models lane i as its delay and name alone: a lane send
 // is ScheduleNamed(delay, name) on the one heap.
@@ -88,6 +100,46 @@ func (e *referenceEngine) nLanes() int { return len(e.delays) }
 func (e *referenceEngine) laneSchedule(i int, fn func()) cancelable {
 	return e.ScheduleNamed(e.delays[i], e.names[i], fn)
 }
+func (e *referenceEngine) newTimer(period Duration, fn func()) fuzzTimer {
+	return &refTimer{e: e.refEngine, period: period, fn: fn}
+}
+
+// refTimer models Timer on the reference engine: Reset is Cancel plus
+// ScheduleNamed, and a periodic firing re-arms after its callback unless
+// the callback stopped or reset the timer.
+type refTimer struct {
+	e      *refEngine
+	period Duration
+	fn     func()
+	ev     *refEvent // the pending firing, nil when disarmed
+}
+
+func (t *refTimer) Reset(d Duration) {
+	if t.ev != nil {
+		t.ev.Cancel()
+	}
+	t.ev = t.e.ScheduleNamed(d, timerName, t.fire)
+}
+
+func (t *refTimer) Stop() {
+	if t.ev != nil {
+		t.ev.Cancel()
+		t.ev = nil
+	}
+}
+
+func (t *refTimer) Armed() bool { return t.ev != nil }
+
+func (t *refTimer) fire() {
+	ev := t.ev
+	if t.period == 0 {
+		t.ev = nil
+	}
+	t.fn()
+	if t.period > 0 && t.ev == ev {
+		t.ev = t.e.ScheduleNamed(t.period, timerName, t.fire)
+	}
+}
 
 // heapName labels the ScheduleNamed heap kind. laneNames are the names a
 // script may give a lane; the second is heapName, so lane and heap events
@@ -103,10 +155,23 @@ const laneTarget = 3
 // maxLanes bounds the lanes a script may ask for.
 const maxLanes = 3
 
-// firing is one dispatched event: its script id and the clock it saw.
+// Timer ops take codes timerOps and up, so the heap and lane ops keep
+// theirs. A script may make maxTimers timers, at most one periodic. A
+// timer that has fired timerBudget times stops itself at each further
+// firing, so RunUntilIdle ends however the timers re-arm.
+const (
+	timerOps    = 200
+	maxTimers   = 3
+	timerBudget = 16
+	timerName   = "fuzz.timer"
+)
+
+// firing is one dispatched event: its script id (-1-i for timer i), the
+// clock it saw and, for a timer, whether it was armed in its callback.
 type firing struct {
-	id int
-	at Time
+	id    int
+	at    Time
+	armed bool
 }
 
 // scriptRun is one engine executing a fuzz script. Event ids are issued
@@ -125,6 +190,11 @@ type scriptRun struct {
 	// test only); they run, in join order, at the end of its callback.
 	riders map[int][]func()
 	book   *joinBook
+	// timers are the script's timers in creation order; fires counts
+	// each one's firings.
+	timers   []fuzzTimer
+	fires    []int
+	periodic bool // a periodic timer exists
 }
 
 // joinBook records the joins the engine under test has made. Both runs
@@ -183,7 +253,7 @@ func (r *scriptRun) callback(target, behave byte) (int, func()) {
 	return id, func() {
 		r.fired[id] = true
 		r.lastFired = id
-		r.log = append(r.log, firing{id, r.eng.Now()})
+		r.log = append(r.log, firing{id: id, at: r.eng.Now()})
 		switch behave % 4 {
 		case 1:
 			r.eng.Stop()
@@ -196,6 +266,71 @@ func (r *scriptRun) callback(target, behave byte) (int, func()) {
 			r.book.queued--
 			r.book.ran++
 			ride()
+		}
+	}
+}
+
+// newTimer makes the next timer. Its callback logs the firing and then
+// acts on act%8 with d = act/8%8: 1 resets it to d, 2 stops it, 3 stops
+// and then resets it to d, 4 resets it to d+1 unless it is armed (the
+// kernel tick's arm-unless-running), 5 stops the engine, 6 schedules a
+// plain child d from now, which the re-arm of a periodic timer must
+// follow in sequence.
+func (r *scriptRun) newTimer(period Duration, act byte) {
+	i := len(r.timers)
+	r.fires = append(r.fires, 0)
+	r.timers = append(r.timers, r.eng.newTimer(period, func() {
+		t := r.timers[i]
+		r.fires[i]++
+		r.log = append(r.log, firing{id: -1 - i, at: r.eng.Now(), armed: t.Armed()})
+		if r.fires[i] > timerBudget {
+			t.Stop()
+			return
+		}
+		d := Duration(act / 8 % 8)
+		switch act % 8 {
+		case 1:
+			t.Reset(d)
+		case 2:
+			t.Stop()
+		case 3:
+			t.Stop()
+			t.Reset(d)
+		case 4:
+			if !t.Armed() {
+				t.Reset(d + 1)
+			}
+		case 5:
+			r.eng.Stop()
+		case 6:
+			r.add(0, d, 0)
+		}
+	}))
+}
+
+// timerOp applies timer op code-timerOps: 0 makes a timer, periodic with
+// period 1+a/2%16 when a is odd and none is yet, whose callback acts on
+// b; 1 resets timer b to a%32; 2 stops timer b.
+func (r *scriptRun) timerOp(code, a, b byte) {
+	n := len(r.timers)
+	switch (code - timerOps) % 3 {
+	case 0:
+		if n == maxTimers {
+			return
+		}
+		var period Duration
+		if a&1 == 1 && !r.periodic {
+			r.periodic = true
+			period = Duration(1 + a/2%16)
+		}
+		r.newTimer(period, b)
+	case 1:
+		if n > 0 {
+			r.timers[int(b)%n].Reset(Duration(a % 32))
+		}
+	case 2:
+		if n > 0 {
+			r.timers[int(b)%n].Stop()
 		}
 	}
 }
@@ -233,6 +368,10 @@ func (r *scriptRun) childTarget(parent, k byte) byte {
 // op applies script op (code, a, b) and returns what the engine call
 // returned, for comparison.
 func (r *scriptRun) op(code, a, b byte) uint64 {
+	if code >= timerOps {
+		r.timerOp(code, a, b)
+		return 0
+	}
 	switch code % 10 {
 	case 0, 1, 2: // Schedule, ScheduleNamed, At
 		r.add(code%10, Duration(a%32), b)
@@ -274,6 +413,10 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // cancels of live and stale handles, Stop from inside callbacks,
 // Run(until) to a future or past horizon, Step and RunUntilIdle. Lanes asked for twice with one delay
 // and name must be one lane, and lane and heap events may share a name.
+// Timers are reset and stopped from outside callbacks and from inside
+// their own; the reference models Reset as Cancel plus ScheduleNamed and
+// a periodic firing as a re-arm after the callback, unless the callback
+// stopped or reset the timer.
 //
 // A lane send with a >= 128 asks to join the newest event the script has
 // scheduled on that lane number. When Lane.Joinable allows it, the engine
@@ -286,9 +429,9 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // cannot model.
 //
 // After every op the firing sequence, Now, Fired and Pending (both
-// counting joined callbacks as events), the profile (dispatch classes and
-// high-water mark; compared until the first join) and the op's return
-// value must agree, and no op may move Now back. The seed corpus is
+// counting joined callbacks as events), each timer's Armed, the profile
+// (dispatch classes and high-water mark; compared until the first join)
+// and the op's return value must agree, and no op may move Now back. The seed corpus is
 // testdata/fuzz/FuzzEngine.
 func FuzzEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -331,6 +474,11 @@ func FuzzEngine(f *testing.F) {
 			if got.eng.Now() != want.eng.Now() || gf != want.eng.Fired() || gp != want.eng.Pending() {
 				t.Fatalf("op %d: now/fired/pending %v/%d/%d, reference %v/%d/%d", step,
 					got.eng.Now(), gf, gp, want.eng.Now(), want.eng.Fired(), want.eng.Pending())
+			}
+			for k, tm := range got.timers {
+				if g, w := tm.Armed(), want.timers[k].Armed(); g != w {
+					t.Fatalf("op %d: timer %d armed %v, reference %v", step, k, g, w)
+				}
 			}
 			if under.laneErr != "" {
 				t.Fatalf("op %d: %s", step, under.laneErr)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -181,23 +182,62 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
+// A periodic timer fires every period, first one period after Reset,
+// and stays armed through its callback until the callback stops it.
+func TestPeriodicTimer(t *testing.T) {
 	e := NewEngine()
-	ticks := 0
-	var tk *Ticker
-	tk = e.NewTicker(10, func() {
-		ticks++
-		if ticks == 5 {
-			tk.Stop()
+	var at []Time
+	var tm *Timer
+	tm = e.NewTimer(10, "tick", func() {
+		if !tm.Armed() {
+			t.Errorf("periodic timer disarmed inside its callback at %v", e.Now())
+		}
+		at = append(at, e.Now())
+		if len(at) == 5 {
+			tm.Stop()
 		}
 	})
+	tm.Reset(10)
 	e.Run(1000)
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
+	if want := []Time{10, 20, 30, 40, 50}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	if tm.Armed() {
+		t.Fatal("stopped timer still armed")
 	}
 	if s, _ := e.next(); s != nil {
-		t.Fatalf("ticker left live events queued")
+		t.Fatalf("timer left live events queued")
 	}
+}
+
+// A one-shot timer is disarmed inside its callback, Reset moves a pending
+// firing, and a Reset inside the callback re-arms it.
+func TestOneShotTimer(t *testing.T) {
+	e := NewEngine()
+	var at []Time
+	var tm *Timer
+	tm = e.NewTimer(0, "once", func() {
+		if tm.Armed() {
+			t.Errorf("one-shot timer armed inside its callback at %v", e.Now())
+		}
+		at = append(at, e.Now())
+		if len(at) == 1 {
+			tm.Reset(7)
+		}
+	})
+	tm.Reset(5)
+	tm.Reset(3) // moves the pending firing from 5 to 3
+	if !tm.Armed() {
+		t.Fatal("reset timer not armed")
+	}
+	e.Run(100)
+	if want := []Time{3, 10}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	if tm.Armed() {
+		t.Fatal("fired one-shot timer still armed")
+	}
+	tm.Stop() // stopping a disarmed timer is a no-op
 }
 
 func TestEventLimitPanics(t *testing.T) {
@@ -284,7 +324,7 @@ type counter struct{ n int }
 func (c *counter) inc() { c.n++ }
 
 // Once the heap and free list have grown, scheduling and dispatching a
-// method-value callback allocates nothing, and neither does a ticker.
+// method-value callback allocates nothing, and neither does a timer.
 func TestScheduleDispatchAllocFree(t *testing.T) {
 	e := NewEngine()
 	var c counter
@@ -297,12 +337,26 @@ func TestScheduleDispatchAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("schedule+dispatch allocates %v per event, want 0", allocs)
 	}
-	tk := e.NewTicker(1, c.inc)
+	once := e.NewTimer(0, "once", c.inc)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		once.Reset(1)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("one-shot timer allocates %v per reset and firing, want 0", allocs)
+	}
+	tick := e.NewTimer(1, "tick", c.inc)
+	tick.Reset(1)
 	e.Step()
 	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
-		t.Fatalf("ticker allocates %v per tick, want 0", allocs)
+		t.Fatalf("periodic timer allocates %v per tick, want 0", allocs)
 	}
-	tk.Stop()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tick.Reset(2)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("periodic timer allocates %v per reset and firing, want 0", allocs)
+	}
+	tick.Stop()
 }
 
 // A cancelled event is recycled once it is discarded, so a cycle that

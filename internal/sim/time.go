@@ -26,7 +26,9 @@
 // engine allocates nothing per event in steady state: a fired or
 // discarded event is recycled for the next Schedule, and callers hold a
 // Handle whose generation check makes Cancel on a fired (and possibly
-// reused) event a no-op.
+// reused) event a no-op. Every re-armed event (a time slice, a
+// countdown, a deadline, a periodic tick) is a Timer, which keeps its
+// Handle and bound callback itself; Reset is Cancel plus ScheduleNamed.
 package sim
 
 import "fmt"

@@ -131,9 +131,8 @@ type VCPU struct {
 	tracer *trace.Tracer
 
 	state      State
-	core       int // physical core backing the vCPU, -1 when none
-	sliceTimer sim.Handle
-	sliceFire  func() // v.sliceExpired, bound once so Enter's timer allocates nothing
+	core       int        // physical core backing the vCPU, -1 when none
+	slice      *sim.Timer // the preemption timer; fires v.sliceExpired
 	exitCb     func(v *VCPU, reason ExitReason)
 	exitEv     sim.Handle // in-flight VM-exit completion
 	exitReason ExitReason // reason of the in-flight exit
@@ -187,7 +186,7 @@ func New(k *kernel.Kernel, cpu *kernel.CPU, costs Costs, tracer *trace.Tracer) *
 	}
 	v.entryLane = v.engine.Lane(costs.Entry, "vcpu.entry")
 	v.exitLane = v.engine.Lane(costs.Exit, "vcpu.exit")
-	v.sliceFire = v.sliceExpired
+	v.slice = v.engine.NewTimer(0, "vcpu.slice", v.sliceExpired)
 	v.exitFire = v.exitDone
 	v.entryFire = v.entryDone
 	// Guest idle → HLT → exit and free the core.
@@ -245,14 +244,13 @@ func (v *VCPU) entryDone() {
 	}
 	v.state = StateRunning
 	if slice > 0 {
-		v.sliceTimer = v.engine.ScheduleNamed(slice, "vcpu.slice", v.sliceFire)
+		v.slice.Reset(slice)
 	}
 	v.cpu.PowerOn()
 }
 
 // sliceExpired is the preemption timer: a vCPU still running exits.
 func (v *VCPU) sliceExpired() {
-	v.sliceTimer = sim.Handle{}
 	if v.state == StateRunning {
 		v.beginExit(ExitTimer)
 	}
@@ -287,10 +285,7 @@ func (v *VCPU) beginExit(reason ExitReason) {
 		return
 	}
 	v.state = StateExiting
-	if v.sliceTimer != (sim.Handle{}) {
-		v.sliceTimer.Cancel()
-		v.sliceTimer = sim.Handle{}
-	}
+	v.slice.Stop()
 	v.cpu.PowerOff()
 	v.Exits++
 	v.ExitsByWhy[reason]++

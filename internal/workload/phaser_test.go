@@ -52,12 +52,12 @@ func TestPhaserDutyCycleRoughlyCorrect(t *testing.T) {
 	p := NewPhaser(e, r, 700*sim.Microsecond, 300*sim.Microsecond)
 	onTime := 0
 	total := 0
-	e.NewTicker(10*sim.Microsecond, func() {
+	e.NewTimer(10*sim.Microsecond, "", func() {
 		total++
 		if p.On() {
 			onTime++
 		}
-	})
+	}).Reset(10 * sim.Microsecond)
 	e.Run(sim.Time(200 * sim.Millisecond))
 	duty := float64(onTime) / float64(total)
 	if duty < 0.6 || duty > 0.8 {
