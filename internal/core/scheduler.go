@@ -255,7 +255,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 	// Background reconciliation keeps placement live even without event
 	// triggers (e.g. a vCPU parked while all DP cores were busy).
 	if cfg.ReconcilePeriod > 0 {
-		s.engine.NewTimer(cfg.ReconcilePeriod, "", s.reconcile).Reset(cfg.ReconcilePeriod)
+		s.engine.NewTimer(cfg.ReconcilePeriod, "core.reconcile", s.reconcile).Reset(cfg.ReconcilePeriod)
 	}
 
 	node.Net.Start()

@@ -8,10 +8,12 @@ import "fmt"
 // cancelled, once it reaches the front of the queue. gen counts its lives
 // in steps of two; its low bit marks the current life cancelled. A Handle
 // carries the even gen of the life it was issued for and acts only on it.
+// timer is set while the event is a Timer's heap slot (see Timer).
 type event struct {
-	fn   func()
-	name string // optional label for debugging/tracing
-	gen  uint64
+	fn    func()
+	name  string // optional label for debugging/tracing
+	gen   uint64
+	timer *Timer
 }
 
 func (ev *event) canceled() bool { return ev.gen&1 != 0 }
@@ -87,8 +89,9 @@ func (e *Engine) Now() Time { return e.now }
 // instrumentation and runaway detection in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently queued, on the heap and
-// in lanes (including cancelled events that have not yet been discarded).
+// Pending returns the number of slots currently queued, on the heap and
+// in lanes: cancelled events that have not yet been discarded count, and
+// each timer counts its one slot, armed or not, until it surfaces.
 func (e *Engine) Pending() int {
 	n := len(e.queue)
 	for _, l := range e.lanes {
@@ -146,7 +149,7 @@ func (e *Engine) newEvent(name string, fn func()) *event {
 // recycle ends ev's current life, staling every handle to it, and puts it
 // on the free list.
 func (e *Engine) recycle(ev *event) {
-	ev.fn, ev.name = nil, ""
+	ev.fn, ev.name, ev.timer = nil, "", nil
 	ev.gen = (ev.gen | 1) + 1
 	e.free = append(e.free, ev)
 }
@@ -175,37 +178,46 @@ func (e *Engine) pop() *event {
 	n := len(q) - 1
 	last := q[n]
 	q[n] = slot{}
-	q = q[:n]
+	e.queue = q[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			for j, end := c+1, min(c+4, n); j < end; j++ {
-				if q[j].before(&q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(&last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		q[i] = last
+		e.down(0, last)
 	}
-	e.queue = q
 	return top
+}
+
+// down places s at heap index i, whose parent s must not precede, and
+// sifts it down to its place.
+func (e *Engine) down(i int, s slot) {
+	q := e.queue
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = s
 }
 
 // next returns the earliest live slot and the lane holding it (nil for the
 // heap), or a nil slot when nothing is pending. Cancelled events that come
 // first are discarded on the way, exactly when the one heap they replace
-// would have popped them. The slot pointer is valid until the queue next
-// changes; take(src) then removes that very slot.
+// would have popped them. A timer slot that comes first is judged by its
+// timer: a disarmed timer's slot is popped, and a slot whose key the
+// timer has since moved later is re-keyed in place and sifted down. The
+// slot pointer is valid until the queue next changes; take(src) then
+// removes that very slot.
 func (e *Engine) next() (*slot, *Lane) {
 	for {
 		var s *slot
@@ -218,7 +230,26 @@ func (e *Engine) next() (*slot, *Lane) {
 				s, src = h, l
 			}
 		}
-		if s == nil || !s.ev.canceled() {
+		if s == nil {
+			return nil, nil
+		}
+		ev := s.ev
+		if t := ev.timer; t != nil { // a timer's slot, on the heap
+
+			switch {
+			case t.state != timerArmed:
+				e.pop()
+				t.ev = nil
+				e.recycle(ev)
+			case s.seq != t.seq:
+				t.at = t.when
+				e.down(0, slot{when: t.when, seq: t.seq, ev: ev})
+			default:
+				return s, src
+			}
+			continue
+		}
+		if !ev.canceled() {
 			return s, src
 		}
 		e.recycle(e.take(src))
@@ -247,30 +278,36 @@ func (e *Engine) take(src *Lane) *event {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty. Cancelled events are discarded
+// returns false if the queue is empty. Cancelled events, and the slots of
+// timers that were stopped or moved later, are discarded or re-queued
 // without executing and without counting as a step.
 func (e *Engine) Step() bool {
 	s, src := e.next()
 	if s == nil {
 		return false
 	}
-	e.dispatch(s.when, src)
+	e.dispatch(s, src)
 	return true
 }
 
-// dispatch advances the clock to when and runs the head of src, which
-// next has just selected.
-func (e *Engine) dispatch(when Time, src *Lane) {
-	ev := e.take(src)
-	if when < e.now {
+// dispatch advances the clock to s's instant and runs s, the head of src,
+// which next has just selected. A timer's slot stays at the top of the heap
+// while its callback runs: every key pushed meanwhile is later, and next
+// then re-keys or pops the slot as the timer's state asks.
+func (e *Engine) dispatch(s *slot, src *Lane) {
+	if s.when < e.now {
 		panic("sim: time went backwards")
 	}
-	e.now = when
+	e.now = s.when
 	e.fired++
-	// Recycle before the callback runs: a callback that reschedules
-	// itself reuses this very event, and any handle to it is stale.
+	ev := s.ev
 	fn, name := ev.fn, ev.name
-	e.recycle(ev)
+	if ev.timer == nil {
+		// Recycle before the callback runs: a callback that reschedules
+		// itself reuses this very event, and any handle to it is stale.
+		e.take(src)
+		e.recycle(ev)
+	}
 	if p := e.prof; p != nil {
 		var wall int64
 		if p.Clock != nil {
@@ -307,7 +344,7 @@ func (e *Engine) Run(until Time) uint64 {
 			}
 			break
 		}
-		e.dispatch(s.when, src)
+		e.dispatch(s, src)
 		if e.Limit != 0 && e.fired-start > e.Limit {
 			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
 		}
@@ -401,20 +438,43 @@ func (l *Lane) Joinable(h Handle) bool {
 
 // Timer is an event that is armed and re-armed: its callback and label
 // are bound once, at construction, so arming it allocates nothing.
-// Reset(d) cancels the pending firing, if any, and schedules one d from
-// now: Handle.Cancel then ScheduleNamed, so it takes the next sequence
-// number just as Schedule does. A one-shot timer (period 0) is disarmed
-// before its callback runs. A periodic timer stays armed through its
-// callback and re-arms one period after the callback returns, unless the
-// callback stopped or reset it.
+//
+// A timer owns at most one heap slot, and moves it instead of cancelling
+// it. Reset(d) takes the next sequence number just as Schedule does and
+// records the live key (now+d, seq). A queued slot due no later than that
+// stays where it is, and when it surfaces the engine re-keys it in place;
+// an earlier deadline pushes a fresh slot and detaches the old one as a
+// cancelled event. Stop only disarms: the slot is dropped when it
+// surfaces, unless a Reset reuses it first. Dispatch order is thus the
+// (when, seq) order of live arms, that of a Cancel plus a ScheduleNamed
+// per Reset, while Pending and the profile's high-water mark count one
+// slot per timer.
+//
+// A timer fires in place: its slot stays at the top of the heap while the
+// callback runs, so a re-arm costs one sift-down. A one-shot timer
+// (period 0) is disarmed before its callback runs. A periodic timer stays
+// armed through its callback and re-arms one period after the callback
+// returns, unless the callback stopped or reset it.
 type Timer struct {
 	e      *Engine
 	period Duration
 	name   string
 	fn     func()
 	fire   func() // t.run, bound once
-	h      Handle // the pending firing; zero when disarmed
+	state  uint8
+	ev     *event // the event of the timer's heap slot; nil when it has none
+	at     Time   // the slot's instant
+	when   Time   // the live key, while armed
+	seq    uint64
 }
+
+// Timer states. A periodic timer is firing while its callback runs
+// without having stopped or reset it.
+const (
+	timerIdle uint8 = iota
+	timerArmed
+	timerFiring
+)
 
 // NewTimer returns a disarmed timer that runs fn, labelled name. A
 // positive period makes it periodic; 0 makes it one-shot.
@@ -430,34 +490,50 @@ func (e *Engine) NewTimer(period Duration, name string, fn func()) *Timer {
 	return t
 }
 
-// Reset cancels any pending firing and arms the timer d from now.
+// Reset arms the timer d from now, replacing any pending firing.
 func (t *Timer) Reset(d Duration) {
-	t.h.Cancel()
-	t.h = t.e.ScheduleNamed(d, t.name, t.fire)
+	e := t.e
+	when := e.now.Add(d)
+	if when < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", when, e.now))
+	}
+	t.state, t.when, t.seq = timerArmed, when, e.seq
+	e.seq++
+	if t.ev != nil {
+		if t.at <= when {
+			return
+		}
+		// Detach the later slot: a plain cancelled event from now on.
+		t.ev.timer = nil
+		t.ev.gen |= 1
+	}
+	ev := e.newEvent(t.name, t.fire)
+	ev.timer = t
+	t.ev, t.at = ev, when
+	e.push(slot{when: when, seq: t.seq, ev: ev})
+	if e.prof != nil {
+		e.prof.noteSchedule(e.Pending())
+	}
 }
 
 // Stop disarms the timer. Stopping a disarmed timer is a no-op.
-func (t *Timer) Stop() {
-	t.h.Cancel()
-	t.h = Handle{}
-}
+func (t *Timer) Stop() { t.state = timerIdle }
 
 // Armed reports whether a firing is pending, or a periodic timer's
 // callback is running without having stopped it.
-func (t *Timer) Armed() bool { return t.h != Handle{} }
+func (t *Timer) Armed() bool { return t.state != timerIdle }
 
-// run is the timer's event. During a periodic callback t.h still holds
-// the firing's handle, now stale, so Stop and Reset inside the callback
-// act on nothing but t.h, and the re-arm sees that they ran.
+// run is the timer's event. A Stop or Reset inside a periodic callback
+// moves the timer out of timerFiring, which cancels the re-arm.
 func (t *Timer) run() {
 	if t.period == 0 {
-		t.h = Handle{}
+		t.state = timerIdle
 		t.fn()
 		return
 	}
-	h := t.h
+	t.state = timerFiring
 	t.fn()
-	if t.h == h {
-		t.h = t.e.ScheduleNamed(t.period, t.name, t.fire)
+	if t.state == timerFiring {
+		t.Reset(t.period)
 	}
 }

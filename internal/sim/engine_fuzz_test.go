@@ -74,22 +74,83 @@ func (e *engineUnderTest) newTimer(period Duration, fn func()) fuzzTimer {
 }
 
 // referenceEngine models lane i as its delay and name alone: a lane send
-// is ScheduleNamed(delay, name) on the one heap.
+// is ScheduleNamed(delay, name) on the one heap. Timer firings decide
+// dispatch order as Cancel plus ScheduleNamed; beside them the reference
+// models the heap slots a Timer owns, for Pending and the high-water mark
+// alone (see modelSlot).
 type referenceEngine struct {
 	*refEngine
 	delays []Duration
 	names  []string
+	// slots are the modelled timer slots, attached and detached; arms
+	// are the timer firings that may still be queued on refEngine, which
+	// Pending counts as slots instead.
+	slots []*modelSlot
+	arms  []*refEvent
+	hwm   int // high-water mark of Pending, noted at every schedule
+}
+
+// modelSlot is a timer's heap slot as Engine keeps it. Reset keeps the
+// slot when it is due no later than the new firing and otherwise detaches
+// it (t nil) and attaches a fresh one; Stop leaves it. Engine.next meets
+// every slot keyed before the next live event: a detached slot, or the
+// slot of a disarmed timer, is dropped, and the slot of an armed timer
+// takes the firing's key. A firing leaves its slot in place.
+type modelSlot struct {
+	key slot // when and seq only
+	t   *refTimer
+}
+
+func keyOf(ev *refEvent) slot { return slot{when: ev.when, seq: ev.seq} }
+
+// never is after every key: an engine that finds nothing live meets
+// every slot.
+var never = slot{when: 1<<63 - 1, seq: 1<<64 - 1}
+
+// surface meets every modelled slot keyed before k, the key of the next
+// live event.
+func (e *referenceEngine) surface(k slot) {
+	kept := e.slots[:0]
+	for _, s := range e.slots {
+		switch {
+		case !s.key.before(&k):
+		case s.t != nil && s.t.ev != nil:
+			s.key = keyOf(s.t.ev)
+		default:
+			if s.t != nil {
+				s.t.slot = nil
+			}
+			continue
+		}
+		kept = append(kept, s)
+	}
+	clear(e.slots[len(kept):])
+	e.slots = kept
+}
+
+// track schedules fn through schedule so that the model first meets the
+// slots keyed before its event, and notes the queue depth.
+func (e *referenceEngine) track(schedule func(func()) *refEvent, fn func()) *refEvent {
+	var ev *refEvent
+	ev = schedule(func() {
+		e.surface(keyOf(ev))
+		fn()
+	})
+	e.hwm = max(e.hwm, e.Pending())
+	return ev
 }
 
 func (e *referenceEngine) schedule(kind byte, d Duration, fn func()) cancelable {
-	switch kind {
-	case 0:
-		return e.Schedule(d, fn)
-	case 1:
-		return e.ScheduleNamed(d, heapName, fn)
-	default:
-		return e.At(e.Now().Add(d), fn)
-	}
+	return e.track(func(fn func()) *refEvent {
+		switch kind {
+		case 0:
+			return e.Schedule(d, fn)
+		case 1:
+			return e.ScheduleNamed(d, heapName, fn)
+		default:
+			return e.At(e.Now().Add(d), fn)
+		}
+	}, fn)
 }
 
 func (e *referenceEngine) newLane(d Duration, name string) {
@@ -98,27 +159,88 @@ func (e *referenceEngine) newLane(d Duration, name string) {
 }
 func (e *referenceEngine) nLanes() int { return len(e.delays) }
 func (e *referenceEngine) laneSchedule(i int, fn func()) cancelable {
-	return e.ScheduleNamed(e.delays[i], e.names[i], fn)
+	return e.track(func(fn func()) *refEvent { return e.ScheduleNamed(e.delays[i], e.names[i], fn) }, fn)
 }
 func (e *referenceEngine) newTimer(period Duration, fn func()) fuzzTimer {
-	return &refTimer{e: e.refEngine, period: period, fn: fn}
+	return &refTimer{e: e, period: period, fn: fn}
+}
+
+// Step, Run and RunUntilIdle meet the slots that Engine.next meets after
+// the last dispatch: all of them when nothing live is left, those before
+// the next live event when Run stops at its horizon, none after a Stop.
+func (e *referenceEngine) Step() bool {
+	if e.refEngine.Step() {
+		return true
+	}
+	e.surface(never)
+	return false
+}
+
+func (e *referenceEngine) Run(until Time) uint64 {
+	n := e.refEngine.Run(until)
+	switch {
+	case e.stopped:
+	case len(e.queue) > 0:
+		e.surface(keyOf(e.queue[0]))
+	default:
+		e.surface(never)
+	}
+	return n
+}
+
+func (e *referenceEngine) RunUntilIdle() uint64 {
+	n := e.refEngine.RunUntilIdle()
+	if !e.stopped {
+		e.surface(never)
+	}
+	return n
+}
+
+// Pending counts the modelled slots in place of the timer firings.
+func (e *referenceEngine) Pending() int {
+	arms := e.arms[:0]
+	for _, ev := range e.arms {
+		if ev.index >= 0 {
+			arms = append(arms, ev)
+		}
+	}
+	clear(e.arms[len(arms):])
+	e.arms = arms
+	return e.refEngine.Pending() - len(arms) + len(e.slots)
+}
+
+// profile is the reference's profile with the modelled high-water mark.
+func (e *referenceEngine) profile() *Profile {
+	return &Profile{dispatch: e.prof.dispatch, wall: e.prof.wall, heapHWM: e.hwm}
 }
 
 // refTimer models Timer on the reference engine: Reset is Cancel plus
 // ScheduleNamed, and a periodic firing re-arms after its callback unless
-// the callback stopped or reset the timer.
+// the callback stopped or reset the timer. slot is the timer's modelled
+// heap slot.
 type refTimer struct {
-	e      *refEngine
+	e      *referenceEngine
 	period Duration
 	fn     func()
 	ev     *refEvent // the pending firing, nil when disarmed
+	slot   *modelSlot
 }
 
 func (t *refTimer) Reset(d Duration) {
 	if t.ev != nil {
 		t.ev.Cancel()
 	}
-	t.ev = t.e.ScheduleNamed(d, timerName, t.fire)
+	e := t.e
+	t.ev = e.refEngine.ScheduleNamed(d, timerName, t.fire)
+	e.arms = append(e.arms, t.ev)
+	if t.slot == nil || t.slot.key.when > t.ev.when {
+		if t.slot != nil {
+			t.slot.t = nil
+		}
+		t.slot = &modelSlot{key: keyOf(t.ev), t: t}
+		e.slots = append(e.slots, t.slot)
+	}
+	e.hwm = max(e.hwm, e.Pending())
 }
 
 func (t *refTimer) Stop() {
@@ -132,12 +254,16 @@ func (t *refTimer) Armed() bool { return t.ev != nil }
 
 func (t *refTimer) fire() {
 	ev := t.ev
+	t.e.surface(keyOf(ev))
+	if t.slot == nil || t.slot.key != keyOf(ev) {
+		panic(fmt.Sprintf("slot model: timer fires at %v with slot %+v", keyOf(ev), t.slot))
+	}
 	if t.period == 0 {
 		t.ev = nil
 	}
 	t.fn()
 	if t.period > 0 && t.ev == ev {
-		t.ev = t.e.ScheduleNamed(t.period, timerName, t.fire)
+		t.Reset(t.period)
 	}
 }
 
@@ -416,7 +542,8 @@ func (r *scriptRun) op(code, a, b byte) uint64 {
 // Timers are reset and stopped from outside callbacks and from inside
 // their own; the reference models Reset as Cancel plus ScheduleNamed and
 // a periodic firing as a re-arm after the callback, unless the callback
-// stopped or reset the timer.
+// stopped or reset the timer. For Pending and the high-water mark it
+// models the slots the timers own (modelSlot).
 //
 // A lane send with a >= 128 asks to join the newest event the script has
 // scheduled on that lane number. When Lane.Joinable allows it, the engine
@@ -486,7 +613,7 @@ func FuzzEngine(f *testing.F) {
 			if len(book.grouped) > 0 {
 				continue
 			}
-			if g, w := under.Profile().Describe(), ref.prof.Describe(); g != w {
+			if g, w := under.Profile().Describe(), ref.profile().Describe(); g != w {
 				t.Fatalf("op %d: profile\n%s\nreference\n%s", step, g, w)
 			}
 		}

@@ -240,6 +240,109 @@ func TestOneShotTimer(t *testing.T) {
 	tm.Stop() // stopping a disarmed timer is a no-op
 }
 
+// profiled returns an engine with a profile installed, and the profile.
+func profiled() (*Engine, *Profile) {
+	e, p := NewEngine(), NewProfile()
+	e.EnableProfile(p)
+	return e, p
+}
+
+// firings returns a callback that logs the instants it runs at.
+func firings(e *Engine, at *[]Time) func() {
+	return func() { *at = append(*at, e.Now()) }
+}
+
+// Resets to later deadlines move the timer's one slot instead of queueing
+// a slot each; the stale slot is re-keyed when it surfaces, without
+// counting as a step.
+func TestTimerResetKeepsOneSlot(t *testing.T) {
+	const n = 8
+	e, p := profiled()
+	var at []Time
+	tm := e.NewTimer(0, "t", firings(e, &at))
+	for i := 1; i <= n; i++ {
+		tm.Reset(Duration(i))
+	}
+	if e.Pending() != 1 || p.HeapHighWater() != 1 {
+		t.Fatalf("%d later resets: pending %d, high-water %d; want 1, 1", n, e.Pending(), p.HeapHighWater())
+	}
+	if !e.Step() || e.Now() != n || e.Fired() != 1 {
+		t.Fatalf("one step: now %v, fired %d; want %v, 1", e.Now(), e.Fired(), Time(n))
+	}
+	if e.Step() || e.Pending() != 0 || !reflect.DeepEqual(at, []Time{n}) {
+		t.Fatalf("fired at %v with %d pending, want [%d] and 0", at, e.Pending(), n)
+	}
+}
+
+// A Reset to an earlier deadline cannot reuse the slot: it pushes a fresh
+// one, which a later Reset then keeps, and the timer fires once, at the
+// last deadline.
+func TestTimerResetEarlierPushesSlot(t *testing.T) {
+	e, p := profiled()
+	var at []Time
+	tm := e.NewTimer(0, "t", firings(e, &at))
+	tm.Reset(10)
+	tm.Reset(3)
+	if e.Pending() != 2 {
+		t.Fatalf("pending %d after an earlier reset, want 2", e.Pending())
+	}
+	tm.Reset(6)
+	if e.Pending() != 2 || p.HeapHighWater() != 2 {
+		t.Fatalf("pending %d, high-water %d after a later reset; want 2, 2", e.Pending(), p.HeapHighWater())
+	}
+	e.RunUntilIdle()
+	if !reflect.DeepEqual(at, []Time{6}) || e.Fired() != 1 || e.Pending() != 0 {
+		t.Fatalf("fired at %v (%d events), %d pending; want [6], 1, 0", at, e.Fired(), e.Pending())
+	}
+}
+
+// Stop leaves the slot queued until it surfaces; a Reset before then
+// reuses it, and a stopped timer's slot is dropped without a step.
+func TestTimerStopThenResetReusesSlot(t *testing.T) {
+	e, p := profiled()
+	var at []Time
+	tm := e.NewTimer(0, "t", firings(e, &at))
+	tm.Reset(10)
+	tm.Stop()
+	if e.Pending() != 1 {
+		t.Fatalf("pending %d after Stop, want the slot still queued", e.Pending())
+	}
+	tm.Reset(15)
+	if e.Pending() != 1 || p.HeapHighWater() != 1 {
+		t.Fatalf("pending %d, high-water %d after Stop and Reset; want 1, 1", e.Pending(), p.HeapHighWater())
+	}
+	e.Run(20)
+	if !reflect.DeepEqual(at, []Time{15}) {
+		t.Fatalf("fired at %v, want [15]", at)
+	}
+	tm.Reset(5)
+	tm.Stop()
+	if e.Step() || e.Fired() != 1 || e.Pending() != 0 {
+		t.Fatalf("stopped timer: fired %d, pending %d; want 1, 0", e.Fired(), e.Pending())
+	}
+}
+
+// A timer fires in place: its slot stays queued while the callback runs,
+// and a periodic re-arm re-keys that slot instead of pushing another.
+func TestTimerPeriodicRearmInPlace(t *testing.T) {
+	e, p := profiled()
+	var at []Time
+	tm := e.NewTimer(10, "tick", func() {
+		at = append(at, e.Now())
+		if e.Pending() != 1 {
+			t.Errorf("pending %d inside the callback at %v, want its slot", e.Pending(), e.Now())
+		}
+	})
+	tm.Reset(10)
+	e.Run(50)
+	if want := []Time{10, 20, 30, 40, 50}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	if e.Pending() != 1 || p.HeapHighWater() != 1 {
+		t.Fatalf("pending %d, high-water %d; want 1, 1", e.Pending(), p.HeapHighWater())
+	}
+}
+
 func TestEventLimitPanics(t *testing.T) {
 	e := NewEngine()
 	e.Limit = 10

@@ -52,8 +52,8 @@ func className(name string) string {
 	return name
 }
 
-// noteSchedule records queue growth at schedule time; depth counts heap
-// and lane slots alike.
+// noteSchedule records queue growth when a slot is pushed; depth counts
+// heap and lane slots alike.
 func (p *Profile) noteSchedule(depth int) {
 	if depth > p.heapHWM {
 		p.heapHWM = depth
@@ -70,8 +70,8 @@ func (p *Profile) noteDispatch(name string, wall int64) {
 	}
 }
 
-// HeapHighWater returns the most events queued at once, on the heap and
-// in lanes, since profiling started.
+// HeapHighWater returns the most slots queued at once, on the heap and
+// in lanes, since profiling started (Pending's count).
 func (p *Profile) HeapHighWater() int { return p.heapHWM }
 
 // DispatchClass is one row of the per-class dispatch breakdown.

@@ -27,8 +27,10 @@
 // discarded event is recycled for the next Schedule, and callers hold a
 // Handle whose generation check makes Cancel on a fired (and possibly
 // reused) event a no-op. Every re-armed event (a time slice, a
-// countdown, a deadline, a periodic tick) is a Timer, which keeps its
-// Handle and bound callback itself; Reset is Cancel plus ScheduleNamed.
+// countdown, a deadline, a periodic tick) is a Timer, which binds its
+// callback once and owns at most one heap slot: a Reset moves that slot
+// lazily instead of cancelling it, and a firing leaves it in place for
+// the re-arm, in the order a Cancel plus a ScheduleNamed would give.
 package sim
 
 import "fmt"

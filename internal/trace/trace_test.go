@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -210,5 +212,69 @@ func TestEmitAllocs(t *testing.T) {
 	if chunks := float64(events / maxChunk); allocs > 2*chunks {
 		t.Fatalf("%d recorded Emits allocated %v times, want at most %v chunks plus as many index growths",
 			events, allocs, chunks)
+	}
+}
+
+// The last-note check in front of the note map changes no ID: over
+// repeated, alternating, cycling and random note sequences, the note
+// table and every event's note ID and note equal those of a map-only
+// interner.
+func TestInternMatchesMapOnly(t *testing.T) {
+	alphabet := []string{"", "timer", "hlt", "io", "ipi", "msr", "ept", "cpuid"}
+	r := rand.New(rand.NewSource(1))
+	random := func(k int) []string {
+		notes := make([]string, 4000)
+		for i := range notes {
+			notes[i] = alphabet[r.Intn(k)]
+		}
+		return notes
+	}
+	cycle := func(k int) []string {
+		notes := make([]string, 4000)
+		for i := range notes {
+			notes[i] = alphabet[1+i%k]
+		}
+		return notes
+	}
+	for name, notes := range map[string][]string{
+		"repeated":           cycle(1),
+		"alternating":        cycle(2),
+		"cycle of four":      cycle(4),
+		"random, few notes":  random(3),
+		"random, many notes": random(len(alphabet)),
+	} {
+		tr := New(0)
+		table, ids := []string{""}, map[string]uint32{"": 0}
+		var want []uint32
+		for i, n := range notes {
+			id, ok := ids[n]
+			if !ok {
+				id = uint32(len(table))
+				table = append(table, n)
+				ids[n] = id
+			}
+			want = append(want, id)
+			tr.Emit(sim.Time(i), KindVMExit, 0, 0, n)
+		}
+		if !reflect.DeepEqual(tr.notes, table) {
+			t.Fatalf("%s: note table %q, map-only interner %q", name, tr.notes, table)
+		}
+		var got []uint32
+		for _, c := range append(tr.chunks, tr.cur) {
+			for _, rec := range c {
+				got = append(got, rec.kindNote>>8)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: note IDs differ from the map-only interner's", name)
+		}
+		i := 0
+		tr.All()(func(e Event) bool {
+			if e.Note != notes[i] {
+				t.Fatalf("%s: event %d has note %q, want %q", name, i, e.Note, notes[i])
+			}
+			i++
+			return true
+		})
 	}
 }
