@@ -24,6 +24,7 @@ func TestFig02Shape(t *testing.T) {
 func TestFig03Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig03UtilizationCDF(Quick)
+	checkQuickGolden(t, "fig3", r)
 	below := r.Values["frac_below_32.5pct"]
 	if below < 0.95 {
 		t.Fatalf("only %.3f of samples below 32.5%% utilization; paper reports 0.9968", below)
@@ -36,6 +37,7 @@ func TestFig03Shape(t *testing.T) {
 func TestFig04Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig04SpikeAnatomy(Quick)
+	checkQuickGolden(t, "fig4", r)
 	if r.Values["naive_worst_us"] < 500 {
 		t.Fatalf("naive worst %vµs; expected ms-scale spikes", r.Values["naive_worst_us"])
 	}
@@ -50,6 +52,7 @@ func TestFig04Shape(t *testing.T) {
 func TestFig05Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig05Census(Quick)
+	checkQuickGolden(t, "fig5", r)
 	if s := r.Values["share_1_5ms"]; s < 0.85 || s > 0.99 {
 		t.Fatalf("1-5ms share %.3f, want ~0.945", s)
 	}
@@ -64,6 +67,7 @@ func TestFig05Shape(t *testing.T) {
 func TestFig06Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig06IOBreakdown(Quick)
+	checkQuickGolden(t, "fig6", r)
 	if r.Values["preprocess_us"] != 2.7 || r.Values["transfer_us"] != 0.5 {
 		t.Fatalf("breakdown %.2f/%.2f µs, want 2.7/0.5 (Figure 6)",
 			r.Values["preprocess_us"], r.Values["transfer_us"])
@@ -73,6 +77,7 @@ func TestFig06Shape(t *testing.T) {
 func TestTable1Shape(t *testing.T) {
 	t.Parallel()
 	r := Table1Granularity(Quick)
+	checkQuickGolden(t, "table1", r)
 	if r.Values["naive_p99_us"] < 200 {
 		t.Fatalf("conventional p99 %.0fµs; want ms-scale", r.Values["naive_p99_us"])
 	}
@@ -84,6 +89,7 @@ func TestTable1Shape(t *testing.T) {
 func TestTable2Shape(t *testing.T) {
 	t.Parallel()
 	r := Table2Properties(Quick)
+	checkQuickGolden(t, "table2", r)
 	if r.Values["type2_ipc_us"] < 50 {
 		t.Fatalf("type-2 IPC RTT %.1fµs; RPC hops missing", r.Values["type2_ipc_us"])
 	}
@@ -98,6 +104,7 @@ func TestTable2Shape(t *testing.T) {
 func TestFig11Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig11SynthCP(Quick)
+	checkQuickGolden(t, "fig11", r)
 	if s := r.Values["speedup_32"]; s < 2.5 {
 		t.Fatalf("speedup at 32 tasks %.2fx; paper reports ~4x", s)
 	}
@@ -109,6 +116,7 @@ func TestFig11Shape(t *testing.T) {
 func TestFig12Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig12TCPCRR(Quick)
+	checkQuickGolden(t, "fig12", r)
 	base := r.Values["cps_baseline"]
 	if tc := r.Values["cps_taichi"]; tc < 0.98*base {
 		t.Fatalf("Tai Chi CPS %.0f vs baseline %.0f; overhead beyond 2%%", tc, base)
@@ -124,6 +132,7 @@ func TestFig12Shape(t *testing.T) {
 func TestFig13Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig13FioIOPS(Quick)
+	checkQuickGolden(t, "fig13", r)
 	base := r.Values["iops_baseline"]
 	if tc := r.Values["iops_taichi"]; tc < 0.98*base {
 		t.Fatalf("Tai Chi IOPS %.0f vs baseline %.0f", tc, base)
@@ -136,6 +145,7 @@ func TestFig13Shape(t *testing.T) {
 func TestTable5Shape(t *testing.T) {
 	t.Parallel()
 	r := Table5PingRTT(Quick)
+	checkQuickGolden(t, "table5", r)
 	base := r.Values["baseline_avg_us"]
 	if tc := r.Values["taichi_avg_us"]; tc > 1.05*base {
 		t.Fatalf("Tai Chi avg RTT %.1fµs vs baseline %.1fµs; probe not hiding the switch", tc, base)
@@ -163,6 +173,7 @@ func TestFig17Shape(t *testing.T) {
 func TestSec8Shape(t *testing.T) {
 	t.Parallel()
 	r := Sec8DynamicDP(Quick)
+	checkQuickGolden(t, "sec8", r)
 	if g := r.Values["cps_gain_pct"]; g < 15 {
 		t.Fatalf("CPS gain %.1f%%; want ~+25%% from two extra DP cores", g)
 	}
@@ -179,11 +190,13 @@ func TestSec8Shape(t *testing.T) {
 func TestAblationShapes(t *testing.T) {
 	t.Parallel()
 	slice := AblationAdaptiveSlice(Quick)
+	checkQuickGolden(t, "abl-slice", slice)
 	if slice.Values["adaptive_exits"] >= slice.Values["fixed_exits"] {
 		t.Fatalf("adaptive slice exits %v not below fixed %v",
 			slice.Values["adaptive_exits"], slice.Values["fixed_exits"])
 	}
 	rescue := AblationLockRescue(Quick)
+	checkQuickGolden(t, "abl-rescue", rescue)
 	if rescue.Values["stuck_ticks_on"] > rescue.Values["stuck_ticks_off"] {
 		t.Fatal("rescue should reduce stuck-spinner observations")
 	}
@@ -191,6 +204,7 @@ func TestAblationShapes(t *testing.T) {
 		t.Fatalf("with rescue, all 10 tasks must complete; got %v", rescue.Values["done_on"])
 	}
 	posted := AblationPostedInterrupts(Quick)
+	checkQuickGolden(t, "abl-posted", posted)
 	if posted.Values["posted_ipi_exits"] != 0 {
 		t.Fatalf("posted interrupts should cause zero IPI exits, got %v", posted.Values["posted_ipi_exits"])
 	}
@@ -239,6 +253,7 @@ func TestResultRender(t *testing.T) {
 func TestSec8RealtimeShape(t *testing.T) {
 	t.Parallel()
 	r := Sec8RealtimeContext(Quick)
+	checkQuickGolden(t, "sec8-rt", r)
 	if r.Values["static_p99_us"] < 500 {
 		t.Fatalf("stock-kernel RT p99 %.0fµs; want ms-scale priority inversion", r.Values["static_p99_us"])
 	}
@@ -250,6 +265,7 @@ func TestSec8RealtimeShape(t *testing.T) {
 func TestAblationIPIVShape(t *testing.T) {
 	t.Parallel()
 	r := AblationIPIV(Quick)
+	checkQuickGolden(t, "abl-ipiv", r)
 	if r.Values["source_exits_noipiv"] == 0 {
 		t.Fatal("no source exits without IPIV; vCPU-sourced sends not attributed")
 	}
@@ -261,6 +277,7 @@ func TestAblationIPIVShape(t *testing.T) {
 func TestAblationConnTrackShape(t *testing.T) {
 	t.Parallel()
 	r := AblationConnTrack(Quick)
+	checkQuickGolden(t, "abl-conntrack", r)
 	if r.Values["cps_small"] >= r.Values["cps_big"] {
 		t.Fatalf("thrashing table CPS %.0f not below sized table %.0f",
 			r.Values["cps_small"], r.Values["cps_big"])
@@ -287,6 +304,7 @@ func TestResultJSON(t *testing.T) {
 func TestFig15Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig15MySQL(Quick)
+	checkQuickGolden(t, "fig15", r)
 	base, tc := r.Values["avg_query.baseline"], r.Values["avg_query.taichi"]
 	if base <= 0 || tc <= 0 {
 		t.Fatal("no throughput measured")
@@ -300,6 +318,7 @@ func TestFig15Shape(t *testing.T) {
 func TestFig14Shape(t *testing.T) {
 	t.Parallel()
 	r := Fig14DPSuite(Quick)
+	checkQuickGolden(t, "fig14", r)
 	for _, cse := range []string{"udp_stream.pps", "tcp_stream.pps"} {
 		base, tc := r.Values[cse+".baseline"], r.Values[cse+".taichi"]
 		if base <= 0 {
