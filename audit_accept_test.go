@@ -45,7 +45,7 @@ var auditScenarios = []struct {
 		sys := taichi.New(seed)
 		for m := 0; m < 6; m++ {
 			sys.SpawnCP(fmt.Sprintf("monitor%d", m),
-				controlplane.Monitor(controlplane.DefaultMonitor(), sys.Stream(fmt.Sprintf("mon%d", m))))
+				controlplane.Monitor(sys.Stream(fmt.Sprintf("mon%d", m))))
 		}
 		scfg := controlplane.DefaultSynthCP()
 		r := sys.Stream("churn")

@@ -212,7 +212,7 @@ func build(p params, seed int64) (*scenario, error) {
 		sc.collect = func(*fleet.Aggregates) {}
 	case "ping":
 		cfg := workload.DefaultPing()
-		cfg.Count = int(p.horizon / cfg.Interval)
+		cfg.Count = int(p.horizon / workload.PingInterval)
 		p := workload.NewPing(node, cfg)
 		p.Start(nil)
 		sc.report = func() { fmt.Println(p.RTT.Summarize()) }
@@ -253,7 +253,7 @@ func build(p params, seed int64) (*scenario, error) {
 			a.Add("rr.pps", r.PPS(node.Now()))
 		}
 	case "fio":
-		f := workload.NewFio(node, workload.DefaultFio())
+		f := workload.NewFio(node)
 		f.Start()
 		sc.report = func() {
 			fmt.Printf("fio: %.0f IOPS, %.1f MB/s, lat %v p99 %v\n",
@@ -279,7 +279,7 @@ func build(p params, seed int64) (*scenario, error) {
 	case "monitors":
 		for i := 0; i < 12; i++ {
 			h.SpawnCP(fmt.Sprintf("monitor%d", i), wrapCP(controlplane.Monitor(
-				controlplane.DefaultMonitor(), node.Stream(fmt.Sprintf("sim.mon%d", i)))))
+				node.Stream(fmt.Sprintf("sim.mon%d", i)))))
 		}
 		sc.report = func() {}
 		sc.collect = func(*fleet.Aggregates) {}
@@ -318,7 +318,7 @@ func build(p params, seed int64) (*scenario, error) {
 		sc.report = func() {
 			fmt.Printf("vmstartup: %s\n", m.Outcomes.String())
 			fmt.Printf("vmstartup: startup mean %v p99 %v (SLO %v)\n",
-				m.StartupTime.Mean(), m.StartupTime.Quantile(0.99), ccfg.StartupSLO)
+				m.StartupTime.Mean(), m.StartupTime.Quantile(0.99), cluster.StartupSLO)
 			if p.ovl {
 				sh := m.ShedByClass()
 				fmt.Printf("vmstartup: shed batch=%d normal=%d latency-critical=%d queued=%d\n",

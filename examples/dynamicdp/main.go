@@ -48,7 +48,7 @@ func run(repartition bool) (cps, iops float64, cpTurnaround metrics.Summary) {
 
 	// Phase 1: peak throughput with saturating benchmarks.
 	crr := workload.NewCRR(node, workload.DefaultCRR())
-	fio := workload.NewFio(node, workload.DefaultFio())
+	fio := workload.NewFio(node)
 	crr.Start()
 	fio.Start()
 	sys.Run(taichi.Seconds(1))

@@ -1,6 +1,7 @@
 package taichi_test
 
 import (
+	"fmt"
 	"testing"
 
 	taichi "repro"
@@ -28,15 +29,28 @@ func TestFacadeStaticBaseline(t *testing.T) {
 	}
 }
 
+// A custom scheduler configuration reaches the scheduler: under the same
+// CP load, the default software probe adapts its yield threshold and a
+// config with AdaptiveYield off keeps it fixed.
 func TestFacadeCustomConfig(t *testing.T) {
+	adaptations := func(sys *taichi.System) uint64 {
+		for i := 0; i < 8; i++ {
+			name := fmt.Sprintf("job%d", i)
+			sys.SpawnCP(name, controlplane.SynthCP(controlplane.DefaultSynthCP(), sys.Stream(name)))
+		}
+		sys.Run(taichi.Milliseconds(10))
+		sw := sys.Sched.SWProbe()
+		return sw.Raises + sw.Drops
+	}
 	opts := taichi.DefaultOptions()
 	opts.Seed = 3
 	cfg := taichi.DefaultConfig()
-	cfg.VCPUs = 4
-	sys := taichi.NewWithConfig(opts, cfg)
-	sys.Run(taichi.Milliseconds(10))
-	if got := len(sys.Sched.VCPUs()); got != 4 {
-		t.Fatalf("vCPU pool %d, want 4", got)
+	if n := adaptations(taichi.NewWithConfig(opts, cfg)); n == 0 {
+		t.Fatal("the default probe never adapted its threshold")
+	}
+	cfg.AdaptiveYield = false
+	if n := adaptations(taichi.NewWithConfig(opts, cfg)); n != 0 {
+		t.Fatalf("AdaptiveYield=false still adapted the threshold %d times", n)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 // reference for TestFoldedCompletionsMatchPerPacketEvents.
 type refPipeline struct {
 	engine   *sim.Engine
-	cfg      Config
 	tracer   *trace.Tracer
 	probe    *Probe
 	deliver  func(core int, p *Packet)
@@ -26,9 +25,9 @@ type refPipeline struct {
 	lane     *sim.Lane
 }
 
-func newRefPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tracer, deliver func(int, *Packet)) *refPipeline {
-	pl := &refPipeline{engine: engine, cfg: cfg, tracer: tracer, probe: probe, deliver: deliver}
-	pl.lane = engine.Lane(cfg.Preprocess+cfg.Transfer, "accel.pipeline")
+func newRefPipeline(engine *sim.Engine, probe *Probe, tracer *trace.Tracer, deliver func(int, *Packet)) *refPipeline {
+	pl := &refPipeline{engine: engine, tracer: tracer, probe: probe, deliver: deliver}
+	pl.lane = engine.Lane(preprocess+transfer, "accel.pipeline")
 	if probe != nil {
 		probe.inFlight = pl.InFlight
 		probe.engine = engine
@@ -64,7 +63,7 @@ func (pl *refPipeline) Inject(p *Packet) {
 func (pl *refPipeline) completeOldest() {
 	pl.cur = pl.queue.Pop()
 	p := &pl.cur
-	pl.tracer.Emit(p.Arrival.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
+	pl.tracer.Emit(p.Arrival.Add(preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
 	pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
 	pl.inFlight[p.Core]--
 	pl.deliver(p.Core, p)
@@ -125,7 +124,7 @@ func foldScript(seed int64) []foldBurst {
 // some packets schedules a zero-delay event or injects a follow-up packet
 // straight from the sink. Probe IRQs flip the core back to P-state, and
 // every third V-state check is swallowed by MissCheck.
-func runFold(cfg Config, bursts []foldBurst, build func(*sim.Engine, Config, *Probe, *trace.Tracer, func(int, *Packet)) pipe) ([]string, []trace.Event, uint64) {
+func runFold(bursts []foldBurst, build func(*sim.Engine, *Probe, *trace.Tracer, func(int, *Packet)) pipe) ([]string, []trace.Event, uint64) {
 	e := sim.NewEngine()
 	tr := trace.New(0)
 	var log []string
@@ -143,7 +142,7 @@ func runFold(cfg Config, bursts []foldBurst, build func(*sim.Engine, Config, *Pr
 			return checks%3 == 0
 		}
 		probes[i] = probe
-		pipes[i] = build(e, cfg, probe, tr, func(core int, p *Packet) {
+		pipes[i] = build(e, probe, tr, func(core int, p *Packet) {
 			log = append(log, fmt.Sprintf("%v deliver pipe%d core%d id%d inflight%d",
 				e.Now(), i, core, p.ID, pipes[i].InFlight(core)))
 			switch {
@@ -165,7 +164,7 @@ func runFold(cfg Config, bursts []foldBurst, build func(*sim.Engine, Config, *Pr
 					probes[s.pipe].SetState(s.core, VState)
 					continue
 				case s.mark:
-					e.Schedule(cfg.Preprocess+cfg.Transfer, func() { log = append(log, fmt.Sprintf("%v mark", e.Now())) })
+					e.Schedule(preprocess+transfer, func() { log = append(log, fmt.Sprintf("%v mark", e.Now())) })
 					continue
 				}
 				pipes[s.pipe].Inject(&Packet{Core: s.core})
@@ -185,29 +184,27 @@ func runFold(cfg Config, bursts []foldBurst, build func(*sim.Engine, Config, *Pr
 // instant are scheduled mid-train, MissCheck swallows checks, and the sink
 // schedules zero-delay events and injects packets itself.
 func TestFoldedCompletionsMatchPerPacketEvents(t *testing.T) {
-	folded := func(e *sim.Engine, cfg Config, probe *Probe, tr *trace.Tracer, deliver func(int, *Packet)) pipe {
-		return NewPipeline(e, cfg, probe, tr, deliver)
+	folded := func(e *sim.Engine, probe *Probe, tr *trace.Tracer, deliver func(int, *Packet)) pipe {
+		return NewPipeline(e, probe, tr, deliver)
 	}
-	reference := func(e *sim.Engine, cfg Config, probe *Probe, tr *trace.Tracer, deliver func(int, *Packet)) pipe {
-		return newRefPipeline(e, cfg, probe, tr, deliver)
+	reference := func(e *sim.Engine, probe *Probe, tr *trace.Tracer, deliver func(int, *Packet)) pipe {
+		return newRefPipeline(e, probe, tr, deliver)
 	}
 	var joined uint64
-	for _, cfg := range []Config{DefaultConfig(), {}} {
-		for seed := int64(1); seed <= 200; seed++ {
-			bursts := foldScript(seed)
-			got, gotTrace, gotFired := runFold(cfg, bursts, folded)
-			want, wantTrace, wantFired := runFold(cfg, bursts, reference)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("window %v, seed %d: log\n%v\nreference\n%v", cfg.Preprocess+cfg.Transfer, seed, got, want)
-			}
-			if !reflect.DeepEqual(gotTrace, wantTrace) {
-				t.Fatalf("window %v, seed %d: trace differs from the reference", cfg.Preprocess+cfg.Transfer, seed)
-			}
-			if gotFired > wantFired {
-				t.Fatalf("window %v, seed %d: fired %d events, reference %d", cfg.Preprocess+cfg.Transfer, seed, gotFired, wantFired)
-			}
-			joined += wantFired - gotFired
+	for seed := int64(1); seed <= 200; seed++ {
+		bursts := foldScript(seed)
+		got, gotTrace, gotFired := runFold(bursts, folded)
+		want, wantTrace, wantFired := runFold(bursts, reference)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: log\n%v\nreference\n%v", seed, got, want)
 		}
+		if !reflect.DeepEqual(gotTrace, wantTrace) {
+			t.Fatalf("seed %d: trace differs from the reference", seed)
+		}
+		if gotFired > wantFired {
+			t.Fatalf("seed %d: fired %d events, reference %d", seed, gotFired, wantFired)
+		}
+		joined += wantFired - gotFired
 	}
 	if joined == 0 {
 		t.Fatal("no packet ever joined a completion event")
@@ -220,8 +217,8 @@ func TestFoldedCompletionsMatchPerPacketEvents(t *testing.T) {
 func TestTrainRidesOneEvent(t *testing.T) {
 	e := sim.NewEngine()
 	probe := NewProbe(500 * sim.Nanosecond)
-	a := NewPipeline(e, DefaultConfig(), probe, nil, func(int, *Packet) {})
-	b := NewPipeline(e, DefaultConfig(), nil, nil, func(int, *Packet) {})
+	a := NewPipeline(e, probe, nil, func(int, *Packet) {})
+	b := NewPipeline(e, nil, nil, func(int, *Packet) {})
 	for i := 0; i < 12; i++ {
 		a.Inject(&Packet{Core: 0})
 	}

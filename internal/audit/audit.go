@@ -13,9 +13,10 @@
 // nothing, and can therefore run on any node — or any worker's replica
 // of a node — without perturbing determinism.
 //
-// Audits assume an untruncated trace (platform.Options.TraceLimit 0, the
-// default): a tracer that dropped events cannot be checked for pairing,
-// and Run reports that as a violation rather than guessing.
+// Audits assume an untruncated trace (a platform node's tracer keeps
+// every event it records): a tracer that dropped events cannot be
+// checked for pairing, and Run reports that as a violation rather than
+// guessing.
 package audit
 
 import (

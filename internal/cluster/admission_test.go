@@ -44,7 +44,7 @@ func TestShedWhileBreakerOpenIsNotABreakerFailure(t *testing.T) {
 	// Request 1 by hand (no Start, no arrival schedule): every op NACKs,
 	// so the retry budget burns, the request dead-letters, and the
 	// breaker trips open along the way.
-	mgr.createVM()
+	mgr.issueRequest()
 	drainVMs(t, tc, mgr, 1)
 	if st := mgr.Requests()[0].State(); st != ReqDeadLettered {
 		t.Fatalf("request 1 state = %v, want dead-lettered", st)
@@ -57,7 +57,7 @@ func TestShedWhileBreakerOpenIsNotABreakerFailure(t *testing.T) {
 	// Brownout: batch requests shed at the gate, synchronously at issue.
 	level = 3
 	for i := 0; i < 3; i++ {
-		mgr.createVM()
+		mgr.issueRequest()
 	}
 	tc.Run(tc.Engine().Now().Add(500 * sim.Millisecond))
 
@@ -192,7 +192,7 @@ func TestBurstFactorClampsBankedTokens(t *testing.T) {
 		cfg.OverloadLevel = func() int { return 1 } // throttle from the start
 		mgr := NewManager(tc, cfg)
 		for i := 0; i < 6; i++ {
-			mgr.createVM()
+			mgr.issueRequest()
 		}
 		return mgr
 	}

@@ -46,18 +46,9 @@ type Config struct {
 	// Density is the instance-density multiplier (1.0 = the paper's
 	// normal density).
 	Density float64
-	// BaseArrivalRate is VM creations/sec at density 1.0; the actual rate
-	// scales linearly with density.
-	BaseArrivalRate float64
-	// QEMUTime is the host-side instantiation time after device init.
-	QEMUTime sim.Duration
-	// StartupSLO normalizes reported startup times.
-	StartupSLO sim.Duration
 	// MonitorsPerDensity is how many periodic monitoring tasks run per
 	// 1.0 of density (device monitoring scales with device count).
 	MonitorsPerDensity int
-	// Devices describes each VM's device complement.
-	Devices []controlplane.DeviceSpec
 	// VMs caps how many creations to issue (0 = unlimited).
 	VMs int
 	// VMLifetime is the mean VM lifetime before destruction triggers the
@@ -98,15 +89,23 @@ type Config struct {
 	Placement PlacementPolicy
 }
 
+// StartupSLO normalizes reported startup times.
+const StartupSLO = 280 * sim.Millisecond
+
+// The §6.6 VM-creation workload.
+const (
+	// baseArrivalRate is VM creations/sec at density 1.0; the actual rate
+	// scales linearly with density.
+	baseArrivalRate = 12
+	// qemuTime is the host-side instantiation time after device init.
+	qemuTime = 150 * sim.Millisecond
+)
+
 // DefaultConfig mirrors the §6.6 setup.
 func DefaultConfig(density float64) Config {
 	return Config{
 		Density:            density,
-		BaseArrivalRate:    12,
-		QEMUTime:           150 * sim.Millisecond,
-		StartupSLO:         280 * sim.Millisecond,
 		MonitorsPerDensity: 20,
-		Devices:            controlplane.DefaultVMDevices(),
 		VMLifetime:         60 * sim.Second,
 	}
 }
@@ -130,6 +129,8 @@ type Manager struct {
 
 	// Devices is the node's emulated-device inventory.
 	Devices *device.Registry
+	// devices describes each VM's device complement (Table 4).
+	devices []controlplane.DeviceSpec
 
 	// Outcomes tallies request terminals and retry activity in
 	// registration order: issued, completed, retried, dead-lettered,
@@ -197,6 +198,7 @@ func NewManager(host Host, cfg Config) *Manager {
 		StartupTime: metrics.NewHistogram("vm.startup"),
 		CPExecTime:  metrics.NewHistogram("vm.cp_exec"),
 		Devices:     device.NewRegistry(host.Engine().Now),
+		devices:     controlplane.DefaultVMDevices(),
 		Outcomes:    g,
 		tracer:      host.Tracer(),
 		cIssued:     g.Counter("issued"),
@@ -246,9 +248,8 @@ func (m *Manager) emit(kind trace.Kind, id int, note string) {
 func (m *Manager) Start() {
 	nMon := int(float64(m.cfg.MonitorsPerDensity) * m.cfg.Density)
 	for i := 0; i < nMon; i++ {
-		mcfg := controlplane.DefaultMonitor()
 		m.host.SpawnCP(fmt.Sprintf("monitor%d", i),
-			controlplane.Monitor(mcfg, m.host.Stream(fmt.Sprintf("mon%d", i))))
+			controlplane.Monitor(m.host.Stream(fmt.Sprintf("mon%d", i))))
 	}
 	if m.cfg.Placement.Enabled {
 		// Placed mode: arrivals come from the cluster placer via Submit,
@@ -266,25 +267,22 @@ func (m *Manager) scheduleNext() {
 	if m.stopped || (m.cfg.VMs > 0 && int(m.Issued) >= m.cfg.VMs) {
 		return
 	}
-	rate := m.cfg.BaseArrivalRate * m.cfg.Density
+	rate := baseArrivalRate * m.cfg.Density
 	gap := sim.Duration(float64(sim.Second) / rate)
 	m.host.Engine().ScheduleNamed(sim.Exponential(m.r, gap), "cluster.arrival", func() {
-		m.createVM()
+		m.issueRequest()
 		m.scheduleNext()
 	})
 }
 
-// createVM runs the Figure 1c red path: CP device init, then QEMU. Each
-// device gets an inventory record that activates as its queues come up;
-// once the VM is running, its eventual termination triggers the
-// deinitialization workflow. The request object tracks the creation to a
-// terminal state; with retries enabled, each attempt runs under a
-// deadline and failures detour through backoff or the dead-letter path.
-func (m *Manager) createVM() { m.issueRequest() }
-
-// issueRequest is createVM's body, factored so placed mode (Submit) can
-// issue externally-routed requests through the identical lifecycle and
-// keep a handle on the request it created.
+// issueRequest creates one VM along the Figure 1c red path: CP device
+// init, then QEMU. Each device gets an inventory record that activates as
+// its queues come up; once the VM is running, its eventual termination
+// triggers the deinitialization workflow. The request object tracks the
+// creation to a terminal state; with retries enabled, each attempt runs
+// under a deadline and failures detour through backoff or the
+// dead-letter path. Placed mode (Submit) issues externally-routed
+// requests through the same lifecycle and keeps the returned handle.
 func (m *Manager) issueRequest() *Request {
 	m.Issued++
 	id := int(m.Issued)
@@ -327,8 +325,8 @@ func (m *Manager) issueRequest() *Request {
 // dead-letter rollback aborted the old records (Gone, out of the
 // registry), so a fresh life starts from fresh inventory.
 func (m *Manager) provisionRecords(req *Request) {
-	req.records = make([]*device.Device, len(m.cfg.Devices))
-	for i, spec := range m.cfg.Devices {
+	req.records = make([]*device.Device, len(m.devices))
+	for i, spec := range m.devices {
 		kind := device.VBlk
 		if i == 0 {
 			kind = device.ENIC
@@ -367,7 +365,7 @@ func (m *Manager) beginAttempt(req *Request) {
 		onFail = func(int) { m.attemptFailed(req, attempt, "nack") }
 	}
 
-	prog := controlplane.DeviceInitJob(m.cfg.Devices, skip, m.host.Lock(),
+	prog := controlplane.DeviceInitJob(m.devices, skip, m.host.Lock(),
 		m.host.Coordinator(), m.host.Stream(stream),
 		func(i int) { m.deviceReady(req, attempt, i) },
 		onFail,
@@ -414,7 +412,7 @@ func (m *Manager) attemptDevicesDone(req *Request, attempt int) {
 	m.CPExecTime.Record(devDone.Sub(req.IssuedAt))
 	// Devices ready: notify QEMU (step 5) and wait out the host
 	// instantiation.
-	m.host.Engine().ScheduleNamed(m.cfg.QEMUTime, "cluster.qemu", func() {
+	m.host.Engine().ScheduleNamed(qemuTime, "cluster.qemu", func() {
 		m.Completed++
 		req.state = ReqCompleted
 		req.CompletedAt = m.host.Engine().Now()
@@ -539,7 +537,7 @@ func (m *Manager) destroyVM(id int, records []*device.Device) {
 	for _, d := range records {
 		m.Devices.BeginDestroy(d)
 	}
-	prog := controlplane.DeviceDeinitJob(m.cfg.Devices, m.host.Lock(),
+	prog := controlplane.DeviceDeinitJob(m.devices, m.host.Lock(),
 		m.host.Coordinator(), m.host.Stream(fmt.Sprintf("vmdel%d", id)),
 		func(i int) { m.Devices.FinishDestroy(records[i]) },
 		func() { m.Destroyed++ })
@@ -552,7 +550,7 @@ func (m *Manager) NormalizedStartup() float64 {
 	if m.StartupTime.Count() == 0 {
 		return 0
 	}
-	return float64(m.StartupTime.Mean()) / float64(m.cfg.StartupSLO)
+	return float64(m.StartupTime.Mean()) / float64(StartupSLO)
 }
 
 // MeanCPExec returns the mean device-management execution time.

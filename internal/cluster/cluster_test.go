@@ -20,8 +20,8 @@ func TestVMStartupOnStatic(t *testing.T) {
 		t.Fatalf("completed %d/10 VMs", mgr.Completed)
 	}
 	// Startup = device init + QEMU time, at least the QEMU floor.
-	if mgr.StartupTime.Min() < cfg.QEMUTime {
-		t.Fatalf("startup min %v below QEMU floor %v", mgr.StartupTime.Min(), cfg.QEMUTime)
+	if mgr.StartupTime.Min() < qemuTime {
+		t.Fatalf("startup min %v below QEMU floor %v", mgr.StartupTime.Min(), qemuTime)
 	}
 	if mgr.NormalizedStartup() <= 0 {
 		t.Fatal("no normalized startup")

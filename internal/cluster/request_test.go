@@ -126,8 +126,8 @@ func TestDeadLetterAfterMaxAttemptsRollsBackDevices(t *testing.T) {
 		t.Fatalf("attempts=%d, want the maxAttempts cap %d", req.Attempts, maxAttempts)
 	}
 	// Rollback: every provisioned record released, none leaked.
-	if int(mgr.Devices.Aborted) != len(cfg.Devices) {
-		t.Fatalf("aborted %d device records, want %d", mgr.Devices.Aborted, len(cfg.Devices))
+	if int(mgr.Devices.Aborted) != len(mgr.devices) {
+		t.Fatalf("aborted %d device records, want %d", mgr.Devices.Aborted, len(mgr.devices))
 	}
 	if mgr.Devices.Live() != 0 {
 		t.Fatalf("%d device records leaked past dead-lettering", mgr.Devices.Live())

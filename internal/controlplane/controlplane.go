@@ -1,7 +1,6 @@
 // Package controlplane models the SmartNIC's control-plane task ecosystem
 // (§2.3): device-management jobs that gate VM startup, performance
-// monitors, CSP orchestration handlers, and the synth_cp stress benchmark
-// of §6.1. Tasks are kernel thread programs whose segment mix reproduces
+// monitors, and the synth_cp stress benchmark of §6.1. Tasks are kernel thread programs whose segment mix reproduces
 // the production characteristics of §3.2 — frequent syscalls and
 // millisecond-scale non-preemptible routines (94.5% of the >1 ms ones in
 // 1-5 ms, max 67 ms; Figure 5).
@@ -18,7 +17,7 @@ import (
 // NonPreemptibleDurations returns the Figure 5-calibrated distribution of
 // long non-preemptible routine durations: of sections exceeding 1 ms,
 // 94.5% last 1-5 ms and the tail reaches 67 ms.
-func NonPreemptibleDurations() dist.Sampler {
+func NonPreemptibleDurations() *dist.Empirical {
 	return dist.NewEmpirical([]dist.Bucket{
 		{Lo: 1 * sim.Millisecond, Hi: 5 * sim.Millisecond, Weight: 94.5},
 		{Lo: 5 * sim.Millisecond, Hi: 10 * sim.Millisecond, Weight: 3.4},
@@ -32,9 +31,6 @@ func NonPreemptibleDurations() dist.Sampler {
 type SynthCPConfig struct {
 	// Total is the task's CPU-time demand (the paper tunes it to 50 ms).
 	Total sim.Duration
-	// ComputeMean / SyscallMean size the alternating user/kernel phases.
-	ComputeMean sim.Duration
-	SyscallMean sim.Duration
 	// NonPreemptFrac is the fraction of iterations entering a long
 	// non-preemptible routine (lock-protected driver work).
 	NonPreemptFrac float64
@@ -43,13 +39,18 @@ type SynthCPConfig struct {
 	Lock *kernel.SpinLock
 }
 
+// synthComputeMean / synthSyscallMean size synth_cp's alternating
+// user/kernel phases.
+const (
+	synthComputeMean = 400 * sim.Microsecond
+	synthSyscallMean = 150 * sim.Microsecond
+)
+
 // DefaultSynthCP mirrors §6.1: 50 ms tasks emulating classic CP tasks
 // that access non-preemptible kernel routines.
 func DefaultSynthCP() SynthCPConfig {
 	return SynthCPConfig{
 		Total:          50 * sim.Millisecond,
-		ComputeMean:    400 * sim.Microsecond,
-		SyscallMean:    150 * sim.Microsecond,
 		NonPreemptFrac: 0.04,
 	}
 }
@@ -70,9 +71,9 @@ func SynthCP(cfg SynthCPConfig, r *rand.Rand) kernel.Program {
 					}
 					return kernel.Segment{Kind: kernel.SegNonPreempt, Dur: d, Note: "drv"}
 				}
-				return kernel.Segment{Kind: kernel.SegSyscall, Dur: sim.Exponential(r, cfg.SyscallMean)}
+				return kernel.Segment{Kind: kernel.SegSyscall, Dur: sim.Exponential(r, synthSyscallMean)}
 			}
-			return kernel.Segment{Kind: kernel.SegCompute, Dur: sim.Exponential(r, cfg.ComputeMean)}
+			return kernel.Segment{Kind: kernel.SegCompute, Dur: sim.Exponential(r, synthComputeMean)}
 		},
 	}
 }
@@ -246,32 +247,19 @@ func (p *SliceProgramWithThread) Next(t *kernel.Thread) (kernel.Segment, bool) {
 	return s, true
 }
 
-// MonitorConfig parameterizes a periodic performance-monitoring task
-// (metric scraping + log flush).
-type MonitorConfig struct {
-	Period      sim.Duration
-	ComputeWork sim.Duration
-	SyscallWork sim.Duration
-	// NonPreemptEvery makes one in N flushes take a long non-preemptible
-	// logging path; 0 disables.
-	NonPreemptEvery int
-	// LogMutex, when non-nil, serializes the flush phase across monitors
-	// through a sleeping lock (the shared log-writer of real CP stacks).
-	LogMutex *kernel.Mutex
-}
-
-// DefaultMonitor returns a 100 ms metric scraper.
-func DefaultMonitor() MonitorConfig {
-	return MonitorConfig{
-		Period:          100 * sim.Millisecond,
-		ComputeWork:     300 * sim.Microsecond,
-		SyscallWork:     200 * sim.Microsecond,
-		NonPreemptEvery: 25,
-	}
-}
+// A monitor is a periodic performance-monitoring task: metric scraping
+// plus a log flush every 100 ms.
+const (
+	monitorPeriod      = 100 * sim.Millisecond
+	monitorComputeWork = 300 * sim.Microsecond
+	monitorSyscallWork = 200 * sim.Microsecond
+	// monitorNonPreemptEvery makes one in N flushes take a long
+	// non-preemptible logging path.
+	monitorNonPreemptEvery = 25
+)
 
 // Monitor builds an endless periodic monitoring program.
-func Monitor(cfg MonitorConfig, r *rand.Rand) kernel.Program {
+func Monitor(r *rand.Rand) kernel.Program {
 	npDist := NonPreemptibleDurations()
 	iter := 0
 	phase := 0
@@ -279,29 +267,15 @@ func Monitor(cfg MonitorConfig, r *rand.Rand) kernel.Program {
 		phase++
 		switch phase % 3 {
 		case 1:
-			return kernel.Segment{Kind: kernel.SegSleep, Dur: sim.Jitter(r, cfg.Period, 0.1)}, true
+			return kernel.Segment{Kind: kernel.SegSleep, Dur: sim.Jitter(r, monitorPeriod, 0.1)}, true
 		case 2:
-			return kernel.Segment{Kind: kernel.SegCompute, Dur: sim.Jitter(r, cfg.ComputeWork, 0.3)}, true
+			return kernel.Segment{Kind: kernel.SegCompute, Dur: sim.Jitter(r, monitorComputeWork, 0.3)}, true
 		default:
 			iter++
-			if cfg.NonPreemptEvery > 0 && iter%cfg.NonPreemptEvery == 0 {
+			if iter%monitorNonPreemptEvery == 0 {
 				return kernel.Segment{Kind: kernel.SegNonPreempt, Dur: npDist.Sample(r), Note: "log_flush"}, true
 			}
-			if cfg.LogMutex != nil {
-				return kernel.Segment{Kind: kernel.SegMutex, Mutex: cfg.LogMutex,
-					Dur: sim.Jitter(r, cfg.SyscallWork, 0.3), Note: "log_write"}, true
-			}
-			return kernel.Segment{Kind: kernel.SegSyscall, Dur: sim.Jitter(r, cfg.SyscallWork, 0.3)}, true
+			return kernel.Segment{Kind: kernel.SegSyscall, Dur: sim.Jitter(r, monitorSyscallWork, 0.3)}, true
 		}
 	})
-}
-
-// OrchestrationHandler builds a one-shot CSP orchestration RPC handler:
-// parse, act (a couple of syscalls), respond.
-func OrchestrationHandler(r *rand.Rand, onComplete func()) kernel.Program {
-	return &kernel.SliceProgram{Segments: []kernel.Segment{
-		{Kind: kernel.SegCompute, Dur: sim.Jitter(r, 150*sim.Microsecond, 0.3), Note: "parse"},
-		{Kind: kernel.SegSyscall, Dur: sim.Jitter(r, 250*sim.Microsecond, 0.3), Note: "act"},
-		{Kind: kernel.SegCompute, Dur: sim.Jitter(r, 100*sim.Microsecond, 0.3), Note: "respond", OnDone: onComplete},
-	}}
 }

@@ -153,8 +153,7 @@ func TestDeviceInitJobBlocksOnSlowCoordinator(t *testing.T) {
 
 func TestMonitorPeriodicity(t *testing.T) {
 	e, k := newKernel(1)
-	cfg := DefaultMonitor()
-	th := k.Spawn("mon", Monitor(cfg, rand.New(rand.NewSource(9))))
+	th := k.Spawn("mon", Monitor(rand.New(rand.NewSource(9))))
 	e.Run(sim.Time(2 * sim.Second))
 	if th.State() == kernel.StateDone {
 		t.Fatal("monitor should never exit")
@@ -162,16 +161,6 @@ func TestMonitorPeriodicity(t *testing.T) {
 	// ~20 periods × (compute+syscall) ≈ 10ms of CPU over 2s.
 	if th.CPUTime < 5*sim.Millisecond || th.CPUTime > 60*sim.Millisecond {
 		t.Fatalf("monitor CPU time %v out of expected band", th.CPUTime)
-	}
-}
-
-func TestOrchestrationHandlerRunsOnce(t *testing.T) {
-	e, k := newKernel(1)
-	done := false
-	th := k.Spawn("orch", OrchestrationHandler(rand.New(rand.NewSource(10)), func() { done = true }))
-	e.Run(sim.Time(100 * sim.Millisecond))
-	if !done || th.State() != kernel.StateDone {
-		t.Fatal("handler did not complete")
 	}
 }
 
@@ -190,25 +179,6 @@ func TestPropertySynthCPBudget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMonitorsSerializeOnLogMutex(t *testing.T) {
-	e, k := newKernel(2)
-	mu := kernel.NewMutex("log")
-	cfg := DefaultMonitor()
-	cfg.Period = 5 * sim.Millisecond
-	cfg.NonPreemptEvery = 0
-	cfg.LogMutex = mu
-	for i := 0; i < 6; i++ {
-		k.Spawn("mon", Monitor(cfg, rand.New(rand.NewSource(int64(i)))))
-	}
-	e.Run(sim.Time(2 * sim.Second))
-	if mu.AcquireCount == 0 {
-		t.Fatal("log mutex never used")
-	}
-	if mu.Locked() || mu.Waiters() != 0 {
-		t.Fatal("log mutex leaked")
 	}
 }
 

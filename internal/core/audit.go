@@ -32,15 +32,12 @@ type Audit struct {
 // StartAudit moves a thread into the auditing domain: its affinity is
 // pinned to one vCPU of the pool, whose segment observer records every
 // privileged operation the thread begins. It refuses (with an error)
-// when the thread already finished, the node has no vCPU pool to
-// dedicate, or another audit currently holds the auditing vCPU — all
-// states a management plane can legitimately race into.
+// when the thread already finished or another audit currently holds the
+// auditing vCPU — both states a management plane can legitimately race
+// into.
 func (t *TaiChi) StartAudit(th *kernel.Thread) (*Audit, error) {
 	if th.State() == kernel.StateDone {
 		return nil, fmt.Errorf("core: cannot audit finished thread %q", th.Name)
-	}
-	if len(t.Sched.VCPUs()) == 0 {
-		return nil, fmt.Errorf("core: no vCPU pool to host an audit domain")
 	}
 	if t.audit != nil && t.audit.active {
 		return nil, fmt.Errorf("core: audit vCPU already occupied by thread %q", t.audit.thread.Name)

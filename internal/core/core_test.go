@@ -30,8 +30,8 @@ func TestVCPUsRegisteredAsNativeCPUs(t *testing.T) {
 			online++
 		}
 	}
-	if online != tc.Cfg.VCPUs {
-		t.Fatalf("%d vCPUs online, want %d", online, tc.Cfg.VCPUs)
+	if online != numVCPUs {
+		t.Fatalf("%d vCPUs online, want %d", online, numVCPUs)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestAdaptiveSliceGrowsOnIdle(t *testing.T) {
 	tc.Run(sim.Time(20 * sim.Millisecond))
 	grew := false
 	for _, slot := range tc.Sched.slots {
-		if slot.slice > tc.Cfg.InitialSlice {
+		if slot.slice > initialSlice {
 			grew = true
 		}
 		if slot.slice > tc.Cfg.MaxSlice {

@@ -259,15 +259,7 @@ func (s *Scheduler) enterStatic() {
 		int64(d.teardowns), "static")
 	for _, slot := range s.slots {
 		slot.available = false
-		if v := slot.pendingEnter; v != nil && slot.preemptReq == 0 {
-			slot.pendingEnter = nil
-			s.vs(v).claimed = false
-			s.enqueueReady(v)
-			s.resumeDP(slot)
-		}
-		if slot.occupant != nil {
-			slot.occupant.ForceExit(vcpu.ExitForced)
-		}
+		s.evict(slot)
 	}
 	if s.OnSuspend != nil {
 		s.OnSuspend()
@@ -288,6 +280,21 @@ func (s *Scheduler) enterStatic() {
 	d.cooldown = stretch(d.cooldown, recoveryCooldownFactor, recoveryMaxCooldown)
 }
 
+// evict hands slot back to its DP core: a pending entry the probe has not
+// already claimed for preemption is aborted and its vCPU requeued, and
+// an occupant is forced out.
+func (s *Scheduler) evict(slot *dpSlot) {
+	if v := slot.pendingEnter; v != nil && slot.preemptReq == 0 {
+		slot.pendingEnter = nil
+		s.vs(v).claimed = false
+		s.enqueueReady(v)
+		s.resumeDP(slot)
+	}
+	if slot.occupant != nil {
+		slot.occupant.ForceExit(vcpu.ExitForced)
+	}
+}
+
 // SetCoreDown marks a DP core hardware-offline (or back online) on behalf
 // of the fault-injection layer: the occupant (if any) is evicted first so
 // the dataplane core is in DP hands before it freezes, and an onlined
@@ -300,15 +307,7 @@ func (s *Scheduler) SetCoreDown(id int, down bool) {
 	if down {
 		slot.available = false
 		slot.dp.SetDown(true)
-		if v := slot.pendingEnter; v != nil && slot.preemptReq == 0 {
-			slot.pendingEnter = nil
-			s.vs(v).claimed = false
-			s.enqueueReady(v)
-			s.resumeDP(slot)
-		}
-		if slot.occupant != nil {
-			slot.occupant.ForceExit(vcpu.ExitForced)
-		}
+		s.evict(slot)
 		return
 	}
 	slot.dp.SetDown(false)

@@ -16,19 +16,28 @@ import (
 // pCPU→vCPU context switching (§4.1).
 const VecTaiChi = kernel.VecUser
 
+// The vCPU pool and the scheduler's fixed timing, from the paper's
+// deployment.
+const (
+	// numVCPUs is the size of the over-provisioned vCPU pool.
+	numVCPUs = 8
+	// vcpuBaseID is the first logical CPU id assigned to vCPUs.
+	vcpuBaseID kernel.CPUID = 100
+	// initialSlice is the starting vCPU time slice (paper: 50 µs).
+	initialSlice = 50 * sim.Microsecond
+	// rescueSlice is the hosting slice used while a rescued vCPU drains
+	// its non-preemptible section on a borrowed core.
+	rescueSlice = 100 * sim.Microsecond
+	// reconcilePeriod is the background placement tick.
+	reconcilePeriod = 200 * sim.Microsecond
+)
+
 // Config is the Tai Chi configuration surface.
 type Config struct {
-	// VCPUs is the size of the over-provisioned vCPU pool.
-	VCPUs int
-	// VCPUBaseID is the first logical CPU id assigned to vCPUs.
-	VCPUBaseID kernel.CPUID
-
-	// InitialSlice is the starting vCPU time slice (paper: 50 µs).
-	InitialSlice sim.Duration
 	// MaxSlice caps adaptive doubling.
 	MaxSlice sim.Duration
 	// AdaptiveSlice enables slice doubling/reset (§4.1); false freezes the
-	// slice at InitialSlice (ablation).
+	// slice at the initial 50 µs (ablation).
 	AdaptiveSlice bool
 	// AdaptiveYield enables the software probe's empty-poll threshold
 	// adaptation (§4.3); false freezes it at the initial value
@@ -37,9 +46,6 @@ type Config struct {
 
 	// LockRescue enables safe CP-to-DP scheduling in lock context (§4.1).
 	LockRescue bool
-	// RescueSlice is the hosting slice used while a rescued vCPU drains
-	// its non-preemptible section on a borrowed core.
-	RescueSlice sim.Duration
 
 	// NaiveCoSchedule models a conventional (non-virtualized) co-scheduler:
 	// a preemption request must wait for the guest's non-preemptible
@@ -49,24 +55,16 @@ type Config struct {
 
 	// Costs is the virtualization cost model.
 	Costs vcpu.Costs
-
-	// ReconcilePeriod is the background placement tick.
-	ReconcilePeriod sim.Duration
 }
 
 // DefaultConfig mirrors the paper's deployment parameters.
 func DefaultConfig() Config {
 	return Config{
-		VCPUs:           8,
-		VCPUBaseID:      100,
-		InitialSlice:    50 * sim.Microsecond,
-		MaxSlice:        400 * sim.Microsecond,
-		AdaptiveSlice:   true,
-		AdaptiveYield:   true,
-		LockRescue:      true,
-		RescueSlice:     100 * sim.Microsecond,
-		Costs:           vcpu.DefaultCosts(),
-		ReconcilePeriod: 200 * sim.Microsecond,
+		MaxSlice:      400 * sim.Microsecond,
+		AdaptiveSlice: true,
+		AdaptiveYield: true,
+		LockRescue:    true,
+		Costs:         vcpu.DefaultCosts(),
 	}
 }
 
@@ -110,7 +108,7 @@ type Scheduler struct {
 
 	vcpus []*vcpu.VCPU
 	// pool is the scheduler's state of each vCPU, indexed like vcpus: by
-	// pool position, v.ID()-cfg.VCPUBaseID.
+	// pool position, v.ID()-vcpuBaseID.
 	pool []vcpuState
 	orch *Orchestrator
 	sw   *SWProbe
@@ -180,9 +178,6 @@ type Scheduler struct {
 // placement loop. CP tasks can then be spawned with affinity to the
 // vCPUs (and CP pCPUs) exactly as production does with cgroups.
 func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
-	if cfg.VCPUs <= 0 {
-		panic("core: need at least one vCPU")
-	}
 	s := &Scheduler{
 		cfg:            cfg,
 		node:           node,
@@ -213,8 +208,8 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 	s.orch = NewOrchestrator(node.Kernel)
 
 	// vCPU pool: offline native CPUs booted via the orchestrator.
-	for i := 0; i < cfg.VCPUs; i++ {
-		id := cfg.VCPUBaseID + kernel.CPUID(i)
+	for i := 0; i < numVCPUs; i++ {
+		id := vcpuBaseID + kernel.CPUID(i)
 		c := node.Kernel.AddCPU(id, true)
 		v := vcpu.New(node.Kernel, c, cfg.Costs, node.Tracer)
 		v.OnWake = s.onWake
@@ -226,7 +221,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 	// DP slots + software probe wiring.
 	for _, dp := range node.DPCores() {
 		dp := dp
-		slot := &dpSlot{dp: dp, slice: cfg.InitialSlice}
+		slot := &dpSlot{dp: dp, slice: initialSlice}
 		slot.wd = s.engine.NewTimer(0, "core.watchdog", func() { s.reclaimWatchdog(slot) })
 		s.slots = append(s.slots, slot)
 		for len(s.slotByCore) <= dp.ID {
@@ -254,9 +249,7 @@ func NewScheduler(node *platform.Node, cfg Config) *Scheduler {
 
 	// Background reconciliation keeps placement live even without event
 	// triggers (e.g. a vCPU parked while all DP cores were busy).
-	if cfg.ReconcilePeriod > 0 {
-		s.engine.NewTimer(cfg.ReconcilePeriod, "core.reconcile", s.reconcile).Reset(cfg.ReconcilePeriod)
-	}
+	s.engine.NewTimer(reconcilePeriod, "core.reconcile", s.reconcile).Reset(reconcilePeriod)
 
 	node.Net.Start()
 	if node.Stor != nil {
@@ -286,7 +279,7 @@ func (s *Scheduler) VCPUIDs() []kernel.CPUID {
 
 // vs returns v's scheduler state.
 func (s *Scheduler) vs(v *vcpu.VCPU) *vcpuState {
-	return &s.pool[v.ID()-s.cfg.VCPUBaseID]
+	return &s.pool[v.ID()-vcpuBaseID]
 }
 
 // slotAt returns the slot of DP core id, or nil if id is not a DP core.
@@ -559,7 +552,7 @@ func (s *Scheduler) onExit(v *vcpu.VCPU, reason vcpu.ExitReason) {
 	switch reason {
 	case vcpu.ExitProbe:
 		if slot != nil {
-			slot.slice = s.cfg.InitialSlice
+			slot.slice = initialSlice
 			s.sw.FalsePositive(slot.dp.ID)
 			s.resumeDP(slot)
 		}
@@ -575,7 +568,7 @@ func (s *Scheduler) onExit(v *vcpu.VCPU, reason vcpu.ExitReason) {
 					s.node.Probe.Enabled && slot.preemptReq == 0 {
 					s.noteProbeMiss(slot)
 				}
-				slot.slice = s.cfg.InitialSlice
+				slot.slice = initialSlice
 				s.sw.FalsePositive(slot.dp.ID)
 				s.resumeDP(slot)
 			} else {
@@ -723,7 +716,7 @@ func (s *Scheduler) hostOnCP(host *kernel.CPU, v *vcpu.VCPU) {
 	onExit = func(v *vcpu.VCPU, reason vcpu.ExitReason) {
 		stillNP := v.CPU().Current() != nil && v.CPU().InNonPreemptibleSection()
 		if reason == vcpu.ExitTimer && stillNP && v.State() == vcpu.StateReady {
-			v.Enter(int(host.ID), s.cfg.RescueSlice, onExit)
+			v.Enter(int(host.ID), rescueSlice, onExit)
 			return
 		}
 		s.vs(v).claimed = false
@@ -740,5 +733,5 @@ func (s *Scheduler) hostOnCP(host *kernel.CPU, v *vcpu.VCPU) {
 		}
 		s.reconcile()
 	}
-	v.Enter(int(host.ID), s.cfg.RescueSlice, onExit)
+	v.Enter(int(host.ID), rescueSlice, onExit)
 }

@@ -59,22 +59,15 @@ func New(node *platform.Node, cfg Config) *TaiChi {
 }
 
 // TryNew is New with the configuration-error paths surfaced as errors
-// instead of panics: an empty vCPU pool, a negative vCPU base id, a
-// negative VM-entry or VM-exit cost and vCPU logical-id collisions with
-// CPUs the kernel already owns are caller mistakes a long-running harness
-// should be able to report, not die on.
+// instead of panics: a negative VM-entry or VM-exit cost and vCPU
+// logical-id collisions with CPUs the kernel already owns are caller
+// mistakes a long-running harness should be able to report, not die on.
 func TryNew(node *platform.Node, cfg Config) (*TaiChi, error) {
-	if cfg.VCPUs <= 0 {
-		return nil, fmt.Errorf("core: config needs at least one vCPU (got %d)", cfg.VCPUs)
-	}
-	if cfg.VCPUBaseID < 0 {
-		return nil, fmt.Errorf("core: VCPUBaseID = %d: negative", cfg.VCPUBaseID)
-	}
 	if err := cfg.Costs.Validate(); err != nil {
 		return nil, fmt.Errorf("core: Costs.%w", err)
 	}
-	for i := 0; i < cfg.VCPUs; i++ {
-		id := cfg.VCPUBaseID + kernel.CPUID(i)
+	for i := 0; i < numVCPUs; i++ {
+		id := vcpuBaseID + kernel.CPUID(i)
 		if node.Kernel.CPU(id) != nil {
 			return nil, fmt.Errorf("core: vCPU logical id %d collides with an existing CPU", id)
 		}

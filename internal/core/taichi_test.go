@@ -87,8 +87,8 @@ func TestRPCCoordinatorForwardsNack(t *testing.T) {
 func TestCPAffinityCoversCPAndVCPUs(t *testing.T) {
 	tc := newTaiChi(42, nil)
 	ids := tc.CPAffinity()
-	if len(ids) != 4+tc.Cfg.VCPUs {
-		t.Fatalf("affinity covers %d CPUs, want %d", len(ids), 4+tc.Cfg.VCPUs)
+	if len(ids) != 4+numVCPUs {
+		t.Fatalf("affinity covers %d CPUs, want %d", len(ids), 4+numVCPUs)
 	}
 }
 
@@ -110,7 +110,6 @@ func TestTryNewRejectsMalformedConfig(t *testing.T) {
 		want string
 		mut  func(*Config)
 	}{
-		{"VCPUBaseID", func(c *Config) { c.VCPUBaseID = -8 }},
 		{"Costs.Entry", func(c *Config) { c.Costs.Entry = -sim.Microsecond }},
 		{"Costs.Exit", func(c *Config) { c.Costs.Exit = -1 }},
 	} {

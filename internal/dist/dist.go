@@ -1,12 +1,11 @@
 // Package dist provides the probability distributions used by workload
-// generators and task models: exponential, lognormal, bounded Pareto,
-// empirical piecewise distributions, and a two-state Markov-modulated
-// burst process. Each is calibrated against a published quantity: the
-// lognormal's mean/p99 parameterization fits the right-skewed calm-epoch
-// utilization mix behind Figure 3 (30% fleet operating point, §6.2), the
-// empirical piecewise
-// distribution fits the Figure 5 non-preemptible-routine census (94.5%
-// in 1–5 ms, max 67 ms), and the MMPP burst process reproduces the
+// generators and task models: lognormal and empirical piecewise
+// distributions, and a two-state Markov-modulated burst process. Each is
+// calibrated against a published quantity: the lognormal's mean/p99
+// parameterization fits the right-skewed calm-epoch utilization mix
+// behind Figure 3 (30% fleet operating point, §6.2), the empirical
+// piecewise distribution fits the Figure 5 non-preemptible-routine census
+// (94.5% in 1–5 ms, max 67 ms), and the MMPP burst process reproduces the
 // Figure 3 fleet utilization CDF (99.68% of samples below 32.5%).
 //
 // All samplers draw from an explicit *rand.Rand so that callers control
@@ -22,53 +21,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// Sampler produces simulated durations.
-type Sampler interface {
-	// Sample draws one duration. Implementations must never return a
-	// negative duration.
-	Sample(r *rand.Rand) sim.Duration
-	// Mean returns the analytic mean of the distribution where known,
-	// used by harnesses to derive offered-load targets.
-	Mean() sim.Duration
-}
-
-// Constant always returns the same value.
-type Constant sim.Duration
-
-// Sample implements Sampler.
-func (c Constant) Sample(*rand.Rand) sim.Duration { return sim.Duration(c) }
-
-// Mean implements Sampler.
-func (c Constant) Mean() sim.Duration { return sim.Duration(c) }
-
-// Exponential is the memoryless distribution with the given mean,
-// the default model for Poisson packet interarrivals.
-type Exponential struct {
-	MeanValue sim.Duration
-}
-
-// NewExponential returns an exponential sampler with the given mean.
-func NewExponential(mean sim.Duration) Exponential { return Exponential{MeanValue: mean} }
-
-// Sample implements Sampler.
-func (e Exponential) Sample(r *rand.Rand) sim.Duration {
-	return sim.Exponential(r, e.MeanValue)
-}
-
-// Mean implements Sampler.
-func (e Exponential) Mean() sim.Duration { return e.MeanValue }
-
-// Uniform draws uniformly from [Lo, Hi].
-type Uniform struct {
-	Lo, Hi sim.Duration
-}
-
-// Sample implements Sampler.
-func (u Uniform) Sample(r *rand.Rand) sim.Duration { return sim.Uniform(r, u.Lo, u.Hi) }
-
-// Mean implements Sampler.
-func (u Uniform) Mean() sim.Duration { return (u.Lo + u.Hi) / 2 }
 
 // Lognormal models right-skewed service times (e.g. CP user-space compute
 // phases). Mu and Sigma parameterize the underlying normal in log-ns space.
@@ -112,7 +64,7 @@ func FitLognormalMeanP99(mean, p99 sim.Duration) (Lognormal, error) {
 	return Lognormal{Mu: mu, Sigma: sigma}, nil
 }
 
-// Sample implements Sampler.
+// Sample draws one duration, never below 1 ns.
 func (l Lognormal) Sample(r *rand.Rand) sim.Duration {
 	v := math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 	if v < 1 {
@@ -124,48 +76,9 @@ func (l Lognormal) Sample(r *rand.Rand) sim.Duration {
 	return sim.Duration(v)
 }
 
-// Mean implements Sampler.
+// Mean returns the analytic mean.
 func (l Lognormal) Mean() sim.Duration {
 	return sim.Duration(math.Exp(l.Mu + l.Sigma*l.Sigma/2))
-}
-
-// BoundedPareto is a heavy-tailed distribution truncated to [Lo, Hi],
-// used for the long tail of non-preemptible routine durations (Figure 5:
-// 94.5% in 1-5 ms, max 67 ms).
-type BoundedPareto struct {
-	Alpha  float64
-	Lo, Hi sim.Duration
-}
-
-// Sample implements Sampler.
-func (p BoundedPareto) Sample(r *rand.Rand) sim.Duration {
-	l, h := float64(p.Lo), float64(p.Hi)
-	if l <= 0 || h <= l {
-		return p.Lo
-	}
-	u := r.Float64()
-	// Inverse CDF of the bounded Pareto.
-	la, ha := math.Pow(l, p.Alpha), math.Pow(h, p.Alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
-	if x < l {
-		x = l
-	}
-	if x > h {
-		x = h
-	}
-	return sim.Duration(x)
-}
-
-// Mean implements Sampler.
-func (p BoundedPareto) Mean() sim.Duration {
-	l, h := float64(p.Lo), float64(p.Hi)
-	a := p.Alpha
-	if a == 1 {
-		return sim.Duration((l * h / (h - l)) * math.Log(h/l))
-	}
-	la := math.Pow(l, a)
-	m := la / (1 - math.Pow(l/h, a)) * (a / (a - 1)) * (1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
-	return sim.Duration(m)
 }
 
 // Empirical is a piecewise (bucketed) distribution defined by weighted
@@ -228,7 +141,7 @@ func TryNewEmpirical(buckets []Bucket) (*Empirical, error) {
 	return e, nil
 }
 
-// Sample implements Sampler: pick a bucket by weight, then uniform within.
+// Sample draws one duration: pick a bucket by weight, then uniform within.
 func (e *Empirical) Sample(r *rand.Rand) sim.Duration {
 	u := r.Float64() * e.total
 	i := sort.SearchFloat64s(e.cum, u)
@@ -239,7 +152,8 @@ func (e *Empirical) Sample(r *rand.Rand) sim.Duration {
 	return sim.Uniform(r, b.lo, b.hi)
 }
 
-// Mean implements Sampler.
+// Mean returns the analytic mean, the weighted average of the bucket
+// midpoints.
 func (e *Empirical) Mean() sim.Duration { return e.mean }
 
 // MMPP2 is a two-state Markov-modulated Poisson process: a "calm" state
@@ -272,71 +186,4 @@ func (m *MMPP2) Next(r *rand.Rand, now sim.Time) sim.Duration {
 		return sim.Exponential(r, m.BurstInterarrival)
 	}
 	return sim.Exponential(r, m.CalmInterarrival)
-}
-
-// InBurst reports whether the modulating chain is currently bursting.
-func (m *MMPP2) InBurst() bool { return m.inBurst }
-
-// Mixture samples from one of several component samplers chosen by weight,
-// e.g. "95% short syscalls, 5% long driver spinlocks".
-type Mixture struct {
-	components []Sampler
-	cum        []float64
-	total      float64
-}
-
-// Component is one weighted member of a Mixture.
-type Component struct {
-	Weight  float64
-	Sampler Sampler
-}
-
-// NewMixture builds a weighted mixture. It panics on empty input or
-// non-positive total weight; TryNewMixture is the error-returning form.
-func NewMixture(comps []Component) *Mixture {
-	m, err := TryNewMixture(comps)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// TryNewMixture builds a weighted mixture, reporting a non-positive
-// total weight as an error instead of panicking.
-func TryNewMixture(comps []Component) (*Mixture, error) {
-	m := &Mixture{}
-	for _, c := range comps {
-		if c.Weight <= 0 {
-			continue
-		}
-		m.components = append(m.components, c.Sampler)
-		m.total += c.Weight
-		m.cum = append(m.cum, m.total)
-	}
-	if m.total == 0 {
-		return nil, fmt.Errorf("dist: mixture has zero total weight")
-	}
-	return m, nil
-}
-
-// Sample implements Sampler.
-func (m *Mixture) Sample(r *rand.Rand) sim.Duration {
-	u := r.Float64() * m.total
-	i := sort.SearchFloat64s(m.cum, u)
-	if i >= len(m.components) {
-		i = len(m.components) - 1
-	}
-	return m.components[i].Sample(r)
-}
-
-// Mean implements Sampler.
-func (m *Mixture) Mean() sim.Duration {
-	var acc float64
-	prev := 0.0
-	for i, c := range m.components {
-		w := m.cum[i] - prev
-		prev = m.cum[i]
-		acc += w * float64(c.Mean())
-	}
-	return sim.Duration(acc / m.total)
 }

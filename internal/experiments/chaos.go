@@ -47,7 +47,7 @@ func Chaos(scale Scale) *Result {
 		bg := workload.NewBackground(tc.Node, workload.DefaultBackground(0.30))
 		bg.Start()
 		pc := workload.DefaultPing()
-		pc.Count = int(horizon / pc.Interval)
+		pc.Count = int(horizon / workload.PingInterval)
 		ping := workload.NewPing(tc.Node, pc)
 		ping.Start(nil)
 
@@ -165,7 +165,7 @@ func ChaosRecovery(scale Scale, baseSeed int64) (*metrics.Table, map[string]floa
 		bg := workload.NewBackground(tc.Node, workload.DefaultBackground(0.30))
 		bg.Start()
 		pc := workload.DefaultPing()
-		pc.Count = int(horizon / pc.Interval)
+		pc.Count = int(horizon / workload.PingInterval)
 		ping := workload.NewPing(tc.Node, pc)
 		ping.Start(nil)
 

@@ -158,7 +158,7 @@ func Fig13FioIOPS(scale Scale) *Result {
 	for _, spec := range fourSystems() {
 		node, host := spec.build(1300)
 		withCPLoad(host)
-		fio := workload.NewFio(node, workload.DefaultFio())
+		fio := workload.NewFio(node)
 		node.Run(sim.Time(200 * sim.Millisecond))
 		fio.Start()
 		node.Run(node.Now().Add(sim.Duration(horizon)))
@@ -203,7 +203,7 @@ func Table5PingRTT(scale Scale) *Result {
 		p := workload.NewPing(node, cfg)
 		node.Run(sim.Time(100 * sim.Millisecond))
 		p.Start(nil)
-		node.Run(node.Now().Add(sim.Duration(cfg.Interval) * sim.Duration(count+100)))
+		node.Run(node.Now().Add(sim.Duration(workload.PingInterval) * sim.Duration(count+100)))
 		s := p.RTT.Summarize()
 		tbl.AddRow(name,
 			s.Min.Microseconds(), s.Mean.Microseconds(), s.Max.Microseconds(), s.Mdev.Microseconds())
@@ -507,7 +507,7 @@ func Sec8DynamicDP(scale Scale) *Result {
 		withCPLoad(tc)
 		// Phase 1: peak throughput under saturating benchmarks.
 		crr := workload.NewCRR(tc.Node, workload.DefaultCRR())
-		fio := workload.NewFio(tc.Node, workload.DefaultFio())
+		fio := workload.NewFio(tc.Node)
 		tc.Run(sim.Time(200 * sim.Millisecond))
 		crr.Start()
 		fio.Start()

@@ -84,8 +84,7 @@ func (r *Result) Render() string {
 // that keeps vCPUs busy during data-plane experiments.
 func deployMonitors(host cluster.Host, n int) {
 	for i := 0; i < n; i++ {
-		cfg := controlplane.DefaultMonitor()
-		host.SpawnCP(fmt.Sprintf("monitor%d", i), controlplane.Monitor(cfg, host.Stream(fmt.Sprintf("exp.mon%d", i))))
+		host.SpawnCP(fmt.Sprintf("monitor%d", i), controlplane.Monitor(host.Stream(fmt.Sprintf("exp.mon%d", i))))
 	}
 }
 

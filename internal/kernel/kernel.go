@@ -381,33 +381,6 @@ func (k *Kernel) startSegment(c *CPU) {
 		t.cpu = nil
 		c.cur = nil
 		k.schedule(c)
-	case SegMutex:
-		if seg.Mutex == nil {
-			panic("kernel: SegMutex without mutex in thread " + t.Name)
-		}
-		if t.segStarted {
-			// Resuming a preempted or frozen mutex-hold.
-			c.startRun(t.segRemaining, c.segFire)
-			return
-		}
-		if seg.Mutex.tryAcquire(t) {
-			t.segStarted = true
-			if c.OnSegment != nil {
-				c.OnSegment(t, seg.Kind, seg.Note)
-			}
-			if seg.OnStart != nil {
-				seg.OnStart()
-			}
-			c.startRun(t.segRemaining, c.segFire)
-			return
-		}
-		// Contended: sleep in the wait queue, keeping the segment so the
-		// wakeup (ownership already transferred) re-enters the hold.
-		seg.Mutex.enqueue(t)
-		t.state = StateWaiting
-		t.cpu = nil
-		c.cur = nil
-		k.schedule(c)
 	case SegLock:
 		if t.segStarted {
 			// Resuming a frozen lock-hold.
@@ -494,11 +467,6 @@ func (k *Kernel) segmentDone(c *CPU) {
 		c.traceEmit(trace.KindNonPreemptibleEnd, int64(t.ID), seg.Lock.holdNote)
 		seg.Lock.release(t)
 		k.grantLock(seg.Lock)
-	}
-	if seg.Kind == SegMutex {
-		if next := seg.Mutex.release(t); next != nil {
-			k.makeRunnable(next)
-		}
 	}
 	if seg.OnDone != nil {
 		seg.OnDone()

@@ -37,9 +37,6 @@ const (
 	// SegLock acquires Lock (spinning non-preemptibly if contended), holds
 	// it non-preemptibly for Dur, then releases it.
 	SegLock
-	// SegMutex acquires Mutex (sleeping off-CPU if contended), holds it
-	// preemptibly for Dur, then releases it and wakes the next waiter.
-	SegMutex
 	// SegSleep blocks the thread off-CPU for Dur.
 	SegSleep
 	// SegWait blocks the thread off-CPU until Thread.Signal is called.
@@ -57,8 +54,6 @@ func (k SegKind) String() string {
 		return "non_preempt"
 	case SegLock:
 		return "lock"
-	case SegMutex:
-		return "mutex"
 	case SegSleep:
 		return "sleep"
 	case SegWait:
@@ -75,8 +70,6 @@ type Segment struct {
 	Dur sim.Duration
 	// Lock is the spinlock for SegLock segments.
 	Lock *SpinLock
-	// Mutex is the sleeping lock for SegMutex segments.
-	Mutex *Mutex
 	// OnStart runs when the segment first begins executing (after any
 	// spin-wait for SegLock). Used by CP task models to issue IPC.
 	OnStart func()
@@ -87,10 +80,9 @@ type Segment struct {
 }
 
 // Preemptible reports whether the kernel scheduler may switch away from a
-// thread mid-segment on a physical CPU. Mutex critical sections remain
-// preemptible — unlike spinlocks, mutexes do not disable preemption.
+// thread mid-segment on a physical CPU.
 func (s Segment) Preemptible() bool {
-	return s.Kind == SegCompute || s.Kind == SegSyscall || s.Kind == SegMutex
+	return s.Kind == SegCompute || s.Kind == SegSyscall
 }
 
 // Program supplies a thread's segments one at a time. Returning ok=false

@@ -53,23 +53,18 @@ type Options struct {
 	// Net / Stor are the per-service DP cost models.
 	Net  dataplane.Config
 	Stor dataplane.Config
-	// Accel is the pipeline timing (Figure 6).
-	Accel accel.Config
 	// HWProbe fits the hardware workload probe into the accelerator.
 	HWProbe bool
-	// ProbeIRQLatency is the accelerator→CPU interrupt latency.
-	ProbeIRQLatency sim.Duration
-	// TraceLimit caps stored trace events (0 = unlimited).
-	TraceLimit int
-	// TraceKinds restricts tracing to the given kinds. When nil and
-	// TraceAll is false, a default set excluding the per-packet lifecycle
-	// kinds applies — packet events dominate event volume (four per
-	// packet at millions of packets per second) and only the Figure 6
-	// breakdown needs them.
-	TraceKinds []trace.Kind
 	// TraceAll records every kind, including packet lifecycle events.
+	// Without it the tracer records DefaultTraceKinds: packet events
+	// dominate event volume (four per packet at millions of packets per
+	// second) and only the Figure 6 breakdown needs them.
 	TraceAll bool
 }
+
+// probeIRQLatency is the accelerator→CPU interrupt latency of the
+// hardware probe.
+const probeIRQLatency = 500 * sim.Nanosecond
 
 // DefaultOptions returns a production-like node configuration with
 // calibrated per-packet costs: ~1 µs of DP software work per network
@@ -79,13 +74,11 @@ func DefaultOptions() Options {
 	stor := dataplane.DefaultConfig()
 	stor.EmptyPollCost = 120 * sim.Nanosecond
 	return Options{
-		Seed:            1,
-		Topology:        DefaultTopology(),
-		Net:             net,
-		Stor:            stor,
-		Accel:           accel.DefaultConfig(),
-		HWProbe:         true,
-		ProbeIRQLatency: 500 * sim.Nanosecond,
+		Seed:     1,
+		Topology: DefaultTopology(),
+		Net:      net,
+		Stor:     stor,
+		HWProbe:  true,
 	}
 }
 
@@ -176,17 +169,9 @@ func New(opts Options) (*Node, error) {
 	if err := opts.Stor.Validate(); err != nil {
 		return nil, fmt.Errorf("platform: Stor.%w", err)
 	}
-	if err := opts.Accel.Validate(); err != nil {
-		return nil, fmt.Errorf("platform: Accel.%w", err)
-	}
 	engine := sim.NewEngine()
-	tracer := trace.New(opts.TraceLimit)
-	switch {
-	case opts.TraceAll:
-		// record everything
-	case len(opts.TraceKinds) > 0:
-		tracer.EnableOnly(opts.TraceKinds...)
-	default:
+	tracer := trace.New(0)
+	if !opts.TraceAll {
 		tracer.EnableOnly(DefaultTraceKinds()...)
 	}
 	n := &Node{
@@ -208,9 +193,9 @@ func New(opts Options) (*Node, error) {
 		n.addDPCores(n.Stor.Cores())
 	}
 	if opts.HWProbe {
-		n.Probe = accel.NewProbe(opts.ProbeIRQLatency)
+		n.Probe = accel.NewProbe(probeIRQLatency)
 	}
-	n.Pipe = accel.NewPipeline(engine, opts.Accel, n.Probe, tracer, func(core int, p *accel.Packet) {
+	n.Pipe = accel.NewPipeline(engine, n.Probe, tracer, func(core int, p *accel.Packet) {
 		c := n.DPCore(core)
 		if c == nil {
 			// Genuine internal invariant: the pipeline only routes to cores

@@ -183,35 +183,6 @@ func TestMalformedDataplaneConfigRejected(t *testing.T) {
 	}
 }
 
-// A negative accelerator stage time is an error naming the field, even
-// when the other stage is long enough to keep the pipeline delay positive.
-func TestMalformedAccelConfigRejected(t *testing.T) {
-	for _, tc := range []struct {
-		field string
-		cfg   accel.Config
-	}{
-		{"Preprocess", accel.Config{Preprocess: -sim.Microsecond, Transfer: 3 * sim.Microsecond}},
-		{"Preprocess", accel.Config{Preprocess: -1}},
-		{"Transfer", accel.Config{Preprocess: 3 * sim.Microsecond, Transfer: -500 * sim.Nanosecond}},
-		{"Transfer", accel.Config{Transfer: -1}},
-	} {
-		opts := DefaultOptions()
-		opts.Accel = tc.cfg
-		n, err := New(opts)
-		want := "Accel." + tc.field
-		if err == nil || n != nil {
-			t.Errorf("%s: New accepted %+v", want, tc.cfg)
-		} else if !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %q does not name the field", want, err)
-		}
-	}
-	opts := DefaultOptions()
-	opts.Accel = accel.Config{}
-	if _, err := New(opts); err != nil {
-		t.Fatalf("a zero-latency accelerator is legal: %v", err)
-	}
-}
-
 func TestUnknownCorePanics(t *testing.T) {
 	n := NewNode(DefaultOptions())
 	defer func() {

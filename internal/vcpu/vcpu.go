@@ -134,7 +134,7 @@ type VCPU struct {
 	core       int        // physical core backing the vCPU, -1 when none
 	slice      *sim.Timer // the preemption timer; fires v.sliceExpired
 	exitCb     func(v *VCPU, reason ExitReason)
-	exitEv     sim.Handle // in-flight VM-exit completion
+	exitEv     sim.Handle // the latest VM-exit completion; stale once it fired
 	exitReason ExitReason // reason of the in-flight exit
 	exitFire   func()     // v.exitDone, bound once
 	// entrySlices holds the slice of every VM-entry event still queued,
@@ -309,7 +309,6 @@ func (v *VCPU) exitDone() { v.completeExit(v.exitReason) }
 // completeExit finishes the VM-exit transition: the core is free and the
 // scheduler callback fires.
 func (v *VCPU) completeExit(reason ExitReason) {
-	v.exitEv = sim.Handle{}
 	v.core = -1
 	if reason == ExitHalt {
 		v.state = StateHalted
@@ -337,9 +336,7 @@ func (v *VCPU) Teardown() bool {
 		return false
 	}
 	v.Teardowns++
-	if v.exitEv != (sim.Handle{}) {
-		v.exitEv.Cancel()
-	}
+	v.exitEv.Cancel()
 	v.completeExit(v.exitReason)
 	return true
 }

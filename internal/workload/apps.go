@@ -9,47 +9,40 @@ import (
 	"repro/internal/sim"
 )
 
-// MySQLConfig models the sysbench-driven MySQL workload of §6.1: 192
+// The MySQL model is the sysbench-driven workload of §6.1/§6.5: 192
 // client threads issuing queries against a VM whose network and storage
-// I/O ride the SmartNIC data plane.
+// I/O ride the SmartNIC data plane. Each query takes two DP passes,
+// request in and result out.
+const (
+	// mysqlThreads is the sysbench concurrency (paper: 192).
+	mysqlThreads = 192
+	// mysqlHostCompute is the VM-side CPU time per query.
+	mysqlHostCompute = 220 * sim.Microsecond
+	// mysqlNetWork is the DP cost per pass.
+	mysqlNetWork = 1100 * sim.Nanosecond
+	// mysqlStorProb is the probability a query misses the buffer pool
+	// and issues a storage read.
+	mysqlStorProb = 0.35
+	// mysqlStorWork / mysqlStorBackend model that read.
+	mysqlStorWork    = 3500 * sim.Nanosecond
+	mysqlStorBackend = 25 * sim.Microsecond
+	// mysqlQueriesPerTxn converts query counts into sysbench
+	// transactions.
+	mysqlQueriesPerTxn = 20
+	// mysqlWindowForMax sizes the window for max_query/max_trans
+	// reporting.
+	mysqlWindowForMax = 100 * sim.Millisecond
+)
+
+// MySQLConfig parameterizes the MySQL workload.
 type MySQLConfig struct {
-	// Threads is the sysbench concurrency (paper: 192).
-	Threads int
-	// HostCompute is the VM-side CPU time per query.
-	HostCompute sim.Duration
-	// NetPasses is DP passes per query (request in, result out).
-	NetPasses int
-	// NetWork is the DP cost per pass.
-	NetWork sim.Duration
-	// StorProb is the probability a query misses the buffer pool and
-	// issues a storage read.
-	StorProb float64
-	// StorWork / StorBackend model that read.
-	StorWork    sim.Duration
-	StorBackend sim.Duration
-	// QueriesPerTxn converts query counts into sysbench transactions.
-	QueriesPerTxn int
-	// WindowForMax sizes the window for max_query/max_trans reporting.
-	WindowForMax sim.Duration
 	// Phase optionally gates queries into on/off bursts; nil means
 	// continuous.
 	Phase *Phaser
 }
 
-// DefaultMySQL mirrors the §6.5 MySQL setup.
-func DefaultMySQL() MySQLConfig {
-	return MySQLConfig{
-		Threads:       192,
-		HostCompute:   220 * sim.Microsecond,
-		NetPasses:     2,
-		NetWork:       1100 * sim.Nanosecond,
-		StorProb:      0.35,
-		StorWork:      3500 * sim.Nanosecond,
-		StorBackend:   25 * sim.Microsecond,
-		QueriesPerTxn: 20,
-		WindowForMax:  100 * sim.Millisecond,
-	}
-}
+// DefaultMySQL mirrors the §6.5 MySQL setup: continuous queries.
+func DefaultMySQL() MySQLConfig { return MySQLConfig{} }
 
 // MySQL is the running database workload.
 type MySQL struct {
@@ -82,7 +75,7 @@ func NewMySQL(node *platform.Node, cfg MySQLConfig) *MySQL {
 func (m *MySQL) Start() {
 	m.startedAt = m.node.Now()
 	m.windowStart = m.startedAt
-	for i := 0; i < m.cfg.Threads; i++ {
+	for i := 0; i < mysqlThreads; i++ {
 		th := i
 		m.node.Engine.Schedule(sim.Duration(m.r.Int63n(int64(200*sim.Microsecond))+1), func() {
 			m.query(th)
@@ -111,15 +104,15 @@ func (m *MySQL) query(th int) {
 		}
 	}
 	// Request in through the network DP.
-	m.node.InjectNet(th, m.cfg.NetWork, func(*accel.Packet, sim.Time) {
+	m.node.InjectNet(th, mysqlNetWork, func(*accel.Packet, sim.Time) {
 		// VM-side execution, possibly with a storage read underneath.
-		m.node.Engine.Schedule(sim.Jitter(m.r, m.cfg.HostCompute, 0.2), func() {
+		m.node.Engine.Schedule(sim.Jitter(m.r, mysqlHostCompute, 0.2), func() {
 			respond := func() {
-				m.node.InjectNet(th, m.cfg.NetWork, func(*accel.Packet, sim.Time) { finish() })
+				m.node.InjectNet(th, mysqlNetWork, func(*accel.Packet, sim.Time) { finish() })
 			}
-			if m.r.Float64() < m.cfg.StorProb {
-				m.node.InjectStor(th, m.cfg.StorWork, func(*accel.Packet, sim.Time) {
-					m.node.Engine.Schedule(m.cfg.StorBackend, respond)
+			if m.r.Float64() < mysqlStorProb {
+				m.node.InjectStor(th, mysqlStorWork, func(*accel.Packet, sim.Time) {
+					m.node.Engine.Schedule(mysqlStorBackend, respond)
 				})
 			} else {
 				respond()
@@ -131,7 +124,7 @@ func (m *MySQL) query(th int) {
 func (m *MySQL) recordWindow() {
 	m.windowCount++
 	now := m.node.Now()
-	if w := now.Sub(m.windowStart); w >= m.cfg.WindowForMax {
+	if w := now.Sub(m.windowStart); w >= mysqlWindowForMax {
 		qps := float64(m.windowCount) / w.Seconds()
 		if qps > m.maxWindowQP {
 			m.maxWindowQP = qps
@@ -151,14 +144,27 @@ func (m *MySQL) MaxQPS() float64 { return m.maxWindowQP }
 
 // AvgTPS returns sysbench transactions per second.
 func (m *MySQL) AvgTPS(now sim.Time) float64 {
-	return m.AvgQPS(now) / float64(m.cfg.QueriesPerTxn)
+	return m.AvgQPS(now) / mysqlQueriesPerTxn
 }
 
 // MaxTPS returns the best window transaction rate.
-func (m *MySQL) MaxTPS() float64 { return m.maxWindowQP / float64(m.cfg.QueriesPerTxn) }
+func (m *MySQL) MaxTPS() float64 { return m.maxWindowQP / mysqlQueriesPerTxn }
 
-// NginxConfig models the wrk-driven Nginx workload of §6.5: 10,000
-// concurrent connections fetching small pages over HTTP or HTTPS.
+// The Nginx model is the wrk-driven workload of §6.5: 10,000 concurrent
+// connections fetching small pages over HTTP or HTTPS.
+const (
+	// nginxHostCompute is the server-side CPU time per request.
+	nginxHostCompute = 60 * sim.Microsecond
+	// nginxHandshakeCompute is the extra server CPU for TLS.
+	nginxHandshakeCompute = 180 * sim.Microsecond
+	// nginxNetPassesLong / nginxNetPassesShort are DP passes per request.
+	nginxNetPassesLong  = 2
+	nginxNetPassesShort = 5
+	// nginxNetWork is the DP cost per pass.
+	nginxNetWork = 1000 * sim.Nanosecond
+)
+
+// NginxConfig parameterizes the Nginx workload.
 type NginxConfig struct {
 	// Connections is the wrk concurrency (paper: 10k).
 	Connections int
@@ -167,15 +173,6 @@ type NginxConfig struct {
 	// ShortConnection makes every request open a fresh connection
 	// (connection churn through the DP's connection table).
 	ShortConnection bool
-	// HostCompute is the server-side CPU time per request.
-	HostCompute sim.Duration
-	// HandshakeCompute is the extra server CPU for TLS.
-	HandshakeCompute sim.Duration
-	// NetPassesLong / NetPassesShort are DP passes per request.
-	NetPassesLong  int
-	NetPassesShort int
-	// NetWork is the DP cost per pass.
-	NetWork sim.Duration
 	// Phase optionally gates requests into on/off bursts; nil means
 	// continuous.
 	Phase *Phaser
@@ -184,14 +181,9 @@ type NginxConfig struct {
 // DefaultNginx mirrors the §6.5 Nginx setup.
 func DefaultNginx(https, short bool) NginxConfig {
 	return NginxConfig{
-		Connections:      10000,
-		HTTPS:            https,
-		ShortConnection:  short,
-		HostCompute:      60 * sim.Microsecond,
-		HandshakeCompute: 180 * sim.Microsecond,
-		NetPassesLong:    2,
-		NetPassesShort:   5,
-		NetWork:          1000 * sim.Nanosecond,
+		Connections:     10000,
+		HTTPS:           https,
+		ShortConnection: short,
 	}
 }
 
@@ -241,13 +233,13 @@ func (n *Nginx) request(conn int) {
 		return
 	}
 	start := n.node.Now()
-	passes := n.cfg.NetPassesLong
+	passes := nginxNetPassesLong
 	if n.cfg.ShortConnection {
-		passes = n.cfg.NetPassesShort
+		passes = nginxNetPassesShort
 	}
-	compute := n.cfg.HostCompute
+	compute := nginxHostCompute
 	if n.cfg.HTTPS && n.cfg.ShortConnection {
-		compute += n.cfg.HandshakeCompute
+		compute += nginxHandshakeCompute
 	}
 	var step func(remaining int)
 	step = func(remaining int) {
@@ -261,7 +253,7 @@ func (n *Nginx) request(conn int) {
 			})
 			return
 		}
-		n.node.InjectNet(conn, n.cfg.NetWork, func(*accel.Packet, sim.Time) {
+		n.node.InjectNet(conn, nginxNetWork, func(*accel.Packet, sim.Time) {
 			step(remaining - 1)
 		})
 	}

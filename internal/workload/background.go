@@ -20,32 +20,33 @@ type BackgroundConfig struct {
 	MeanUtilization float64
 	// BurstUtilization is the busy fraction while bursting (can be ~1.0).
 	BurstUtilization float64
-	// CalmHold / BurstHold are mean dwell times of the modulating chain.
-	CalmHold  sim.Duration
-	BurstHold sim.Duration
 	// NetWork / StorWork are per-packet costs.
 	NetWork  sim.Duration
 	StorWork sim.Duration
-	// Train is how many packets arrive back-to-back per arrival event
-	// (interrupt-coalescing/batching as seen on real NICs); inter-train
-	// gaps scale with the train length so utilization is preserved.
-	Train int
-	// Storage mirrors the traffic onto the storage service too.
-	Storage bool
 }
 
+// The modulating chain and arrival batching every background generator
+// shares.
+const (
+	// bgCalmHold / bgBurstHold are mean dwell times of the modulating
+	// chain.
+	bgCalmHold  = 80 * sim.Millisecond
+	bgBurstHold = 20 * sim.Millisecond
+	// bgTrain is how many packets arrive back-to-back per arrival event
+	// (interrupt-coalescing/batching as seen on real NICs); inter-train
+	// gaps scale with the train length so utilization is preserved.
+	bgTrain = 12
+)
+
 // DefaultBackground produces the ~30% operating point of §6.2 with
-// production-style burstiness.
+// production-style burstiness. The traffic is mirrored onto the storage
+// service whenever the node has one.
 func DefaultBackground(mean float64) BackgroundConfig {
 	return BackgroundConfig{
 		MeanUtilization:  mean,
 		BurstUtilization: 0.95,
-		CalmHold:         80 * sim.Millisecond,
-		BurstHold:        20 * sim.Millisecond,
 		NetWork:          900 * sim.Nanosecond,
 		StorWork:         3500 * sim.Nanosecond,
-		Train:            12,
-		Storage:          true,
 	}
 }
 
@@ -68,7 +69,7 @@ func (b *Background) Start() {
 	for i, c := range b.node.Net.Cores() {
 		b.launch(c.ID, b.cfg.NetWork, false, i)
 	}
-	if b.cfg.Storage && b.node.Stor != nil {
+	if b.node.Stor != nil {
 		for i, c := range b.node.Stor.Cores() {
 			b.launch(c.ID, b.cfg.StorWork, true, i)
 		}
@@ -90,23 +91,19 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 
 	// Derive the calm-state rate so the long-run mean hits the target:
 	// mean = fCalm*uCalm + fBurst*uBurst, with dwell-time fractions.
-	fBurst := float64(b.cfg.BurstHold) / float64(b.cfg.BurstHold+b.cfg.CalmHold)
+	fBurst := float64(bgBurstHold) / float64(bgBurstHold+bgCalmHold)
 	uBurst := b.cfg.BurstUtilization
 	uCalm := (b.cfg.MeanUtilization - fBurst*uBurst) / (1 - fBurst)
 	if uCalm < 0.005 {
 		uCalm = 0.005
 	}
-	train := b.cfg.Train
-	if train < 1 {
-		train = 1
-	}
-	calmGap := sim.Duration(float64(work) / uCalm * float64(train))
-	burstGap := sim.Duration(float64(work) / uBurst * float64(train))
+	calmGap := sim.Duration(float64(work) / uCalm * bgTrain)
+	burstGap := sim.Duration(float64(work) / uBurst * bgTrain)
 	mmpp := &dist.MMPP2{
 		CalmInterarrival:  calmGap,
 		BurstInterarrival: burstGap,
-		CalmHold:          b.cfg.CalmHold,
-		BurstHold:         b.cfg.BurstHold,
+		CalmHold:          bgCalmHold,
+		BurstHold:         bgBurstHold,
 	}
 	// Both callbacks are built once per arrival process, and the
 	// pipeline copies each packet, so a train allocates nothing.
@@ -121,7 +118,7 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		if b.stopped {
 			return
 		}
-		for range train {
+		for range bgTrain {
 			b.Packets.Inc()
 			b.node.Pipe.Inject(&accel.Packet{Core: core, Work: work})
 		}

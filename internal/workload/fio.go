@@ -9,36 +9,24 @@ import (
 	"repro/internal/sim"
 )
 
-// FioConfig parameterizes the fio storage benchmark (Table 3: 16 threads,
-// libaio, 4 KB blocks).
-type FioConfig struct {
-	// Jobs is the number of fio worker threads.
-	Jobs int
-	// IODepth is the async queue depth each job sustains.
-	IODepth int
-	// PerOpWork is the storage-DP software cost of one 4 KB command.
-	PerOpWork sim.Duration
-	// BackendLatency is the media/backend service time after DP
+// The fio storage benchmark mirrors Table 3's fio_rw case: 16 threads,
+// libaio, 4 KB blocks.
+const (
+	// fioJobs is the number of fio worker threads.
+	fioJobs = 16
+	// fioIODepth is the async queue depth each job sustains.
+	fioIODepth = 8
+	// fioPerOpWork is the storage-DP software cost of one 4 KB command.
+	fioPerOpWork = 3500 * sim.Nanosecond
+	// fioBackendLatency is the media/backend service time after DP
 	// processing (NVMe-oF hop, flash program, etc.).
-	BackendLatency sim.Duration
-	// BlockBytes sizes bandwidth reporting.
-	BlockBytes int
-}
-
-// DefaultFio mirrors Table 3's fio_rw case.
-func DefaultFio() FioConfig {
-	return FioConfig{
-		Jobs:           16,
-		IODepth:        8,
-		PerOpWork:      3500 * sim.Nanosecond,
-		BackendLatency: 20 * sim.Microsecond,
-		BlockBytes:     4096,
-	}
-}
+	fioBackendLatency = 20 * sim.Microsecond
+	// fioBlockBytes sizes bandwidth reporting.
+	fioBlockBytes = 4096
+)
 
 // Fio is the running storage benchmark.
 type Fio struct {
-	cfg  FioConfig
 	node *platform.Node
 	r    *rand.Rand
 
@@ -49,9 +37,8 @@ type Fio struct {
 }
 
 // NewFio builds the benchmark.
-func NewFio(node *platform.Node, cfg FioConfig) *Fio {
+func NewFio(node *platform.Node) *Fio {
 	return &Fio{
-		cfg:     cfg,
 		node:    node,
 		r:       node.Stream("fio"),
 		Ops:     metrics.NewCounter("fio.ops"),
@@ -62,8 +49,8 @@ func NewFio(node *platform.Node, cfg FioConfig) *Fio {
 // Start launches every job's async queue.
 func (f *Fio) Start() {
 	f.startedAt = f.node.Now()
-	for j := 0; j < f.cfg.Jobs; j++ {
-		for d := 0; d < f.cfg.IODepth; d++ {
+	for j := 0; j < fioJobs; j++ {
+		for d := 0; d < fioIODepth; d++ {
 			job := j
 			f.node.Engine.Schedule(sim.Duration(f.r.Int63n(int64(30*sim.Microsecond))+1), func() {
 				f.issue(job)
@@ -80,10 +67,10 @@ func (f *Fio) issue(job int) {
 		return
 	}
 	start := f.node.Now()
-	f.node.InjectStor(job, f.cfg.PerOpWork, func(_ *accel.Packet, at sim.Time) {
+	f.node.InjectStor(job, fioPerOpWork, func(_ *accel.Packet, at sim.Time) {
 		// The DP forwarded the command; completion comes back after the
 		// backend's service time.
-		f.node.Engine.Schedule(f.cfg.BackendLatency, func() {
+		f.node.Engine.Schedule(fioBackendLatency, func() {
 			f.Ops.Inc()
 			f.Latency.Record(f.node.Now().Sub(start))
 			if !f.stopped {
@@ -100,5 +87,5 @@ func (f *Fio) IOPS(now sim.Time) float64 {
 
 // BandwidthMBps returns throughput in MB/s.
 func (f *Fio) BandwidthMBps(now sim.Time) float64 {
-	return f.IOPS(now) * float64(f.cfg.BlockBytes) / 1e6
+	return f.IOPS(now) * fioBlockBytes / 1e6
 }

@@ -16,31 +16,29 @@ type CRRConfig struct {
 	// Connections is the closed-loop concurrency (paper: 64 for tcp_crr,
 	// 1024 for sockperf tcp).
 	Connections int
-	// PacketsPerTxn is how many DP passes one transaction needs (SYN,
-	// SYN-ACK, request, response, FIN ≈ 5 RX + 5 TX halves folded into
-	// per-pass costs).
-	PacketsPerTxn int
-	// PerPacketWork is the DP software cost per pass.
-	PerPacketWork sim.Duration
-	// ConnSetupWork is extra DP work on the first pass (connection table
-	// insert).
-	ConnSetupWork sim.Duration
-	// ClientThink is remote-side latency between passes (wire + peer).
-	ClientThink sim.Duration
 	// Phase optionally gates transactions into on/off bursts (production
 	// duty-cycled traffic); nil means continuous.
 	Phase *Phaser
 }
 
+// The per-transaction shape of the netperf tcp_crr setup of Table 3.
+const (
+	// crrPacketsPerTxn is how many DP passes one transaction needs (SYN,
+	// SYN-ACK, request, response, FIN ≈ 5 RX + 5 TX halves folded into
+	// per-pass costs).
+	crrPacketsPerTxn = 6
+	// crrPerPacketWork is the DP software cost per pass.
+	crrPerPacketWork = 1200 * sim.Nanosecond
+	// crrConnSetupWork is extra DP work on the first pass (connection
+	// table insert).
+	crrConnSetupWork = 2 * sim.Microsecond
+	// crrClientThink is remote-side latency between passes (wire + peer).
+	crrClientThink = 2 * sim.Microsecond
+)
+
 // DefaultCRR mirrors the netperf tcp_crr setup of Table 3.
 func DefaultCRR() CRRConfig {
-	return CRRConfig{
-		Connections:   64,
-		PacketsPerTxn: 6,
-		PerPacketWork: 1200 * sim.Nanosecond,
-		ConnSetupWork: 2 * sim.Microsecond,
-		ClientThink:   2 * sim.Microsecond,
-	}
+	return CRRConfig{Connections: 64}
 }
 
 // CRR is the running connect-request-response benchmark.
@@ -104,24 +102,24 @@ func (c *CRR) runTxn(conn int) {
 			}
 			return
 		}
-		work := c.cfg.PerPacketWork
-		if remaining == c.cfg.PacketsPerTxn {
-			work += c.cfg.ConnSetupWork
+		work := crrPerPacketWork
+		if remaining == crrPacketsPerTxn {
+			work += crrConnSetupWork
 		}
 		core := c.node.Net.CoreForFlow(conn)
 		c.node.Pipe.Inject(&accel.Packet{
 			Core: core.ID,
 			Work: work,
 			Flow: conn,
-			SYN:  remaining == c.cfg.PacketsPerTxn,
+			SYN:  remaining == crrPacketsPerTxn,
 			FIN:  remaining == 1,
 			Done: func(_ *accel.Packet, _ sim.Time) {
 				c.Packets.Inc()
-				c.node.Engine.Schedule(c.cfg.ClientThink, func() { step(remaining - 1) })
+				c.node.Engine.Schedule(crrClientThink, func() { step(remaining - 1) })
 			},
 		})
 	}
-	step(c.cfg.PacketsPerTxn)
+	step(crrPacketsPerTxn)
 }
 
 // CPS returns completed transactions per second over the run.
@@ -140,14 +138,8 @@ func (c *CRR) PPS(now sim.Time) float64 {
 // tcp_stream): per-flow windowed pipelining that saturates the DP when
 // Window×Flows exceeds service capacity.
 type StreamConfig struct {
-	// Flows is the number of concurrent connections (paper: 64).
-	Flows int
 	// Window is the number of in-flight packets per flow.
 	Window int
-	// PerPacketWork is the DP cost per packet.
-	PerPacketWork sim.Duration
-	// PacketBytes sizes bandwidth reporting (Table 3's avg_rx_bw).
-	PacketBytes int
 	// OfferedRate, if non-zero, switches to open-loop Poisson arrivals at
 	// this aggregate packets/sec (used for fixed-utilization experiments
 	// like Figure 3 and the latency rows of Figure 14).
@@ -157,10 +149,20 @@ type StreamConfig struct {
 	Phase *Phaser
 }
 
-// DefaultStream mirrors the netperf stream setup (closed-loop saturation,
-// 1500-byte MTU frames).
+// The netperf stream setup: 64 connections of 1500-byte MTU frames.
+const (
+	// streamFlows is the number of concurrent connections (paper: 64).
+	streamFlows = 64
+	// streamPerPacketWork is the DP cost per packet.
+	streamPerPacketWork = 900 * sim.Nanosecond
+	// streamPacketBytes sizes bandwidth reporting (Table 3's avg_rx_bw).
+	streamPacketBytes = 1500
+)
+
+// DefaultStream mirrors the netperf stream setup (closed-loop
+// saturation).
 func DefaultStream() StreamConfig {
-	return StreamConfig{Flows: 64, Window: 8, PerPacketWork: 900 * sim.Nanosecond, PacketBytes: 1500}
+	return StreamConfig{Window: 8}
 }
 
 // Stream is the running throughput benchmark.
@@ -194,7 +196,7 @@ func (s *Stream) Start() {
 		s.openLoopArrival()
 		return
 	}
-	for f := 0; f < s.cfg.Flows; f++ {
+	for f := 0; f < streamFlows; f++ {
 		for w := 0; w < s.cfg.Window; w++ {
 			flow := f
 			s.node.Engine.Schedule(sim.Duration(s.r.Int63n(int64(20*sim.Microsecond))+1), func() {
@@ -216,7 +218,7 @@ func (s *Stream) sendOne(flow int) {
 		return
 	}
 	start := s.node.Now()
-	s.node.InjectNet(flow, s.cfg.PerPacketWork, func(_ *accel.Packet, at sim.Time) {
+	s.node.InjectNet(flow, streamPerPacketWork, func(_ *accel.Packet, at sim.Time) {
 		s.Packets.Inc()
 		s.Latency.Record(at.Sub(start))
 		if !s.stopped {
@@ -234,9 +236,9 @@ func (s *Stream) openLoopArrival() {
 		if s.stopped {
 			return
 		}
-		flow := s.r.Intn(s.cfg.Flows)
+		flow := s.r.Intn(streamFlows)
 		start := s.node.Now()
-		s.node.InjectNet(flow, s.cfg.PerPacketWork, func(_ *accel.Packet, at sim.Time) {
+		s.node.InjectNet(flow, streamPerPacketWork, func(_ *accel.Packet, at sim.Time) {
 			s.Packets.Inc()
 			s.Latency.Record(at.Sub(start))
 		})
@@ -252,28 +254,30 @@ func (s *Stream) PPS(now sim.Time) float64 {
 // BandwidthGbps returns throughput in gigabits per second — netperf
 // udp_stream's avg_rx_bw metric.
 func (s *Stream) BandwidthGbps(now sim.Time) float64 {
-	return s.PPS(now) * float64(s.cfg.PacketBytes) * 8 / 1e9
+	return s.PPS(now) * streamPacketBytes * 8 / 1e9
 }
 
 // RRConfig parameterizes request-response latency benchmarks (tcp_rr,
 // sockperf udp): K concurrent closed-loop echo flows.
 type RRConfig struct {
-	// Flows is the closed-loop concurrency (paper: 1024 for tcp_rr).
-	Flows int
-	// PerPacketWork is the DP cost per direction.
-	PerPacketWork sim.Duration
-	// ClientThink is the remote-side turnaround between a response and
-	// the next request.
-	ClientThink sim.Duration
 	// Phase optionally gates the flows into on/off bursts; nil means
 	// continuous.
 	Phase *Phaser
 }
 
-// DefaultRR mirrors the netperf tcp_rr setup.
-func DefaultRR() RRConfig {
-	return RRConfig{Flows: 1024, PerPacketWork: sim.Microsecond, ClientThink: 30 * sim.Microsecond}
-}
+// The netperf tcp_rr setup.
+const (
+	// rrFlows is the closed-loop concurrency (paper: 1024 for tcp_rr).
+	rrFlows = 1024
+	// rrPerPacketWork is the DP cost per direction.
+	rrPerPacketWork = sim.Microsecond
+	// rrClientThink is the remote-side turnaround between a response and
+	// the next request.
+	rrClientThink = 30 * sim.Microsecond
+)
+
+// DefaultRR mirrors the netperf tcp_rr setup: continuous rounds.
+func DefaultRR() RRConfig { return RRConfig{} }
 
 // RR is the running request-response benchmark.
 type RR struct {
@@ -303,7 +307,7 @@ func NewRR(node *platform.Node, cfg RRConfig) *RR {
 // Start launches the flows.
 func (rr *RR) Start() {
 	rr.startedAt = rr.node.Now()
-	for f := 0; f < rr.cfg.Flows; f++ {
+	for f := 0; f < rrFlows; f++ {
 		flow := f
 		rr.node.Engine.Schedule(sim.Duration(rr.r.Int63n(int64(100*sim.Microsecond))+1), func() {
 			rr.round(flow)
@@ -323,13 +327,13 @@ func (rr *RR) round(flow int) {
 		return
 	}
 	start := rr.node.Now()
-	rr.node.InjectNet(flow, rr.cfg.PerPacketWork, func(*accel.Packet, sim.Time) {
+	rr.node.InjectNet(flow, rrPerPacketWork, func(*accel.Packet, sim.Time) {
 		rr.Packets.Inc()
-		rr.node.InjectNet(flow, rr.cfg.PerPacketWork, func(_ *accel.Packet, at sim.Time) {
+		rr.node.InjectNet(flow, rrPerPacketWork, func(_ *accel.Packet, at sim.Time) {
 			rr.Packets.Inc()
 			rr.Rounds.Inc()
 			rr.Latency.Record(at.Sub(start))
-			rr.node.Engine.Schedule(rr.cfg.ClientThink, func() { rr.round(flow) })
+			rr.node.Engine.Schedule(rrClientThink, func() { rr.round(flow) })
 		})
 	})
 }

@@ -16,39 +16,39 @@ import (
 	"repro/internal/sim"
 )
 
-// PingConfig parameterizes the RTT probe (Table 3: "ping").
+// PingInterval is the gap between echo requests (Table 3: "ping").
+const PingInterval = 1 * sim.Millisecond
+
+// The ping model's wire and DP costs, calibrated to Table 5's baseline
+// distribution.
+const (
+	// pingWireBase is the constant non-SmartNIC part of the RTT (host
+	// stacks, switch, propagation). Calibrated so the static baseline
+	// lands on the paper's 26 µs minimum.
+	pingWireBase = 18400 * sim.Nanosecond
+	// pingWireJitterMean is the mean of the exponential wire-side jitter,
+	// capped at pingWireJitterCap (reproduces the 26/30/38 µs
+	// min/avg/max).
+	pingWireJitterMean = 6 * sim.Microsecond
+	pingWireJitterCap  = 12 * sim.Microsecond
+	// pingRxWork / pingTxWork are the DP software costs of the echo's two
+	// passes.
+	pingRxWork = 600 * sim.Nanosecond
+	pingTxWork = 600 * sim.Nanosecond
+	// pingFlow selects the eNIC queue (and hence the DP core) the ping
+	// rides.
+	pingFlow = 0
+)
+
+// PingConfig parameterizes the RTT probe.
 type PingConfig struct {
-	// Interval between echo requests.
-	Interval sim.Duration
 	// Count of echo requests to send.
 	Count int
-	// WireBase is the constant non-SmartNIC part of the RTT (host stacks,
-	// switch, propagation). Calibrated so the static baseline lands on the
-	// paper's 26 µs minimum.
-	WireBase sim.Duration
-	// WireJitterMean is the mean of the exponential wire-side jitter,
-	// capped at WireJitterCap (reproduces the 26/30/38 µs min/avg/max).
-	WireJitterMean sim.Duration
-	WireJitterCap  sim.Duration
-	// RxWork / TxWork are the DP software costs of the echo's two passes.
-	RxWork sim.Duration
-	TxWork sim.Duration
-	// Flow selects the eNIC queue (and hence the DP core) the ping rides.
-	Flow int
 }
 
-// DefaultPing mirrors Table 5's baseline distribution.
+// DefaultPing sends 20,000 echo requests.
 func DefaultPing() PingConfig {
-	return PingConfig{
-		Interval:       1 * sim.Millisecond,
-		Count:          20000,
-		WireBase:       18400 * sim.Nanosecond,
-		WireJitterMean: 6 * sim.Microsecond,
-		WireJitterCap:  12 * sim.Microsecond,
-		RxWork:         600 * sim.Nanosecond,
-		TxWork:         600 * sim.Nanosecond,
-		Flow:           0,
-	}
+	return PingConfig{Count: 20000}
 }
 
 // Ping runs the RTT benchmark against a node.
@@ -77,17 +77,17 @@ func NewPing(node *platform.Node, cfg PingConfig) *Ping {
 // last reply.
 func (p *Ping) Start(onDone func()) {
 	p.done = onDone
-	p.node.Engine.Schedule(p.cfg.Interval, p.sendOne)
+	p.node.Engine.Schedule(PingInterval, p.sendOne)
 }
 
 func (p *Ping) sendOne() {
 	p.sent++
 	start := p.node.Now()
-	wire := p.cfg.WireBase + p.jitter()
+	wire := pingWireBase + p.jitter()
 	// Inbound pass: accelerator → network DP core.
-	p.node.InjectNet(p.cfg.Flow, p.cfg.RxWork, func(_ *accel.Packet, _ sim.Time) {
+	p.node.InjectNet(pingFlow, pingRxWork, func(_ *accel.Packet, _ sim.Time) {
 		// Echo turnaround: outbound pass through the same DP core.
-		p.node.InjectNet(p.cfg.Flow, p.cfg.TxWork, func(_ *accel.Packet, at sim.Time) {
+		p.node.InjectNet(pingFlow, pingTxWork, func(_ *accel.Packet, at sim.Time) {
 			p.RTT.Record(at.Sub(start) + sim.Duration(wire))
 			if p.sent >= p.cfg.Count {
 				if p.done != nil {
@@ -95,15 +95,15 @@ func (p *Ping) sendOne() {
 				}
 				return
 			}
-			p.node.Engine.Schedule(p.cfg.Interval, p.sendOne)
+			p.node.Engine.Schedule(PingInterval, p.sendOne)
 		})
 	})
 }
 
 func (p *Ping) jitter() sim.Duration {
-	j := sim.Exponential(p.r, p.cfg.WireJitterMean)
-	if j > p.cfg.WireJitterCap {
-		j = p.cfg.WireJitterCap
+	j := sim.Exponential(p.r, pingWireJitterMean)
+	if j > pingWireJitterCap {
+		j = pingWireJitterCap
 	}
 	return j
 }

@@ -24,7 +24,7 @@ func exportRun(baseSeed int64, nodes, workers int) (chrome, prom []byte) {
 		sys := taichi.New(fleet.MemberSeed(baseSeed, i))
 		for m := 0; m < 4; m++ {
 			sys.SpawnCP(fmt.Sprintf("monitor%d", m),
-				controlplane.Monitor(controlplane.DefaultMonitor(), sys.Stream(fmt.Sprintf("mon%d", m))))
+				controlplane.Monitor(sys.Stream(fmt.Sprintf("mon%d", m))))
 		}
 		scfg := controlplane.DefaultSynthCP()
 		r := sys.Stream("churn")

@@ -45,13 +45,14 @@ import (
 // services, kernel) plus the hybrid-virtualization scheduler.
 type System = core.TaiChi
 
-// Config is the Tai Chi configuration surface (vCPU pool size, adaptive
-// time slice and yield switches, lock rescue).
+// Config is the Tai Chi configuration surface (slice cap, adaptive time
+// slice and yield switches, lock rescue, vCPU costs). The 8-vCPU pool is
+// fixed.
 type Config = core.Config
 
-// Options configures the underlying platform (topology, DP and
-// accelerator cost models, hardware probe). The kernel cost model is
-// fixed. TryNewWithConfig rejects a negative or NaN DP cost field.
+// Options configures the underlying platform (topology, DP cost models,
+// hardware probe). The kernel and accelerator cost models are fixed.
+// TryNewWithConfig rejects a negative or NaN DP cost field.
 type Options = platform.Options
 
 // StaticBaseline is the production static-partitioning deployment the
@@ -96,10 +97,9 @@ func NewWithConfig(opts Options, cfg Config) *System {
 
 // TryNewWithConfig builds a Tai Chi node from explicit platform options
 // and scheduler configuration, reporting invalid topologies (no DP
-// cores, duplicate core ids), negative or NaN DP cost-model fields,
-// negative accelerator stage times and invalid scheduler configurations
-// (empty vCPU pool, negative vCPU costs, vCPU id collisions) as errors
-// instead of panicking.
+// cores, duplicate core ids), negative or NaN DP cost-model fields and
+// invalid scheduler configurations (negative vCPU costs, vCPU id
+// collisions) as errors instead of panicking.
 func TryNewWithConfig(opts Options, cfg Config) (*System, error) {
 	node, err := platform.New(opts)
 	if err != nil {
