@@ -75,6 +75,12 @@ type Engine struct {
 	// Profile). Nil is the fault-free fast path: one pointer test per
 	// dispatch, no allocation, no behavioural difference.
 	prof *Profile
+	// The engine is written on every event, and the nodes of a fleet are
+	// built one after another on one goroutine, so their engines sit side
+	// by side in one size class. Padding the struct to whole cache lines
+	// keeps two workers from contending on a line two engines share;
+	// TestEngineFillsWholeCacheLines holds the size to a multiple of 64.
+	_ [48]byte
 }
 
 // NewEngine returns an engine with the clock at zero.

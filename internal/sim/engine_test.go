@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestScheduleFiresInOrder(t *testing.T) {
@@ -586,5 +587,13 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if Time(3200).Microseconds() != 3.2 {
 		t.Fatal("Microseconds")
+	}
+}
+
+// Two engines never share a cache line: sized to whole lines, each
+// engine in its size class's span starts and ends on a line boundary.
+func TestEngineFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n%64 != 0 {
+		t.Fatalf("Engine is %d bytes; resize its padding to reach a multiple of 64", n)
 	}
 }
