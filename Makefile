@@ -33,25 +33,27 @@ build:
 	$(GO) build ./...
 
 # Inlining and escape gate on the hot paths: every layer calls
-# (*Tracer).Emit, and the lend/reclaim cycle asks (*Scheduler).hasWork,
-# which asks (*Kernel).HasRunnableFor, which asks (*Thread).AllowedOn, of
-# every vCPU and runnable thread it scans. Every VM exit stops a
-# (*sim.Timer) and every idle-poll arm asks whether one is Armed. A call the compiler stops
-# inlining costs several percent of wall time. The packet path moves
-# packets by value: (*Pipeline).Inject and (*dataplane.Core).Deliver copy
-# the packet they are handed, so their packet parameter must not escape
-# (the compiler may still report its content, the Done callback, as
-# leaking). If it did, every caller's &accel.Packet{...} would move to the
-# heap, one allocation per packet. The compiler replays its -m report from
+# (*Tracer).Emit, the packet path asks (*Tracer).Records before it loops
+# over a train's packets to record them, and the lend/reclaim cycle asks
+# (*Scheduler).hasWork, which asks (*Kernel).HasRunnableFor, which asks
+# (*Thread).AllowedOn, of every vCPU and runnable thread it scans. Every
+# VM exit stops a (*sim.Timer) and every idle-poll arm asks whether one is
+# Armed. A call the compiler stops inlining costs several percent of wall
+# time. The packet path moves packets by value: (*Pipeline).Inject,
+# (*Pipeline).InjectTrain and (*dataplane.Core).Deliver copy the packet
+# they are handed, so their packet parameter must not escape (the
+# compiler may still report its content, the Done callback, as leaking).
+# If it did, every caller's &accel.Packet{...} would move to the heap, one
+# allocation per packet or train. The compiler replays its -m report from
 # the build cache, so this is cheap.
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/sim ./internal/trace ./internal/kernel ./internal/core ./internal/accel ./internal/dataplane 2>&1); \
-	for fn in '(*Timer).Stop' '(*Timer).Armed' '(*Tracer).Emit' '(*Thread).AllowedOn' '(*Kernel).HasRunnableFor' '(*Scheduler).hasWork'; do \
+	for fn in '(*Timer).Stop' '(*Timer).Armed' '(*Tracer).Emit' '(*Tracer).Records' '(*Thread).AllowedOn' '(*Kernel).HasRunnableFor' '(*Scheduler).hasWork'; do \
 		re=$$(printf '%s' "$$fn" | sed 's/[(*).]/\\&/g'); \
 		printf '%s\n' "$$out" | grep -qE "can inline $$re( |$$)" || \
 			{ echo "$$fn is no longer inlinable"; exit 1; }; \
 	done; \
-	for fn in 'internal/accel/accel.go:func (pl *Pipeline) Inject(p *Packet)' 'internal/dataplane/dataplane.go:func (c *Core) Deliver(p *accel.Packet)'; do \
+	for fn in 'internal/accel/accel.go:func (pl *Pipeline) Inject(p *Packet)' 'internal/accel/accel.go:func (pl *Pipeline) InjectTrain(p *Packet, n int)' 'internal/dataplane/dataplane.go:func (c *Core) Deliver(p *accel.Packet, n int)'; do \
 		file=$${fn%%:*}; line=$$(grep -nF "$${fn#*:}" $$file | cut -d: -f1); \
 		printf '%s\n' "$$out" | grep -qE "^$$file:$$line:[0-9]+: (p does not escape|leaking param content: p)$$" || \
 			{ echo "$$file:$$line: the packet parameter escapes"; exit 1; }; \

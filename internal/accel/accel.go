@@ -34,6 +34,14 @@ type Packet struct {
 	Done func(p *Packet, finished sim.Time)
 }
 
+// Run is one queue entry for a packet train: N packets that are Packet
+// but for their IDs, which count up from Packet.ID. The pipeline and the
+// DP cores queue trains as runs, so a train costs one copy, not N.
+type Run struct {
+	Packet
+	N int
+}
+
 // CoreState is the per-core state the hardware workload probe maintains:
 // P-state (pCPU context: DP service resident, interrupts masked) or
 // V-state (vCPU context: a CP vCPU holds the core).
@@ -157,7 +165,7 @@ func (p *Probe) row(core int) probeCore {
 // P-state once the DP context is restored, which also makes repeated
 // arrivals during the switch harmless (the scheduler ignores duplicates).
 func (p *Probe) inspect(core int) {
-	if !p.Enabled || p.row(core).state != VState {
+	if !p.watches(core) {
 		return
 	}
 	if p.MissCheck != nil && p.MissCheck(core) {
@@ -166,6 +174,10 @@ func (p *Probe) inspect(core int) {
 	}
 	p.fire(core, "vstate-hit")
 }
+
+// watches reports whether an arrival for core would reach the probe's
+// check: the probe is enabled and the core is in V-state.
+func (p *Probe) watches(core int) bool { return p.Enabled && p.row(core).state == VState }
 
 // InjectSpurious fires the early-preemption IRQ for a core without any
 // packet arrival — the fault-injection layer's spurious-reclaim path.
@@ -212,16 +224,17 @@ const (
 // deeply pipelined), then land in the destination core's DP queue.
 //
 // Every packet spends the same preprocess+transfer inside, so packets
-// leave in arrival order: the in-flight packets form a FIFO of values,
-// and each completion event delivers the oldest ones. A packet injected
-// at the instant of the previous one, with nothing scheduled in between,
-// joins that packet's completion event instead of taking its own
-// (sim.Lane.Joinable), so a train rides one event.
+// leave in arrival order: the in-flight packets form a FIFO of runs, one
+// per injected train, and each completion event delivers the oldest
+// packets. A packet injected at the instant of the previous one, with
+// nothing scheduled in between, joins that packet's completion event
+// instead of taking its own (sim.Lane.Joinable), so a train rides one
+// event unless a probe IRQ fired mid-train splits it.
 type Pipeline struct {
 	engine  *sim.Engine
 	tracer  *trace.Tracer
 	probe   *Probe
-	deliver func(core int, p *Packet)
+	deliver func(core int, p *Packet, n int)
 	nextID  int64
 
 	// Injected counts packets accepted into the pipeline.
@@ -229,15 +242,15 @@ type Pipeline struct {
 
 	// inFlight counts packets inside the pipeline per destination core.
 	inFlight []int
-	// queue holds the in-flight packets oldest first.
-	queue sim.FIFO[Packet]
+	// queue holds the in-flight packets oldest first, one run per train.
+	queue sim.FIFO[Run]
 	// groups holds, oldest first, how many packets each pending
 	// completion event delivers.
 	groups sim.FIFO[int]
 	// tail is the newest completion event, which a packet may join.
 	tail sim.Handle
-	// cur is the packet being delivered: the sink's pointer aims here, so
-	// no packet moves to the heap on its way out.
+	// cur is the head of the run being delivered: the sink's pointer aims
+	// here, so no packet moves to the heap on its way out.
 	cur Packet
 	// complete is pl.completeOldest, bound once so scheduling it
 	// allocates nothing.
@@ -251,11 +264,12 @@ type Pipeline struct {
 	_ [16]byte
 }
 
-// NewPipeline builds the accelerator datapath. deliver lands finished
-// packets in a DP core's receive queue; its packet pointer aims into the
-// pipeline and is valid only during the call. probe may be nil (no
-// hardware probe fitted, as on a stock SmartNIC image).
-func NewPipeline(engine *sim.Engine, probe *Probe, tracer *trace.Tracer, deliver func(core int, p *Packet)) *Pipeline {
+// NewPipeline builds the accelerator datapath. deliver lands n finished
+// packets of one train in a DP core's receive queue, as a run headed by
+// p; its pointer aims into the pipeline and is valid only during the
+// call. probe may be nil (no hardware probe fitted, as on a stock
+// SmartNIC image).
+func NewPipeline(engine *sim.Engine, probe *Probe, tracer *trace.Tracer, deliver func(core int, p *Packet, n int)) *Pipeline {
 	if deliver == nil {
 		panic("accel: pipeline needs a delivery sink")
 	}
@@ -282,54 +296,103 @@ func (pl *Pipeline) InFlight(core int) int {
 // Probe returns the attached hardware workload probe (possibly nil).
 func (pl *Pipeline) Probe() *Probe { return pl.probe }
 
-// Inject accepts a packet at the accelerator's ingress, setting its ID
-// (unless the caller chose one) and Arrival and then copying it: p is not
-// retained. The probe check happens *before* preprocessing (Figure 10),
-// which is what creates the 3.2 µs window that hides the 2 µs vCPU exit.
-func (pl *Pipeline) Inject(p *Packet) {
-	now := pl.engine.Now()
-	p.Arrival = now
-	pl.nextID++
-	if p.ID == 0 {
-		p.ID = pl.nextID
-	}
-	pl.Injected++
-	pl.inFlight = grow(pl.inFlight, p.Core)
-	pl.inFlight[p.Core]++
-	pl.queue.Push(*p)
-	pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID, "")
+// Inject accepts one packet at the accelerator's ingress: a train of 1.
+func (pl *Pipeline) Inject(p *Packet) { pl.InjectTrain(p, 1) }
 
-	if pl.probe != nil {
-		pl.probe.inspect(p.Core)
+// InjectTrain accepts a train of n packets that arrive back to back and
+// differ only in their IDs, setting p's ID (unless the caller chose one)
+// and Arrival and then copying it as one run: p is not retained. The
+// train's IDs count up from p.ID, so a caller may choose the ID only of a
+// single packet; n < 1, or a chosen ID with n > 1, panics. The probe check
+// happens *before* preprocessing (Figure 10), which is what creates the
+// 3.2 µs window that hides the 2 µs vCPU exit.
+func (pl *Pipeline) InjectTrain(p *Packet, n int) {
+	if n < 1 {
+		panic(fmt.Sprintf("accel: train of %d packets", n))
 	}
+	if p.ID != 0 && n > 1 {
+		panic(fmt.Sprintf("accel: train of %d packets with the chosen ID %d", n, p.ID))
+	}
+	now := pl.engine.Now()
+	if p.ID == 0 {
+		p.ID = pl.nextID + 1
+	}
+	p.Arrival = now
+	pl.nextID += int64(n)
+	pl.Injected += uint64(n)
+	pl.inFlight = grow(pl.inFlight, p.Core)
+	r := pl.queue.Append()
+	r.Packet = *p
+	r.N = n
 
 	// The preprocess and transfer stages complete back-to-back with no
 	// intervening decision point, so one simulation event covers both;
 	// the stage-boundary trace record carries its true timestamp. A
 	// packet whose own event would fire right after the newest one joins
-	// it.
+	// it. Only a probe watching the core can schedule something between
+	// two packets of the train (its IRQ), so only then does each packet
+	// take the arrival check and the join on its own.
+	if pl.probe == nil || !pl.probe.watches(p.Core) {
+		if pl.tracer.Records(trace.KindPacketArrive) {
+			for id := range int64(n) {
+				pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID+id, "")
+			}
+		}
+		pl.inFlight[p.Core] += n
+		pl.join(n)
+		return
+	}
+	for id := range int64(n) {
+		pl.inFlight[p.Core]++
+		pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID+id, "")
+		pl.probe.inspect(p.Core)
+		pl.join(1)
+	}
+}
+
+// join adds n packets injected now to the newest completion event if
+// they may join it, or schedules a completion event for them.
+func (pl *Pipeline) join(n int) {
 	if pl.lane.Joinable(pl.tail) {
-		*pl.groups.Back()++
+		*pl.groups.Back() += n
 		return
 	}
 	pl.tail = pl.lane.Schedule(pl.complete)
-	pl.groups.Push(1)
+	pl.groups.Push(n)
 }
 
 // completeOldest delivers the packets that have been in the pipeline
 // longest, as many as this event carries. Completion events ride one
 // lane, so they fire in the order they were scheduled, and those packets
 // are the ones this event was scheduled for. Each packet gets the trace
-// records, the in-flight decrement and the delivery its own event would
-// have given it, in the same order.
+// records its own event would have given it, in the same order; the sink
+// takes each train's share of the event as one run, after the in-flight
+// decrement for the whole share.
 func (pl *Pipeline) completeOldest() {
-	for n := pl.groups.Pop(); n > 0; n-- {
-		pl.cur = pl.queue.Pop()
+	now := pl.engine.Now()
+	traced := pl.tracer.Records(trace.KindPacketPreprocessDone) || pl.tracer.Records(trace.KindPacketDelivered)
+	for n := pl.groups.Pop(); n > 0; {
+		// Take the share off the queue before the sink runs: it may
+		// inject, and a push can move the ring.
+		r := pl.queue.Front()
+		k := min(n, r.N)
+		pl.cur = r.Packet
+		if k == r.N {
+			pl.queue.Drop()
+		} else {
+			r.ID += int64(k)
+			r.N -= k
+		}
+		n -= k
 		p := &pl.cur
-		pl.tracer.Emit(p.Arrival.Add(preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
-		pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
-		pl.inFlight[p.Core]--
-		pl.deliver(p.Core, p)
+		if traced {
+			for id := p.ID; id < p.ID+int64(k); id++ {
+				pl.tracer.Emit(p.Arrival.Add(preprocess), trace.KindPacketPreprocessDone, p.Core, id, "")
+				pl.tracer.Emit(now, trace.KindPacketDelivered, p.Core, id, "")
+			}
+		}
+		pl.inFlight[p.Core] -= k
+		pl.deliver(p.Core, p, k)
 	}
 }
 

@@ -14,7 +14,7 @@ func TestPipelineTiming(t *testing.T) {
 	tr := trace.New(0)
 	var deliveredAt sim.Time
 	var deliveredCore int
-	pl := NewPipeline(e, nil, tr, func(core int, p *Packet) {
+	pl := NewPipeline(e, nil, tr, func(core int, p *Packet, _ int) {
 		deliveredAt = e.Now()
 		deliveredCore = core
 	})
@@ -37,7 +37,7 @@ func TestPipelineTiming(t *testing.T) {
 func TestPipelineTraceBreakdown(t *testing.T) {
 	e := sim.NewEngine()
 	tr := trace.New(0)
-	pl := NewPipeline(e, nil, tr, func(int, *Packet) {})
+	pl := NewPipeline(e, nil, tr, func(int, *Packet, int) {})
 	for i := 0; i < 5; i++ {
 		pl.Inject(&Packet{Core: 0})
 	}
@@ -62,7 +62,7 @@ func TestProbeFiresOnVState(t *testing.T) {
 		irqAt = e.Now()
 	}
 	probe.SetState(2, VState)
-	pl := NewPipeline(e, probe, tr, func(int, *Packet) {})
+	pl := NewPipeline(e, probe, tr, func(int, *Packet, int) {})
 	e.At(sim.Time(sim.Microsecond), func() { pl.Inject(&Packet{Core: 2}) })
 	e.RunUntilIdle()
 	if irqCore != 2 {
@@ -83,7 +83,7 @@ func TestProbeSilentOnPState(t *testing.T) {
 	probe := NewProbe(500 * sim.Nanosecond)
 	fired := false
 	probe.OnIRQ = func(int) { fired = true }
-	pl := NewPipeline(e, probe, trace.New(0), func(int, *Packet) {})
+	pl := NewPipeline(e, probe, trace.New(0), func(int, *Packet, int) {})
 	pl.Inject(&Packet{Core: 0}) // default P-state
 	e.RunUntilIdle()
 	if fired {
@@ -98,7 +98,7 @@ func TestProbeDisabled(t *testing.T) {
 	probe.SetState(0, VState)
 	fired := false
 	probe.OnIRQ = func(int) { fired = true }
-	pl := NewPipeline(e, probe, trace.New(0), func(int, *Packet) {})
+	pl := NewPipeline(e, probe, trace.New(0), func(int, *Packet, int) {})
 	pl.Inject(&Packet{Core: 0})
 	e.RunUntilIdle()
 	if fired {
@@ -122,12 +122,57 @@ func TestProbeStateTable(t *testing.T) {
 
 func TestPacketIDsAssigned(t *testing.T) {
 	e := sim.NewEngine()
-	pl := NewPipeline(e, nil, trace.New(0), func(int, *Packet) {})
+	pl := NewPipeline(e, nil, trace.New(0), func(int, *Packet, int) {})
 	a, b := &Packet{Core: 0}, &Packet{Core: 0}
 	pl.Inject(a)
 	pl.Inject(b)
 	if a.ID == 0 || b.ID == 0 || a.ID == b.ID {
 		t.Fatalf("IDs %d/%d", a.ID, b.ID)
+	}
+}
+
+// A train's packets take consecutive IDs from the pipeline's counter and
+// leave with them; the caller's packet keeps the first.
+func TestTrainIDsCountUp(t *testing.T) {
+	e := sim.NewEngine()
+	var ids []int64
+	pl := NewPipeline(e, nil, nil, perPacket(func(_ int, p *Packet) { ids = append(ids, p.ID) }))
+	pl.Inject(&Packet{Core: 0})
+	train := &Packet{Core: 1}
+	pl.InjectTrain(train, 4)
+	pl.Inject(&Packet{ID: 77, Core: 0})
+	pl.Inject(&Packet{Core: 0})
+	e.RunUntilIdle()
+	if want := []int64{1, 2, 3, 4, 5, 77, 7}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("delivered IDs %v, want %v", ids, want)
+	}
+	if train.ID != 2 || pl.Injected != 7 {
+		t.Fatalf("train ID %d, Injected %d; want 2, 7", train.ID, pl.Injected)
+	}
+}
+
+// A train of fewer than one packet, or a train whose first ID the caller
+// chose, is malformed: the IDs of its later packets would collide with the
+// pipeline's own.
+func TestMalformedTrainPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Packet
+		n    int
+	}{
+		{"empty", Packet{}, 0},
+		{"negative", Packet{}, -3},
+		{"chosen ID", Packet{ID: 9}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := NewPipeline(sim.NewEngine(), nil, nil, func(int, *Packet, int) {})
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("InjectTrain(%+v, %d) did not panic", tc.p, tc.n)
+				}
+			}()
+			pl.InjectTrain(&tc.p, tc.n)
+		})
 	}
 }
 
@@ -156,6 +201,18 @@ func closureInject(e *sim.Engine, tr *trace.Tracer, nextID *int64, deliver func(
 		tr.Emit(e.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
 		deliver(p.Core, p)
 	})
+}
+
+// perPacket adapts a per-packet sink to the pipeline's run sink: it
+// hands the sink each packet of the run in turn, with its own ID.
+func perPacket(deliver func(int, *Packet)) func(int, *Packet, int) {
+	return func(core int, p *Packet, n int) {
+		q := *p
+		for range n {
+			deliver(core, &q)
+			q.ID++
+		}
+	}
 }
 
 // Packets injected at several instants (some landing on a delivery
@@ -197,7 +254,7 @@ func TestPipelineDeliversInArrivalOrder(t *testing.T) {
 		return got, tr.Events()
 	}
 	got, gotTrace := run(func(e *sim.Engine, tr *trace.Tracer, deliver func(int, *Packet)) func(*Packet) {
-		return NewPipeline(e, nil, tr, deliver).Inject
+		return NewPipeline(e, nil, tr, perPacket(deliver)).Inject
 	})
 	want, wantTrace := run(func(e *sim.Engine, tr *trace.Tracer, deliver func(int, *Packet)) func(*Packet) {
 		var nextID int64
@@ -219,23 +276,25 @@ func TestPipelineDeliversInArrivalOrder(t *testing.T) {
 	}
 }
 
-// Once the in-flight ring has grown, injecting a caller-owned packet and
-// completing it allocates nothing.
+// Once the in-flight ring has grown, injecting a caller-owned packet or
+// train and completing it allocates nothing.
 func TestPipelineInjectAllocFree(t *testing.T) {
 	e := sim.NewEngine()
 	probe := NewProbe(500 * sim.Nanosecond)
-	pl := NewPipeline(e, probe, nil, func(int, *Packet) {})
+	pl := NewPipeline(e, probe, nil, func(int, *Packet, int) {})
 	pkts := make([]Packet, 4)
 	cycle := func() {
 		for i := range pkts {
 			pkts[i] = Packet{Core: i}
 			pl.Inject(&pkts[i])
 		}
+		pkts[0] = Packet{Core: 1}
+		pl.InjectTrain(&pkts[0], 12)
 		e.RunUntilIdle()
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("inject+complete of %d packets allocates %v, want 0", len(pkts), allocs)
+		t.Fatalf("inject+complete of %d packets and a train allocates %v, want 0", len(pkts), allocs)
 	}
 }
 

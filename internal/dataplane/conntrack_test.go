@@ -60,10 +60,10 @@ func TestServiceConnTrackCharging(t *testing.T) {
 
 	var first, second sim.Time
 	s.Deliver(0, &accel.Packet{ID: 1, Flow: 7, SYN: true, Work: sim.Microsecond,
-		Done: func(_ *accel.Packet, at sim.Time) { first = at }})
+		Done: func(_ *accel.Packet, at sim.Time) { first = at }}, 1)
 	e.RunUntilIdle()
 	s.Deliver(0, &accel.Packet{ID: 2, Flow: 7, Work: sim.Microsecond,
-		Done: func(_ *accel.Packet, at sim.Time) { second = at }})
+		Done: func(_ *accel.Packet, at sim.Time) { second = at }}, 1)
 	e.RunUntilIdle()
 	// Insert path: 1µs work + 10µs insert; established: 1µs + 1µs.
 	if first != sim.Time(11*sim.Microsecond) {
@@ -83,7 +83,7 @@ func TestConnTrackDisabledIsFree(t *testing.T) {
 	s := newService(e, 1, Config{})
 	var doneAt sim.Time
 	s.Deliver(0, &accel.Packet{ID: 1, Flow: 3, SYN: true, Work: sim.Microsecond,
-		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }})
+		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }}, 1)
 	e.RunUntilIdle()
 	if doneAt != sim.Time(sim.Microsecond) {
 		t.Fatalf("untracked packet cost %v, want exactly its work", doneAt)

@@ -116,11 +116,14 @@ type Core struct {
 
 	state CoreState
 	down  bool // hardware offline (fault injection); queue accrues
-	// queue holds the received packets, by value, oldest first.
-	queue sim.FIFO[accel.Packet]
+	// queue holds the received packets, by value, oldest first, one run
+	// per train; queued counts the packets in it.
+	queue  sim.FIFO[accel.Run]
+	queued int
 	// batch is the burst being processed and cost its total work; one
-	// burst per core is in flight at a time, so both are reused.
-	batch        []accel.Packet
+	// burst per core is in flight at a time, so both are reused. A run
+	// that the burst limit splits leaves its tail at the queue's front.
+	batch        []accel.Run
 	cost         sim.Duration
 	finishFn     func()     // c.finish, bound once so a burst allocates nothing
 	idle         *sim.Timer // the empty-poll countdown; fires c.idleExpired
@@ -148,68 +151,84 @@ type Core struct {
 	Yields      uint64
 	Resumes     uint64
 	MaxQueueLen int
+	// Padding to whole cache lines, for the reason sim.Engine gives: a
+	// fleet's DP cores sit side by side and are written per burst.
+	// TestCoreFillsWholeCacheLines holds the size to a multiple of 64.
+	_ [32]byte
 }
 
 // State returns the core's poll-loop state.
 func (c *Core) State() CoreState { return c.state }
 
 // QueueLen returns the number of packets waiting.
-func (c *Core) QueueLen() int { return c.queue.Len() }
+func (c *Core) QueueLen() int { return c.queued }
 
-// Deliver lands a copy of a preprocessed packet in the core's receive
-// queue (the accelerator pipeline's sink); p is not retained. A polling
-// core starts a burst immediately; a yielded core leaves the packet for
-// the probe/slice machinery to trigger resumption.
-func (c *Core) Deliver(p *accel.Packet) {
-	c.queue.Push(*p)
-	if c.queue.Len() > c.MaxQueueLen {
-		c.MaxQueueLen = c.queue.Len()
+// Deliver lands a copy of n preprocessed packets of one train, a run
+// headed by p, in the core's receive queue (the accelerator pipeline's
+// sink); p is not retained. The packets land one after another: on a
+// polling core the first starts a burst at once and the rest queue behind
+// it; a yielded core leaves them for the probe/slice machinery to trigger
+// resumption.
+func (c *Core) Deliver(p *accel.Packet, n int) {
+	if n < 1 {
+		panic(fmt.Sprintf("dataplane: run of %d packets", n))
 	}
+	r := c.queue.Append()
+	r.Packet = *p
+	r.N = n
+	c.queued += n
 	if c.state == Polling && !c.down {
+		first := c.queued - n + 1 // the queue as the first packet sees it
+		c.MaxQueueLen = max(c.MaxQueueLen, first)
 		c.idle.Stop()
-		c.processNext()
+		c.processNext(first)
 	}
+	c.MaxQueueLen = max(c.MaxQueueLen, c.queued)
 }
 
-// processNext consumes the next burst, or returns to polling. Only a
-// polling core starts a burst (Deliver, Resume and SetDown check), and the
-// burst's own completion calls it again, so one burst is in flight at most.
-func (c *Core) processNext() {
+// processNext consumes the next burst, at most avail packets, or returns
+// to polling. Only a polling core starts a burst (Deliver, Resume and
+// SetDown check), and the burst's own completion calls it again, so one
+// burst is in flight at most.
+func (c *Core) processNext(avail int) {
 	if c.down {
 		c.state = Polling
 		c.Gauge.SetBusy(c.engine.Now(), false)
 		return
 	}
-	if c.queue.Len() == 0 {
+	if avail == 0 {
 		c.state = Polling
 		c.Gauge.SetBusy(c.engine.Now(), false)
 		c.armIdle()
 		return
 	}
 	c.state = Processing
-	n := min(c.cfg.Burst, c.queue.Len())
 	c.batch = c.batch[:0]
 	var cost sim.Duration
-	for range n {
-		c.batch = append(c.batch, c.queue.Pop())
-		p := &c.batch[len(c.batch)-1]
-		w := p.Work
-		if c.conns != nil {
-			w += c.conns.cost(p.Flow, p.SYN, p.FIN)
-		}
-		w = sim.Duration(float64(w) * c.cfg.TaxFactor)
-		// Cold-cache penalty: the first PollutionWork of work after a
-		// vCPU vacates the core runs PollutionFactor slower.
-		if c.pollutedWork > 0 {
-			slowed := w
-			if slowed > c.pollutedWork {
-				slowed = c.pollutedWork
-			}
-			cost += sim.Duration(float64(slowed) * c.cfg.PollutionFactor)
-			cost += w - slowed
-			c.pollutedWork -= slowed
+	for n := min(c.cfg.Burst, avail); n > 0; {
+		r := c.queue.Front()
+		k := min(n, r.N)
+		// Fill the batch slot in place: append(c.batch, *r) would copy
+		// the run through a temporary, a measurable cost per packet.
+		c.batch = append(c.batch, accel.Run{})
+		b := &c.batch[len(c.batch)-1]
+		*b = *r
+		if k == r.N {
+			c.queue.Drop()
 		} else {
-			cost += w
+			b.N = k
+			r.ID += int64(k)
+			r.N -= k
+		}
+		c.queued -= k
+		n -= k
+		p := &b.Packet
+		if c.conns == nil {
+			cost += c.charge(c.taxed(p.Work), k)
+			continue
+		}
+		for range k {
+			cost += c.charge(c.taxed(p.Work+c.conns.cost(p.Flow, p.SYN, p.FIN)), 1)
 		}
 	}
 	c.Gauge.SetBusy(c.engine.Now(), true)
@@ -217,19 +236,50 @@ func (c *Core) processNext() {
 	c.engine.ScheduleNamed(cost, "dp.batch", c.finishFn)
 }
 
-// finish completes the burst in flight and starts the next one.
+// taxed is the time w of work takes on this core.
+func (c *Core) taxed(w sim.Duration) sim.Duration {
+	return sim.Duration(float64(w) * c.cfg.TaxFactor)
+}
+
+// charge returns the cost of k packets of taxed work w each. Cold-cache
+// penalty: the first PollutionWork of work after a vCPU vacates the core
+// runs PollutionFactor slower, packet by packet; the packets after the
+// window each cost w.
+func (c *Core) charge(w sim.Duration, k int) sim.Duration {
+	var cost sim.Duration
+	for ; k > 0 && c.pollutedWork > 0; k-- {
+		slowed := min(w, c.pollutedWork)
+		cost += sim.Duration(float64(slowed)*c.cfg.PollutionFactor) + w - slowed
+		c.pollutedWork -= slowed
+	}
+	return cost + w*sim.Duration(k)
+}
+
+// finish completes the burst in flight and starts the next one. Each
+// packet counts, is traced and sees its Done callback in turn, with its
+// own ID; a run whose packets need neither a record nor a callback
+// counts at once.
 func (c *Core) finish() {
 	now := c.engine.Now()
 	c.WorkTime += c.cost
+	traced := c.tracer.Records(trace.KindPacketProcessed)
 	for i := range c.batch {
-		p := &c.batch[i]
-		c.Processed++
-		c.tracer.Emit(now, trace.KindPacketProcessed, c.ID, p.ID, "")
-		if p.Done != nil {
-			p.Done(p, now)
+		r := &c.batch[i]
+		if !traced && r.Done == nil {
+			c.Processed += uint64(r.N)
+			continue
+		}
+		p, first := &r.Packet, r.ID
+		for id := range int64(r.N) {
+			p.ID = first + id
+			c.Processed++
+			c.tracer.Emit(now, trace.KindPacketProcessed, c.ID, p.ID, "")
+			if p.Done != nil {
+				p.Done(p, now)
+			}
 		}
 	}
-	c.processNext()
+	c.processNext(c.queued)
 }
 
 // armIdle starts the consecutive-empty-poll countdown; when it expires
@@ -248,7 +298,7 @@ func (c *Core) armIdle() {
 // idleExpired ends the empty-poll countdown: a core still polling an
 // empty queue reports itself idle.
 func (c *Core) idleExpired() {
-	if c.state == Polling && c.queue.Len() == 0 {
+	if c.state == Polling && c.queued == 0 {
 		c.tracer.Emit(c.engine.Now(), trace.KindYield, c.ID, 0, "idle-detected")
 		c.OnIdle(c)
 	}
@@ -278,8 +328,8 @@ func (c *Core) Resume() {
 	if c.down {
 		return // offline: queued packets wait for SetDown(false)
 	}
-	if c.queue.Len() > 0 {
-		c.processNext()
+	if c.queued > 0 {
+		c.processNext(c.queued)
 	} else {
 		c.armIdle()
 	}
@@ -304,8 +354,8 @@ func (c *Core) SetDown(down bool) {
 		return
 	}
 	if c.state == Polling {
-		if c.queue.Len() > 0 {
-			c.processNext()
+		if c.queued > 0 {
+			c.processNext(c.queued)
 		} else {
 			c.armIdle()
 		}
@@ -371,15 +421,15 @@ func (s *Service) CoreForFlow(flow int) *Core {
 	return s.cores[flow%len(s.cores)]
 }
 
-// Deliver routes a packet to its destination core. Packets addressed to
-// cores outside this service panic — a mis-wired experiment, not a
-// runtime condition.
-func (s *Service) Deliver(core int, p *accel.Packet) {
+// Deliver routes a run of n packets headed by p to its destination core.
+// Packets addressed to cores outside this service panic — a mis-wired
+// experiment, not a runtime condition.
+func (s *Service) Deliver(core int, p *accel.Packet, n int) {
 	c := s.Core(core)
 	if c == nil {
 		panic(fmt.Sprintf("dataplane: %s has no core %d", s.Name, core))
 	}
-	c.Deliver(p)
+	c.Deliver(p, n)
 }
 
 // Start arms idle detection on every core (no-op when yielding is

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/accel"
 	"repro/internal/sim"
@@ -22,7 +23,7 @@ func TestProcessesPacketAndReportsDone(t *testing.T) {
 	var doneAt sim.Time
 	p := &accel.Packet{ID: 1, Core: 0, Work: 2 * sim.Microsecond,
 		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }}
-	e.At(sim.Time(10*sim.Microsecond), func() { s.Deliver(0, p) })
+	e.At(sim.Time(10*sim.Microsecond), func() { s.Deliver(0, p, 1) })
 	e.RunUntilIdle()
 	if want := sim.Time(12 * sim.Microsecond); doneAt != want {
 		t.Fatalf("done at %v, want %v", doneAt, want)
@@ -40,7 +41,7 @@ func TestBurstLimit(t *testing.T) {
 	for i := int64(1); i <= 10; i++ {
 		p := &accel.Packet{ID: i, Core: 0, Work: sim.Microsecond,
 			Done: func(p *accel.Packet, _ sim.Time) { order = append(order, p.ID) }}
-		c.Deliver(p)
+		c.Deliver(p, 1)
 	}
 	e.RunUntilIdle()
 	if len(order) != 10 {
@@ -81,7 +82,7 @@ func TestPacketArrivalCancelsIdleCountdown(t *testing.T) {
 	// Packet lands at 5µs, inside the countdown: the empty-poll counter
 	// resets (Figure 9 line 9).
 	e.At(sim.Time(5*sim.Microsecond), func() {
-		c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: sim.Microsecond})
+		c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: sim.Microsecond}, 1)
 	})
 	e.Run(sim.Time(14 * sim.Microsecond))
 	if idles != 0 {
@@ -107,7 +108,7 @@ func TestYieldResumeLifecycle(t *testing.T) {
 	// Packet arrives while yielded: it queues, no processing.
 	var done bool
 	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: sim.Microsecond,
-		Done: func(*accel.Packet, sim.Time) { done = true }})
+		Done: func(*accel.Packet, sim.Time) { done = true }}, 1)
 	e.Run(sim.Time(20 * sim.Microsecond))
 	if done {
 		t.Fatal("yielded core processed a packet")
@@ -142,7 +143,7 @@ func TestPollutionPenaltySlowsFirstWork(t *testing.T) {
 	var doneAt sim.Time
 	start := e.Now()
 	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond,
-		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }})
+		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }}, 1)
 	e.RunUntilIdle()
 	// 10µs of work at 2× = 20µs.
 	if got := doneAt.Sub(start); got != 20*sim.Microsecond {
@@ -151,7 +152,7 @@ func TestPollutionPenaltySlowsFirstWork(t *testing.T) {
 	// Second packet runs at native speed.
 	start = e.Now()
 	c.Deliver(&accel.Packet{ID: 2, Core: 0, Work: 10 * sim.Microsecond,
-		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }})
+		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }}, 1)
 	e.RunUntilIdle()
 	if got := doneAt.Sub(start); got != 10*sim.Microsecond {
 		t.Fatalf("post-pollution work took %v, want 10µs", got)
@@ -163,7 +164,7 @@ func TestTaxFactorInflatesWork(t *testing.T) {
 	s := newService(e, 1, Config{TaxFactor: 1.5})
 	var doneAt sim.Time
 	s.Deliver(0, &accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond,
-		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }})
+		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }}, 1)
 	e.RunUntilIdle()
 	if doneAt != sim.Time(15*sim.Microsecond) {
 		t.Fatalf("taxed work finished at %v, want 15µs", doneAt)
@@ -175,7 +176,7 @@ func TestUtilizationCountsOnlyUsefulWork(t *testing.T) {
 	s := newService(e, 1, Config{})
 	c := s.Core(0)
 	// 10µs of work across 100µs of wall time → 10%.
-	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond})
+	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond}, 1)
 	e.Run(sim.Time(100 * sim.Microsecond))
 	got := c.Utilization()
 	if got < 0.09 || got > 0.11 {
@@ -209,14 +210,14 @@ func TestDeliverToUnknownCorePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s.Deliver(99, &accel.Packet{})
+	s.Deliver(99, &accel.Packet{}, 1)
 }
 
 func TestYieldWhileProcessingPanics(t *testing.T) {
 	e := sim.NewEngine()
 	s := newService(e, 1, Config{})
 	c := s.Core(0)
-	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond})
+	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -228,11 +229,18 @@ func TestYieldWhileProcessingPanics(t *testing.T) {
 func TestResetWindows(t *testing.T) {
 	e := sim.NewEngine()
 	s := newService(e, 2, Config{})
-	s.Deliver(0, &accel.Packet{ID: 1, Core: 0, Work: 50 * sim.Microsecond})
+	s.Deliver(0, &accel.Packet{ID: 1, Core: 0, Work: 50 * sim.Microsecond}, 1)
 	e.Run(sim.Time(100 * sim.Microsecond))
 	s.ResetWindows()
 	e.Run(sim.Time(200 * sim.Microsecond))
 	if u := s.MeanUtilization(); u != 0 {
 		t.Fatalf("utilization after reset = %v, want 0", u)
+	}
+}
+
+// Two DP cores never share a cache line (see sim.Engine's padding).
+func TestCoreFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Core{}); n%64 != 0 {
+		t.Fatalf("Core is %d bytes; resize its padding to reach a multiple of 64", n)
 	}
 }

@@ -195,14 +195,14 @@ func New(opts Options) (*Node, error) {
 	if opts.HWProbe {
 		n.Probe = accel.NewProbe(probeIRQLatency)
 	}
-	n.Pipe = accel.NewPipeline(engine, n.Probe, tracer, func(core int, p *accel.Packet) {
+	n.Pipe = accel.NewPipeline(engine, n.Probe, tracer, func(core int, p *accel.Packet, k int) {
 		c := n.DPCore(core)
 		if c == nil {
 			// Genuine internal invariant: the pipeline only routes to cores
 			// registered above, so this is a mis-wired experiment.
 			panic(fmt.Sprintf("platform: packet for unknown DP core %d", core))
 		}
-		c.Deliver(p)
+		c.Deliver(p, k)
 	})
 	return n, nil
 }

@@ -232,7 +232,7 @@ func (e *Engine) next() (*slot, *Lane) {
 		}
 		var src *Lane
 		for _, l := range e.busy {
-			if h := l.slots.front(); s == nil || h.before(s) {
+			if h := l.slots.Front(); s == nil || h.before(s) {
 				s, src = h, l
 			}
 		}

@@ -384,6 +384,11 @@ func (t *Tracer) Emit(at sim.Time, kind Kind, cpu int, arg int64, note string) {
 	}
 }
 
+// Records reports whether Emit would record kind; false on a nil tracer.
+// It inlines, so a loop that emits one record per packet of a train can
+// skip the whole loop when the kind is filtered out.
+func (t *Tracer) Records(kind Kind) bool { return t != nil && t.on[kind] }
+
 // record stores one event that passed the kind filter.
 func (t *Tracer) record(at sim.Time, kind Kind, cpu int, arg int64, note string) {
 	if t.limit > 0 && t.n >= t.limit {

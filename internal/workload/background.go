@@ -106,7 +106,7 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		BurstHold:         bgBurstHold,
 	}
 	// Both callbacks are built once per arrival process, and the
-	// pipeline copies each packet, so a train allocates nothing.
+	// pipeline copies each train as one run, so a train allocates nothing.
 	var next, arrive func()
 	next = func() {
 		if b.stopped {
@@ -118,10 +118,8 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		if b.stopped {
 			return
 		}
-		for range bgTrain {
-			b.Packets.Inc()
-			b.node.Pipe.Inject(&accel.Packet{Core: core, Work: work})
-		}
+		b.Packets.Add(bgTrain)
+		b.node.Pipe.InjectTrain(&accel.Packet{Core: core, Work: work}, bgTrain)
 		next()
 	}
 	next()
