@@ -195,6 +195,15 @@ func TestAblationShapes(t *testing.T) {
 		t.Fatalf("adaptive slice exits %v not below fixed %v",
 			slice.Values["adaptive_exits"], slice.Values["fixed_exits"])
 	}
+	yield := AblationAdaptiveYield(Quick)
+	checkQuickGolden(t, "abl-yield", yield)
+	// A false-positive preemption reclaims a core that yielded, so each
+	// policy preempts falsely fewer times than it yields.
+	for _, k := range []string{"fixed_fp_ratio", "adaptive_fp_ratio"} {
+		if v := yield.Values[k]; v <= 0 || v >= 1 {
+			t.Fatalf("%s = %.3f, want within (0, 1)", k, v)
+		}
+	}
 	rescue := AblationLockRescue(Quick)
 	checkQuickGolden(t, "abl-rescue", rescue)
 	if rescue.Values["stuck_ticks_on"] > rescue.Values["stuck_ticks_off"] {
@@ -329,6 +338,22 @@ func TestFig14Shape(t *testing.T) {
 		}
 		if tc > 1.005*base {
 			t.Fatalf("%s: Tai Chi above baseline by %.2f%%?", cse, 100*(tc/base-1))
+		}
+	}
+}
+
+func TestFig16Shape(t *testing.T) {
+	t.Parallel()
+	r := Fig16Nginx(Quick)
+	checkQuickGolden(t, "fig16", r)
+	for _, cse := range []string{"http_long", "http_short", "https_long", "https_short"} {
+		base, tc := r.Values[cse+".baseline"], r.Values[cse+".taichi"]
+		if base <= 0 {
+			t.Fatalf("%s: no baseline", cse)
+		}
+		// Paper: 0.51% average overhead, up to 1% on short connections.
+		if tc < 0.99*base || tc > 1.01*base {
+			t.Fatalf("%s: Tai Chi %.0f RPS vs baseline %.0f, beyond the paper's ~1%% envelope", cse, tc, base)
 		}
 	}
 }
