@@ -300,8 +300,9 @@ func (pl *Pipeline) Probe() *Probe { return pl.probe }
 func (pl *Pipeline) Inject(p *Packet) { pl.InjectTrain(p, 1) }
 
 // InjectTrain accepts a train of n packets that arrive back to back and
-// differ only in their IDs, setting p's ID (unless the caller chose one)
-// and Arrival and then copying it as one run: p is not retained. The
+// differ only in their IDs, copying p as one run and setting the ID
+// (unless the caller chose one) and Arrival of the copy and of p: p is
+// not retained. The
 // train's IDs count up from p.ID, so a caller may choose the ID only of a
 // single packet; n < 1, or a chosen ID with n > 1, panics. The probe check
 // happens *before* preprocessing (Figure 10), which is what creates the
@@ -314,16 +315,21 @@ func (pl *Pipeline) InjectTrain(p *Packet, n int) {
 		panic(fmt.Sprintf("accel: train of %d packets with the chosen ID %d", n, p.ID))
 	}
 	now := pl.engine.Now()
-	if p.ID == 0 {
-		p.ID = pl.nextID + 1
+	id := p.ID
+	if id == 0 {
+		id = pl.nextID + 1
 	}
-	p.Arrival = now
-	pl.nextID += int64(n)
-	pl.Injected += uint64(n)
-	pl.inFlight = grow(pl.inFlight, p.Core)
+	// Copy the packet before stamping its ID and Arrival, on the copy and
+	// on *p alike: the copy's wide loads would otherwise span the stamp's
+	// narrower stores, which the CPU cannot forward to them.
 	r := pl.queue.Append()
 	r.Packet = *p
 	r.N = n
+	r.ID, r.Arrival = id, now
+	p.ID, p.Arrival = id, now
+	pl.nextID += int64(n)
+	pl.Injected += uint64(n)
+	pl.inFlight = grow(pl.inFlight, p.Core)
 
 	// The preprocess and transfer stages complete back-to-back with no
 	// intervening decision point, so one simulation event covers both;

@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
-	"repro/internal/accel"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -46,14 +43,10 @@ func DefaultMySQL() MySQLConfig { return MySQLConfig{} }
 
 // MySQL is the running database workload.
 type MySQL struct {
-	cfg  MySQLConfig
-	node *platform.Node
-	r    *rand.Rand
+	clients
 
-	Queries   *metrics.Counter
-	Latency   *metrics.Histogram
-	startedAt sim.Time
-	stopped   bool
+	Queries *metrics.Counter
+	Latency *metrics.Histogram
 
 	windowStart sim.Time
 	windowCount uint64
@@ -62,63 +55,46 @@ type MySQL struct {
 
 // NewMySQL builds the workload.
 func NewMySQL(node *platform.Node, cfg MySQLConfig) *MySQL {
-	return &MySQL{
-		cfg:     cfg,
-		node:    node,
-		r:       node.Stream("mysql"),
+	m := &MySQL{
 		Queries: metrics.NewCounter("mysql.queries"),
 		Latency: metrics.NewHistogram("mysql.latency"),
 	}
+	m.clients = clients{node: node, r: node.Stream("mysql"), label: "workload.mysql", phase: cfg.Phase, step: m.step}
+	return m
 }
 
 // Start launches the sysbench threads.
 func (m *MySQL) Start() {
-	m.startedAt = m.node.Now()
+	m.start(mysqlThreads, 1, 200*sim.Microsecond)
 	m.windowStart = m.startedAt
-	for i := 0; i < mysqlThreads; i++ {
-		th := i
-		m.node.Engine.Schedule(sim.Duration(m.r.Int63n(int64(200*sim.Microsecond))+1), func() {
-			m.query(th)
-		})
-	}
 }
 
-// Stop freezes the workload.
-func (m *MySQL) Stop() { m.stopped = true }
-
-func (m *MySQL) query(th int) {
-	if m.stopped {
-		return
-	}
-	if !m.cfg.Phase.On() {
-		m.cfg.Phase.Do(func() { m.query(th) })
-		return
-	}
-	start := m.node.Now()
-	finish := func() {
+// step runs one query: the request comes in through the network DP, the
+// VM executes it, possibly reading storage underneath, and the result
+// goes out through the network DP.
+func (m *MySQL) step(c *client) {
+	switch c.stage {
+	case 0:
+		c.net(mysqlNetWork)
+	case 1:
+		c.wait(sim.Jitter(m.r, mysqlHostCompute, 0.2))
+	case 2:
+		if m.r.Float64() < mysqlStorProb {
+			c.stor(mysqlStorWork)
+			return
+		}
+		c.stage = 4 // no read: respond at once
+		c.net(mysqlNetWork)
+	case 3:
+		c.wait(mysqlStorBackend)
+	case 4:
+		c.net(mysqlNetWork)
+	default:
 		m.Queries.Inc()
 		m.recordWindow()
-		m.Latency.Record(m.node.Now().Sub(start))
-		if !m.stopped {
-			m.query(th)
-		}
+		m.Latency.Record(c.at.Sub(c.start))
+		c.issue()
 	}
-	// Request in through the network DP.
-	m.node.InjectNet(th, mysqlNetWork, func(*accel.Packet, sim.Time) {
-		// VM-side execution, possibly with a storage read underneath.
-		m.node.Engine.Schedule(sim.Jitter(m.r, mysqlHostCompute, 0.2), func() {
-			respond := func() {
-				m.node.InjectNet(th, mysqlNetWork, func(*accel.Packet, sim.Time) { finish() })
-			}
-			if m.r.Float64() < mysqlStorProb {
-				m.node.InjectStor(th, mysqlStorWork, func(*accel.Packet, sim.Time) {
-					m.node.Engine.Schedule(mysqlStorBackend, respond)
-				})
-			} else {
-				respond()
-			}
-		})
-	})
 }
 
 func (m *MySQL) recordWindow() {
@@ -135,9 +111,7 @@ func (m *MySQL) recordWindow() {
 }
 
 // AvgQPS returns queries per second over the whole run.
-func (m *MySQL) AvgQPS(now sim.Time) float64 {
-	return m.Queries.RatePerSecond(now.Sub(m.startedAt))
-}
+func (m *MySQL) AvgQPS(now sim.Time) float64 { return m.rate(m.Queries, now) }
 
 // MaxQPS returns the best observed window throughput.
 func (m *MySQL) MaxQPS() float64 { return m.maxWindowQP }
@@ -189,78 +163,51 @@ func DefaultNginx(https, short bool) NginxConfig {
 
 // Nginx is the running web workload.
 type Nginx struct {
-	cfg  NginxConfig
-	node *platform.Node
-	r    *rand.Rand
+	clients
+	connections int
+	passes      int
+	compute     sim.Duration
 
-	Requests  *metrics.Counter
-	Latency   *metrics.Histogram
-	startedAt sim.Time
-	stopped   bool
+	Requests *metrics.Counter
+	Latency  *metrics.Histogram
 }
 
 // NewNginx builds the workload.
 func NewNginx(node *platform.Node, cfg NginxConfig) *Nginx {
-	return &Nginx{
-		cfg:      cfg,
-		node:     node,
-		r:        node.Stream("nginx"),
-		Requests: metrics.NewCounter("nginx.requests"),
-		Latency:  metrics.NewHistogram("nginx.latency"),
+	n := &Nginx{
+		connections: cfg.Connections,
+		passes:      nginxNetPassesLong,
+		compute:     nginxHostCompute,
+		Requests:    metrics.NewCounter("nginx.requests"),
+		Latency:     metrics.NewHistogram("nginx.latency"),
 	}
+	if cfg.ShortConnection {
+		n.passes = nginxNetPassesShort
+		if cfg.HTTPS {
+			n.compute += nginxHandshakeCompute
+		}
+	}
+	n.clients = clients{node: node, r: node.Stream("nginx"), label: "workload.nginx", phase: cfg.Phase, step: n.step}
+	return n
 }
 
 // Start launches the wrk connections.
-func (n *Nginx) Start() {
-	n.startedAt = n.node.Now()
-	for i := 0; i < n.cfg.Connections; i++ {
-		conn := i
-		n.node.Engine.Schedule(sim.Duration(n.r.Int63n(int64(2*sim.Millisecond))+1), func() {
-			n.request(conn)
-		})
-	}
-}
+func (n *Nginx) Start() { n.start(n.connections, 1, 2*sim.Millisecond) }
 
-// Stop freezes the workload.
-func (n *Nginx) Stop() { n.stopped = true }
-
-func (n *Nginx) request(conn int) {
-	if n.stopped {
-		return
+// step runs one request: its DP passes one after another, then the
+// server's compute.
+func (n *Nginx) step(c *client) {
+	switch {
+	case c.stage < n.passes:
+		c.net(nginxNetWork)
+	case c.stage == n.passes:
+		c.wait(sim.Jitter(n.r, n.compute, 0.2))
+	default:
+		n.Requests.Inc()
+		n.Latency.Record(c.at.Sub(c.start))
+		c.issue()
 	}
-	if !n.cfg.Phase.On() {
-		n.cfg.Phase.Do(func() { n.request(conn) })
-		return
-	}
-	start := n.node.Now()
-	passes := nginxNetPassesLong
-	if n.cfg.ShortConnection {
-		passes = nginxNetPassesShort
-	}
-	compute := nginxHostCompute
-	if n.cfg.HTTPS && n.cfg.ShortConnection {
-		compute += nginxHandshakeCompute
-	}
-	var step func(remaining int)
-	step = func(remaining int) {
-		if remaining == 0 {
-			n.node.Engine.Schedule(sim.Jitter(n.r, compute, 0.2), func() {
-				n.Requests.Inc()
-				n.Latency.Record(n.node.Now().Sub(start))
-				if !n.stopped {
-					n.request(conn)
-				}
-			})
-			return
-		}
-		n.node.InjectNet(conn, nginxNetWork, func(*accel.Packet, sim.Time) {
-			step(remaining - 1)
-		})
-	}
-	step(passes)
 }
 
 // RPS returns requests per second over the run.
-func (n *Nginx) RPS(now sim.Time) float64 {
-	return n.Requests.RatePerSecond(now.Sub(n.startedAt))
-}
+func (n *Nginx) RPS(now sim.Time) float64 { return n.rate(n.Requests, now) }

@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
-	"repro/internal/accel"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -27,63 +24,42 @@ const (
 
 // Fio is the running storage benchmark.
 type Fio struct {
-	node *platform.Node
-	r    *rand.Rand
+	clients
 
-	Ops       *metrics.Counter
-	Latency   *metrics.Histogram
-	startedAt sim.Time
-	stopped   bool
+	Ops     *metrics.Counter
+	Latency *metrics.Histogram
 }
 
 // NewFio builds the benchmark.
 func NewFio(node *platform.Node) *Fio {
-	return &Fio{
-		node:    node,
-		r:       node.Stream("fio"),
+	f := &Fio{
 		Ops:     metrics.NewCounter("fio.ops"),
 		Latency: metrics.NewHistogram("fio.latency"),
 	}
+	f.clients = clients{node: node, r: node.Stream("fio"), label: "workload.fio", step: f.step}
+	return f
 }
 
 // Start launches every job's async queue.
-func (f *Fio) Start() {
-	f.startedAt = f.node.Now()
-	for j := 0; j < fioJobs; j++ {
-		for d := 0; d < fioIODepth; d++ {
-			job := j
-			f.node.Engine.Schedule(sim.Duration(f.r.Int63n(int64(30*sim.Microsecond))+1), func() {
-				f.issue(job)
-			})
-		}
-	}
-}
+func (f *Fio) Start() { f.start(fioJobs, fioIODepth, 30*sim.Microsecond) }
 
-// Stop freezes the benchmark.
-func (f *Fio) Stop() { f.stopped = true }
-
-func (f *Fio) issue(job int) {
-	if f.stopped {
-		return
+// step runs one operation: the DP forwards the command, and it completes
+// after the backend's service time.
+func (f *Fio) step(c *client) {
+	switch c.stage {
+	case 0:
+		c.stor(fioPerOpWork)
+	case 1:
+		c.wait(fioBackendLatency)
+	default:
+		f.Ops.Inc()
+		f.Latency.Record(c.at.Sub(c.start))
+		c.issue()
 	}
-	start := f.node.Now()
-	f.node.InjectStor(job, fioPerOpWork, func(_ *accel.Packet, at sim.Time) {
-		// The DP forwarded the command; completion comes back after the
-		// backend's service time.
-		f.node.Engine.Schedule(fioBackendLatency, func() {
-			f.Ops.Inc()
-			f.Latency.Record(f.node.Now().Sub(start))
-			if !f.stopped {
-				f.issue(job)
-			}
-		})
-	})
 }
 
 // IOPS returns completed operations per second over the run.
-func (f *Fio) IOPS(now sim.Time) float64 {
-	return f.Ops.RatePerSecond(now.Sub(f.startedAt))
-}
+func (f *Fio) IOPS(now sim.Time) float64 { return f.rate(f.Ops, now) }
 
 // BandwidthMBps returns throughput in MB/s.
 func (f *Fio) BandwidthMBps(now sim.Time) float64 {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"repro/internal/accel"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -43,96 +41,68 @@ func DefaultCRR() CRRConfig {
 
 // CRR is the running connect-request-response benchmark.
 type CRR struct {
-	cfg  CRRConfig
-	node *platform.Node
-	r    *rand.Rand
+	clients
+	connections int
 
 	// Txns counts completed transactions; Packets counts DP passes.
 	Txns    *metrics.Counter
 	Packets *metrics.Counter
 	// TxnLatency is the per-transaction completion latency.
 	TxnLatency *metrics.Histogram
-	startedAt  sim.Time
-	stopped    bool
 }
 
 // NewCRR builds the benchmark.
 func NewCRR(node *platform.Node, cfg CRRConfig) *CRR {
-	return &CRR{
-		cfg:        cfg,
-		node:       node,
-		r:          node.Stream("crr"),
-		Txns:       metrics.NewCounter("crr.txns"),
-		Packets:    metrics.NewCounter("crr.packets"),
-		TxnLatency: metrics.NewHistogram("crr.txn_latency"),
+	cr := &CRR{
+		connections: cfg.Connections,
+		Txns:        metrics.NewCounter("crr.txns"),
+		Packets:     metrics.NewCounter("crr.packets"),
+		TxnLatency:  metrics.NewHistogram("crr.txn_latency"),
 	}
+	cr.clients = clients{node: node, r: node.Stream("crr"), label: "workload.crr", phase: cfg.Phase, step: cr.step}
+	return cr
 }
 
-// Start launches every connection's closed loop.
-func (c *CRR) Start() {
-	c.startedAt = c.node.Now()
-	for i := 0; i < c.cfg.Connections; i++ {
-		conn := i
-		// Stagger starts to avoid a synchronized thundering herd.
-		c.node.Engine.Schedule(sim.Duration(c.r.Int63n(int64(50*sim.Microsecond))+1), func() {
-			c.runTxn(conn)
-		})
-	}
-}
+// Start launches every connection's closed loop, staggered to avoid a
+// synchronized thundering herd.
+func (cr *CRR) Start() { cr.start(cr.connections, 1, 50*sim.Microsecond) }
 
-// Stop freezes the benchmark (outstanding passes drain without renewing).
-func (c *CRR) Stop() { c.stopped = true }
-
-func (c *CRR) runTxn(conn int) {
-	if c.stopped {
+// step runs one transaction: each pass goes through the DP and is
+// followed by the peer's think time; the first pass opens the flow and
+// the last closes it.
+func (cr *CRR) step(c *client) {
+	if c.stage%2 == 1 {
+		cr.Packets.Inc()
+		c.wait(crrClientThink)
 		return
 	}
-	if !c.cfg.Phase.On() {
-		c.cfg.Phase.Do(func() { c.runTxn(conn) })
+	pass := c.stage / 2
+	if pass == crrPacketsPerTxn {
+		cr.Txns.Inc()
+		cr.TxnLatency.Record(c.at.Sub(c.start))
+		c.issue()
 		return
 	}
-	start := c.node.Now()
-	var step func(remaining int)
-	step = func(remaining int) {
-		if remaining == 0 {
-			c.Txns.Inc()
-			c.TxnLatency.Record(c.node.Now().Sub(start))
-			if !c.stopped {
-				c.runTxn(conn)
-			}
-			return
-		}
-		work := crrPerPacketWork
-		if remaining == crrPacketsPerTxn {
-			work += crrConnSetupWork
-		}
-		core := c.node.Net.CoreForFlow(conn)
-		c.node.Pipe.Inject(&accel.Packet{
-			Core: core.ID,
-			Work: work,
-			Flow: conn,
-			SYN:  remaining == crrPacketsPerTxn,
-			FIN:  remaining == 1,
-			Done: func(_ *accel.Packet, _ sim.Time) {
-				c.Packets.Inc()
-				c.node.Engine.Schedule(crrClientThink, func() { step(remaining - 1) })
-			},
-		})
+	work := crrPerPacketWork
+	if pass == 0 {
+		work += crrConnSetupWork
 	}
-	step(crrPacketsPerTxn)
+	c.inject(&accel.Packet{
+		Core: cr.node.Net.CoreForFlow(c.flow).ID,
+		Work: work,
+		Flow: c.flow,
+		SYN:  pass == 0,
+		FIN:  pass == crrPacketsPerTxn-1,
+	})
 }
 
 // CPS returns completed transactions per second over the run.
-func (c *CRR) CPS(now sim.Time) float64 {
-	return c.Txns.RatePerSecond(now.Sub(c.startedAt))
-}
+func (cr *CRR) CPS(now sim.Time) float64 { return cr.rate(cr.Txns, now) }
 
 // PPS returns processed packets per second over the run. The RX and TX
 // directions are symmetric in this model, so avg_rx_pps = avg_tx_pps =
 // PPS/2.
-func (c *CRR) PPS(now sim.Time) float64 {
-	return c.Packets.RatePerSecond(now.Sub(c.startedAt))
-}
+func (cr *CRR) PPS(now sim.Time) float64 { return cr.rate(cr.Packets, now) }
 
 // StreamConfig parameterizes the throughput benchmarks (udp_stream,
 // tcp_stream): per-flow windowed pipelining that saturates the DP when
@@ -167,89 +137,79 @@ func DefaultStream() StreamConfig {
 
 // Stream is the running throughput benchmark.
 type Stream struct {
-	cfg  StreamConfig
-	node *platform.Node
-	r    *rand.Rand
+	clients
+	cfg StreamConfig
 
-	Packets   *metrics.Counter
-	Latency   *metrics.Histogram
-	startedAt sim.Time
-	stopped   bool
+	Packets *metrics.Counter
+	Latency *metrics.Histogram
+
+	// The open loop's callbacks, bound once.
+	arriveFn  func()
+	arrivedFn func(*accel.Packet, sim.Time)
 }
 
 // NewStream builds the benchmark.
 func NewStream(node *platform.Node, cfg StreamConfig) *Stream {
-	return &Stream{
+	s := &Stream{
 		cfg:     cfg,
-		node:    node,
-		r:       node.Stream("stream"),
 		Packets: metrics.NewCounter("stream.packets"),
 		Latency: metrics.NewHistogram("stream.latency"),
 	}
+	s.clients = clients{node: node, r: node.Stream("stream"), label: "workload.stream", phase: cfg.Phase, step: s.step}
+	s.arriveFn, s.arrivedFn = s.arrive, s.arrived
+	return s
 }
 
 // Start launches the flows (closed-loop) or the Poisson arrival process
 // (open-loop).
 func (s *Stream) Start() {
-	s.startedAt = s.node.Now()
 	if s.cfg.OfferedRate > 0 {
+		s.startedAt = s.node.Now()
 		s.openLoopArrival()
 		return
 	}
-	for f := 0; f < streamFlows; f++ {
-		for w := 0; w < s.cfg.Window; w++ {
-			flow := f
-			s.node.Engine.Schedule(sim.Duration(s.r.Int63n(int64(20*sim.Microsecond))+1), func() {
-				s.sendOne(flow)
-			})
-		}
-	}
+	s.start(streamFlows, s.cfg.Window, 20*sim.Microsecond)
 }
 
-// Stop freezes the benchmark.
-func (s *Stream) Stop() { s.stopped = true }
-
-func (s *Stream) sendOne(flow int) {
-	if s.stopped {
+// step sends one packet of a flow's window and sends the next when it is
+// through.
+func (s *Stream) step(c *client) {
+	if c.stage == 0 {
+		c.net(streamPerPacketWork)
 		return
 	}
-	if !s.cfg.Phase.On() {
-		s.cfg.Phase.Do(func() { s.sendOne(flow) })
-		return
-	}
-	start := s.node.Now()
-	s.node.InjectNet(flow, streamPerPacketWork, func(_ *accel.Packet, at sim.Time) {
-		s.Packets.Inc()
-		s.Latency.Record(at.Sub(start))
-		if !s.stopped {
-			s.sendOne(flow)
-		}
-	})
+	s.Packets.Inc()
+	s.Latency.Record(c.at.Sub(c.start))
+	c.issue()
 }
 
+// openLoopArrival schedules the next open-loop arrival.
 func (s *Stream) openLoopArrival() {
 	if s.stopped {
 		return
 	}
 	gap := sim.Duration(float64(sim.Second) / s.cfg.OfferedRate)
-	s.node.Engine.Schedule(sim.Exponential(s.r, gap), func() {
-		if s.stopped {
-			return
-		}
-		flow := s.r.Intn(streamFlows)
-		start := s.node.Now()
-		s.node.InjectNet(flow, streamPerPacketWork, func(_ *accel.Packet, at sim.Time) {
-			s.Packets.Inc()
-			s.Latency.Record(at.Sub(start))
-		})
-		s.openLoopArrival()
-	})
+	s.node.Engine.ScheduleNamed(sim.Exponential(s.r, gap), s.label, s.arriveFn)
+}
+
+// arrive sends one packet on a random flow.
+func (s *Stream) arrive() {
+	if s.stopped {
+		return
+	}
+	s.node.InjectNet(s.r.Intn(streamFlows), streamPerPacketWork, s.arrivedFn)
+	s.openLoopArrival()
+}
+
+// arrived counts an open-loop packet, which the pipeline stamped with its
+// arrival instant.
+func (s *Stream) arrived(p *accel.Packet, at sim.Time) {
+	s.Packets.Inc()
+	s.Latency.Record(at.Sub(p.Arrival))
 }
 
 // PPS returns processed packets per second over the run.
-func (s *Stream) PPS(now sim.Time) float64 {
-	return s.Packets.RatePerSecond(now.Sub(s.startedAt))
-}
+func (s *Stream) PPS(now sim.Time) float64 { return s.rate(s.Packets, now) }
 
 // BandwidthGbps returns throughput in gigabits per second — netperf
 // udp_stream's avg_rx_bw metric.
@@ -281,64 +241,45 @@ func DefaultRR() RRConfig { return RRConfig{} }
 
 // RR is the running request-response benchmark.
 type RR struct {
-	cfg  RRConfig
-	node *platform.Node
-	r    *rand.Rand
+	clients
 
-	Rounds    *metrics.Counter
-	Packets   *metrics.Counter
-	Latency   *metrics.Histogram
-	startedAt sim.Time
-	stopped   bool
+	Rounds  *metrics.Counter
+	Packets *metrics.Counter
+	Latency *metrics.Histogram
 }
 
 // NewRR builds the benchmark.
 func NewRR(node *platform.Node, cfg RRConfig) *RR {
-	return &RR{
-		cfg:     cfg,
-		node:    node,
-		r:       node.Stream("rr"),
+	rr := &RR{
 		Rounds:  metrics.NewCounter("rr.rounds"),
 		Packets: metrics.NewCounter("rr.packets"),
 		Latency: metrics.NewHistogram("rr.latency"),
 	}
+	rr.clients = clients{node: node, r: node.Stream("rr"), label: "workload.rr", phase: cfg.Phase, step: rr.step}
+	return rr
 }
 
 // Start launches the flows.
-func (rr *RR) Start() {
-	rr.startedAt = rr.node.Now()
-	for f := 0; f < rrFlows; f++ {
-		flow := f
-		rr.node.Engine.Schedule(sim.Duration(rr.r.Int63n(int64(100*sim.Microsecond))+1), func() {
-			rr.round(flow)
-		})
-	}
-}
+func (rr *RR) Start() { rr.start(rrFlows, 1, 100*sim.Microsecond) }
 
-// Stop freezes the benchmark.
-func (rr *RR) Stop() { rr.stopped = true }
-
-func (rr *RR) round(flow int) {
-	if rr.stopped {
-		return
-	}
-	if !rr.cfg.Phase.On() {
-		rr.cfg.Phase.Do(func() { rr.round(flow) })
-		return
-	}
-	start := rr.node.Now()
-	rr.node.InjectNet(flow, rrPerPacketWork, func(*accel.Packet, sim.Time) {
+// step runs one round: the request and the response each take a DP
+// pass, and the remote side turns around before the next round.
+func (rr *RR) step(c *client) {
+	switch c.stage {
+	case 0:
+		c.net(rrPerPacketWork)
+	case 1:
 		rr.Packets.Inc()
-		rr.node.InjectNet(flow, rrPerPacketWork, func(_ *accel.Packet, at sim.Time) {
-			rr.Packets.Inc()
-			rr.Rounds.Inc()
-			rr.Latency.Record(at.Sub(start))
-			rr.node.Engine.Schedule(rrClientThink, func() { rr.round(flow) })
-		})
-	})
+		c.net(rrPerPacketWork)
+	case 2:
+		rr.Packets.Inc()
+		rr.Rounds.Inc()
+		rr.Latency.Record(c.at.Sub(c.start))
+		c.wait(rrClientThink)
+	default:
+		c.issue()
+	}
 }
 
 // PPS returns processed packets per second.
-func (rr *RR) PPS(now sim.Time) float64 {
-	return rr.Packets.RatePerSecond(now.Sub(rr.startedAt))
-}
+func (rr *RR) PPS(now sim.Time) float64 { return rr.rate(rr.Packets, now) }

@@ -19,12 +19,14 @@ type Phaser struct {
 	on, off sim.Duration
 	isOn    bool
 	waiters []func()
+	flipFn  func()
 }
 
 // NewPhaser starts a phaser with the given on/off dwell times (±20%
 // jitter per phase). It begins in the on phase.
 func NewPhaser(engine *sim.Engine, r *rand.Rand, on, off sim.Duration) *Phaser {
 	p := &Phaser{engine: engine, r: r, on: on, off: off, isOn: true}
+	p.flipFn = p.flip
 	p.schedule()
 	return p
 }
@@ -34,17 +36,22 @@ func (p *Phaser) schedule() {
 	if !p.isOn {
 		d = p.off
 	}
-	p.engine.Schedule(sim.Jitter(p.r, d, 0.2), func() {
-		p.isOn = !p.isOn
-		if p.isOn {
-			ws := p.waiters
-			p.waiters = nil
-			for _, w := range ws {
-				w()
-			}
+	p.engine.ScheduleNamed(sim.Jitter(p.r, d, 0.2), "workload.phaser", p.flipFn)
+}
+
+// flip ends the current phase. An on edge releases the waiters in the
+// order they queued; none can queue while the phase is on, so their
+// slice is drained in place and reused.
+func (p *Phaser) flip() {
+	p.isOn = !p.isOn
+	if p.isOn {
+		for _, w := range p.waiters {
+			w()
 		}
-		p.schedule()
-	})
+		clear(p.waiters)
+		p.waiters = p.waiters[:0]
+	}
+	p.schedule()
 }
 
 // On reports whether the workload may issue right now.

@@ -8,9 +8,6 @@
 package workload
 
 import (
-	"math/rand"
-
-	"repro/internal/accel"
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -54,54 +51,58 @@ func DefaultPing() PingConfig {
 // Ping runs the RTT benchmark against a node.
 type Ping struct {
 	cfg  PingConfig
-	node *platform.Node
-	r    *rand.Rand
+	loop clients
+	echo *client
 
 	// RTT collects round-trip times.
 	RTT  *metrics.Histogram
 	sent int
+	wire sim.Duration // the wire-side part of the echo in flight
 	done func()
 }
 
 // NewPing builds the benchmark (not yet started).
 func NewPing(node *platform.Node, cfg PingConfig) *Ping {
-	return &Ping{
-		cfg:  cfg,
-		node: node,
-		r:    node.Stream("ping"),
-		RTT:  metrics.NewHistogram("ping.rtt"),
-	}
+	p := &Ping{cfg: cfg, RTT: metrics.NewHistogram("ping.rtt")}
+	p.loop = clients{node: node, r: node.Stream("ping"), label: "workload.ping", step: p.step}
+	p.echo = p.loop.add(pingFlow)
+	return p
 }
 
 // Start begins sending echo requests; onDone (optional) fires after the
 // last reply.
 func (p *Ping) Start(onDone func()) {
 	p.done = onDone
-	p.node.Engine.Schedule(PingInterval, p.sendOne)
+	p.loop.node.Engine.ScheduleNamed(PingInterval, p.loop.label, p.echo.issueFn)
 }
 
-func (p *Ping) sendOne() {
-	p.sent++
-	start := p.node.Now()
-	wire := pingWireBase + p.jitter()
-	// Inbound pass: accelerator → network DP core.
-	p.node.InjectNet(pingFlow, pingRxWork, func(_ *accel.Packet, _ sim.Time) {
-		// Echo turnaround: outbound pass through the same DP core.
-		p.node.InjectNet(pingFlow, pingTxWork, func(_ *accel.Packet, at sim.Time) {
-			p.RTT.Record(at.Sub(start) + sim.Duration(wire))
-			if p.sent >= p.cfg.Count {
-				if p.done != nil {
-					p.done()
-				}
-				return
+// step sends one echo request: an inbound pass from the accelerator to a
+// network DP core, then the turnaround's outbound pass through the same
+// core. The next request follows the reply after PingInterval.
+func (p *Ping) step(c *client) {
+	switch c.stage {
+	case 0:
+		p.sent++
+		p.wire = pingWireBase + p.jitter()
+		c.net(pingRxWork)
+	case 1:
+		c.net(pingTxWork)
+	case 2:
+		p.RTT.Record(c.at.Sub(c.start) + p.wire)
+		if p.sent >= p.cfg.Count {
+			if p.done != nil {
+				p.done()
 			}
-			p.node.Engine.Schedule(PingInterval, p.sendOne)
-		})
-	})
+			return
+		}
+		c.wait(PingInterval)
+	default:
+		c.issue()
+	}
 }
 
 func (p *Ping) jitter() sim.Duration {
-	j := sim.Exponential(p.r, pingWireJitterMean)
+	j := sim.Exponential(p.loop.r, pingWireJitterMean)
 	if j > pingWireJitterCap {
 		j = pingWireJitterCap
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	taichi "repro"
@@ -11,8 +12,7 @@ import (
 )
 
 // overloadVals runs the pinned overload sweep once at Quick scale.
-func overloadVals(t *testing.T, workers int) (string, map[string]float64) {
-	t.Helper()
+func overloadVals(workers int) (string, map[string]float64) {
 	scale := taichi.Quick
 	scale.Workers = workers
 	tbl, vals := experiments.OverloadRun(scale, 1200)
@@ -29,13 +29,17 @@ func overloadVals(t *testing.T, workers int) (string, map[string]float64) {
 	return b.String(), vals
 }
 
+// overloadSequential is the workers-1 sweep, computed once per test binary:
+// TestOverloadAcceptance and TestOverloadParallelDeterminism both read it.
+var overloadSequential = sync.OnceValues(func() (string, map[string]float64) { return overloadVals(1) })
+
 // TestOverloadAcceptance is the PR's seed-pinned acceptance gate: at 4x
 // offered load the gate must protect latency-critical goodput (>= 90% of
 // its 1x completion fraction), batch must absorb the shedding (strict
 // priority), and the brownout ladder must de-escalate back to normal at
 // every level once the spike passes.
 func TestOverloadAcceptance(t *testing.T) {
-	_, vals := overloadVals(t, 1)
+	_, vals := overloadSequential()
 
 	frac := func(class, level string) float64 {
 		issued := vals[fmt.Sprintf("ovl_issued_%s_%s", class, level)]
@@ -69,9 +73,9 @@ func TestOverloadAcceptance(t *testing.T) {
 // workers, with the 1-worker string pinned in
 // testdata/golden/quick/overload_vals.txt.
 func TestOverloadParallelDeterminism(t *testing.T) {
-	sequential, _ := overloadVals(t, 1)
+	sequential, _ := overloadSequential()
 	checkGolden(t, "quick/overload_vals.txt", []byte(sequential))
-	if parallel, _ := overloadVals(t, 8); parallel != sequential {
+	if parallel, _ := overloadVals(8); parallel != sequential {
 		t.Fatalf("overload sweep differs between 1 and 8 workers:\n--- sequential\n%s--- parallel\n%s",
 			sequential, parallel)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	taichi "repro"
@@ -11,8 +12,7 @@ import (
 )
 
 // placementVals runs the pinned placement sweep once at Quick scale.
-func placementVals(t *testing.T, workers int) (string, map[string]float64) {
-	t.Helper()
+func placementVals(workers int) (string, map[string]float64) {
 	scale := taichi.Quick
 	scale.Workers = workers
 	tbl, vals := experiments.PlacementRun(scale, 2100)
@@ -29,13 +29,17 @@ func placementVals(t *testing.T, workers int) (string, map[string]float64) {
 	return b.String(), vals
 }
 
+// placementSequential is the workers-1 sweep, computed once per test binary:
+// TestPlacementAcceptance and TestPlacementParallelDeterminism both read it.
+var placementSequential = sync.OnceValues(func() (string, map[string]float64) { return placementVals(1) })
+
 // TestPlacementAcceptance is the PR's seed-pinned acceptance gate: over
 // the skewed fleet the signal-driven pressure policy must beat blind
 // round-robin on both p99 VM-startup latency and hotspot dwell, every
 // policy's migrations must respect the per-scan budget, every run must
 // settle, and the placer+node traces must replay audit-clean.
 func TestPlacementAcceptance(t *testing.T) {
-	_, vals := placementVals(t, 1)
+	_, vals := placementSequential()
 
 	for _, pol := range []string{"rr", "spread", "binpack", "pressure"} {
 		if vals["plc_settled_"+pol] != 1 {
@@ -68,9 +72,9 @@ func TestPlacementAcceptance(t *testing.T) {
 // workers, with the 1-worker string pinned in
 // testdata/golden/quick/placement_vals.txt.
 func TestPlacementParallelDeterminism(t *testing.T) {
-	sequential, _ := placementVals(t, 1)
+	sequential, _ := placementSequential()
 	checkGolden(t, "quick/placement_vals.txt", []byte(sequential))
-	if parallel, _ := placementVals(t, 8); parallel != sequential {
+	if parallel, _ := placementVals(8); parallel != sequential {
 		t.Fatalf("placement sweep differs between 1 and 8 workers:\n--- sequential\n%s--- parallel\n%s",
 			sequential, parallel)
 	}
