@@ -38,17 +38,19 @@ build:
 # (*Scheduler).hasWork, which asks (*Kernel).HasRunnableFor, which asks
 # (*Thread).AllowedOn, of every vCPU and runnable thread it scans. Every
 # VM exit stops a (*sim.Timer) and every idle-poll arm asks whether one is
-# Armed. A call the compiler stops inlining costs several percent of wall
-# time. The packet path moves packets by value: (*Pipeline).Inject,
-# (*Pipeline).InjectTrain and (*dataplane.Core).Deliver copy the packet
-# they are handed, so their packet parameter must not escape (the
-# compiler may still report its content, the Done callback, as leaking).
+# Armed. Every draw from a named stream runs (*source).Uint64, which
+# math/rand's own source inlines too. A call the compiler stops inlining
+# costs several percent of wall time. The packet path moves packets by
+# value: (*Pipeline).Inject, (*Pipeline).InjectTrain and
+# (*dataplane.Core).Deliver copy the packet they are handed, so their
+# packet parameter must not escape (the compiler may still report its
+# content, the Done callback, as leaking).
 # If it did, every caller's &accel.Packet{...} would move to the heap, one
 # allocation per packet or train. The compiler replays its -m report from
 # the build cache, so this is cheap.
 inline:
 	@out=$$($(GO) build -gcflags=-m ./internal/sim ./internal/trace ./internal/kernel ./internal/core ./internal/accel ./internal/dataplane 2>&1); \
-	for fn in '(*Timer).Stop' '(*Timer).Armed' '(*Tracer).Emit' '(*Tracer).Records' '(*Thread).AllowedOn' '(*Kernel).HasRunnableFor' '(*Scheduler).hasWork'; do \
+	for fn in '(*Timer).Stop' '(*Timer).Armed' '(*source).Uint64' '(*Tracer).Emit' '(*Tracer).Records' '(*Thread).AllowedOn' '(*Kernel).HasRunnableFor' '(*Scheduler).hasWork'; do \
 		re=$$(printf '%s' "$$fn" | sed 's/[(*).]/\\&/g'); \
 		printf '%s\n' "$$out" | grep -qE "can inline $$re( |$$)" || \
 			{ echo "$$fn is no longer inlinable"; exit 1; }; \
@@ -121,8 +123,8 @@ bench-go:
 # for FUZZTIME — the event engine against the container/heap engine, the
 # span deriver against the kind-by-kind deriver, the Chrome writer
 # against the fmt/json.Marshal exporter, the chunked tracer against the
-# flat []Event tracer. `go test` replays only their
-# seed corpora; this searches beyond them. A failing input is written
+# flat []Event tracer, the stream source against math/rand's. `go test`
+# replays only their seed corpora; this searches beyond them. A failing input is written
 # under the package's testdata/fuzz/ and fails `go test` from then on.
 # Go minimizes each new interesting input for up to -fuzzminimizetime
 # (60 s by default), during which it executes nothing new; with the
@@ -131,6 +133,7 @@ FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamSource$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDerive$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzChrome$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzTracer$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/trace

@@ -125,7 +125,7 @@ type Core struct {
 	// that the burst limit splits leaves its tail at the queue's front.
 	batch        []accel.Run
 	cost         sim.Duration
-	finishFn     func()     // c.finish, bound once so a burst allocates nothing
+	done         *sim.Timer // the burst's completion; fires c.finish
 	idle         *sim.Timer // the empty-poll countdown; fires c.idleExpired
 	pollutedWork sim.Duration
 	// conns is the optional per-core connection table (EnableConnTrack).
@@ -189,7 +189,9 @@ func (c *Core) Deliver(p *accel.Packet, n int) {
 // processNext consumes the next burst, at most avail packets, or returns
 // to polling. Only a polling core starts a burst (Deliver, Resume and
 // SetDown check), and the burst's own completion calls it again, so one
-// burst is in flight at most.
+// burst is in flight at most: c.done is never reset while armed, and a
+// burst that starts from the last one's completion re-keys the timer's
+// heap slot in place.
 func (c *Core) processNext(avail int) {
 	if c.down {
 		c.state = Polling
@@ -233,7 +235,7 @@ func (c *Core) processNext(avail int) {
 	}
 	c.Gauge.SetBusy(c.engine.Now(), true)
 	c.cost = cost
-	c.engine.ScheduleNamed(cost, "dp.batch", c.finishFn)
+	c.done.Reset(cost)
 }
 
 // taxed is the time w of work takes on this core.
@@ -393,7 +395,7 @@ func NewService(engine *sim.Engine, name string, coreIDs []int, cfg Config, trac
 			Gauge:   metrics.NewBusyGauge(fmt.Sprintf("%s.core%d", name, id), engine.Now()),
 		}
 		c.idle = engine.NewTimer(0, "dp.idle-poll", c.idleExpired)
-		c.finishFn = c.finish
+		c.done = engine.NewTimer(0, "dp.batch", c.finish)
 		s.cores = append(s.cores, c)
 	}
 	return s

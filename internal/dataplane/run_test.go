@@ -352,14 +352,14 @@ func buildRun(conntrack bool) func(*sim.Engine, Config, *trace.Tracer, *[]string
 			s.EnableConnTrack(ConnTrackConfig{Capacity: 4, LookupCost: 60, InsertCost: 900, TeardownCost: 300, EvictCost: 500})
 		}
 		c := s.Core(0)
-		c.finishFn = func() {
+		c.done = e.NewTimer(0, "dp.batch", func() {
 			n := 0
 			for _, r := range c.batch {
 				n += r.N
 			}
 			*log = append(*log, fmt.Sprintf("%v batch n=%d cost=%v maxq=%d", e.Now(), n, c.cost, c.MaxQueueLen))
 			c.finish()
-		}
+		})
 		c.YieldThreshold = func() int { return 8 }
 		return runCore{c}, func(f func()) { c.OnIdle = func(*Core) { f() } }
 	}

@@ -19,12 +19,14 @@ type RNG struct {
 func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 
 // Stream derives an independent, deterministic sub-stream identified by
-// name. The same (seed, name) pair always yields the same sequence.
+// name. The same (seed, name) pair always yields the same sequence, the
+// one rand.New(rand.NewSource(sub)) yields, from a source that seeds
+// without division (see source).
 func (r *RNG) Stream(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	sub := int64(h.Sum64()) ^ (r.seed * int64(0x9E3779B97F4A7C15>>1))
-	return rand.New(rand.NewSource(sub))
+	return rand.New(newSource(sub))
 }
 
 // Exponential draws from an exponential distribution with the given mean.

@@ -105,22 +105,23 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		CalmHold:          bgCalmHold,
 		BurstHold:         bgBurstHold,
 	}
-	// Both callbacks are built once per arrival process, and the
-	// pipeline copies each train as one run, so a train allocates nothing.
-	var next, arrive func()
-	next = func() {
-		if b.stopped {
-			return
+	// The arrival timer is built once per arrival process and re-armed
+	// only from its own callback, which re-keys its heap slot in place;
+	// the pipeline copies each train as one run, so a train allocates
+	// nothing.
+	var arrive *sim.Timer
+	next := func() {
+		if !b.stopped {
+			arrive.Reset(mmpp.Next(r, b.node.Now()))
 		}
-		b.node.Engine.ScheduleNamed(mmpp.Next(r, b.node.Now()), "accel.ingress", arrive)
 	}
-	arrive = func() {
+	arrive = b.node.Engine.NewTimer(0, "accel.ingress", func() {
 		if b.stopped {
 			return
 		}
 		b.Packets.Add(bgTrain)
 		b.node.Pipe.InjectTrain(&accel.Packet{Core: core, Work: work}, bgTrain)
 		next()
-	}
+	})
 	next()
 }
