@@ -735,7 +735,7 @@ func runPlaced(pol placement.Policy, spec faults.Spec, rebalance, recov, ovl, au
 		st.Placed, st.Replaced, st.AllExcluded, st.BounceDead, st.Scans)
 	fmt.Printf("rebalance: migrations=%d/%d dwell=%d max-starts/scan=%d (budget %d) pause=%v\n",
 		st.MigrationsDone, st.MigrationsStarted, st.HotScans,
-		st.MaxStartsPerScan, pcfg.MigrationBudget, st.PauseTotal)
+		st.MaxStartsPerScan, placement.MigrationBudget, st.PauseTotal)
 	fmt.Printf("vmstartup: completed=%d dead-lettered=%d startup mean %v p99 %v\n",
 		completed, dead, startup.Mean(), startup.Quantile(0.99))
 	if auditFlag {

@@ -19,13 +19,10 @@ import (
 // state change. Only requests that reach the coordinator may move it.
 func TestShedWhileBreakerOpenIsNotABreakerFailure(t *testing.T) {
 	tc := core.NewDefault(81)
+	// The coordinator NACKs every op, so once the breaker trips, each
+	// half-open probe fails and re-opens it.
 	tc.SetCoordinator(&flakyCoord{inner: tc.Coordinator(), engine: tc.Engine(), fail: failAll()})
-	// OpenTimeout far beyond the test horizon: once open, the breaker
-	// stays open (no half-open timer fires inside the assertions below).
-	br := tc.InstallBreaker(controlplane.BreakerConfig{
-		FailureThreshold: 2,
-		OpenTimeout:      10 * sim.Second,
-	})
+	br := tc.InstallBreaker()
 
 	level := 0
 	cfg := DefaultConfig(1)
@@ -41,11 +38,25 @@ func TestShedWhileBreakerOpenIsNotABreakerFailure(t *testing.T) {
 	cfg.OverloadLevel = func() int { return level }
 	mgr := NewManager(tc, cfg)
 
-	// Request 1 by hand (no Start, no arrival schedule): every op NACKs,
-	// so the retry budget burns, the request dead-letters, and the
-	// breaker trips open along the way.
+	// Trip the breaker with failing ops of its own.
+	for i := 0; br.State() != controlplane.BreakerOpen; i++ {
+		if i == 100 {
+			t.Fatal("breaker never tripped on a failing coordinator")
+		}
+		br.ConfigureDevice(0, func(bool) {})
+		tc.Run(tc.Engine().Now().Add(10 * sim.Microsecond))
+	}
+	// Request 1 by hand (no Start, no arrival schedule): each attempt
+	// reaches the breaker as a half-open probe that fails and re-opens
+	// it, so the retry budget burns and the request dead-letters as the
+	// breaker re-opens. Step to that instant: the breaker's own timer
+	// half-opens it again a few milliseconds later.
 	mgr.issueRequest()
-	drainVMs(t, tc, mgr, 1)
+	for step := 0; !mgr.Terminal(); step++ {
+		if step == 1_000_000 || !tc.Engine().Step() {
+			t.Fatal("request 1 never reached a terminal state")
+		}
+	}
 	if st := mgr.Requests()[0].State(); st != ReqDeadLettered {
 		t.Fatalf("request 1 state = %v, want dead-lettered", st)
 	}
@@ -59,6 +70,12 @@ func TestShedWhileBreakerOpenIsNotABreakerFailure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mgr.issueRequest()
 	}
+	if br.State() != controlplane.BreakerOpen {
+		t.Fatalf("breaker state = %v after sheds, want still open", br.State())
+	}
+	if after := br.Counters(); after != before {
+		t.Fatalf("breaker ledger moved on sheds: before=%+v after=%+v", before, after)
+	}
 	tc.Run(tc.Engine().Now().Add(500 * sim.Millisecond))
 
 	if got := mgr.Shed(); got != 3 {
@@ -70,11 +87,14 @@ func TestShedWhileBreakerOpenIsNotABreakerFailure(t *testing.T) {
 				req.ID, req.State(), req.Attempts)
 		}
 	}
-	if br.State() != controlplane.BreakerOpen {
-		t.Fatalf("breaker state = %v after sheds, want still open", br.State())
-	}
-	if after := br.Counters(); after != before {
-		t.Fatalf("breaker ledger moved on sheds: before=%+v after=%+v", before, after)
+	// Over the rest of the window the breaker's ledger moved only by its
+	// own timer, one half-open transition: no shed reached the failing
+	// coordinator as a probe, which would have re-opened it.
+	want := before
+	want.State = controlplane.BreakerHalfOpen
+	want.HalfOpens++
+	if after := br.Counters(); after != want {
+		t.Fatalf("breaker ledger moved on sheds: want=%+v after=%+v", want, after)
 	}
 }
 

@@ -33,44 +33,34 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// BreakerConfig parameterizes the CP→DP circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that trips the
-	// breaker open.
-	FailureThreshold int
-	// OpenTimeout is how long the breaker stays open before half-opening
-	// for a probe op.
-	OpenTimeout sim.Duration
-	// AckTimeout bounds each op's wait for a DP acknowledgment; an op
-	// whose ack does not arrive in time counts as a failure (the
-	// coordinator-timeout fault class surfaces here).
-	AckTimeout sim.Duration
-}
-
-// DefaultBreakerConfig mirrors a conservative production profile: trip
+// The CP→DP breaker's tuning, a conservative production profile: trip
 // after 5 straight failures, half-open after 5 ms, give each op 2 ms to
 // complete (native IPC acks in microseconds; 2 ms means the DP service
 // is gone, not slow).
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		FailureThreshold: 5,
-		OpenTimeout:      5 * sim.Millisecond,
-		AckTimeout:       2 * sim.Millisecond,
-	}
-}
+const (
+	// failureThreshold is the consecutive-failure count that trips the
+	// breaker open.
+	failureThreshold = 5
+	// openTimeout is how long the breaker stays open before half-opening
+	// for a probe op.
+	openTimeout = 5 * sim.Millisecond
+	// ackTimeout bounds each op's wait for a DP acknowledgment; an op
+	// whose ack does not arrive in time counts as a failure (the
+	// coordinator-timeout fault class surfaces here).
+	ackTimeout = 2 * sim.Millisecond
+)
 
 // Breaker is a circuit breaker on the CP→DP device-coordination path.
 // While closed it forwards ops to the inner coordinator under an ack
-// deadline; FailureThreshold consecutive failures (NACKs or ack
+// deadline; failureThreshold consecutive failures (NACKs or ack
 // timeouts) trip it open, rejecting further ops immediately so retrying
 // requests fail fast instead of queueing against a dead DP service.
-// After OpenTimeout it half-opens: exactly one probe op is admitted, and
+// After openTimeout it half-opens: exactly one probe op is admitted, and
 // its outcome decides between closing the circuit and re-opening it.
 //
 // All timing rides the deterministic engine; the breaker draws no
 // randomness, so wrapping a coordinator never perturbs replay.
 type Breaker struct {
-	cfg    BreakerConfig
 	engine *sim.Engine
 	inner  DPCoordinator
 
@@ -83,42 +73,9 @@ type Breaker struct {
 	trips, rejects, timeouts, nacks, halfOpens, closes uint64
 }
 
-// Validate rejects a negative field, naming it. Zero means the
-// field's default.
-func (c BreakerConfig) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"FailureThreshold", int64(c.FailureThreshold)},
-		{"OpenTimeout", int64(c.OpenTimeout)},
-		{"AckTimeout", int64(c.AckTimeout)},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("controlplane: breaker %s = %d: negative", f.name, f.v)
-		}
-	}
-	return nil
-}
-
-// NewBreaker wraps inner with a circuit breaker driven by the engine. A
-// zero config field takes its DefaultBreakerConfig value; NewBreaker
-// panics, naming the field, on a config Validate rejects.
-func NewBreaker(engine *sim.Engine, inner DPCoordinator, cfg BreakerConfig) *Breaker {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	d := DefaultBreakerConfig()
-	if cfg.FailureThreshold == 0 {
-		cfg.FailureThreshold = d.FailureThreshold
-	}
-	if cfg.OpenTimeout == 0 {
-		cfg.OpenTimeout = d.OpenTimeout
-	}
-	if cfg.AckTimeout == 0 {
-		cfg.AckTimeout = d.AckTimeout
-	}
-	return &Breaker{cfg: cfg, engine: engine, inner: inner}
+// NewBreaker wraps inner with a circuit breaker driven by the engine.
+func NewBreaker(engine *sim.Engine, inner DPCoordinator) *Breaker {
+	return &Breaker{engine: engine, inner: inner}
 }
 
 // State returns the breaker's current position.
@@ -145,7 +102,7 @@ func (b *Breaker) ConfigureDevice(flow int, done func(ok bool)) {
 	}
 	answered := false
 	var deadline sim.Handle
-	deadline = b.engine.Schedule(b.cfg.AckTimeout, func() {
+	deadline = b.engine.Schedule(ackTimeout, func() {
 		if answered {
 			return
 		}
@@ -177,7 +134,7 @@ func (b *Breaker) ConfigureDevice(flow int, done func(ok bool)) {
 // late ack from an op issued before the breaker tripped (several
 // closed-state ops can be in flight at once) can land while the breaker
 // is Open — or even Half-Open — and letting it re-close would bypass
-// OpenTimeout and the one-probe-decides protocol while the pending
+// openTimeout and the one-probe-decides protocol while the pending
 // open-timer no-ops. The state check guards the probe itself against a
 // trip that happened while its ack was in flight.
 func (b *Breaker) onSuccess(probe bool) {
@@ -191,7 +148,7 @@ func (b *Breaker) onSuccess(probe bool) {
 
 func (b *Breaker) onFailure() {
 	b.consecFails++
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consecFails >= b.cfg.FailureThreshold) {
+	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consecFails >= failureThreshold) {
 		b.trip()
 	}
 }
@@ -200,7 +157,7 @@ func (b *Breaker) trip() {
 	b.state = BreakerOpen
 	b.probing = false
 	b.trips++
-	b.engine.Schedule(b.cfg.OpenTimeout, func() {
+	b.engine.Schedule(openTimeout, func() {
 		if b.state != BreakerOpen {
 			return
 		}

@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -57,9 +56,9 @@ func drive(t *testing.T, e *sim.Engine, b *Breaker) bool {
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	e := sim.NewEngine()
 	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond, script: repeat(false, 10)}
-	b := NewBreaker(e, inner, BreakerConfig{FailureThreshold: 3})
+	b := NewBreaker(e, inner)
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failureThreshold-1; i++ {
 		if drive(t, e, b) {
 			t.Fatal("NACKed op reported ok")
 		}
@@ -81,10 +80,11 @@ func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 func TestBreakerOpenRejectsWithoutReachingInner(t *testing.T) {
 	e := sim.NewEngine()
 	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond, script: repeat(false, 10)}
-	b := NewBreaker(e, inner, BreakerConfig{FailureThreshold: 2, OpenTimeout: sim.Second})
+	b := NewBreaker(e, inner)
 
-	drive(t, e, b)
-	drive(t, e, b)
+	for i := 0; i < failureThreshold; i++ {
+		drive(t, e, b)
+	}
 	callsAtTrip := inner.calls
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v, want open", b.State())
@@ -102,16 +102,17 @@ func TestBreakerOpenRejectsWithoutReachingInner(t *testing.T) {
 
 func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	e := sim.NewEngine()
-	// Two NACKs to trip, then an ok for the half-open probe.
-	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond, script: []bool{false, false, true}}
-	cfg := BreakerConfig{FailureThreshold: 2, OpenTimeout: sim.Millisecond}
-	b := NewBreaker(e, inner, cfg)
+	// Threshold NACKs to trip, then an ok for the half-open probe.
+	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond,
+		script: append(repeat(false, failureThreshold), true)}
+	b := NewBreaker(e, inner)
 
-	drive(t, e, b)
-	drive(t, e, b)
-	e.Run(e.Now().Add(2 * sim.Millisecond))
+	for i := 0; i < failureThreshold; i++ {
+		drive(t, e, b)
+	}
+	e.Run(e.Now().Add(openTimeout + sim.Millisecond))
 	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after OpenTimeout, want half-open", b.State())
+		t.Fatalf("state %v after openTimeout, want half-open", b.State())
 	}
 	if !drive(t, e, b) {
 		t.Fatal("half-open probe failed despite ok inner")
@@ -123,12 +124,13 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	e := sim.NewEngine()
-	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond, script: repeat(false, 3)}
-	b := NewBreaker(e, inner, BreakerConfig{FailureThreshold: 2, OpenTimeout: sim.Millisecond})
+	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond, script: repeat(false, failureThreshold+1)}
+	b := NewBreaker(e, inner)
 
-	drive(t, e, b)
-	drive(t, e, b)
-	e.Run(e.Now().Add(2 * sim.Millisecond))
+	for i := 0; i < failureThreshold; i++ {
+		drive(t, e, b)
+	}
+	e.Run(e.Now().Add(openTimeout + sim.Millisecond))
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state %v, want half-open", b.State())
 	}
@@ -146,7 +148,7 @@ func TestBreakerAckTimeoutCountsAsFailure(t *testing.T) {
 	// The op reaches the inner coordinator but its ack never comes back —
 	// the partial-init / coordinator-timeout fault shape.
 	inner := &scriptedCoord{engine: e, latency: 10 * sim.Microsecond, lost: map[int]bool{0: true}}
-	b := NewBreaker(e, inner, BreakerConfig{FailureThreshold: 5, AckTimeout: sim.Millisecond})
+	b := NewBreaker(e, inner)
 
 	if drive(t, e, b) {
 		t.Fatal("lost op reported ok")
@@ -158,21 +160,27 @@ func TestBreakerAckTimeoutCountsAsFailure(t *testing.T) {
 
 func TestBreakerLateAckIsDiscarded(t *testing.T) {
 	e := sim.NewEngine()
-	// Ack latency far beyond the deadline: the deadline fails the op
-	// first and the eventual ack must not double-resolve or reset state.
-	inner := &scriptedCoord{engine: e, latency: 10 * sim.Millisecond, script: []bool{true}}
-	b := NewBreaker(e, inner, BreakerConfig{FailureThreshold: 1, AckTimeout: sim.Millisecond, OpenTimeout: sim.Second})
+	// Every ack lands after its op's deadline, and the deadlines trip the
+	// breaker: the deadline fails each op first, and the eventual ok acks,
+	// all landing while the breaker is open, must not double-resolve an
+	// op or reset state.
+	latency := ackTimeout + openTimeout/2
+	inner := &scriptedCoord{engine: e, latency: latency, script: repeat(true, failureThreshold)}
+	b := NewBreaker(e, inner)
 
 	resolutions := 0
-	b.ConfigureDevice(1, func(ok bool) {
-		resolutions++
-		if ok {
-			t.Fatal("timed-out op reported ok")
-		}
-	})
-	e.Run(e.Now().Add(20 * sim.Millisecond))
-	if resolutions != 1 {
-		t.Fatalf("op resolved %d times, want exactly once", resolutions)
+	for i := 0; i < failureThreshold; i++ {
+		b.ConfigureDevice(1, func(ok bool) {
+			resolutions++
+			if ok {
+				t.Fatal("timed-out op reported ok")
+			}
+		})
+	}
+	// Past the late acks, short of the half-open timer armed at the trip.
+	e.Run(e.Now().Add(ackTimeout + openTimeout - sim.Microsecond))
+	if resolutions != failureThreshold {
+		t.Fatalf("%d ops resolved %d times, want exactly once each", failureThreshold, resolutions)
 	}
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v: late ok ack must not rescue a tripped breaker", b.State())
@@ -203,30 +211,33 @@ func (s *staggeredCoord) ConfigureDevice(flow int, done func(ok bool)) {
 // TestBreakerStraySuccessCannotReclose pins the one-probe-decides
 // protocol: a late ack from an op issued before the breaker tripped
 // lands while the circuit is open and must not silently re-close it —
-// only the half-open probe, after OpenTimeout, may do that.
+// only the half-open probe, after openTimeout, may do that.
 func TestBreakerStraySuccessCannotReclose(t *testing.T) {
 	e := sim.NewEngine()
-	// Op 0: a slow success issued while closed; ops 1-2: fast NACKs that
-	// trip the breaker while op 0's ack is still in flight.
-	inner := &staggeredCoord{engine: e,
-		outcomes:  []bool{true, false, false},
-		latencies: []sim.Duration{5 * sim.Millisecond, sim.Millisecond, sim.Millisecond}}
-	b := NewBreaker(e, inner, BreakerConfig{
-		FailureThreshold: 2, AckTimeout: 10 * sim.Millisecond, OpenTimeout: 20 * sim.Millisecond})
+	// Op 0: a slow success issued while closed; the next threshold ops:
+	// fast NACKs that trip the breaker while op 0's ack is still in
+	// flight.
+	outcomes := append([]bool{true}, repeat(false, failureThreshold)...)
+	latencies := []sim.Duration{3 * sim.Millisecond / 2}
+	for range failureThreshold {
+		latencies = append(latencies, sim.Millisecond/2)
+	}
+	inner := &staggeredCoord{engine: e, outcomes: outcomes, latencies: latencies}
+	b := NewBreaker(e, inner)
 
 	results := map[int]bool{}
-	for i := 0; i < 3; i++ {
-		i := i
+	for i := range outcomes {
 		b.ConfigureDevice(i, func(ok bool) { results[i] = ok })
 	}
-	// The NACKs land at 1 ms and trip the breaker open.
-	e.Run(e.Now().Add(2 * sim.Millisecond))
+	// The NACKs land at 0.5 ms and trip the breaker open.
+	e.Run(e.Now().Add(sim.Millisecond))
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v after threshold NACKs, want open", b.State())
 	}
-	// Op 0's success lands at 5 ms, within its own ack deadline but with
-	// the breaker open: the op itself succeeds, the circuit stays open.
-	e.Run(e.Now().Add(4 * sim.Millisecond))
+	// Op 0's success lands at 1.5 ms, within its own ack deadline but
+	// with the breaker open: the op itself succeeds, the circuit stays
+	// open.
+	e.Run(e.Now().Add(sim.Millisecond))
 	if !results[0] {
 		t.Fatal("slow closed-era op lost its own success")
 	}
@@ -234,43 +245,16 @@ func TestBreakerStraySuccessCannotReclose(t *testing.T) {
 		t.Fatalf("state %v: stray success re-closed an open breaker", b.State())
 	}
 	// The pending open-timer must still drive the half-open transition.
-	e.Run(e.Now().Add(20 * sim.Millisecond))
+	e.Run(e.Now().Add(openTimeout))
 	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after OpenTimeout, want half-open", b.State())
+		t.Fatalf("state %v after openTimeout, want half-open", b.State())
 	}
 }
 
 func TestZeroBreakerLineMatchesFreshBreaker(t *testing.T) {
 	e := sim.NewEngine()
-	b := NewBreaker(e, &scriptedCoord{engine: e}, DefaultBreakerConfig())
+	b := NewBreaker(e, &scriptedCoord{engine: e})
 	if b.Describe() != ZeroBreakerLine() {
 		t.Fatalf("fresh breaker %q != zero line %q", b.Describe(), ZeroBreakerLine())
-	}
-}
-
-// A negative config field makes NewBreaker panic naming the field,
-// rather than running on the default; zero still takes the default.
-func TestBreakerMalformedConfigPanics(t *testing.T) {
-	e := sim.NewEngine()
-	for _, tc := range []struct {
-		field string
-		cfg   BreakerConfig
-	}{
-		{"FailureThreshold", BreakerConfig{FailureThreshold: -1}},
-		{"OpenTimeout", BreakerConfig{OpenTimeout: -sim.Millisecond}},
-		{"AckTimeout", BreakerConfig{AckTimeout: -sim.Millisecond}},
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				if msg, _ := r.(string); !strings.Contains(msg, tc.field) {
-					t.Errorf("%s: NewBreaker recovered %v, want a panic naming the field", tc.field, r)
-				}
-			}()
-			NewBreaker(e, &scriptedCoord{engine: e}, tc.cfg)
-		}()
-	}
-	if b := NewBreaker(e, &scriptedCoord{engine: e}, BreakerConfig{}); b.cfg != DefaultBreakerConfig() {
-		t.Fatalf("zero config normalized to %+v, want the defaults", b.cfg)
 	}
 }

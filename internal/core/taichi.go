@@ -197,9 +197,9 @@ func (t *TaiChi) SetCoordinator(c controlplane.DPCoordinator) { t.coord = c }
 // InstallBreaker wraps the current coordinator with a circuit breaker so
 // every subsequent Coordinator() caller goes through it. Idempotent: a
 // second call leaves the existing breaker in place.
-func (t *TaiChi) InstallBreaker(cfg controlplane.BreakerConfig) *controlplane.Breaker {
+func (t *TaiChi) InstallBreaker() *controlplane.Breaker {
 	if t.Breaker == nil {
-		t.Breaker = controlplane.NewBreaker(t.Node.Engine, t.Coordinator(), cfg)
+		t.Breaker = controlplane.NewBreaker(t.Node.Engine, t.Coordinator())
 		t.coord = t.Breaker
 	}
 	return t.Breaker

@@ -2,46 +2,34 @@ package dataplane
 
 import (
 	"container/list"
+	"fmt"
 
 	"repro/internal/sim"
 )
 
-// ConnTrackConfig enables per-core connection tracking in a DP service —
-// the vSwitch flow-table reality behind the paper's tcp_crr and
-// connections-per-second numbers (§6.1 cites Alibaba's hardware-assisted
-// vSwitch). When enabled, per-packet cost is no longer a constant: the
-// first packet of a flow pays the insert path, established packets pay a
-// lookup, and a full table evicts least-recently-used entries.
-type ConnTrackConfig struct {
-	// Capacity is the per-core flow-table size.
-	Capacity int
-	// LookupCost is added to established-flow packets.
-	LookupCost sim.Duration
-	// InsertCost is added to flow-creating packets (SYN path).
-	InsertCost sim.Duration
-	// TeardownCost is added to flow-closing packets (FIN path).
-	TeardownCost sim.Duration
-	// EvictCost is added when an insert must first evict an LRU entry.
-	EvictCost sim.Duration
-}
-
-// DefaultConnTrack returns a production-like table: 64k flows per core,
-// cheap lookups, a heavier insert path.
-func DefaultConnTrack() ConnTrackConfig {
-	return ConnTrackConfig{
-		Capacity:     65536,
-		LookupCost:   60 * sim.Nanosecond,
-		InsertCost:   900 * sim.Nanosecond,
-		TeardownCost: 300 * sim.Nanosecond,
-		EvictCost:    500 * sim.Nanosecond,
-	}
-}
+// The per-core connection-tracking table is the vSwitch flow-table
+// reality behind the paper's tcp_crr and connections-per-second numbers
+// (§6.1 cites Alibaba's hardware-assisted vSwitch). When enabled,
+// per-packet cost is no longer a constant: the first packet of a flow
+// pays the insert path, established packets pay a lookup, and a full
+// table evicts least-recently-used entries. Its costs are those of a
+// production-like table: cheap lookups, a heavier insert path.
+const (
+	// lookupCost is added to established-flow packets.
+	lookupCost = 60 * sim.Nanosecond
+	// insertCost is added to flow-creating packets (SYN path).
+	insertCost = 900 * sim.Nanosecond
+	// teardownCost is added to flow-closing packets (FIN path).
+	teardownCost = 300 * sim.Nanosecond
+	// evictCost is added when an insert must first evict an LRU entry.
+	evictCost = 500 * sim.Nanosecond
+)
 
 // connTable is one core's flow table with LRU eviction.
 type connTable struct {
-	cfg     ConnTrackConfig
-	entries map[int]*list.Element
-	lru     *list.List // front = most recent; values are flow ids
+	capacity int
+	entries  map[int]*list.Element
+	lru      *list.List // front = most recent; values are flow ids
 
 	// Stats.
 	Hits      uint64
@@ -50,11 +38,8 @@ type connTable struct {
 	Evictions uint64
 }
 
-func newConnTable(cfg ConnTrackConfig) *connTable {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultConnTrack().Capacity
-	}
-	return &connTable{cfg: cfg, entries: map[int]*list.Element{}, lru: list.New()}
+func newConnTable(capacity int) *connTable {
+	return &connTable{capacity: capacity, entries: map[int]*list.Element{}, lru: list.New()}
 }
 
 // cost charges the table operations for one packet and returns the added
@@ -67,25 +52,25 @@ func (t *connTable) cost(flow int, syn, fin bool) sim.Duration {
 		t.lru.Remove(el)
 		delete(t.entries, flow)
 		t.Teardowns++
-		d += t.cfg.TeardownCost
+		d += teardownCost
 	case known:
 		t.lru.MoveToFront(el)
 		t.Hits++
-		d += t.cfg.LookupCost
+		d += lookupCost
 	default:
 		// Unknown flow: insert (whether or not the packet is a proper SYN
 		// — mid-flow packets of evicted connections re-insert, as real
 		// conntrack does).
-		if t.lru.Len() >= t.cfg.Capacity {
+		if t.lru.Len() >= t.capacity {
 			back := t.lru.Back()
 			t.lru.Remove(back)
 			delete(t.entries, back.Value.(int))
 			t.Evictions++
-			d += t.cfg.EvictCost
+			d += evictCost
 		}
 		t.entries[flow] = t.lru.PushFront(flow)
 		t.Inserts++
-		d += t.cfg.InsertCost
+		d += insertCost
 		_ = syn
 	}
 	return d
@@ -94,12 +79,16 @@ func (t *connTable) cost(flow int, syn, fin bool) sim.Duration {
 // Len returns the number of tracked flows.
 func (t *connTable) Len() int { return t.lru.Len() }
 
-// EnableConnTrack fits a connection table to every core of the service.
-// Packets carry flow identity and SYN/FIN markers (accel.Packet); cores
-// charge table costs on top of the packet's base work.
-func (s *Service) EnableConnTrack(cfg ConnTrackConfig) {
+// EnableConnTrack fits a connection table of capacity flows to every
+// core of the service. Packets carry flow identity and SYN/FIN markers
+// (accel.Packet); cores charge table costs on top of the packet's base
+// work. It panics, naming the value, on a capacity below 1.
+func (s *Service) EnableConnTrack(capacity int) {
+	if capacity < 1 {
+		panic(fmt.Sprintf("dataplane: conntrack capacity %d: want at least 1 flow", capacity))
+	}
 	for _, c := range s.cores {
-		c.conns = newConnTable(cfg)
+		c.conns = newConnTable(capacity)
 	}
 }
 

@@ -52,26 +52,27 @@ type Config struct {
 	// >1 models the nested-page-table/VM-exit tax of running the DP in a
 	// vCPU context (the Tai Chi-vDP / type-1 baseline, §6.3).
 	TaxFactor float64
-	// PollutionWork is how much upcoming work runs slowed after a vCPU
-	// vacates the core (cold caches and TLBs, §6.5).
-	PollutionWork sim.Duration
-	// PollutionFactor is the slowdown applied to polluted work.
-	PollutionFactor float64
 }
+
+// The cold-cache penalty every DP core pays after a vCPU vacates it
+// (cold caches and TLBs, §6.5): the first pollutionWork of work runs
+// pollutionFactor slower.
+const (
+	pollutionWork   = 40 * sim.Microsecond
+	pollutionFactor = 1.35
+)
 
 // DefaultConfig returns the network-DP cost model.
 func DefaultConfig() Config {
 	return Config{
-		EmptyPollCost:   100 * sim.Nanosecond,
-		Burst:           32,
-		TaxFactor:       1.0,
-		PollutionWork:   40 * sim.Microsecond,
-		PollutionFactor: 1.35,
+		EmptyPollCost: 100 * sim.Nanosecond,
+		Burst:         32,
+		TaxFactor:     1.0,
 	}
 }
 
 // Validate rejects a negative or NaN field, naming it. Zero means the
-// default (PollutionWork's default is zero: no pollution penalty).
+// default.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -80,8 +81,6 @@ func (c Config) Validate() error {
 		{"EmptyPollCost", float64(c.EmptyPollCost)},
 		{"Burst", float64(c.Burst)},
 		{"TaxFactor", c.TaxFactor},
-		{"PollutionWork", float64(c.PollutionWork)},
-		{"PollutionFactor", c.PollutionFactor},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) {
 			return fmt.Errorf("%s = %v: negative or NaN", f.name, f.v)
@@ -100,9 +99,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.TaxFactor == 0 {
 		c.TaxFactor = d.TaxFactor
-	}
-	if c.PollutionFactor == 0 {
-		c.PollutionFactor = d.PollutionFactor
 	}
 }
 
@@ -244,14 +240,14 @@ func (c *Core) taxed(w sim.Duration) sim.Duration {
 }
 
 // charge returns the cost of k packets of taxed work w each. Cold-cache
-// penalty: the first PollutionWork of work after a vCPU vacates the core
-// runs PollutionFactor slower, packet by packet; the packets after the
+// penalty: the first pollutionWork of work after a vCPU vacates the core
+// runs pollutionFactor slower, packet by packet; the packets after the
 // window each cost w.
 func (c *Core) charge(w sim.Duration, k int) sim.Duration {
 	var cost sim.Duration
 	for ; k > 0 && c.pollutedWork > 0; k-- {
 		slowed := min(w, c.pollutedWork)
-		cost += sim.Duration(float64(slowed)*c.cfg.PollutionFactor) + w - slowed
+		cost += sim.Duration(float64(slowed)*pollutionFactor) + w - slowed
 		c.pollutedWork -= slowed
 	}
 	return cost + w*sim.Duration(k)
@@ -325,7 +321,7 @@ func (c *Core) Resume() {
 	}
 	c.state = Polling
 	c.Resumes++
-	c.pollutedWork = c.cfg.PollutionWork
+	c.pollutedWork = pollutionWork
 	c.tracer.Emit(c.engine.Now(), trace.KindPreempt, c.ID, 0, "dp-resume")
 	if c.down {
 		return // offline: queued packets wait for SetDown(false)

@@ -126,8 +126,7 @@ func TestYieldResumeLifecycle(t *testing.T) {
 
 func TestPollutionPenaltySlowsFirstWork(t *testing.T) {
 	e := sim.NewEngine()
-	cfg := Config{PollutionWork: 10 * sim.Microsecond, PollutionFactor: 2.0}
-	s := newService(e, 1, cfg)
+	s := newService(e, 1, Config{})
 	c := s.Core(0)
 	yieldOnce := true
 	c.YieldThreshold = func() int { return 10 }
@@ -142,12 +141,12 @@ func TestPollutionPenaltySlowsFirstWork(t *testing.T) {
 	c.Resume() // polluted now
 	var doneAt sim.Time
 	start := e.Now()
-	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: 10 * sim.Microsecond,
+	c.Deliver(&accel.Packet{ID: 1, Core: 0, Work: pollutionWork,
 		Done: func(_ *accel.Packet, at sim.Time) { doneAt = at }}, 1)
 	e.RunUntilIdle()
-	// 10µs of work at 2× = 20µs.
-	if got := doneAt.Sub(start); got != 20*sim.Microsecond {
-		t.Fatalf("polluted work took %v, want 20µs", got)
+	// The whole 40µs window at 1.35× = 54µs.
+	if got := doneAt.Sub(start); got != 54*sim.Microsecond {
+		t.Fatalf("polluted work took %v, want 54µs", got)
 	}
 	// Second packet runs at native speed.
 	start = e.Now()

@@ -28,6 +28,12 @@ type refCore struct {
 	idle         *sim.Timer
 	pollutedWork sim.Duration
 	conns        *connTable
+	// inTrain marks each packet that a later packet of its train
+	// follows; windowEnds counts the pollution windows that ended on such
+	// a packet with its successor in the same burst, so inside one run of
+	// the run-queueing core.
+	inTrain    map[int64]bool
+	windowEnds int
 
 	YieldThreshold func() int
 	OnIdle         func()
@@ -42,7 +48,7 @@ type refCore struct {
 
 func newRefCore(e *sim.Engine, cfg Config, tr *trace.Tracer) *refCore {
 	cfg.applyDefaults()
-	c := &refCore{engine: e, tracer: tr, cfg: cfg, Gauge: metrics.NewBusyGauge("ref", e.Now())}
+	c := &refCore{engine: e, tracer: tr, cfg: cfg, inTrain: map[int64]bool{}, Gauge: metrics.NewBusyGauge("ref", e.Now())}
 	c.idle = e.NewTimer(0, "dp.idle-poll", c.idleExpired)
 	c.finishFn = c.finish
 	return c
@@ -75,7 +81,7 @@ func (c *refCore) processNext() {
 	n := min(c.cfg.Burst, c.queue.Len())
 	c.batch = c.batch[:0]
 	var cost sim.Duration
-	for range n {
+	for i := range n {
 		c.batch = append(c.batch, c.queue.Pop())
 		p := &c.batch[len(c.batch)-1]
 		w := p.Work
@@ -88,9 +94,12 @@ func (c *refCore) processNext() {
 			if slowed > c.pollutedWork {
 				slowed = c.pollutedWork
 			}
-			cost += sim.Duration(float64(slowed) * c.cfg.PollutionFactor)
+			cost += sim.Duration(float64(slowed) * pollutionFactor)
 			cost += w - slowed
 			c.pollutedWork -= slowed
+			if c.pollutedWork == 0 && c.inTrain[p.ID] && i < n-1 {
+				c.windowEnds++
+			}
 		} else {
 			cost += w
 		}
@@ -141,7 +150,7 @@ func (c *refCore) Yield() {
 func (c *refCore) Resume() {
 	c.state = Polling
 	c.Resumes++
-	c.pollutedWork = c.cfg.PollutionWork
+	c.pollutedWork = pollutionWork
 	c.tracer.Emit(c.engine.Now(), trace.KindPreempt, 0, 0, "dp-resume")
 	if c.down {
 		return
@@ -204,7 +213,8 @@ func (c runCore) stats() dpStats {
 
 func (c *refCore) train(p *accel.Packet, n int) {
 	q := *p
-	for range n {
+	for i := range n {
+		c.inTrain[q.ID] = i < n-1
 		c.Deliver(&q)
 		q.ID++
 	}
@@ -237,18 +247,16 @@ type dpScript struct {
 	actions   []dpAction
 }
 
-// drawDP draws a script: a cost model with a small burst limit, a
-// TaxFactor other than 1 and a pollution window a few packets long, or
-// defaults, conntrack on or off, and trains of 1 to 40 packets landing
-// on a 200 ns grid among yields, resumes and offline toggles.
+// drawDP draws a script: a cost model with a small burst limit and a
+// TaxFactor other than 1, or defaults, conntrack on or off, and trains of
+// 1 to 40 packets landing on a 200 ns grid among yields, resumes and
+// offline toggles.
 func drawDP(seed int64) dpScript {
 	r := rand.New(rand.NewSource(seed))
 	s := dpScript{conntrack: r.Intn(2) == 0}
 	s.cfg.EmptyPollCost = sim.Duration(50 + r.Intn(100))
 	s.cfg.Burst = []int{1, 2, 3, 5, 8, 32}[r.Intn(6)]
 	s.cfg.TaxFactor = []float64{1, 1.5, 0.7, 1.37}[r.Intn(4)]
-	s.cfg.PollutionWork = sim.Duration(r.Intn(3)) * sim.Duration(1+r.Intn(20)) * sim.Microsecond
-	s.cfg.PollutionFactor = []float64{1.35, 2}[r.Intn(2)]
 	id := int64(1)
 	for range 20 + r.Intn(60) {
 		a := dpAction{at: sim.Time(r.Intn(1000)) * 200}
@@ -349,7 +357,7 @@ func buildRun(conntrack bool) func(*sim.Engine, Config, *trace.Tracer, *[]string
 	return func(e *sim.Engine, cfg Config, tr *trace.Tracer, log *[]string) (dpCore, func(func())) {
 		s := NewService(e, "net", []int{0}, cfg, tr)
 		if conntrack {
-			s.EnableConnTrack(ConnTrackConfig{Capacity: 4, LookupCost: 60, InsertCost: 900, TeardownCost: 300, EvictCost: 500})
+			s.EnableConnTrack(4)
 		}
 		c := s.Core(0)
 		c.done = e.NewTimer(0, "dp.batch", func() {
@@ -370,7 +378,7 @@ func buildRef(conntrack bool) func(*sim.Engine, Config, *trace.Tracer, *[]string
 	return func(e *sim.Engine, cfg Config, tr *trace.Tracer, log *[]string) (dpCore, func(func())) {
 		c := newRefCore(e, cfg, tr)
 		if conntrack {
-			c.conns = newConnTable(ConnTrackConfig{Capacity: 4, LookupCost: 60, InsertCost: 900, TeardownCost: 300, EvictCost: 500})
+			c.conns = newConnTable(4)
 		}
 		c.finishFn = func() {
 			*log = append(*log, fmt.Sprintf("%v batch n=%d cost=%v maxq=%d", e.Now(), len(c.batch), c.cost, c.MaxQueueLen))
@@ -393,7 +401,7 @@ func buildRef(conntrack bool) func(*sim.Engine, Config, *trace.Tracer, *[]string
 // conntrack on and off. Each script runs traced and untraced, so both
 // finish paths are covered.
 func TestRunsMatchPerPacketCore(t *testing.T) {
-	var splits, polluted int
+	var splits, windowEnds int
 	for seed := int64(1); seed <= 300; seed++ {
 		s := drawDP(seed)
 		for _, traced := range []bool{true, false} {
@@ -401,8 +409,13 @@ func TestRunsMatchPerPacketCore(t *testing.T) {
 			if traced {
 				gotTr, wantTr = trace.New(0), trace.New(0)
 			}
+			var ref *refCore
 			got := playDP(s, gotTr, buildRun(s.conntrack))
-			want := playDP(s, wantTr, buildRef(s.conntrack))
+			want := playDP(s, wantTr, func(e *sim.Engine, cfg Config, tr *trace.Tracer, log *[]string) (dpCore, func(func())) {
+				c, onIdle := buildRef(s.conntrack)(e, cfg, tr, log)
+				ref = c.(*refCore)
+				return c, onIdle
+			})
 			if !reflect.DeepEqual(got.log, want.log) {
 				t.Fatalf("seed %d traced=%v cfg %+v conntrack=%v: log\n%v\nreference\n%v", seed, traced, s.cfg, s.conntrack, got.log, want.log)
 			}
@@ -412,16 +425,18 @@ func TestRunsMatchPerPacketCore(t *testing.T) {
 			if got.stats != want.stats || got.fired != want.fired {
 				t.Fatalf("seed %d traced=%v: end state %+v fired %d, reference %+v fired %d", seed, traced, got.stats, got.fired, want.stats, want.fired)
 			}
+			// Without conntrack a run is costed at once, so a window
+			// that ends inside it takes charge's mid-run exit.
+			if traced && !s.conntrack && ref.windowEnds > 0 {
+				windowEnds++
+			}
 		}
 		if playDP(s, nil, buildRun(s.conntrack)).split {
 			splits++
 		}
-		if s.cfg.PollutionWork > 0 {
-			polluted++
-		}
 	}
-	if splits == 0 || polluted == 0 {
-		t.Fatalf("%d scripts split runs, %d polluted; want both", splits, polluted)
+	if splits == 0 || windowEnds == 0 {
+		t.Fatalf("%d scripts split runs, %d end a pollution window inside a run; want both", splits, windowEnds)
 	}
 }
 

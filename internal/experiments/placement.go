@@ -79,7 +79,7 @@ func PlacementRun(scale Scale, baseSeed int64) (*metrics.Table, map[string]float
 		vals[fmt.Sprintf("plc_migrations_done_%s", pol)] = float64(st.MigrationsDone)
 		vals[fmt.Sprintf("plc_dwell_%s", pol)] = float64(st.HotScans)
 		vals[fmt.Sprintf("plc_p99_ms_%s", pol)] = float64(r.p99) / float64(sim.Millisecond)
-		vals[fmt.Sprintf("plc_budget_ok_%s", pol)] = b2f(st.MaxStartsPerScan <= placement.DefaultConfig().MigrationBudget)
+		vals[fmt.Sprintf("plc_budget_ok_%s", pol)] = b2f(st.MaxStartsPerScan <= placement.MigrationBudget)
 		vals[fmt.Sprintf("plc_completed_%s", pol)] = float64(r.completed)
 		vals[fmt.Sprintf("plc_dead_%s", pol)] = float64(r.dead)
 		vals[fmt.Sprintf("plc_audit_violations_%s", pol)] = float64(r.violations)

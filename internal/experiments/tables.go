@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/core"
-	"repro/internal/dataplane"
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -327,11 +326,7 @@ func AblationConnTrack(scale Scale) *Result {
 		opts.Seed = 2800
 		opts.HWProbe = false
 		node := platform.NewNode(opts)
-		ct := dataplane.DefaultConnTrack()
-		if capacity > 0 {
-			ct.Capacity = capacity
-		}
-		node.Net.EnableConnTrack(ct)
+		node.Net.EnableConnTrack(capacity)
 		cfg := workload.DefaultCRR()
 		cfg.Connections = 1024
 		crr := workload.NewCRR(node, cfg)
@@ -340,7 +335,7 @@ func AblationConnTrack(scale Scale) *Result {
 		stats := node.Net.ConnTrack()
 		return crr.CPS(node.Now()), stats.Evictions, stats.Flows
 	}
-	bigCPS, bigEv, bigFlows := run(0) // default 64k: no pressure
+	bigCPS, bigEv, bigFlows := run(64 << 10) // production-like 64k: no pressure
 	smallCPS, smallEv, smallFlows := run(64)
 	tbl.AddRow("64k flows/core", bigCPS, bigEv, bigFlows)
 	tbl.AddRow("64 flows/core (thrashing)", smallCPS, smallEv, smallFlows)

@@ -210,7 +210,7 @@ func (i *Injector) Attach(tc *core.TaiChi) {
 			engine: node.Engine,
 			r:      node.Stream("faults.coord"),
 		})
-		i.tc.InstallBreaker(controlplane.DefaultBreakerConfig())
+		i.tc.InstallBreaker()
 	}
 }
 

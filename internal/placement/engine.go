@@ -27,17 +27,8 @@ type Config struct {
 	// arrives, so even the first placement decision sees real signals
 	// rather than every member at its zero-value start.
 	ArrivalDelay sim.Duration
-	// ScanEvery is the barrier period: arrivals are admitted and the
-	// rebalance loop runs once per scan.
-	ScanEvery sim.Duration
 	// Rebalance arms the hotspot-migration loop.
 	Rebalance bool
-	// HotK is how many consecutive scans a member must score beyond the
-	// hysteresis band before it counts as hot (thrash damping).
-	HotK int
-	// HotBand is the hysteresis band: hot when score > fleet mean ×
-	// (1 + HotBand).
-	HotBand float64
 	// HotAbs, when positive, replaces the relative band with an absolute
 	// score threshold: hot when score > HotAbs. A relative band is the
 	// right default for homogeneous fleets, but under a static skew the
@@ -46,21 +37,6 @@ type Config struct {
 	// dwell — measure what placement added, not what the fleet started
 	// with.
 	HotAbs float64
-	// MigrationBudget caps migration starts per scan window.
-	MigrationBudget int
-	// BounceBudget caps how many times one VM's startup may dead-letter
-	// and be re-placed before the cluster gives up on it ("bounce-budget"
-	// terminal). Without the cap a policy that keeps choosing the same
-	// degraded member re-places the same VM forever.
-	BounceBudget int
-	// CooldownScans is how many scans a just-migrated VM is ineligible
-	// to migrate again.
-	CooldownScans int
-	// CopyTime and PauseTime model one migration: the VM keeps running
-	// on the source for CopyTime (live copy), then pauses PauseTime for
-	// the final switchover. Residency moves at copy+pause completion.
-	CopyTime  sim.Duration
-	PauseTime sim.Duration
 	// MaxScans is the runaway backstop on the drain loop.
 	MaxScans int
 	// Workers bounds the parallel member-advance pool (<= 0 selects
@@ -68,24 +44,45 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the experiment-scale defaults: scans every 250ms
+// The scan and migration tuning every placer shares: scans every 250ms
 // against a ~12 VM/s cluster arrival rate, two consecutive hot scans to
 // trigger migration, and a 2-migrations-per-scan budget.
+const (
+	// scanEvery is the barrier period: arrivals are admitted and the
+	// rebalance loop runs once per scan.
+	scanEvery = 250 * sim.Millisecond
+	// hotK is how many consecutive scans a member must score beyond the
+	// hysteresis band before it counts as hot (thrash damping).
+	hotK = 2
+	// hotBand is the hysteresis band: hot when score > fleet mean ×
+	// (1 + hotBand).
+	hotBand = 0.25
+	// MigrationBudget caps migration starts per scan window.
+	MigrationBudget = 2
+	// bounceBudget caps how many times one VM's startup may dead-letter
+	// and be re-placed before the cluster gives up on it ("bounce-budget"
+	// terminal). Without the cap a policy that keeps choosing the same
+	// degraded member re-places the same VM forever.
+	bounceBudget = 3
+	// cooldownScans is how many scans a just-migrated VM is ineligible
+	// to migrate again.
+	cooldownScans = 4
+	// copyTime and pauseTime model one migration: the VM keeps running
+	// on the source for copyTime (live copy), then pauses pauseTime for
+	// the final switchover. Residency moves at copy+pause completion.
+	copyTime  = 120 * sim.Millisecond
+	pauseTime = 8 * sim.Millisecond
+)
+
+// DefaultConfig returns the experiment-scale defaults: 64 arrivals at
+// ~12 VM/s under the pressure policy, with rebalancing on.
 func DefaultConfig() Config {
 	return Config{
-		Policy:          PolicyPressure,
-		VMs:             64,
-		ArrivalRate:     12,
-		ScanEvery:       250 * sim.Millisecond,
-		Rebalance:       true,
-		HotK:            2,
-		HotBand:         0.25,
-		MigrationBudget: 2,
-		BounceBudget:    3,
-		CooldownScans:   4,
-		CopyTime:        120 * sim.Millisecond,
-		PauseTime:       8 * sim.Millisecond,
-		MaxScans:        400,
+		Policy:      PolicyPressure,
+		VMs:         64,
+		ArrivalRate: 12,
+		Rebalance:   true,
+		MaxScans:    400,
 	}
 }
 
@@ -99,15 +96,7 @@ func (c Config) Validate() error {
 		{"VMs", float64(c.VMs)},
 		{"ArrivalRate", c.ArrivalRate},
 		{"ArrivalDelay", float64(c.ArrivalDelay)},
-		{"ScanEvery", float64(c.ScanEvery)},
-		{"HotK", float64(c.HotK)},
-		{"HotBand", c.HotBand},
 		{"HotAbs", c.HotAbs},
-		{"MigrationBudget", float64(c.MigrationBudget)},
-		{"BounceBudget", float64(c.BounceBudget)},
-		{"CooldownScans", float64(c.CooldownScans)},
-		{"CopyTime", float64(c.CopyTime)},
-		{"PauseTime", float64(c.PauseTime)},
 		{"MaxScans", float64(c.MaxScans)},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) {
@@ -129,30 +118,6 @@ func (c Config) normalize() Config {
 	if c.ArrivalRate == 0 {
 		c.ArrivalRate = d.ArrivalRate
 	}
-	if c.ScanEvery == 0 {
-		c.ScanEvery = d.ScanEvery
-	}
-	if c.HotK == 0 {
-		c.HotK = d.HotK
-	}
-	if c.HotBand == 0 {
-		c.HotBand = d.HotBand
-	}
-	if c.MigrationBudget == 0 {
-		c.MigrationBudget = d.MigrationBudget
-	}
-	if c.BounceBudget == 0 {
-		c.BounceBudget = d.BounceBudget
-	}
-	if c.CooldownScans == 0 {
-		c.CooldownScans = d.CooldownScans
-	}
-	if c.CopyTime == 0 {
-		c.CopyTime = d.CopyTime
-	}
-	if c.PauseTime == 0 {
-		c.PauseTime = d.PauseTime
-	}
 	if c.MaxScans == 0 {
 		c.MaxScans = d.MaxScans
 	}
@@ -167,7 +132,7 @@ type Stats struct {
 	// AllExcluded counts placement decisions that found every member
 	// excluded — the cluster-level dead-letter, reason "all-excluded".
 	AllExcluded int
-	// BounceDead counts startups abandoned after BounceBudget
+	// BounceDead counts startups abandoned after bounceBudget
 	// re-placements — the cluster-level dead-letter, reason
 	// "bounce-budget".
 	BounceDead int
@@ -178,7 +143,7 @@ type Stats struct {
 	// (must never exceed the budget).
 	MaxStartsPerScan int
 	// HotScans is hotspot dwell: the number of (member, scan) pairs a
-	// member spent beyond the hysteresis band. Multiply by ScanEvery for
+	// member spent beyond the hysteresis band. Multiply by scanEvery for
 	// dwell time.
 	HotScans int
 	// Scans is how many barrier scans ran.
@@ -308,7 +273,7 @@ func (e *Engine) Run() Stats {
 // step runs one barrier scan. Tests drive it directly to interleave
 // member-state changes (brownouts, dead-letters) between scans.
 func (e *Engine) step() {
-	e.now = e.now.Add(e.cfg.ScanEvery)
+	e.now = e.now.Add(scanEvery)
 	scan := e.scanNo
 	e.scanNo++
 	e.stats.Scans++
@@ -367,7 +332,7 @@ func (e *Engine) completeMigrations(now sim.Time) {
 		e.members[m.dst].Admit(m.vm)
 		e.resident[m.vm] = m.dst
 		e.stats.MigrationsDone++
-		e.stats.PauseTotal += e.cfg.PauseTime
+		e.stats.PauseTotal += pauseTime
 		e.tracer.Emit(m.doneAt, trace.KindVMMigrateDone, m.dst, int64(m.vm),
 			fmt.Sprintf("from=%d", m.src))
 	}
@@ -383,7 +348,7 @@ func (e *Engine) drainDeadLetters() {
 }
 
 // classify computes the hot and excluded sets for this scan. Hotness is
-// hysteretic: a member must score beyond the band for HotK consecutive
+// hysteretic: a member must score beyond the band for hotK consecutive
 // scans, so one noisy sample cannot trigger a migration storm. Exclusion
 // and hotness are independent: exclusion bars a member as a target
 // (placement or migration destination), while a hot excluded member —
@@ -395,7 +360,7 @@ func (e *Engine) classify(sig []Signals) (hot, excl []int) {
 		sum += s.Score()
 	}
 	mean := sum / float64(len(sig))
-	threshold := mean * (1 + e.cfg.HotBand)
+	threshold := mean * (1 + hotBand)
 	if e.cfg.HotAbs > 0 {
 		threshold = e.cfg.HotAbs
 	}
@@ -406,7 +371,7 @@ func (e *Engine) classify(sig []Signals) (hot, excl []int) {
 		if s.Score() > threshold {
 			e.streak[i]++
 			e.stats.HotScans++
-			if e.streak[i] >= e.cfg.HotK {
+			if e.streak[i] >= hotK {
 				hot = append(hot, i)
 			}
 		} else {
@@ -469,7 +434,7 @@ func (e *Engine) replaceDead(now sim.Time, sig []Signals) {
 			sig[old].Resident--
 		}
 		e.bounces[vm]++
-		if e.bounces[vm] > e.cfg.BounceBudget {
+		if e.bounces[vm] > bounceBudget {
 			delete(e.resident, vm)
 			e.clusterDead[vm] = "bounce-budget"
 			e.stats.BounceDead++
@@ -522,7 +487,7 @@ func (e *Engine) placeArrivals(now sim.Time, sig []Signals) {
 // MigrationBudget victims leave, each picked uniformly from its hot
 // member's eligible residents ("migrate.pick") and routed by the same
 // scoring policy to a non-hot, non-excluded target. A just-migrated VM
-// is in cooldown for CooldownScans so the cluster cannot thrash one VM
+// is in cooldown for cooldownScans so the cluster cannot thrash one VM
 // back and forth.
 func (e *Engine) startMigrations(now sim.Time, scan int, sig []Signals, hot []int) {
 	if len(hot) == 0 {
@@ -543,7 +508,7 @@ func (e *Engine) startMigrations(now sim.Time, scan int, sig []Signals, hot []in
 	}
 	starts := 0
 	for _, src := range hot {
-		if starts >= e.cfg.MigrationBudget {
+		if starts >= MigrationBudget {
 			break
 		}
 		victims := e.victimsOn(src, scan)
@@ -557,7 +522,7 @@ func (e *Engine) startMigrations(now sim.Time, scan int, sig []Signals, hot []in
 		}
 		e.inflight = append(e.inflight, migration{
 			vm: vm, src: src, dst: dst,
-			doneAt: now.Add(e.cfg.CopyTime + e.cfg.PauseTime),
+			doneAt: now.Add(copyTime + pauseTime),
 		})
 		// Charge the in-flight VM to its destination for this barrier's
 		// remaining target choices so one cool member doesn't absorb the
@@ -587,7 +552,7 @@ func (e *Engine) victimsOn(src, scan int) []int {
 		if e.migrating(vm) {
 			continue
 		}
-		if last, ok := e.lastMigrated[vm]; ok && scan-last < e.cfg.CooldownScans {
+		if last, ok := e.lastMigrated[vm]; ok && scan-last < cooldownScans {
 			continue
 		}
 		out = append(out, vm)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -40,7 +39,6 @@ func TestClusterNodeEndToEnd(t *testing.T) {
 	cfg.Policy = PolicySpread
 	cfg.VMs = 6
 	cfg.ArrivalRate = 40
-	cfg.ScanEvery = 100 * sim.Millisecond
 	cfg.MaxScans = 100
 	e := NewEngine(42, cfg, []Member{nodes[0], nodes[1]})
 	st := e.Run()
@@ -100,7 +98,6 @@ func TestClusterNodeDeterminism(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.VMs = 5
 		cfg.ArrivalRate = 40
-		cfg.ScanEvery = 100 * sim.Millisecond
 		cfg.Workers = workers
 		e := NewEngine(7, cfg, []Member{nodes[0], nodes[1]})
 		e.Run()

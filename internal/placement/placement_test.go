@@ -155,13 +155,11 @@ func TestAllExcludedDeadLetters(t *testing.T) {
 func TestBrownoutMidMigration(t *testing.T) {
 	src, dst := newFake(), newFake()
 	cfg := testConfig(PolicyPressure, 1)
-	cfg.HotK = 1
-	cfg.MigrationBudget = 1
-	cfg.CopyTime = 3 * cfg.ScanEvery // completion lands several scans out
 	cfg.MaxScans = 30
 	e := NewEngine(1, cfg, members(src, dst))
 	// Scan 1: dst scores worse, so the single arrival places on src.
-	// Then the pressures flip, making src the hotspot.
+	// Then the pressures flip, making src the hotspot; it stays hot, so
+	// the migration starts on its hotK-th hot scan.
 	dst.sig.Pressure = 1.0
 	e.step()
 	if e.Resident(1) != 0 {
@@ -170,19 +168,22 @@ func TestBrownoutMidMigration(t *testing.T) {
 	src.sig.Pressure = 5.0
 	dst.sig.Pressure = 0
 
-	started := false
+	startScan := -1
 	for scan := 0; scan < cfg.MaxScans; scan++ {
 		nowStats := e.stats.MigrationsStarted
 		e.step()
-		if !started && e.stats.MigrationsStarted > nowStats {
-			started = true
-			// Mid-copy brownout: the source is now excluded, but the
-			// in-flight migration must not be abandoned.
+		if startScan < 0 && e.stats.MigrationsStarted > nowStats {
+			startScan = scan
+			// Mid-copy brownout: the source is excluded from here on,
+			// but the in-flight migration must not be abandoned.
 			src.sig.Overload = 3
 		}
 		if e.stats.MigrationsDone > 0 {
 			break
 		}
+	}
+	if startScan != hotK-1 {
+		t.Fatalf("migration started on hot scan %d, want %d", startScan+1, hotK)
 	}
 	if e.stats.MigrationsStarted != 1 || e.stats.MigrationsDone != 1 {
 		t.Fatalf("migrations started=%d done=%d, want 1/1",
@@ -275,25 +276,29 @@ func TestExcludedMemberRejoins(t *testing.T) {
 }
 
 func TestMigrationBudgetRespected(t *testing.T) {
-	// Twelve VMs spread over six members, then four members turn hot with
-	// budget 2: no scan may start more than 2 migrations.
+	// Twelve VMs spread over six members, then four members turn hot and
+	// stay hot: no scan may start more than MigrationBudget (2)
+	// migrations.
 	fakes := []*fakeMember{newFake(), newFake(), newFake(), newFake(), newFake(), newFake()}
 	cfg := testConfig(PolicySpread, 12)
-	cfg.HotK = 1
-	cfg.MigrationBudget = 2
 	cfg.MaxScans = 40
 	e := NewEngine(1, cfg, members(fakes...))
 	e.step() // all 12 arrivals place on the first scan
 	for i := 0; i < 4; i++ {
 		fakes[i].sig.Pressure = 5.0
 	}
+	// Run stops at the first scan that finds the fleet drained, so the
+	// first hotK-1 hot scans, which start nothing, are stepped by hand.
+	for i := 1; i < hotK; i++ {
+		e.step()
+	}
 	e.Run()
 	if e.stats.MigrationsStarted == 0 {
 		t.Fatal("no migrations started from four hot members")
 	}
-	if e.stats.MaxStartsPerScan > cfg.MigrationBudget {
+	if e.stats.MaxStartsPerScan > MigrationBudget {
 		t.Fatalf("a scan started %d migrations, budget %d",
-			e.stats.MaxStartsPerScan, cfg.MigrationBudget)
+			e.stats.MaxStartsPerScan, MigrationBudget)
 	}
 	auditTrace(t, e)
 }
@@ -330,8 +335,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 }
 
 // A negative or NaN knob makes NewEngine panic naming the field, rather
-// than running on the default (or, for a NaN HotBand, never finding a
-// member hot); zero still takes the default.
+// than running on the default; zero still takes the default.
 func TestMalformedConfigPanics(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -342,17 +346,8 @@ func TestMalformedConfigPanics(t *testing.T) {
 		{"ArrivalRate", func(c *Config) { c.ArrivalRate = -1 }},
 		{"ArrivalRate", func(c *Config) { c.ArrivalRate = nan }},
 		{"ArrivalDelay", func(c *Config) { c.ArrivalDelay = -sim.Millisecond }},
-		{"ScanEvery", func(c *Config) { c.ScanEvery = -sim.Millisecond }},
-		{"HotK", func(c *Config) { c.HotK = -1 }},
-		{"HotBand", func(c *Config) { c.HotBand = -0.25 }},
-		{"HotBand", func(c *Config) { c.HotBand = nan }},
 		{"HotAbs", func(c *Config) { c.HotAbs = -2 }},
 		{"HotAbs", func(c *Config) { c.HotAbs = nan }},
-		{"MigrationBudget", func(c *Config) { c.MigrationBudget = -1 }},
-		{"BounceBudget", func(c *Config) { c.BounceBudget = -1 }},
-		{"CooldownScans", func(c *Config) { c.CooldownScans = -1 }},
-		{"CopyTime", func(c *Config) { c.CopyTime = -sim.Millisecond }},
-		{"PauseTime", func(c *Config) { c.PauseTime = -sim.Millisecond }},
 		{"MaxScans", func(c *Config) { c.MaxScans = -1 }},
 	} {
 		cfg := DefaultConfig()
@@ -369,7 +364,7 @@ func TestMalformedConfigPanics(t *testing.T) {
 	}
 	zero := Config{Workers: -1}
 	e := NewEngine(1, zero, members(newFake()))
-	if want := DefaultConfig(); e.cfg.VMs != want.VMs || e.cfg.ScanEvery != want.ScanEvery || e.cfg.HotBand != want.HotBand {
+	if want := DefaultConfig(); e.cfg.VMs != want.VMs || e.cfg.ArrivalRate != want.ArrivalRate || e.cfg.MaxScans != want.MaxScans {
 		t.Fatalf("zero config normalized to %+v, want the defaults", e.cfg)
 	}
 }

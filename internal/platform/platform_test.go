@@ -156,9 +156,6 @@ func TestMalformedDataplaneConfigRejected(t *testing.T) {
 		{"Burst", func(c *dataplane.Config) { c.Burst = -4 }},
 		{"TaxFactor", func(c *dataplane.Config) { c.TaxFactor = -1.5 }},
 		{"TaxFactor", func(c *dataplane.Config) { c.TaxFactor = nan }},
-		{"PollutionWork", func(c *dataplane.Config) { c.PollutionWork = -sim.Microsecond }},
-		{"PollutionFactor", func(c *dataplane.Config) { c.PollutionFactor = -2 }},
-		{"PollutionFactor", func(c *dataplane.Config) { c.PollutionFactor = nan }},
 	} {
 		for _, svc := range []string{"Net", "Stor"} {
 			opts := DefaultOptions()

@@ -675,7 +675,7 @@ func (t *Tracer) ExitReasonCounts() map[string]uint64 {
 }
 
 // Timeline renders events in [from, to] as one line each — used by
-// examples/coscheduling to show the Figure 4 spike anatomy.
+// taichi-sim -timeline to print a node's raw events.
 func (t *Tracer) Timeline(from, to sim.Time) string {
 	var b strings.Builder
 	var sorted []Event

@@ -59,8 +59,21 @@ type Background struct {
 	stopped bool
 }
 
-// NewBackground builds the generator.
+// NewBackground builds the generator. It panics, naming the field, on a
+// negative or NaN MeanUtilization, a BurstUtilization that is not
+// positive (the burst gap divides by it), or a per-packet work that is
+// not positive (every gap would be zero).
 func NewBackground(node *platform.Node, cfg BackgroundConfig) *Background {
+	switch {
+	case !(cfg.MeanUtilization >= 0):
+		panic(fmt.Sprintf("workload: background MeanUtilization = %v: negative or NaN", cfg.MeanUtilization))
+	case !(cfg.BurstUtilization > 0):
+		panic(fmt.Sprintf("workload: background BurstUtilization = %v: not positive", cfg.BurstUtilization))
+	case cfg.NetWork <= 0:
+		panic(fmt.Sprintf("workload: background NetWork = %v: not positive", cfg.NetWork))
+	case cfg.StorWork <= 0:
+		panic(fmt.Sprintf("workload: background StorWork = %v: not positive", cfg.StorWork))
+	}
 	return &Background{cfg: cfg, node: node, Packets: metrics.NewCounter("bg.packets")}
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -181,6 +183,36 @@ func TestBackgroundHitsTargetUtilization(t *testing.T) {
 	got := node.Net.MeanUtilization()
 	if got < 0.22 || got > 0.38 {
 		t.Fatalf("net utilization %.3f, want ~0.30", got)
+	}
+}
+
+// A malformed background config panics naming the field, instead of
+// clamping a negative mean to the calm floor or dividing a burst gap by
+// zero.
+func TestMalformedBackgroundPanics(t *testing.T) {
+	node := staticNode(9)
+	for _, tc := range []struct {
+		field string
+		mut   func(*BackgroundConfig)
+	}{
+		{"MeanUtilization", func(c *BackgroundConfig) { c.MeanUtilization = -0.3 }},
+		{"MeanUtilization", func(c *BackgroundConfig) { c.MeanUtilization = math.NaN() }},
+		{"BurstUtilization", func(c *BackgroundConfig) { c.BurstUtilization = 0 }},
+		{"BurstUtilization", func(c *BackgroundConfig) { c.BurstUtilization = -0.95 }},
+		{"NetWork", func(c *BackgroundConfig) { c.NetWork = 0 }},
+		{"StorWork", func(c *BackgroundConfig) { c.StorWork = 0 }},
+	} {
+		cfg := DefaultBackground(0.30)
+		tc.mut(&cfg)
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, tc.field) {
+					t.Errorf("%s: NewBackground recovered %v, want a panic naming the field", tc.field, r)
+				}
+			}()
+			NewBackground(node, cfg)
+		}()
 	}
 }
 

@@ -33,7 +33,6 @@ package taichi
 import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -135,11 +134,6 @@ func DefaultFaultSpec() FaultSpec { return faults.DefaultSpec() }
 // dead-letter cap. The zero value disables retries entirely.
 type RetryPolicy = cluster.RetryPolicy
 
-// BreakerConfig tunes the circuit breaker guarding the CP→DP
-// device-coordination path (consecutive-failure trip threshold,
-// half-open timer, per-op ack deadline).
-type BreakerConfig = controlplane.BreakerConfig
-
 // DefaultRetryPolicy returns the standard request-lifecycle tuning:
 // three attempts, 500 ms attempt deadline, 20 ms base backoff doubling
 // per retry with 20% deterministic jitter.
@@ -192,10 +186,6 @@ func DefaultOverloadPolicy() OverloadPolicy { return core.DefaultOverloadPolicy(
 // DefaultClassify is the deterministic 50/40/10 batch/normal/latency-
 // critical class mix, assigned by request id.
 func DefaultClassify(id int) Priority { return cluster.DefaultClassify(id) }
-
-// DefaultBreakerConfig returns the standard CP→DP breaker tuning: trip
-// after 5 consecutive failures, half-open after 5 ms, 2 ms ack deadline.
-func DefaultBreakerConfig() BreakerConfig { return controlplane.DefaultBreakerConfig() }
 
 // Experiments returns every table/figure harness in paper order.
 func Experiments() []Experiment { return experiments.Registry() }
