@@ -133,19 +133,27 @@ func (cw *chromeWriter) process(pid int, label string) {
 	cw.end()
 }
 
+// spanPrefixes holds, per class, the start of a span's "X" event up to
+// its timestamp, the class name escaped once here rather than per span.
+var spanPrefixes = func() (p [trace.NumClasses]string) {
+	for c := range p {
+		b := appendJSONString([]byte(`{"name":`), trace.Class(c).String())
+		p[c] = string(append(b, `,"cat":"span","ph":"X","ts":`...))
+	}
+	return p
+}()
+
 // span writes one span as an "X" complete event.
 func (cw *chromeWriter) span(pid int, s *Span) {
 	cw.line()
-	b := append(cw.buf, `{"name":`...)
-	b = appendJSONString(b, s.Class)
-	b = append(b, `,"cat":"span","ph":"X","ts":`...)
+	b := append(cw.buf, spanPrefixes[s.Class]...)
 	b = appendUsec(b, int64(s.Start))
 	b = append(b, `,"dur":`...)
 	b = appendUsec(b, int64(s.Duration()))
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)
-	b = strconv.AppendInt(b, int64(tid(s.CPU)), 10)
+	b = strconv.AppendInt(b, int64(tid(int(s.CPU))), 10)
 	b = append(b, `,"args":{"id":`...)
 	b = strconv.AppendInt(b, int64(s.ID), 10)
 	b = append(b, `,"arg":`...)
@@ -263,7 +271,7 @@ func appendJSONString(b []byte, s string) []byte {
 // count, and total duration. Handy for quick textual reports and for
 // asserting derivation behaviour in tests without string-diffing JSON.
 type SpanSummary struct {
-	Class     string
+	Class     trace.Class
 	Count     int
 	Truncated int
 	Total     sim.Duration
@@ -272,26 +280,21 @@ type SpanSummary struct {
 // Summarize folds a derivation's spans into per-class summaries, sorted
 // by class name.
 func Summarize(d Derivation) []SpanSummary {
-	idx := map[string]int{}
-	var out []SpanSummary
-	for _, s := range d.Spans {
-		i, ok := idx[s.Class]
-		if !ok {
-			i = len(out)
-			idx[s.Class] = i
-			out = append(out, SpanSummary{Class: s.Class})
-		}
-		out[i].Count++
+	var by [trace.NumClasses]SpanSummary
+	for i := range d.Spans {
+		s := &d.Spans[i]
+		sum := &by[s.Class]
+		sum.Count++
 		if s.Truncated {
-			out[i].Truncated++
+			sum.Truncated++
 		}
-		out[i].Total += s.Duration()
+		sum.Total += s.Duration()
 	}
-	// Spans are already canonically sorted, but class first-appearance
-	// order is start-time order; reports want name order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Class > out[j].Class; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
+	var out []SpanSummary
+	for _, c := range classesByName {
+		if by[c].Count > 0 {
+			by[c].Class = c
+			out = append(out, by[c])
 		}
 	}
 	return out

@@ -82,7 +82,7 @@ func chromeReference(nodes []NodeTrace) []byte {
 		d := Derive(n.Events)
 		for _, s := range d.Spans {
 			line := fmt.Sprintf("{\"name\":%s,\"cat\":\"span\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":%d,\"tid\":%d,\"args\":{\"id\":%d,\"arg\":%d",
-				quoteJSONReference(s.Class), usecReference(int64(s.Start)), usecReference(int64(s.Duration())), pid, tid(s.CPU), s.ID, s.Arg)
+				quoteJSONReference(s.Class.String()), usecReference(int64(s.Start)), usecReference(int64(s.Duration())), pid, tid(int(s.CPU)), s.ID, s.Arg)
 			if s.Note != "" {
 				line += ",\"note\":" + quoteJSONReference(s.Note)
 			}

@@ -19,7 +19,7 @@ func ev(at sim.Time, kind trace.Kind, cpu int, arg int64, note string) trace.Eve
 func findClass(d Derivation, class string) []Span {
 	var out []Span
 	for _, s := range d.Spans {
-		if s.Class == class {
+		if s.Class.String() == class {
 			out = append(out, s)
 		}
 	}
@@ -185,18 +185,22 @@ func TestSummarize(t *testing.T) {
 		ev(300, trace.KindVMExit, 0, 0, ""),
 		ev(400, trace.KindVMEntry, 0, 0, ""),
 		ev(450, trace.KindNonPreemptibleBegin, 1, 0, ""),
+		ev(460, trace.KindYield, 2, 0, ""),
 		ev(500, trace.KindSchedSwitch, 0, 0, ""),
 	})
 	sums := Summarize(d)
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %+v, want np + vm", sums)
+	if len(sums) != 3 {
+		t.Fatalf("summaries = %+v, want lend + np + vm", sums)
 	}
-	// Name-sorted: np before vm.
-	if sums[0].Class != "np" || sums[0].Count != 1 || sums[0].Truncated != 1 {
-		t.Errorf("np summary = %+v", sums[0])
+	// Name-sorted: lend before np before vm, although ClassVM < ClassLend.
+	if sums[0].Class != trace.ClassLend || sums[0].Count != 1 || sums[0].Truncated != 1 || sums[0].Total != 40 {
+		t.Errorf("lend summary = %+v", sums[0])
 	}
-	if sums[1].Class != "vm" || sums[1].Count != 2 || sums[1].Truncated != 1 || sums[1].Total != 300 {
-		t.Errorf("vm summary = %+v", sums[1])
+	if sums[1].Class != trace.ClassNP || sums[1].Count != 1 || sums[1].Truncated != 1 {
+		t.Errorf("np summary = %+v", sums[1])
+	}
+	if sums[2].Class != trace.ClassVM || sums[2].Count != 2 || sums[2].Truncated != 1 || sums[2].Total != 300 {
+		t.Errorf("vm summary = %+v", sums[2])
 	}
 }
 

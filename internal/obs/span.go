@@ -2,6 +2,7 @@ package obs
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -10,18 +11,20 @@ import (
 )
 
 // Span is one derived lifecycle interval. IDs are deterministic: after
-// derivation the spans are sorted canonically (Start, End, Class, CPU,
-// Arg, Note, Truncated) and the ID is the span's position in that order
-// — so two runs of the same seed, or the same run exported twice, number
-// their spans identically.
+// derivation the spans are sorted canonically (Start, End, Class name,
+// CPU, Arg, Note, Truncated) and the ID is the span's position in that
+// order — so two runs of the same seed, or the same run exported twice,
+// number their spans identically. The fields are ordered so a Span packs
+// into 56 bytes (TestSpanLayout): Derive sorts and the Chrome writer
+// reads one per span.
 type Span struct {
-	ID    int
-	Class string // trace.Class name: "np", "vm", "lend", "request", ...
-	CPU   int    // physical/logical CPU id; -1 for spans not tied to a core
-	Arg   int64  // pairing key where relevant (IPI id, packet id, VM id)
 	Start sim.Time
 	End   sim.Time
+	Arg   int64 // pairing key where relevant (IPI id, packet id, VM id)
 	Note  string
+	ID    int
+	CPU   int32       // physical/logical CPU id; -1 for spans not tied to a core
+	Class trace.Class // its String is the class name: "np", "vm", "lend", ...
 	// Truncated marks a begin that never saw its end inside the trace
 	// (run horizon hit, or the tracer's event cap dropped the close).
 	// The span is clipped to the last traced instant.
@@ -51,12 +54,14 @@ type Derivation struct {
 }
 
 // Derive pairs a trace's events into spans and instants by the trace
-// schema (trace.Kind.Info): each event closes the classes its kind
-// closes, opens the class it opens, and marks an instant if its kind is
-// one. OBSERVABILITY.md §2 renders the pairings. Events must be in
-// emission order (which is chronological: the tracer records at the
-// engine clock). Open spans at the end of the trace are emitted
-// truncated, clipped to the last event's instant.
+// schema (trace.Kind.Info), read through the pairing table: each event
+// closes the classes its kind closes, opens the class it opens, and
+// marks an instant if its kind is one. OBSERVABILITY.md §2 renders the
+// pairings. Events must be in emission order (which is chronological:
+// the tracer records at the engine clock). Open spans at the end of the
+// trace are emitted truncated, clipped to the last event's instant.
+// Like the tracer, it panics on an event whose CPU does not fit in 32
+// bits.
 func Derive(events []trace.Event) Derivation {
 	// An empty output stays nil.
 	nOpen, nInstant := outputCounts(events)
@@ -73,32 +78,39 @@ func Derive(events []trace.Event) Derivation {
 
 	// A span is stored at its begin, so a chronological trace lays the
 	// spans out in Start order. Until its close it is Truncated.
-	for _, e := range events {
-		info := e.Kind.Info()
-		for _, c := range info.Closes {
+	for i := range events {
+		e := &events[i]
+		if int(int32(e.CPU)) != e.CPU {
+			panic(fmt.Sprintf("obs: event %d: cpu %d does not fit in 32 bits", i, e.CPU))
+		}
+		p := &pairings[e.Kind]
+		for _, c := range p.closes {
+			if c == trace.ClassNone {
+				break
+			}
 			// Pop the most recent open begin, preferring the close
 			// event's note when the begin carried none. An unpaired close
 			// (its begin fell outside the trace) is dropped.
-			i := open.pop(c, c.KeyOf(e))
-			if i < 0 {
+			j := open.pop(c, c.KeyOf(*e))
+			if j < 0 {
 				continue
 			}
-			s := &spans[i]
+			s := &spans[j]
 			s.End, s.Truncated = e.At, false
 			if s.Note == "" {
 				s.Note = e.Note
 			}
 		}
-		if c := info.Opens; c != trace.ClassNone {
-			open.push(c, c.KeyOf(e))
+		if c := p.opens; c != trace.ClassNone {
+			open.push(c, c.KeyOf(*e))
 			spans = append(spans, Span{
-				Class: c.String(), CPU: e.CPU, Arg: e.Arg,
-				Start: e.At, Note: e.Note, Truncated: true,
+				Start: e.At, Arg: e.Arg, Note: e.Note,
+				CPU: int32(e.CPU), Class: c, Truncated: true,
 			})
 		}
-		if info.Instant {
+		if p.instant {
 			instants = append(instants, Instant{
-				At: e.At, Name: info.Name, CPU: e.CPU, Arg: e.Arg, Note: e.Note,
+				At: e.At, Name: p.name, CPU: e.CPU, Arg: e.Arg, Note: e.Note,
 			})
 		}
 	}
@@ -119,16 +131,51 @@ func Derive(events []trace.Event) Derivation {
 // outputCounts returns how many spans and instants Derive makes of
 // events. Every open becomes exactly one span, closed or truncated.
 func outputCounts(events []trace.Event) (nOpen, nInstant int) {
-	for _, e := range events {
-		info := e.Kind.Info()
-		if info.Opens != trace.ClassNone {
+	for i := range events {
+		p := &pairings[events[i].Kind]
+		if p.opens != trace.ClassNone {
 			nOpen++
 		}
-		if info.Instant {
+		if p.instant {
 			nInstant++
 		}
 	}
 	return nOpen, nInstant
+}
+
+// pairing is one kind's row of Derive's pairing table: what
+// trace.Kind.Info says about the kind's spans and instant, without the
+// Closes slice, so a row is read in place rather than copied per event.
+type pairing struct {
+	name    string         // the kind's name, which its instants carry
+	closes  [2]trace.Class // the classes the kind closes, in pop order; ClassNone ends the list
+	opens   trace.Class
+	instant bool
+}
+
+// pairings is the pairing table, indexed by Kind. Every Kind value has
+// a row, so an unknown kind reads the zero row and pairs nothing, as its
+// zero KindInfo does.
+var pairings = pairingTable()
+
+// pairingTable builds the pairing table from the trace schema.
+func pairingTable() *[1 << 8]pairing {
+	var t [1 << 8]pairing
+	for _, k := range trace.Kinds() {
+		t[k] = pairingOf(k, k.Info())
+	}
+	return &t
+}
+
+// pairingOf returns kind k's row. It panics, naming the kind, if the
+// kind closes more classes than a row holds.
+func pairingOf(k trace.Kind, info trace.KindInfo) pairing {
+	p := pairing{name: info.Name, opens: info.Opens, instant: info.Instant}
+	if len(info.Closes) > len(p.closes) {
+		panic(fmt.Sprintf("obs: kind %s closes %d classes; a pairing row holds %d", k, len(info.Closes), len(p.closes)))
+	}
+	copy(p.closes[:], info.Closes)
+	return p
 }
 
 // openStacks holds Derive's open spans: one LIFO stack per (class,
@@ -184,13 +231,36 @@ func (o *openStacks) pop(c trace.Class, key int64) int32 {
 	return i
 }
 
-// sortSpans puts the spans in canonical order (Start, End, Class, CPU,
-// Arg, Note, Truncated) and assigns IDs. Derive stores spans in Start
-// order when the trace is chronological, so only each run of equal
-// Start is sorted; a Start that decreases sends the whole slice through
-// the same comparison. Spans equal on all seven keys are equal in every
-// field but ID, so an unstable sort gives exactly what a stable one
-// would.
+// classRank orders the span classes by name: a class's rank is its
+// position among the class names sorted as strings. The canonical span
+// order compares ranks, so it sorts by name without comparing strings.
+// classesByName lists the classes in that order.
+var classRank, classesByName = rankClasses()
+
+func rankClasses() (rank [trace.NumClasses]uint8, byName [trace.NumClasses]trace.Class) {
+	for c := range byName {
+		byName[c] = trace.Class(c)
+	}
+	slices.SortFunc(byName[:], func(a, b trace.Class) int { return strings.Compare(a.String(), b.String()) })
+	for r, c := range byName {
+		rank[c] = uint8(r)
+	}
+	return rank, byName
+}
+
+// maxInsertionRun bounds the runs of equal Start that sortSpans sorts
+// by insertion. Runs on faulted VM churn are at most 12 spans long;
+// longer ones go through slices.SortFunc, so a hand-built trace with one
+// huge run does not sort in quadratic time.
+const maxInsertionRun = 32
+
+// sortSpans puts the spans in canonical order (Start, End, Class name,
+// CPU, Arg, Note, Truncated) and assigns IDs. Derive stores spans in
+// Start order when the trace is chronological, so only each run of
+// equal Start is sorted, in place by insertion; a Start that decreases
+// sends the whole slice through slices.SortFunc with the same
+// comparison. Spans equal on all seven keys are equal in every field
+// but ID, so an unstable sort gives exactly what a stable one would.
 func sortSpans(spans []Span) {
 	for i := 0; i < len(spans); {
 		j := i + 1
@@ -198,11 +268,14 @@ func sortSpans(spans []Span) {
 			j++
 		}
 		if j < len(spans) && spans[j].Start < spans[i].Start {
-			slices.SortFunc(spans, compareSpans)
+			slices.SortFunc(spans, compareSpanValues)
 			break
 		}
-		if j-i > 1 {
-			slices.SortFunc(spans[i:j], compareSpans)
+		switch run := spans[i:j]; {
+		case len(run) > maxInsertionRun:
+			slices.SortFunc(run, compareSpanValues)
+		case len(run) > 1:
+			insertionSort(run)
 		}
 		i = j
 	}
@@ -211,16 +284,29 @@ func sortSpans(spans []Span) {
 	}
 }
 
+// insertionSort sorts a short run in canonical order, comparing spans
+// through pointers so no comparison copies one.
+func insertionSort(run []Span) {
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0 && compareSpans(&run[j], &run[j-1]) < 0; j-- {
+			run[j], run[j-1] = run[j-1], run[j]
+		}
+	}
+}
+
+// compareSpanValues is compareSpans for slices.SortFunc.
+func compareSpanValues(a, b Span) int { return compareSpans(&a, &b) }
+
 // compareSpans is the canonical span order. A closed span sorts before
 // a truncated one that equals it on every other key.
-func compareSpans(a, b Span) int {
+func compareSpans(a, b *Span) int {
 	if c := cmp.Compare(a.Start, b.Start); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.End, b.End); c != 0 {
 		return c
 	}
-	if c := strings.Compare(a.Class, b.Class); c != 0 {
+	if c := cmp.Compare(classRank[a.Class], classRank[b.Class]); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.CPU, b.CPU); c != 0 {
