@@ -103,15 +103,20 @@ bench-pins:
 # admission-gated vmstartup run covers overload control, and the placed
 # fleets under the pressure policy cover cluster placement, fault-free
 # and with every member faulted and the placer re-placing dead-lettered
-# startups. The acceptance tests behind these subsystems (auditor,
-# recovery, overload, placement) run in test-race above. Part of `make
-# check` so a change that breaks a runtime invariant (double-lend, lost
+# startups. The combined vmstartup run arms retries, overload control,
+# recovery and faults at once, so every timer-driven loop the benchmark
+# reaches (arrivals, the admission drain and shed sweep, the overload
+# sampler, the static-mode exit, the breaker and the injector's loops)
+# runs together under the auditor. The acceptance tests behind these
+# subsystems (auditor, recovery, overload, placement) run in test-race
+# above. Part of `make check` so a change that breaks a runtime invariant (double-lend, lost
 # request, illegal mode transition) fails pre-commit even when no
 # throughput number moves.
 smoke:
 	$(GO) run ./cmd/taichi-sim -mode taichi -workload crr -dur 200ms -faults default -recover -audit > /dev/null
 	$(GO) run ./cmd/taichi-sim -mode taichi -workload vmstartup -retry -recover -faults default -dur 2s -audit > /dev/null
 	$(GO) run ./cmd/taichi-sim -mode taichi -workload vmstartup -retry -overload -dur 2s -audit > /dev/null
+	$(GO) run ./cmd/taichi-sim -mode taichi -workload vmstartup -retry -overload -recover -faults default -dur 2s -audit > /dev/null
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -util 0.3 -audit > /dev/null
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -util 0.3 -faults default -recover -audit > /dev/null
 

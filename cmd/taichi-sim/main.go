@@ -197,12 +197,15 @@ func build(p params, seed int64) (*scenario, error) {
 	if p.cp > 0 {
 		cfg := controlplane.DefaultSynthCP()
 		r := node.Stream("sim.cp")
-		var churn func(i int)
-		churn = func(i int) {
+		i := 0
+		var next *sim.Timer
+		spawn := func() {
 			sc.tasks = append(sc.tasks, h.SpawnCP(fmt.Sprintf("synth%d", i), wrapCP(controlplane.SynthCP(cfg, r))))
-			node.Engine.Schedule(sim.Exponential(r, sim.Duration(float64(50*sim.Millisecond)/float64(p.cp))), func() { churn(i + 1) })
+			i++
+			next.Reset(sim.Exponential(r, sim.Duration(float64(50*sim.Millisecond)/float64(p.cp))))
 		}
-		churn(0)
+		next = node.Engine.NewTimer(0, "taichi-sim.cp-churn", spawn)
+		spawn()
 	}
 
 	// Foreground benchmark.

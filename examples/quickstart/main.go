@@ -31,14 +31,14 @@ func main() {
 	// Measure data-plane latency with a steady probe flow.
 	lat := metrics.NewHistogram("dp.latency")
 	r := node.Stream("probe")
-	var probe func()
-	probe = func() {
+	var probe *sim.Timer
+	probe = node.Engine.NewTimer(0, "quickstart.probe", func() {
 		start := node.Now()
 		node.Pipe.Inject(&accel.Packet{Core: 0, Work: sim.Microsecond,
 			Done: func(_ *accel.Packet, at sim.Time) { lat.Record(at.Sub(start)) }})
-		node.Engine.Schedule(sim.Exponential(r, 200*sim.Microsecond), probe)
-	}
-	node.Engine.Schedule(1, probe)
+		probe.Reset(sim.Exponential(r, 200*sim.Microsecond))
+	})
+	probe.Reset(1)
 
 	// A burst of 24 control-plane jobs (50 ms each) — six times more than
 	// the dedicated CP cores could run at once. Deployment is just a

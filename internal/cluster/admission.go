@@ -254,20 +254,14 @@ func (m *Manager) queuedAtOrAbove(c Priority) bool {
 	return false
 }
 
-// armDrain schedules the next drain pass (idempotent while one is
-// armed). The dwell is jittered from the dedicated "cluster.admit"
-// stream so fleet members under the same spike do not drain in lockstep.
+// armDrain arms the next drain pass (idempotent while one is armed).
+// The dwell is jittered from the dedicated "cluster.admit" stream so
+// fleet members under the same spike do not drain in lockstep.
 func (m *Manager) armDrain() {
-	if m.drainArmed || m.queued == 0 {
+	if m.drain.Armed() || m.queued == 0 {
 		return
 	}
-	m.drainArmed = true
-	delay := sim.Jitter(m.admitR, drainPeriod, admissionJitter)
-	m.host.Engine().ScheduleNamed(delay, "cluster.admit", func() {
-		m.drainArmed = false
-		m.drainAdmitQ()
-		m.armDrain()
-	})
+	m.drain.Reset(sim.Jitter(m.admitR, drainPeriod, admissionJitter))
 }
 
 // drainAdmitQ dispatches queued requests highest class first while
@@ -306,19 +300,13 @@ func (m *Manager) popHighest() *Request {
 	return nil
 }
 
-// armShedSweep schedules the next shedder sweep (idempotent while one is
+// armShedSweep arms the next shedder sweep (idempotent while one is
 // armed), jittered from the dedicated "cluster.shed" stream.
 func (m *Manager) armShedSweep() {
-	if m.shedArmed || m.queued == 0 {
+	if m.sweep.Armed() || m.queued == 0 {
 		return
 	}
-	m.shedArmed = true
-	delay := sim.Jitter(m.shedR, shedPeriod, admissionJitter)
-	m.host.Engine().ScheduleNamed(delay, "cluster.shed", func() {
-		m.shedArmed = false
-		m.shedSweep()
-		m.armShedSweep()
-	})
+	m.sweep.Reset(sim.Jitter(m.shedR, shedPeriod, admissionJitter))
 }
 
 // shedSweep is the CoDel-style control loop: walk the queues lowest

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,7 +11,48 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
+
+// idleHost is a Host with only an engine and streams: enough for a
+// manager whose requests never leave the admission queues.
+type idleHost struct {
+	Host // nil: SpawnCP, Coordinator and Lock are never called
+	e    *sim.Engine
+	rng  *sim.RNG
+}
+
+func (h idleHost) Engine() *sim.Engine           { return h.e }
+func (h idleHost) Stream(name string) *rand.Rand { return h.rng.Stream(name) }
+func (h idleHost) Tracer() *trace.Tracer         { return nil }
+
+// TestAdmissionLoopsRearmWithoutAllocating: while requests wait in the
+// admission queues, the drain loop wakes every ~10 ms and the shed sweep
+// every ~25 ms, and each re-arms its own timer from its callback. Once
+// warm, a wake-up allocates nothing.
+func TestAdmissionLoopsRearmWithoutAllocating(t *testing.T) {
+	e := sim.NewEngine()
+	cfg := DefaultConfig(1)
+	// Half a token and a negligible refill: every request queues, and no
+	// drain pass ever finds a token to dispatch one.
+	cfg.Admission = AdmissionPolicy{Enabled: true, Rate: 1e-9, Burst: 0.5}
+	// Latency-critical requests wait 800 ms before the sweep sheds them,
+	// longer than the six 100 ms runs below.
+	cfg.Classify = func(int) Priority { return PriorityLatencyCritical }
+	mgr := NewManager(idleHost{e: e, rng: sim.NewRNG(1)}, cfg)
+	for i := 0; i < 3; i++ {
+		mgr.issueRequest()
+	}
+	start := e.Fired()
+	allocs := testing.AllocsPerRun(5, func() { e.Run(e.Now().Add(100 * sim.Millisecond)) })
+	ticks := float64(e.Fired()-start) / 6 // AllocsPerRun adds one warm-up run
+	if mgr.QueuedAdmission() != 3 || ticks < 10 {
+		t.Fatalf("%d queued, %.1f wake-ups per run; want 3 queued throughout and >= 10 wake-ups", mgr.QueuedAdmission(), ticks)
+	}
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per wake-up, want 0", allocs/ticks)
+	}
+}
 
 // TestShedWhileBreakerOpenIsNotABreakerFailure pins the boundary
 // between the admission gate and the circuit breaker: a shed happens

@@ -137,8 +137,10 @@ type Manager struct {
 	// timeouts, nacks.
 	Outcomes *metrics.Group
 
-	reqs   []*Request
-	retryR *rand.Rand // "cluster.retry" stream; nil when retries disabled
+	reqs []*Request
+	// arrival is the node-local Poisson arrival loop's timer.
+	arrival *sim.Timer
+	retryR  *rand.Rand // "cluster.retry" stream; nil when retries disabled
 	// requeueR is the "cluster.requeue" stream; nil when requeue is
 	// disabled. pendingRequeues counts dead-lettered requests with a
 	// resurrection decision still in flight — Settled() is false until
@@ -157,16 +159,16 @@ type Manager struct {
 	cShed                         *metrics.Counter
 
 	// Admission-gate state (admission.go): per-class FIFO queues, the
-	// token bucket, and the armed flags of the two control loops. admitR
-	// and shedR are the "cluster.admit" / "cluster.shed" streams, nil
-	// when admission is disabled.
+	// token bucket, and the timers of the two control loops. admitR and
+	// shedR are the "cluster.admit" / "cluster.shed" streams, and drain
+	// and sweep the loops' timers; all four are nil when admission is
+	// disabled.
 	admitR, shedR *rand.Rand
+	drain, sweep  *sim.Timer
 	admitQ        [NumPriorities][]*Request
 	queued        int
 	tokens        float64
 	lastRefill    sim.Time
-	drainArmed    bool
-	shedArmed     bool
 	shedByClass   [NumPriorities]uint64
 
 	// Placed-mode state (placement.go): resident-VM load programs and
@@ -208,6 +210,10 @@ func NewManager(host Host, cfg Config) *Manager {
 		cTimeouts:   g.Counter("timeouts"),
 		cNacks:      g.Counter("nacks"),
 	}
+	m.arrival = host.Engine().NewTimer(0, "cluster.arrival", func() {
+		m.issueRequest()
+		m.scheduleNext()
+	})
 	// Requeue counters are appended after the original six so existing
 	// registration-order consumers keep their positions; shed follows
 	// them for the same reason.
@@ -232,6 +238,14 @@ func NewManager(host Host, cfg Config) *Manager {
 		// bucket starts full so a quiet node admits its first burst.
 		m.admitR = host.Stream("cluster.admit")
 		m.shedR = host.Stream("cluster.shed")
+		m.drain = host.Engine().NewTimer(0, "cluster.admit", func() {
+			m.drainAdmitQ()
+			m.armDrain()
+		})
+		m.sweep = host.Engine().NewTimer(0, "cluster.shed", func() {
+			m.shedSweep()
+			m.armShedSweep()
+		})
 		m.tokens = cfg.Admission.Burst
 	}
 	return m
@@ -269,10 +283,7 @@ func (m *Manager) scheduleNext() {
 	}
 	rate := baseArrivalRate * m.cfg.Density
 	gap := sim.Duration(float64(sim.Second) / rate)
-	m.host.Engine().ScheduleNamed(sim.Exponential(m.r, gap), "cluster.arrival", func() {
-		m.issueRequest()
-		m.scheduleNext()
-	})
+	m.arrival.Reset(sim.Exponential(m.r, gap))
 }
 
 // issueRequest creates one VM along the Figure 1c red path: CP device

@@ -66,7 +66,8 @@ type Breaker struct {
 
 	state       BreakerState
 	consecFails int
-	probing     bool // half-open probe in flight
+	probing     bool       // half-open probe in flight
+	halfOpen    *sim.Timer // the open→half-open step, armed on each trip
 
 	// Outcome tallies (rendered by Describe): trips open, ops rejected
 	// while open, ack timeouts, NACKs, half-open transitions, re-closes.
@@ -75,7 +76,9 @@ type Breaker struct {
 
 // NewBreaker wraps inner with a circuit breaker driven by the engine.
 func NewBreaker(engine *sim.Engine, inner DPCoordinator) *Breaker {
-	return &Breaker{engine: engine, inner: inner}
+	b := &Breaker{engine: engine, inner: inner}
+	b.halfOpen = engine.NewTimer(0, "", b.halfOpenAfterTimeout)
+	return b
 }
 
 // State returns the breaker's current position.
@@ -134,9 +137,9 @@ func (b *Breaker) ConfigureDevice(flow int, done func(ok bool)) {
 // late ack from an op issued before the breaker tripped (several
 // closed-state ops can be in flight at once) can land while the breaker
 // is Open — or even Half-Open — and letting it re-close would bypass
-// openTimeout and the one-probe-decides protocol while the pending
-// open-timer no-ops. The state check guards the probe itself against a
-// trip that happened while its ack was in flight.
+// openTimeout and the one-probe-decides protocol, and leave the pending
+// half-open step to fire on a closed circuit. The state check guards the
+// probe itself against a trip that happened while its ack was in flight.
 func (b *Breaker) onSuccess(probe bool) {
 	b.consecFails = 0
 	if probe && b.state == BreakerHalfOpen {
@@ -157,14 +160,16 @@ func (b *Breaker) trip() {
 	b.state = BreakerOpen
 	b.probing = false
 	b.trips++
-	b.engine.Schedule(openTimeout, func() {
-		if b.state != BreakerOpen {
-			return
-		}
-		b.state = BreakerHalfOpen
-		b.probing = false
-		b.halfOpens++
-	})
+	b.halfOpen.Reset(openTimeout)
+}
+
+// halfOpenAfterTimeout ends an open period: the next op is the probe.
+// A trip happens only outside Open and this timer alone leaves it, so
+// the timer fires in Open with no other step pending.
+func (b *Breaker) halfOpenAfterTimeout() {
+	b.state = BreakerHalfOpen
+	b.probing = false
+	b.halfOpens++
 }
 
 // Describe renders the breaker's counters on one deterministic line —

@@ -173,7 +173,6 @@ func TestPropertySynthCPBudget(t *testing.T) {
 		cfg.Total = 10 * sim.Millisecond
 		cfg.NonPreemptFrac = float64(fracRaw) / 255
 		th := k.Spawn("synth", SynthCP(cfg, rand.New(rand.NewSource(seed))))
-		e.Limit = 2_000_000
 		e.Run(sim.Time(5 * sim.Second))
 		return th.State() == kernel.StateDone && th.CPUTime == cfg.Total
 	}

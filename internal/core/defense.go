@@ -96,6 +96,10 @@ type defenseState struct {
 	// stream, no timers — so runs without recovery remain byte-identical
 	// to the pre-recovery code.
 	r *rand.Rand // "core.recovery" stream
+	// exit is the static-mode exit's timer. Static is entered only from
+	// another mode and left only through it, so it fires in static mode
+	// and at most one exit is ever pending.
+	exit *sim.Timer
 	// cooldown is the dwell the *next* static entry will wait before its
 	// exit attempt; grows by recoveryCooldownFactor per entry, capped.
 	cooldown sim.Duration
@@ -271,12 +275,10 @@ func (s *Scheduler) enterStatic() {
 		// The node recovered before and fell back again: flapping.
 		s.Reescalations.Inc()
 	}
-	// Static is left only through this callback, so at most one is ever
-	// pending. The dwell is the current cooldown, jittered so fleet
-	// members degraded by one incident do not exit in lockstep; the next
-	// static episode dwells longer, so a flapping node settles static.
-	dwell := sim.Jitter(d.r, d.cooldown, recoveryJitter)
-	s.engine.ScheduleNamed(dwell, "core.recovery", s.tryExitStatic)
+	// The dwell is the current cooldown, jittered so fleet members
+	// degraded by one incident do not exit in lockstep; the next static
+	// episode dwells longer, so a flapping node settles static.
+	d.exit.Reset(sim.Jitter(d.r, d.cooldown, recoveryJitter))
 	d.cooldown = stretch(d.cooldown, recoveryCooldownFactor, recoveryMaxCooldown)
 }
 

@@ -110,9 +110,8 @@ var overloadEnter = [OverloadBrownout + 1]float64{
 // no timers — so runs without overload control remain byte-identical to
 // the pre-overload code.
 type overloadState struct {
-	r *rand.Rand // "core.overload" stream, created only when armed
-	// tick samples and re-arms; bound once so re-arming allocates nothing.
-	tick func()
+	r      *rand.Rand // "core.overload" stream, created only when armed
+	sample *sim.Timer // the sampling loop's timer
 
 	state    OverloadState
 	smoothed float64
@@ -155,10 +154,10 @@ func (s *Scheduler) EnableOverload(OverloadPolicy) {
 		esc:      window{span: escalationWindow},
 		cooldown: overloadCooldown,
 	}
-	s.overload.tick = func() {
+	s.overload.sample = s.engine.NewTimer(0, "core.overload", func() {
 		s.sampleOverload()
 		s.armOverloadSample()
-	}
+	})
 	s.armOverloadSample()
 }
 
@@ -199,12 +198,11 @@ func (s *Scheduler) overloadBrownedOut() bool {
 	return s.overload != nil && s.overload.state == OverloadBrownout
 }
 
-// armOverloadSample schedules the next pressure sample, jittered from
-// the dedicated "core.overload" stream.
+// armOverloadSample arms the next pressure sample, jittered from the
+// dedicated "core.overload" stream.
 func (s *Scheduler) armOverloadSample() {
 	ov := s.overload
-	delay := sim.Jitter(ov.r, overloadSamplePeriod, overloadJitter)
-	s.engine.ScheduleNamed(delay, "core.overload", ov.tick)
+	ov.sample.Reset(sim.Jitter(ov.r, overloadSamplePeriod, overloadJitter))
 }
 
 // sampleOverload derives the lending-pressure index — the fraction of DP

@@ -72,6 +72,7 @@ func (s *Scheduler) EnableRecovery(RecoveryPolicy) {
 		return
 	}
 	d.r = s.node.Stream("core.recovery")
+	d.exit = s.engine.NewTimer(0, "core.recovery", s.exitStatic)
 	d.cooldown = recoveryCooldown
 	d.clean.span = probationWindow
 }
@@ -91,15 +92,13 @@ func (s *Scheduler) RecoveryStats() RecoveryStats {
 	}
 }
 
-// tryExitStatic is the cooldown callback: leave static partitioning for
-// the probation rung. Lending resumes (under software-probe reclaim
-// only), and the teardown budget re-arms so a still-faulty node walks
-// straight back down the ladder — paying the now-longer cooldown.
-func (s *Scheduler) tryExitStatic() {
+// exitStatic is the cooldown timer's callback: leave static
+// partitioning for the probation rung. Lending resumes (under
+// software-probe reclaim only), and the teardown budget re-arms so a
+// still-faulty node walks straight back down the ladder — paying the
+// now-longer cooldown.
+func (s *Scheduler) exitStatic() {
 	d := s.defense
-	if d.mode != ModeStatic {
-		return
-	}
 	d.generation++
 	d.setMode(ModeSWProbe)
 	d.teardowns = 0

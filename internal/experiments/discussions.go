@@ -95,8 +95,9 @@ func deployRT(engine *sim.Engine, spawnLow, spawnRT func(string, kernel.Program)
 	}
 	// Periodic RT job: 5 ms period, 200 µs of work; latency is measured
 	// from the period edge to job completion.
-	var fire func(i int)
-	fire = func(i int) {
+	i := 0
+	var next *sim.Timer
+	fire := func() {
 		if sim.Duration(i)*5*sim.Millisecond >= horizon {
 			return
 		}
@@ -106,7 +107,9 @@ func deployRT(engine *sim.Engine, spawnLow, spawnRT func(string, kernel.Program)
 				lat.Record(engine.Now().Sub(start))
 			}},
 		}})
-		engine.Schedule(5*sim.Millisecond, func() { fire(i + 1) })
+		i++
+		next.Reset(5 * sim.Millisecond)
 	}
-	fire(0)
+	next = engine.NewTimer(0, "experiments.sec8-rt", fire)
+	fire()
 }

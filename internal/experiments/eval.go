@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -94,14 +95,22 @@ func fourSystems() []systemSpec {
 // that gives vCPUs something to borrow idle DP cycles for.
 func withCPLoad(host cluster.Host) {
 	deployMonitors(host, 16)
-	cfg := controlplane.DefaultSynthCP()
-	r := host.Stream("cpchurn")
-	var churn func(i int)
-	churn = func(i int) {
+	churnCP(host, host.Stream("cpchurn"), controlplane.DefaultSynthCP(), 60*sim.Millisecond)
+}
+
+// churnCP spawns synth CP task churn0 now and churn<i> after each
+// exponential gap of the given mean, drawing the tasks and the gaps from
+// r, on one timer.
+func churnCP(host cluster.Host, r *rand.Rand, cfg controlplane.SynthCPConfig, mean sim.Duration) {
+	i := 0
+	var next *sim.Timer
+	spawn := func() {
 		host.SpawnCP(fmt.Sprintf("churn%d", i), controlplane.SynthCP(cfg, r))
-		host.Engine().Schedule(sim.Exponential(r, 60*sim.Millisecond), func() { churn(i + 1) })
+		i++
+		next.Reset(sim.Exponential(r, mean))
 	}
-	churn(0)
+	next = host.Engine().NewTimer(0, "experiments.cp-churn", spawn)
+	spawn()
 }
 
 // withHeavyCPLoad is withCPLoad plus the production ecosystem and standing
@@ -267,9 +276,6 @@ func Fig14DPSuite(scale Scale) *Result {
 			vals[i] = measure(node, phase)
 		}
 		overhead := pct(vals[0], vals[1])
-		if metric == "lat_us" || metric == "p99_us" || metric == "p999_us" {
-			overhead = pct(vals[0], vals[1]) // latency: positive = worse
-		}
 		tbl.AddRow(name, metric, vals[0], vals[1], fmt.Sprintf("%+.2f%%", overhead))
 		res.Values[name+"."+metric+".baseline"] = vals[0]
 		res.Values[name+"."+metric+".taichi"] = vals[1]

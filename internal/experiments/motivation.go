@@ -115,22 +115,20 @@ func Fig03UtilizationCDF(scale Scale) *Result {
 				}
 			}
 			redraw()
-			node.Engine.NewTimer(epoch, "", redraw).Reset(epoch)
-			var pump func()
-			pump = func() {
-				gap := sim.Duration(float64(work) / target)
-				node.Engine.Schedule(sim.Exponential(cr, gap), func() {
-					node.Pipe.Inject(&accel.Packet{Core: c.ID, Work: work})
-					pump()
-				})
-			}
-			pump()
+			node.Engine.NewTimer(epoch, "experiments.fig3-epoch", redraw).Reset(epoch)
+			var pump *sim.Timer
+			arm := func() { pump.Reset(sim.Exponential(cr, sim.Duration(float64(work)/target))) }
+			pump = node.Engine.NewTimer(0, "experiments.fig3-pump", func() {
+				node.Pipe.Inject(&accel.Packet{Core: c.ID, Work: work})
+				arm()
+			})
+			arm()
 		}
 
 		// Sample per-window utilization of every core, in parts-per-million
 		// so the duration-keyed histogram can hold fractions.
 		hist := metrics.NewHistogram("dp_util_ppm")
-		node.Engine.NewTimer(window, "", func() {
+		node.Engine.NewTimer(window, "experiments.fig3-sample", func() {
 			for _, c := range cores {
 				u := c.Utilization()
 				hist.Record(sim.Duration(u * 1e6))
@@ -248,13 +246,7 @@ func Fig05Census(scale Scale) *Result {
 		deployMonitors(b, 12)
 		cfg := controlplane.DefaultSynthCP()
 		cfg.NonPreemptFrac = 0.06
-		r := b.Node.Stream("fig5.synth")
-		var churn func(i int)
-		churn = func(i int) {
-			b.SpawnCP(fmt.Sprintf("churn%d", i), controlplane.SynthCP(cfg, r))
-			b.Node.Engine.Schedule(sim.Exponential(r, 40*sim.Millisecond), func() { churn(i + 1) })
-		}
-		churn(0)
+		churnCP(b, b.Node.Stream("fig5.synth"), cfg, 40*sim.Millisecond)
 		b.Run(sim.Time(horizon))
 		agg.Merge("census", b.Node.Tracer.NonPreemptibleCensus())
 	})

@@ -235,7 +235,7 @@ func AblationLockRescue(scale Scale) *Result {
 		wcfg.Phase = phase
 		stream := workload.NewStream(tc.Node, wcfg)
 		stream.Start()
-		tc.Node.Engine.NewTimer(sim.Millisecond, "", func() {
+		tc.Node.Engine.NewTimer(sim.Millisecond, "experiments.rescue-sample", func() {
 			if len(tc.Node.Kernel.DetectStuckSpinners()) > 0 {
 				stuckTicks++
 			}
@@ -284,7 +284,7 @@ func AblationPostedInterrupts(scale Scale) *Result {
 		// unified IPI orchestrator must inject into a live guest — via
 		// posted interrupts, or via a forced VM-exit without them.
 		tc.Node.Kernel.RegisterIPIHandler(kernel.VecUser+2, func(kernel.CPUID, int64) {})
-		tick := tc.Node.Engine.NewTimer(100*sim.Microsecond, "", func() {
+		tick := tc.Node.Engine.NewTimer(100*sim.Microsecond, "experiments.posted-ipi", func() {
 			for _, v := range tc.Sched.VCPUs() {
 				if v.State().String() == "running" {
 					tc.Node.Kernel.SendIPI(8, v.ID(), kernel.VecUser+2, 0)

@@ -101,19 +101,17 @@ func (i *Injector) Attach(tc *core.TaiChi) {
 	if s.SpuriousReclaimMTBF > 0 && node.Probe != nil {
 		r := node.Stream("faults.spurious")
 		cores := node.DPCores()
-		var arm func()
-		arm = func() {
-			node.Engine.Schedule(sim.Exponential(r, s.SpuriousReclaimMTBF), func() {
-				if i.stopped {
-					return
-				}
-				if node.Probe.InjectSpurious(cores[r.Intn(len(cores))].ID) {
-					i.spurious.Inc()
-				}
-				arm()
-			})
-		}
-		arm()
+		var next *sim.Timer
+		next = node.Engine.NewTimer(0, "", func() {
+			if i.stopped {
+				return
+			}
+			if node.Probe.InjectSpurious(cores[r.Intn(len(cores))].ID) {
+				i.spurious.Inc()
+			}
+			next.Reset(sim.Exponential(r, s.SpuriousReclaimMTBF))
+		})
+		next.Reset(sim.Exponential(r, s.SpuriousReclaimMTBF))
 	}
 
 	// IPI loss and delay.
@@ -173,24 +171,23 @@ func (i *Injector) Attach(tc *core.TaiChi) {
 	if s.CoreOfflineMTBF > 0 {
 		r := node.Stream("faults.offline")
 		cores := node.DPCores()
-		var arm func()
-		arm = func() {
-			node.Engine.Schedule(sim.Exponential(r, s.CoreOfflineMTBF), func() {
-				if i.stopped {
-					return
-				}
-				dp := cores[r.Intn(len(cores))]
-				if !dp.Down() {
-					i.offline.Inc()
-					tc.Sched.SetCoreDown(dp.ID, true)
-					node.Engine.Schedule(sim.Exponential(r, s.CoreOfflineMean), func() {
-						tc.Sched.SetCoreDown(dp.ID, false)
-					})
-				}
-				arm()
-			})
-		}
-		arm()
+		var next *sim.Timer
+		next = node.Engine.NewTimer(0, "", func() {
+			if i.stopped {
+				return
+			}
+			dp := cores[r.Intn(len(cores))]
+			if !dp.Down() {
+				i.offline.Inc()
+				tc.Sched.SetCoreDown(dp.ID, true)
+				// Outages overlap, so each restore is its own event.
+				node.Engine.Schedule(sim.Exponential(r, s.CoreOfflineMean), func() {
+					tc.Sched.SetCoreDown(dp.ID, false)
+				})
+			}
+			next.Reset(sim.Exponential(r, s.CoreOfflineMTBF))
+		})
+		next.Reset(sim.Exponential(r, s.CoreOfflineMTBF))
 	}
 
 	// CP crash/hang draws share one stream across all wrapped tasks.
@@ -256,7 +253,7 @@ func (c *coordFaults) ConfigureDevice(flow int, done func(ok bool)) {
 
 // Stop quiesces every armed fault class from the current instant on:
 // the hooks stay installed but inject nothing further, and the
-// self-re-arming event loops (spurious reclaims, core offlines) unwind
+// self-re-arming timers (spurious reclaims, core offlines) stop
 // at their next firing. Intensities already in flight — an outage whose
 // re-online is scheduled, a CP hang segment already drawn — run to
 // completion, matching how a real incident tails off rather than

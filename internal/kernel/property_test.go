@@ -50,7 +50,6 @@ func TestPropertyWorkConservation(t *testing.T) {
 			want[i] = cpuWork
 			threads[i] = k.Spawn("t", &SliceProgram{Segments: segs})
 		}
-		e.Limit = 5_000_000
 		e.Run(sim.Time(10 * sim.Second))
 		for i, th := range threads {
 			if th.State() != StateDone {
@@ -98,7 +97,6 @@ func TestPropertyFreezeThawConservation(t *testing.T) {
 			on := at
 			e.At(on, func() { vc.PowerOn() })
 		}
-		e.Limit = 1_000_000
 		e.Run(sim.Time(sim.Minute))
 		return th.State() == StateDone && th.CPUTime == want
 	}

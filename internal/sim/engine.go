@@ -68,9 +68,6 @@ type Engine struct {
 	free    []*event
 	fired   uint64
 	stopped bool
-	// Limit guards against runaway simulations: Run panics after this many
-	// events if non-zero.
-	Limit uint64
 	// prof, when non-nil, collects self-observation counters (see
 	// Profile). Nil is the fault-free fast path: one pointer test per
 	// dispatch, no allocation, no behavioural difference.
@@ -80,7 +77,7 @@ type Engine struct {
 	// by side in one size class. Padding the struct to whole cache lines
 	// keeps two workers from contending on a line two engines share;
 	// TestEngineFillsWholeCacheLines holds the size to a multiple of 64.
-	_ [48]byte
+	_ [56]byte
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -351,9 +348,6 @@ func (e *Engine) Run(until Time) uint64 {
 			break
 		}
 		e.dispatch(s, src)
-		if e.Limit != 0 && e.fired-start > e.Limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
-		}
 	}
 	return e.fired - start
 }
@@ -363,9 +357,6 @@ func (e *Engine) RunUntilIdle() uint64 {
 	e.stopped = false
 	start := e.fired
 	for !e.stopped && e.Step() {
-		if e.Limit != 0 && e.fired-start > e.Limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
-		}
 	}
 	return e.fired - start
 }

@@ -73,9 +73,6 @@ type refEngine struct {
 	queue   refQueue
 	fired   uint64
 	stopped bool
-	// Limit guards against runaway simulations: Run panics after this many
-	// events if non-zero.
-	Limit uint64
 	// prof, when non-nil, collects self-observation counters (see
 	// Profile). Nil is the fault-free fast path: one pointer test per
 	// dispatch, no allocation, no behavioural difference.
@@ -187,9 +184,6 @@ func (e *refEngine) Run(until Time) uint64 {
 			break
 		}
 		e.Step()
-		if e.Limit != 0 && e.fired-start > e.Limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
-		}
 	}
 	return e.fired - start
 }
@@ -199,9 +193,6 @@ func (e *refEngine) RunUntilIdle() uint64 {
 	e.stopped = false
 	start := e.fired
 	for !e.stopped && e.Step() {
-		if e.Limit != 0 && e.fired-start > e.Limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded (runaway simulation?)", e.Limit))
-		}
 	}
 	return e.fired - start
 }

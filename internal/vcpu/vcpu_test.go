@@ -320,7 +320,6 @@ func TestPropertyChaoticScheduling(t *testing.T) {
 		}
 		e.Schedule(sim.Microsecond, chaos)
 
-		e.Limit = 3_000_000
 		e.Run(sim.Time(sim.Minute))
 		if th.State() != kernel.StateDone || th.CPUTime != demand {
 			return false

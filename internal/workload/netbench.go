@@ -143,8 +143,8 @@ type Stream struct {
 	Packets *metrics.Counter
 	Latency *metrics.Histogram
 
-	// The open loop's callbacks, bound once.
-	arriveFn  func()
+	// The open loop's arrival timer and completion callback, bound once.
+	arrival   *sim.Timer
 	arrivedFn func(*accel.Packet, sim.Time)
 }
 
@@ -156,7 +156,8 @@ func NewStream(node *platform.Node, cfg StreamConfig) *Stream {
 		Latency: metrics.NewHistogram("stream.latency"),
 	}
 	s.clients = clients{node: node, r: node.Stream("stream"), label: "workload.stream", phase: cfg.Phase, step: s.step}
-	s.arriveFn, s.arrivedFn = s.arrive, s.arrived
+	s.arrival = node.Engine.NewTimer(0, s.label, s.arrive)
+	s.arrivedFn = s.arrived
 	return s
 }
 
@@ -183,13 +184,13 @@ func (s *Stream) step(c *client) {
 	c.issue()
 }
 
-// openLoopArrival schedules the next open-loop arrival.
+// openLoopArrival arms the next open-loop arrival.
 func (s *Stream) openLoopArrival() {
 	if s.stopped {
 		return
 	}
 	gap := sim.Duration(float64(sim.Second) / s.cfg.OfferedRate)
-	s.node.Engine.ScheduleNamed(sim.Exponential(s.r, gap), s.label, s.arriveFn)
+	s.arrival.Reset(sim.Exponential(s.r, gap))
 }
 
 // arrive sends one packet on a random flow.

@@ -14,19 +14,18 @@ import (
 // (0.5-2%) observable at all: under gapless saturation no yield ever
 // happens and Tai Chi measures identical to the baseline.
 type Phaser struct {
-	engine  *sim.Engine
 	r       *rand.Rand
 	on, off sim.Duration
 	isOn    bool
 	waiters []func()
-	flipFn  func()
+	edge    *sim.Timer // ends the current phase
 }
 
 // NewPhaser starts a phaser with the given on/off dwell times (±20%
 // jitter per phase). It begins in the on phase.
 func NewPhaser(engine *sim.Engine, r *rand.Rand, on, off sim.Duration) *Phaser {
-	p := &Phaser{engine: engine, r: r, on: on, off: off, isOn: true}
-	p.flipFn = p.flip
+	p := &Phaser{r: r, on: on, off: off, isOn: true}
+	p.edge = engine.NewTimer(0, "workload.phaser", p.flip)
 	p.schedule()
 	return p
 }
@@ -36,7 +35,7 @@ func (p *Phaser) schedule() {
 	if !p.isOn {
 		d = p.off
 	}
-	p.engine.ScheduleNamed(sim.Jitter(p.r, d, 0.2), "workload.phaser", p.flipFn)
+	p.edge.Reset(sim.Jitter(p.r, d, 0.2))
 }
 
 // flip ends the current phase. An on edge releases the waiters in the
